@@ -2,7 +2,8 @@
 
 A fully quantum but untrusted server distributes GHZ states to a dealer and
 n agents who are each limited to the Hadamard gate and Z-basis measurement.
-The package provides the exact state-vector engine, the participant state
+The package provides an exact O(q) engine for the protocol's GHZ rounds,
+the dense state-vector engine it is tested against, the participant state
 machines, the adversary models used in the security analysis, and a CLI for
 running seeded Monte-Carlo experiments.
 """

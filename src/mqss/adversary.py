@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .branch import probe_kets, to_state
 from .channel import Interceptor
 from .ghz import GhzSpec
 from .protocol import (
@@ -131,24 +132,12 @@ def prepare_attacked_state(
     all-Check pattern comparison), and two pure probe states span at most a
     two-dimensional space, so a single probe qubit loses no generality.
     """
-    q = spec.qubit_count
-    pattern_index = int("".join(map(str, spec.bits)), 2)
-    complement_index = pattern_index ^ ((1 << q) - 1)
-    overlap = config.probe_overlap
-    residual = sqrt(max(0.0, 1.0 - overlap * overlap))
-    sign = (-1.0) ** spec.phase
-    amps = np.zeros(1 << (q + 1), dtype=complex)
-    amps[pattern_index << 1] = config.pattern_weight
-    amps[(complement_index << 1) | 0] += sign * config.complement_weight * overlap
-    amps[(complement_index << 1) | 1] += sign * config.complement_weight * residual
-    return PureState(q + 1, amps, register_qubits=1)
+    return to_state(probe_kets(spec, config), spec.qubit_count + 1, register_qubits=1)
 
 
 def collective_attack(config: CollectiveAttackConfig) -> RoundAttack:
     """Session hook that swaps in the probe-entangled preparation."""
-    return RoundAttack(
-        prepare_state=lambda spec, rng: prepare_attacked_state(spec, config)
-    )
+    return RoundAttack(collective=config)
 
 
 def probe_readout(state: PureState, rng) -> int:
@@ -251,10 +240,12 @@ def measure_resend_interceptor(config: MeasureResendConfig) -> Interceptor:
 
 
 def measure_resend_attack(config: MeasureResendConfig) -> RoundAttack:
-    """Always-on interception of every transmission to the victim."""
-    return RoundAttack(
-        interceptors={config.target + 1: measure_resend_interceptor(config)}
-    )
+    """Always-on interception of every transmission to the victim.
+
+    The rate-1 Z tap does what ``measure_resend_interceptor`` does on the
+    dense engine, with the same single draw, but keeps rounds exact and O(q).
+    """
+    return RoundAttack(z_taps={config.target + 1: 1.0})
 
 
 def collusion_attack(config: CollusionConfig) -> RoundAttack:
@@ -267,14 +258,7 @@ def collusion_attack(config: CollusionConfig) -> RoundAttack:
     1/4, so m checked bits catch the collusion with probability
     1 - (3/4)^m.
     """
-    inner = measure_resend_interceptor(config.inner_attack)
-
-    def scheduled(state: PureState, particle: int, rng) -> PureState:
-        if rng.random() < 0.5:
-            return inner(state, particle, rng)
-        return state
-
-    return RoundAttack(interceptors={config.inner_attack.target + 1: scheduled})
+    return RoundAttack(z_taps={config.inner_attack.target + 1: 0.5})
 
 
 def run_collusion(

@@ -42,6 +42,8 @@ from .protocol import (
     RoundRecord,
     SessionConfig,
     Verdict,
+    build_channels,
+    round_engine,
     run_rounds,
     run_session,
 )
@@ -80,6 +82,7 @@ class RunReport:
     raw_bits_per_round: Optional[float] = None
     leakage: Optional[LeakageEstimate] = None
     collusion: Optional[CollusionReport] = None
+    engine: Optional[str] = None
     duration_seconds: float = 0.0
 
     @property
@@ -338,11 +341,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute the configured experiment and aggregate its statistics."""
     report = RunReport(config=config)
     started = time.perf_counter()
+    # the collective attack only swaps the preparation, so it has no
+    # interceptor either; every experiment's rounds run on this engine
+    attacked = replace(config.session, attack=_session_attack(config))
+    report.engine = round_engine(build_channels(attacked))
 
     if config.rounds_only is not None:
-        attack = _session_attack(config)
-        session = replace(config.session, attack=attack)
-        records = run_rounds(session, config.rounds_only)
+        records = run_rounds(attacked, config.rounds_only)
         counts = {case.value: 0 for case in RoundCase}
         for record in records:
             counts[record.classification.value] += 1
@@ -367,14 +372,15 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         )
         report.trials = trials
     else:
-        _run_sessions(config, report)
+        _run_sessions(config, attacked, report)
 
     report.duration_seconds = time.perf_counter() - started
     return report
 
 
-def _run_sessions(config: ExperimentConfig, report: RunReport) -> None:
-    attack = _session_attack(config)
+def _run_sessions(
+    config: ExperimentConfig, attacked: SessionConfig, report: RunReport
+) -> None:
     collect = config.transcript is not None
     verdicts = {verdict.value: 0 for verdict in Verdict}
     stats_list = []
@@ -383,11 +389,7 @@ def _run_sessions(config: ExperimentConfig, report: RunReport) -> None:
     step6_rates = []
     grouped = []
     for trial in range(config.trials):
-        session = replace(
-            config.session,
-            attack=attack,
-            seed=child_seed(config.session.seed, trial),
-        )
+        session = replace(attacked, seed=child_seed(config.session.seed, trial))
         outcome = run_session(session, collect_records=collect)
         verdicts[outcome.verdict.value] += 1
         stats_list.append(outcome.stats)
@@ -442,6 +444,8 @@ def render_report(report: RunReport) -> str:
         lines.append("attack: " + extra)
     if config.attack_kind == "collective":
         lines.append(f"attack: probe_overlap={config.probe_overlap}")
+    if report.engine is not None:
+        lines.append(f"engine: {report.engine}")
 
     if report.case_counts is not None:
         lines.append(f"rounds: {report.rounds_total}")

@@ -15,7 +15,7 @@ from math import sqrt
 
 import numpy as np
 
-from .statevec import MAX_QUBITS, PureState, _trusted_state
+from .statevec import MAX_QUBITS, PureState
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,25 @@ def _int_bits(value: int, width: int) -> tuple[int, ...]:
 
 
 def _trusted_spec(bits: tuple[int, ...], phase: int) -> GhzSpec:
-    # fast path for already-validated 0/1 samples in the protocol hot loop
+    # fast path for sample_specs, whose draws are 0/1 by construction
     spec = object.__new__(GhzSpec)
     object.__setattr__(spec, "bits", bits)
     object.__setattr__(spec, "phase", phase)
     return spec
+
+
+def sample_specs(rng, count: int, qubit_count: int) -> list[GhzSpec]:
+    """Uniformly random (pattern, phase) descriptors the server prepares.
+
+    Draws every pattern bit in one call, then every phase bit in another.
+    """
+    if qubit_count < 2:
+        raise ValueError("a GHZ spec needs at least 2 particles")
+    if qubit_count > MAX_QUBITS:
+        raise ValueError(f"at most {MAX_QUBITS} particles supported")
+    bits = rng.integers(0, 2, size=(count, qubit_count)).tolist()
+    phases = rng.integers(0, 2, size=count).tolist()
+    return [_trusted_spec(tuple(b), p) for b, p in zip(bits, phases)]
 
 
 def prepare(spec: GhzSpec) -> PureState:
@@ -111,7 +125,7 @@ def prepare(spec: GhzSpec) -> PureState:
     amps = np.zeros(1 << q, dtype=complex)
     amps[idx] = 1.0 / sqrt(2.0)
     amps[comp] = (-1.0) ** spec.phase / sqrt(2.0)
-    return _trusted_state(q, amps)
+    return PureState(q, amps)
 
 
 def predict_full_hadamard(spec: GhzSpec) -> PureState:

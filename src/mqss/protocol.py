@@ -15,16 +15,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
+from . import branch
 from .channel import ClassicalLog, Interceptor, QubitChannel, broadcast, transmit
-from .ghz import GhzSpec, _trusted_spec, prepare
-from .statevec import (
-    PureState,
-    derived_rng,
-    measure_after_hadamard,
-    measure_z,
-)
+from .ghz import GhzSpec, prepare, sample_specs
+from .statevec import derived_rng, measure_after_hadamard, measure_z
+
+if TYPE_CHECKING:
+    from .adversary import CollectiveAttackConfig
 
 
 class Mode(enum.Enum):
@@ -72,16 +71,31 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class RoundAttack:
-    """Adversary hooks a session installs into its rounds.
+    """What an adversary does to a session's rounds, as data both engines read.
 
-    ``prepare_state`` substitutes the server's preparation (the prepared
-    state may carry a probe register, which the server reads back after the
-    participants measure). ``interceptors`` taps transmissions, keyed by
-    particle position (1 = dealer, 1+i = agent i).
+    ``collective`` replaces the server's preparation with the probe-entangled
+    state of that attack; the server reads the probe back after the
+    participants measure. ``z_taps`` Z-measures a transmission in transit at
+    the given rate: rate 1 taps every round, and a lower rate first spends
+    one draw on its schedule. ``interceptors`` are arbitrary callables on the
+    dense state, applied after channel noise and before a Z tap; a round
+    with any of them runs on the dense engine. Taps and interceptors are
+    keyed by particle position (1 = dealer, 1+i = agent i).
     """
 
-    prepare_state: Optional[Callable[[GhzSpec, Any], PureState]] = None
+    collective: Optional["CollectiveAttackConfig"] = None
+    z_taps: Mapping[int, float] = field(default_factory=dict)
     interceptors: Mapping[int, Interceptor] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for position, rate in self.z_taps.items():
+            if position < 1:
+                raise ValueError("tap positions are 1-based")
+            if not 0.0 < rate <= 1.0:
+                raise ValueError(f"tap rate must be in (0, 1], got {rate}")
+
+
+_NO_ATTACK = RoundAttack()
 
 
 @dataclass(frozen=True)
@@ -148,6 +162,35 @@ def build_channels(config: SessionConfig) -> dict[int, QubitChannel]:
     }
 
 
+def round_engine(channels: Mapping[int, QubitChannel]) -> str:
+    """``"dense"`` when a channel carries a custom interceptor, else ``"branch"``.
+
+    An interceptor may do anything to the state vector, so only the dense
+    engine can run it; everything else the protocol and the modelled
+    attacks do keeps a round on the exact branch engine.
+    """
+    for channel in channels.values():
+        if channel.interceptor is not None:
+            return "dense"
+    return "branch"
+
+
+def _round_modes(
+    count: int, rng, forced_modes: Optional[Sequence[Mode]]
+) -> tuple[Mode, ...]:
+    if forced_modes is not None:
+        if len(forced_modes) != count:
+            raise ValueError(f"expected {count} forced modes, got {len(forced_modes)}")
+        return tuple(forced_modes)
+    draws = rng.random(size=count).tolist()
+    return tuple([Mode.SHARE if draw < 0.5 else Mode.CHECK for draw in draws])
+
+
+def _tap_fires(z_taps: Mapping[int, float], particle: int, rng) -> bool:
+    rate = z_taps.get(particle)
+    return rate is not None and (rate >= 1.0 or rng.random() < rate)
+
+
 def run_round(
     config: SessionConfig,
     spec: GhzSpec,
@@ -163,51 +206,115 @@ def run_round(
     dealer receives and measures particle 1 and acknowledges, then each
     agent receives and measures in turn. Noise and attacks do not raise
     here; they surface later as check failures.
-    """
-    if spec.qubit_count != config.particle_count:
-        raise ValueError(
-            f"spec has {spec.qubit_count} particles, expected {config.particle_count}"
-        )
-    attack = config.attack
-    if attack is not None and attack.prepare_state is not None:
-        state = attack.prepare_state(spec, rng)
-    else:
-        state = prepare(spec)
 
-    modes: list[Mode] = []
-    results: list[int] = []
-    if forced_modes is None:
-        draws = rng.random(size=config.particle_count)
-    for position in range(config.particle_count):
+    The round runs on the exact branch engine (``mqss.branch``) unless
+    ``round_engine(channels)`` is ``"dense"``; ``run_round_dense`` makes the
+    same draws in the same order, so both give the same record.
+    """
+    if round_engine(channels) == "dense":
+        return run_round_dense(
+            config, spec, rng, channels, round_index, forced_modes, log
+        )
+    q = _checked_qubits(config, spec)
+    attack = config.attack or _NO_ATTACK
+    if attack.collective is None:
+        kets, width = branch.ghz_kets(spec), q
+    else:
+        kets, width = branch.probe_kets(spec, attack.collective), q + 1
+
+    modes = _round_modes(q, rng, forced_modes)
+    taps = attack.z_taps
+    results = []
+    for position, mode in enumerate(modes):
+        particle = position + 1
+        mask = branch.particle_mask(width, particle)
+        epsilon = channels[particle].epsilon
+        if epsilon > 0.0 and rng.random() < epsilon:
+            kets = branch.flip(kets, mask)
+        if taps and _tap_fires(taps, particle, rng):
+            _, kets, _ = branch.measure_z(kets, mask, rng)
+        if mode is Mode.SHARE:
+            outcome, kets, _ = branch.measure_after_hadamard(kets, mask, rng)
+        else:
+            outcome, kets, _ = branch.measure_z(kets, mask, rng)
+        results.append(outcome)
+        if position == 0 and log is not None:
+            broadcast(log, "dealer", {"round": round_index, "ack": True})
+
+    probe_outcome = None
+    if width > q:
+        probe_outcome, _, _ = branch.measure_z(
+            kets, branch.particle_mask(width, width), rng
+        )
+    return RoundRecord(
+        round_index=round_index,
+        spec=spec,
+        modes=modes,
+        results=tuple(results),
+        classification=classify_round(modes),
+        probe_outcome=probe_outcome,
+    )
+
+
+def run_round_dense(
+    config: SessionConfig,
+    spec: GhzSpec,
+    rng,
+    channels: Mapping[int, QubitChannel],
+    round_index: int = 0,
+    forced_modes: Optional[Sequence[Mode]] = None,
+    log: Optional[ClassicalLog] = None,
+) -> RoundRecord:
+    """``run_round`` on the dense state-vector engine.
+
+    It is the oracle the branch engine is tested against, and the engine
+    for rounds whose channels carry custom interceptors.
+    """
+    q = _checked_qubits(config, spec)
+    attack = config.attack or _NO_ATTACK
+    if attack.collective is None:
+        state = prepare(spec)
+    else:
+        state = branch.to_state(
+            branch.probe_kets(spec, attack.collective), q + 1, register_qubits=1
+        )
+
+    modes = _round_modes(q, rng, forced_modes)
+    results = []
+    for position, mode in enumerate(modes):
         particle = position + 1
         channel = channels[particle]
         if channel.epsilon > 0.0 or channel.interceptor is not None:
             state = transmit(channel, state, particle, rng)
-        if forced_modes is not None:
-            mode = forced_modes[position]
-        else:
-            mode = Mode.SHARE if draws[position] < 0.5 else Mode.CHECK
+        if _tap_fires(attack.z_taps, particle, rng):
+            _, state, _ = measure_z(state, particle, rng)
         if mode is Mode.SHARE:
             outcome, state, _ = measure_after_hadamard(state, particle, rng)
         else:
             outcome, state, _ = measure_z(state, particle, rng)
-        modes.append(mode)
         results.append(outcome)
         if position == 0 and log is not None:
             broadcast(log, "dealer", {"round": round_index, "ack": True})
 
     probe_outcome = None
     if state.register_qubits:
-        probe_outcome, state, _ = measure_z(state, state.qubit_count, rng)
-
+        probe_outcome, _, _ = measure_z(state, state.qubit_count, rng)
     return RoundRecord(
         round_index=round_index,
         spec=spec,
-        modes=tuple(modes),
+        modes=modes,
         results=tuple(results),
         classification=classify_round(modes),
         probe_outcome=probe_outcome,
     )
+
+
+def _checked_qubits(config: SessionConfig, spec: GhzSpec) -> int:
+    if spec.qubit_count != config.particle_count:
+        raise ValueError(
+            f"spec has {spec.qubit_count} particles, expected {config.particle_count}"
+        )
+    return spec.qubit_count
 
 
 def classify_round(modes: Sequence[Mode]) -> RoundCase:
@@ -473,16 +580,10 @@ class SessionOutcome:
     ciphertext: Optional[tuple[int, ...]] = None
     reconstructed: Optional[tuple[int, ...]] = None
     records: Optional[tuple[RoundRecord, ...]] = None
+    engine: str = "branch"  # round_engine() of the session's channels
 
 
 _MAX_BATCHES = 64
-
-
-def _sample_specs(rng, count: int, qubit_count: int) -> list[GhzSpec]:
-    """Uniformly random (pattern, phase) descriptors the server prepares."""
-    bits = rng.integers(0, 2, size=(count, qubit_count)).tolist()
-    phases = rng.integers(0, 2, size=count).tolist()
-    return [_trusted_spec(tuple(b), p) for b, p in zip(bits, phases)]
 
 
 def run_session(
@@ -544,6 +645,7 @@ def _run_attempt(
     q = config.particle_count
     m = config.secret_bits
     channels = build_channels(config)
+    engine = round_engine(channels)
     log = ClassicalLog()
     records: list[RoundRecord] = []
     specs: list[GhzSpec] = []
@@ -555,7 +657,7 @@ def _run_attempt(
             raise RuntimeError("could not gather enough key rounds")
         # full batch first; smaller top-ups cover any raw-bit shortfall
         batch = config.batch_size if batches == 0 else max(config.batch_size // 4, 8)
-        for spec in _sample_specs(rng, batch, q):
+        for spec in sample_specs(rng, batch, q):
             record = run_round(
                 config, spec, rng, channels, round_index=len(records), log=log
             )
@@ -573,12 +675,14 @@ def _run_attempt(
             verdict=Verdict.ABORTED_STEP5,
             stats=_stats(records, None, None, attempt),
             records=tuple(records) if collect_records else None,
+            engine=engine,
         )
     if not step5.passed:
         return SessionOutcome(
             verdict=Verdict.ABORTED_STEP5,
             stats=_stats(records, step5, None, attempt),
             records=tuple(records) if collect_records else None,
+            engine=engine,
         )
 
     raw_keys = sift(records, specs)
@@ -590,6 +694,7 @@ def _run_attempt(
             stats=_stats(records, step5, step6, attempt),
             raw_keys=raw_keys,
             records=tuple(records) if collect_records else None,
+            engine=engine,
         )
 
     if secret is None:
@@ -608,6 +713,7 @@ def _run_attempt(
         ciphertext=sharing.ciphertext,
         reconstructed=sharing.reconstructed,
         records=tuple(records) if collect_records else None,
+        engine=engine,
     )
 
 
@@ -622,7 +728,7 @@ def run_rounds(
         rng = derived_rng(config.seed, 0)
     channels = build_channels(config)
     records = []
-    for index, spec in enumerate(_sample_specs(rng, n_rounds, config.particle_count)):
+    for index, spec in enumerate(sample_specs(rng, n_rounds, config.particle_count)):
         records.append(
             run_round(
                 config, spec, rng, channels,

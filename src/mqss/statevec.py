@@ -97,16 +97,10 @@ def _trusted_state(
     return state
 
 
-_verified_gates: dict[int, np.ndarray] = {}
-
-
 def _ensure_unitary_gate(gate: np.ndarray) -> np.ndarray:
     g = np.asarray(gate, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError(f"gate must be 2x2, got shape {g.shape}")
-    cached = _verified_gates.get(id(gate))
-    if cached is gate:
-        return g
     u = g @ g.conj().T
     if not (
         abs(u[0, 0] - 1.0) <= ATOL
@@ -115,10 +109,6 @@ def _ensure_unitary_gate(gate: np.ndarray) -> np.ndarray:
         and abs(u[1, 0]) <= ATOL
     ):
         raise ValueError("gate is not unitary within tolerance")
-    if len(_verified_gates) > 64:
-        _verified_gates.clear()
-    if isinstance(gate, np.ndarray):
-        _verified_gates[id(gate)] = gate
     return g
 
 

@@ -174,6 +174,14 @@ def test_apply_gate_rejects_non_unitary():
         apply_gate(basis_state(1, [0]), 1, shear)
 
 
+def test_gate_mutated_in_place_after_use_is_checked_again():
+    gate = PAULI_X.copy()
+    apply_gate(basis_state(1, [0]), 1, gate)
+    gate[1, 0] = 5
+    with pytest.raises(ValueError):
+        apply_gate(basis_state(1, [0]), 1, gate)
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**31), draw=st.floats(0.0, 1.0))
 def test_fused_hadamard_measurement_matches_two_step(seed, draw):
