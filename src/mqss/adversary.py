@@ -30,7 +30,6 @@ from .protocol import (
     RoundAttack,
     SessionConfig,
     Verdict,
-    build_channels,
     run_round,
     run_session,
 )
@@ -182,7 +181,6 @@ def estimate_leakage(
     if rng is None:
         rng = derived_rng(session.seed, 983)
     attacked = replace(session, attack=collective_attack(config))
-    channels = build_channels(attacked)
     q = attacked.particle_count
     victim_position = victim  # dealer-first vectors: agent i sits at index i
 
@@ -191,10 +189,7 @@ def estimate_leakage(
             tuple(int(b) for b in rng.integers(0, 2, size=q)),
             int(rng.integers(0, 2)),
         )
-        record = run_round(
-            attacked, spec, rng, channels, forced_modes=forced_modes
-        )
-        return spec, record
+        return spec, run_round(attacked, spec, rng, forced_modes=forced_modes)
 
     all_share = [Mode.SHARE] * q
     all_check = [Mode.CHECK] * q

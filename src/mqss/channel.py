@@ -5,6 +5,10 @@ a qubit from a participant back to the server, which is what makes probe
 insertion attacks that rely on retrieving a photon structurally impossible
 in this model. Classical traffic goes over an authenticated broadcast log
 that anyone, including the adversary, can read, but nobody can rewrite.
+
+``protocol.run_round`` applies the same noise and interceptors in its own
+round walk, on either engine; ``QubitChannel`` and ``transmit`` model one
+link on its own, on the dense engine.
 """
 
 from __future__ import annotations
@@ -61,6 +65,11 @@ class ClassicalLog:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClassicalLog):
+            return NotImplemented
+        return self._entries == other._entries
 
     @property
     def entries(self) -> tuple[tuple[str, Any], ...]:

@@ -42,7 +42,7 @@ from .protocol import (
     RoundRecord,
     SessionConfig,
     Verdict,
-    build_channels,
+    case_counts,
     round_engine,
     run_rounds,
     run_session,
@@ -324,19 +324,6 @@ def _session_attack(config: ExperimentConfig):
     return None
 
 
-def _tally_cases(report: RunReport, stats_list) -> None:
-    counts = {case.value: 0 for case in RoundCase}
-    total = 0
-    for stats in stats_list:
-        counts[RoundCase.CASE1.value] += stats.case1_rounds
-        counts[RoundCase.CASE2.value] += stats.case2_rounds
-        counts[RoundCase.CASE3.value] += stats.case3_rounds
-        counts[RoundCase.DISCARD.value] += stats.discarded_rounds
-        total += stats.rounds_used
-    report.case_counts = counts
-    report.rounds_total = total
-
-
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute the configured experiment and aggregate its statistics."""
     report = RunReport(config=config)
@@ -344,14 +331,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     # the collective attack only swaps the preparation, so it has no
     # interceptor either; every experiment's rounds run on this engine
     attacked = replace(config.session, attack=_session_attack(config))
-    report.engine = round_engine(build_channels(attacked))
+    report.engine = round_engine(attacked)
 
     if config.rounds_only is not None:
         records = run_rounds(attacked, config.rounds_only)
-        counts = {case.value: 0 for case in RoundCase}
-        for record in records:
-            counts[record.classification.value] += 1
-        report.case_counts = counts
+        report.case_counts = case_counts(records)
         report.rounds_total = len(records)
         if config.transcript:
             write_transcript(config.transcript, [(0, records)])
@@ -383,16 +367,17 @@ def _run_sessions(
 ) -> None:
     collect = config.transcript is not None
     verdicts = {verdict.value: 0 for verdict in Verdict}
-    stats_list = []
+    counts = case_counts(())
     matches = 0
     step5_rates = []
     step6_rates = []
     grouped = []
     for trial in range(config.trials):
         session = replace(attacked, seed=child_seed(config.session.seed, trial))
-        outcome = run_session(session, collect_records=collect)
+        # the final attempt's records: the rounds the session's stats count
+        outcome = run_session(session, collect_records=True)
         verdicts[outcome.verdict.value] += 1
-        stats_list.append(outcome.stats)
+        case_counts(outcome.records or (), into=counts)
         if outcome.verdict is Verdict.COMPLETED:
             matches += outcome.reconstructed == outcome.secret
         if outcome.stats.step5_error_rate is not None:
@@ -404,7 +389,8 @@ def _run_sessions(
     report.trials = config.trials
     report.verdict_counts = verdicts
     report.reconstruction_matches = matches
-    _tally_cases(report, stats_list)
+    report.case_counts = counts
+    report.rounds_total = sum(counts.values())
     if step5_rates:
         report.step5_error_rate = sum(step5_rates) / len(step5_rates)
     if step6_rates:

@@ -4,8 +4,9 @@ A GHZ state here is ``(|x> + (-1)^phase |~x>)/sqrt(2)`` for a bit pattern
 ``x`` and a relative-phase bit. The closed forms below predict what such a
 state becomes when the Hadamard gate is applied to every particle, or to an
 arbitrary proper subset, without running the gate-by-gate evolution. The
-protocol uses them for preparation and checking; the test suite uses the
-gate-by-gate engine as an independent oracle against them.
+dense engine prepares its honest states with ``prepare``; only the test
+suite uses the closed-form predictors, checking them against the
+gate-by-gate engine as an independent oracle.
 """
 
 from __future__ import annotations

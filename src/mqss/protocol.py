@@ -15,12 +15,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import branch
-from .channel import ClassicalLog, Interceptor, QubitChannel, broadcast, transmit
+from .channel import ClassicalLog, Interceptor, broadcast
 from .ghz import GhzSpec, prepare, sample_specs
-from .statevec import derived_rng, measure_after_hadamard, measure_z
+from .statevec import (
+    PAULI_X,
+    apply_gate,
+    derived_rng,
+    measure_after_hadamard,
+    measure_z,
+)
 
 if TYPE_CHECKING:
     from .adversary import CollectiveAttackConfig
@@ -105,9 +111,7 @@ class SessionConfig:
     n_agents: int = 3
     secret_bits: int = 16
     epsilon: float = 0.0
-    abort_threshold: Optional[float] = None
     seed: int = 0
-    rounds_per_batch: Optional[int] = None
     attack: Optional[RoundAttack] = None
     max_attempts: int = 3
 
@@ -129,13 +133,7 @@ class SessionConfig:
     def batch_size(self) -> int:
         # double the bare minimum so one batch usually suffices: the
         # minimal round count only yields the needed 2m raw bits on average
-        if self.rounds_per_batch is not None:
-            return self.rounds_per_batch
-        return self.secret_bits * (1 << (self.n_agents + 2))
-
-    @property
-    def base_threshold(self) -> float:
-        return self.epsilon if self.abort_threshold is None else self.abort_threshold
+        return self.secret_bits << (self.n_agents + 2)
 
 
 def effective_threshold(base_rate: float, checked: int) -> float:
@@ -153,26 +151,15 @@ def effective_threshold(base_rate: float, checked: int) -> float:
 # --- round execution ---------------------------------------------------------
 
 
-def build_channels(config: SessionConfig) -> dict[int, QubitChannel]:
-    """One channel per particle position, with attack taps installed."""
-    interceptors = config.attack.interceptors if config.attack else {}
-    return {
-        particle: QubitChannel(config.epsilon, interceptors.get(particle))
-        for particle in range(1, config.particle_count + 1)
-    }
-
-
-def round_engine(channels: Mapping[int, QubitChannel]) -> str:
-    """``"dense"`` when a channel carries a custom interceptor, else ``"branch"``.
+def round_engine(config: SessionConfig) -> str:
+    """``"dense"`` when the attack carries a custom interceptor, else ``"branch"``.
 
     An interceptor may do anything to the state vector, so only the dense
     engine can run it; everything else the protocol and the modelled
     attacks do keeps a round on the exact branch engine.
     """
-    for channel in channels.values():
-        if channel.interceptor is not None:
-            return "dense"
-    return "branch"
+    attack = config.attack
+    return "dense" if attack is not None and attack.interceptors else "branch"
 
 
 def _round_modes(
@@ -186,119 +173,71 @@ def _round_modes(
     return tuple([Mode.SHARE if draw < 0.5 else Mode.CHECK for draw in draws])
 
 
-def _tap_fires(z_taps: Mapping[int, float], particle: int, rng) -> bool:
-    rate = z_taps.get(particle)
-    return rate is not None and (rate >= 1.0 or rng.random() < rate)
+def _dense_flip(state, particle: int):
+    return apply_gate(state, particle, PAULI_X)
 
 
 def run_round(
     config: SessionConfig,
     spec: GhzSpec,
     rng,
-    channels: Mapping[int, QubitChannel],
     round_index: int = 0,
     forced_modes: Optional[Sequence[Mode]] = None,
-    log: Optional[ClassicalLog] = None,
 ) -> RoundRecord:
     """Execute one full distribution round.
 
-    The server prepares the state (or the adversary's substitute), the
-    dealer receives and measures particle 1 and acknowledges, then each
-    agent receives and measures in turn. Noise and attacks do not raise
-    here; they surface later as check failures.
+    The server prepares the state (or the adversary's substitute), then each
+    participant, dealer first, receives and measures their particle in turn.
+    Noise and attacks do not raise here; they surface later as check
+    failures.
 
     The round runs on the exact branch engine (``mqss.branch``) unless
-    ``round_engine(channels)`` is ``"dense"``; ``run_round_dense`` makes the
-    same draws in the same order, so both give the same record.
+    ``round_engine(config)`` is ``"dense"``. Either way the same walk makes
+    the same draws in the same order: the mode draws, then per particle the
+    noise draw, any tap schedule draw and the measurement draw, and last
+    the probe draw, so both engines give the same record.
     """
-    if round_engine(channels) == "dense":
-        return run_round_dense(
-            config, spec, rng, channels, round_index, forced_modes, log
-        )
     q = _checked_qubits(config, spec)
     attack = config.attack or _NO_ATTACK
+    dense = round_engine(config) == "dense"
     if attack.collective is None:
-        kets, width = branch.ghz_kets(spec), q
+        width = q
+        state = prepare(spec) if dense else branch.ghz_kets(spec)
     else:
-        kets, width = branch.probe_kets(spec, attack.collective), q + 1
+        width = q + 1
+        kets = branch.probe_kets(spec, attack.collective)
+        state = branch.to_state(kets, width, register_qubits=1) if dense else kets
+    # each engine's three steps, and how it addresses a particle
+    if dense:
+        flip, measure, measure_h = _dense_flip, measure_z, measure_after_hadamard
+        addresses = range(1, width + 1)
+    else:
+        flip, measure, measure_h = (
+            branch.flip, branch.measure_z, branch.measure_after_hadamard
+        )
+        addresses = [branch.particle_mask(width, p) for p in range(1, width + 1)]
 
     modes = _round_modes(q, rng, forced_modes)
-    taps = attack.z_taps
+    epsilon, taps, interceptors = config.epsilon, attack.z_taps, attack.interceptors
     results = []
-    for position, mode in enumerate(modes):
-        particle = position + 1
-        mask = branch.particle_mask(width, particle)
-        epsilon = channels[particle].epsilon
+    for particle, (mode, address) in enumerate(zip(modes, addresses), start=1):
         if epsilon > 0.0 and rng.random() < epsilon:
-            kets = branch.flip(kets, mask)
-        if taps and _tap_fires(taps, particle, rng):
-            _, kets, _ = branch.measure_z(kets, mask, rng)
+            state = flip(state, address)
+        hook = interceptors.get(particle)
+        if hook is not None:
+            state = hook(state, particle, rng)
+        rate = taps.get(particle)
+        if rate is not None and (rate >= 1.0 or rng.random() < rate):
+            _, state, _ = measure(state, address, rng)
         if mode is Mode.SHARE:
-            outcome, kets, _ = branch.measure_after_hadamard(kets, mask, rng)
+            outcome, state, _ = measure_h(state, address, rng)
         else:
-            outcome, kets, _ = branch.measure_z(kets, mask, rng)
+            outcome, state, _ = measure(state, address, rng)
         results.append(outcome)
-        if position == 0 and log is not None:
-            broadcast(log, "dealer", {"round": round_index, "ack": True})
 
     probe_outcome = None
     if width > q:
-        probe_outcome, _, _ = branch.measure_z(
-            kets, branch.particle_mask(width, width), rng
-        )
-    return RoundRecord(
-        round_index=round_index,
-        spec=spec,
-        modes=modes,
-        results=tuple(results),
-        classification=classify_round(modes),
-        probe_outcome=probe_outcome,
-    )
-
-
-def run_round_dense(
-    config: SessionConfig,
-    spec: GhzSpec,
-    rng,
-    channels: Mapping[int, QubitChannel],
-    round_index: int = 0,
-    forced_modes: Optional[Sequence[Mode]] = None,
-    log: Optional[ClassicalLog] = None,
-) -> RoundRecord:
-    """``run_round`` on the dense state-vector engine.
-
-    It is the oracle the branch engine is tested against, and the engine
-    for rounds whose channels carry custom interceptors.
-    """
-    q = _checked_qubits(config, spec)
-    attack = config.attack or _NO_ATTACK
-    if attack.collective is None:
-        state = prepare(spec)
-    else:
-        state = branch.to_state(
-            branch.probe_kets(spec, attack.collective), q + 1, register_qubits=1
-        )
-
-    modes = _round_modes(q, rng, forced_modes)
-    results = []
-    for position, mode in enumerate(modes):
-        particle = position + 1
-        channel = channels[particle]
-        if channel.epsilon > 0.0 or channel.interceptor is not None:
-            state = transmit(channel, state, particle, rng)
-        if _tap_fires(attack.z_taps, particle, rng):
-            _, state, _ = measure_z(state, particle, rng)
-        if mode is Mode.SHARE:
-            outcome, state, _ = measure_after_hadamard(state, particle, rng)
-        else:
-            outcome, state, _ = measure_z(state, particle, rng)
-        results.append(outcome)
-        if position == 0 and log is not None:
-            broadcast(log, "dealer", {"round": round_index, "ack": True})
-
-    probe_outcome = None
-    if state.register_qubits:
-        probe_outcome, _, _ = measure_z(state, state.qubit_count, rng)
+        probe_outcome, _, _ = measure(state, addresses[-1], rng)
     return RoundRecord(
         round_index=round_index,
         spec=spec,
@@ -333,27 +272,18 @@ def classify_round(modes: Sequence[Mode]) -> RoundCase:
     return RoundCase.DISCARD
 
 
-def _pattern_mismatch(results: Sequence[int], reference: Sequence[int]) -> int:
-    """Hamming distance to the nearer of the reference pattern / complement."""
-    direct = sum(1 for r, x in zip(results, reference) if r != x)
-    return min(direct, len(reference) - direct)
+def check_mismatch(record: RoundRecord, spec: GhzSpec) -> int:
+    """Pattern check over the checkers' positions; sharers' results are ignored.
 
-
-def check_case2(record: RoundRecord, spec: GhzSpec) -> bool:
-    """Full-pattern check: all results must read the pattern or its complement."""
-    if record.classification is not RoundCase.CASE2:
-        raise ValueError("check_case2 requires an all-Check round")
-    return _pattern_mismatch(record.results, spec.bits) == 0
-
-
-def check_case3(record: RoundRecord, spec: GhzSpec) -> bool:
-    """Subset check over the checkers' positions; sharers' results are ignored."""
-    if record.classification is not RoundCase.CASE3:
-        raise ValueError("check_case3 requires a round with two or more checkers")
-    positions = [i for i, m in enumerate(record.modes) if m is Mode.CHECK]
-    results = [record.results[i] for i in positions]
-    reference = [spec.bits[i] for i in positions]
-    return _pattern_mismatch(results, reference) == 0
+    Returns the Hamming distance from the checkers' results to the nearer of
+    the announced pattern and its complement, restricted to those positions:
+    0 means the round passes. Only case2 and case3 rounds carry a check.
+    """
+    if record.classification not in (RoundCase.CASE2, RoundCase.CASE3):
+        raise ValueError(f"a {record.classification.value} round carries no check")
+    checkers = [i for i, mode in enumerate(record.modes) if mode is Mode.CHECK]
+    direct = sum(1 for i in checkers if record.results[i] != spec.bits[i])
+    return min(direct, len(checkers) - direct)
 
 
 # --- sifting and verification -------------------------------------------------
@@ -414,17 +344,11 @@ def verify_step5(
     round_failures = 0
     checked_rounds = 0
     for record, spec in zip(records, announced_specs):
-        if record.classification is RoundCase.CASE2:
-            positions = range(len(record.results))
-        elif record.classification is RoundCase.CASE3:
-            positions = [i for i, m in enumerate(record.modes) if m is Mode.CHECK]
-        else:
+        if record.classification in (RoundCase.CASE1, RoundCase.DISCARD):
             continue
-        results = [record.results[i] for i in positions]
-        reference = [spec.bits[i] for i in positions]
-        distance = _pattern_mismatch(results, reference)
+        distance = check_mismatch(record, spec)
         mismatches += distance
-        positions_checked += len(results)
+        positions_checked += record.modes.count(Mode.CHECK)
         checked_rounds += 1
         if distance > 0:
             round_failures += 1
@@ -555,20 +479,6 @@ class SessionStats:
     step6_failures: Optional[int]
     attempts: int
 
-    @property
-    def raw_bits_per_round(self) -> float:
-        return self.case1_rounds / self.rounds_used if self.rounds_used else 0.0
-
-    @property
-    def case_frequencies(self) -> dict[str, float]:
-        total = self.rounds_used or 1
-        return {
-            RoundCase.CASE1.value: self.case1_rounds / total,
-            RoundCase.CASE2.value: self.case2_rounds / total,
-            RoundCase.CASE3.value: self.case3_rounds / total,
-            RoundCase.DISCARD.value: self.discarded_rounds / total,
-        }
-
 
 @dataclass(frozen=True)
 class SessionOutcome:
@@ -580,7 +490,8 @@ class SessionOutcome:
     ciphertext: Optional[tuple[int, ...]] = None
     reconstructed: Optional[tuple[int, ...]] = None
     records: Optional[tuple[RoundRecord, ...]] = None
-    engine: str = "branch"  # round_engine() of the session's channels
+    engine: str = "branch"  # round_engine() of the session's config
+    log: Optional[ClassicalLog] = None  # what the attempt broadcast
 
 
 _MAX_BATCHES = 64
@@ -606,10 +517,16 @@ def run_session(
     return outcome
 
 
-def _case_counts(records: Sequence[RoundRecord]) -> dict[RoundCase, int]:
-    counts = {case: 0 for case in RoundCase}
+def case_counts(
+    records: Iterable[RoundRecord], into: Optional[dict[str, int]] = None
+) -> dict[str, int]:
+    """Rounds per case, keyed by ``RoundCase`` value; every case is present.
+
+    Counts into ``into`` when given, so tallies over many sessions add up.
+    """
+    counts = {case.value: 0 for case in RoundCase} if into is None else into
     for record in records:
-        counts[record.classification] += 1
+        counts[record.classification.value] += 1
     return counts
 
 
@@ -619,13 +536,13 @@ def _stats(
     step6: Optional[Step6Report],
     attempts: int,
 ) -> SessionStats:
-    counts = _case_counts(records)
+    counts = case_counts(records)
     return SessionStats(
         rounds_used=len(records),
-        case1_rounds=counts[RoundCase.CASE1],
-        case2_rounds=counts[RoundCase.CASE2],
-        case3_rounds=counts[RoundCase.CASE3],
-        discarded_rounds=counts[RoundCase.DISCARD],
+        case1_rounds=counts[RoundCase.CASE1.value],
+        case2_rounds=counts[RoundCase.CASE2.value],
+        case3_rounds=counts[RoundCase.CASE3.value],
+        discarded_rounds=counts[RoundCase.DISCARD.value],
         step5_error_rate=step5.error_rate if step5 else None,
         step5_round_failures=step5.round_failures if step5 else None,
         step5_checked_rounds=step5.checked_rounds if step5 else None,
@@ -644,8 +561,6 @@ def _run_attempt(
 ) -> SessionOutcome:
     q = config.particle_count
     m = config.secret_bits
-    channels = build_channels(config)
-    engine = round_engine(channels)
     log = ClassicalLog()
     records: list[RoundRecord] = []
     specs: list[GhzSpec] = []
@@ -658,9 +573,8 @@ def _run_attempt(
         # full batch first; smaller top-ups cover any raw-bit shortfall
         batch = config.batch_size if batches == 0 else max(config.batch_size // 4, 8)
         for spec in sample_specs(rng, batch, q):
-            record = run_round(
-                config, spec, rng, channels, round_index=len(records), log=log
-            )
+            record = run_round(config, spec, rng, round_index=len(records))
+            broadcast(log, "dealer", {"round": record.round_index, "ack": True})
             records.append(record)
             specs.append(spec)
             if record.classification is RoundCase.CASE1:
@@ -668,34 +582,29 @@ def _run_attempt(
         batches += 1
 
     broadcast(log, "tp", {"announced_specs": len(specs)})
-    try:
-        step5 = verify_step5(records, specs, config.base_threshold)
-    except IndeterminateCheckError:
+
+    def outcome(verdict, step5=None, step6=None, **fields) -> SessionOutcome:
         return SessionOutcome(
-            verdict=Verdict.ABORTED_STEP5,
-            stats=_stats(records, None, None, attempt),
+            verdict=verdict,
+            stats=_stats(records, step5, step6, attempt),
             records=tuple(records) if collect_records else None,
-            engine=engine,
-        )
-    if not step5.passed:
-        return SessionOutcome(
-            verdict=Verdict.ABORTED_STEP5,
-            stats=_stats(records, step5, None, attempt),
-            records=tuple(records) if collect_records else None,
-            engine=engine,
+            engine=round_engine(config),
+            log=log,
+            **fields,
         )
 
+    try:
+        step5 = verify_step5(records, specs, config.epsilon)
+    except IndeterminateCheckError:
+        return outcome(Verdict.ABORTED_STEP5)
+    if not step5.passed:
+        return outcome(Verdict.ABORTED_STEP5, step5)
+
     raw_keys = sift(records, specs)
-    step6 = verify_step6(raw_keys, m, rng, config.base_threshold)
+    step6 = verify_step6(raw_keys, m, rng, config.epsilon)
     broadcast(log, "dealer", {"check_positions": step6.check_positions})
     if not step6.passed:
-        return SessionOutcome(
-            verdict=Verdict.ABORTED_STEP6,
-            stats=_stats(records, step5, step6, attempt),
-            raw_keys=raw_keys,
-            records=tuple(records) if collect_records else None,
-            engine=engine,
-        )
+        return outcome(Verdict.ABORTED_STEP6, step5, step6, raw_keys=raw_keys)
 
     if secret is None:
         secret_vec = tuple(int(b) for b in rng.integers(0, 2, size=m))
@@ -703,17 +612,15 @@ def _run_attempt(
         secret_vec = tuple(int(b) for b in secret)
     sharing = finalize_and_share(step6.remaining_keys, m, secret_vec)
     broadcast(log, "dealer", {"ciphertext": sharing.ciphertext})
-
-    return SessionOutcome(
-        verdict=Verdict.COMPLETED,
-        stats=_stats(records, step5, step6, attempt),
+    return outcome(
+        Verdict.COMPLETED,
+        step5,
+        step6,
         secret=secret_vec,
         raw_keys=raw_keys,
         shadow_keys=sharing.shadow_keys,
         ciphertext=sharing.ciphertext,
         reconstructed=sharing.reconstructed,
-        records=tuple(records) if collect_records else None,
-        engine=engine,
     )
 
 
@@ -726,13 +633,7 @@ def run_rounds(
     """Round statistics mode: execute rounds with no sifting or key steps."""
     if rng is None:
         rng = derived_rng(config.seed, 0)
-    channels = build_channels(config)
-    records = []
-    for index, spec in enumerate(sample_specs(rng, n_rounds, config.particle_count)):
-        records.append(
-            run_round(
-                config, spec, rng, channels,
-                round_index=index, forced_modes=forced_modes,
-            )
-        )
-    return records
+    return [
+        run_round(config, spec, rng, round_index=index, forced_modes=forced_modes)
+        for index, spec in enumerate(sample_specs(rng, n_rounds, config.particle_count))
+    ]

@@ -21,8 +21,7 @@ from mqss.ghz import GhzSpec, prepare
 from mqss.protocol import (
     Mode,
     SessionConfig,
-    build_channels,
-    check_case2,
+    check_mismatch,
     run_round,
 )
 from mqss.statevec import (
@@ -115,13 +114,12 @@ def test_probe_predicts_branch_when_orthogonal():
         attack=collective_attack(CollectiveAttackConfig(probe_overlap=0.0)),
     )
     rng = derived_rng(31)
-    channels = build_channels(config)
     for _ in range(60):
         spec = GhzSpec(tuple(rng.integers(0, 2, size=4)), int(rng.integers(0, 2)))
-        record = run_round(config, spec, rng, channels, forced_modes=[C] * 4)
+        record = run_round(config, spec, rng, forced_modes=[C] * 4)
         took_complement = record.results[0] != spec.bits[0]
         assert record.probe_outcome == int(took_complement)
-        assert check_case2(record, spec)
+        assert check_mismatch(record, spec) == 0
 
 
 # --- collective attack: measured trade-off ------------------------------------
@@ -184,11 +182,10 @@ def test_intercepted_check_rounds_are_indistinguishable():
     attack = measure_resend_attack(MeasureResendConfig(target=3))
     config = SessionConfig(n_agents=3, attack=attack)
     rng = derived_rng(41)
-    channels = build_channels(config)
     for _ in range(200):
         spec = GhzSpec(tuple(rng.integers(0, 2, size=4)), int(rng.integers(0, 2)))
-        record = run_round(config, spec, rng, channels, forced_modes=[C] * 4)
-        assert check_case2(record, spec)
+        record = run_round(config, spec, rng, forced_modes=[C] * 4)
+        assert check_mismatch(record, spec) == 0
 
 
 def test_z_basis_interception_leaves_pattern_checks_clean():
@@ -232,12 +229,11 @@ def test_intercepted_share_rounds_break_parity_half_the_time():
     attack = measure_resend_attack(MeasureResendConfig(target=2))
     config = SessionConfig(n_agents=3, attack=attack)
     rng = derived_rng(43)
-    channels = build_channels(config)
     trials = 3_000
     failures = 0
     for _ in range(trials):
         spec = GhzSpec(tuple(rng.integers(0, 2, size=4)), 0)
-        record = run_round(config, spec, rng, channels, forced_modes=[S] * 4)
+        record = run_round(config, spec, rng, forced_modes=[S] * 4)
         parity = 0
         for bit in record.results:
             parity ^= bit

@@ -22,7 +22,6 @@ from mqss.protocol import (
     Mode,
     RoundAttack,
     SessionConfig,
-    build_channels,
     round_engine,
     run_rounds,
     run_session,
@@ -246,13 +245,32 @@ def test_seeded_rounds_identical_on_both_engines(n_agents, epsilon, kind):
         attack=ROUND_ATTACKS[kind](n_agents),
     )
     dense_config = on_dense_engine(config)
-    assert round_engine(build_channels(config)) == "branch"
-    assert round_engine(build_channels(dense_config)) == "dense"
+    assert round_engine(config) == "branch"
+    assert round_engine(dense_config) == "dense"
     exact = run_rounds(config, 2_000)
     dense = run_rounds(dense_config, 2_000)
     for fast, oracle in zip(exact, dense):
         assert fast == oracle
     assert len(exact) == len(dense) == 2_000
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ["honest", "measure-resend", "collusion"])
+def test_whole_sessions_identical_on_both_engines(kind, epsilon, seed):
+    config = SessionConfig(
+        n_agents=3,
+        secret_bits=8,
+        epsilon=epsilon,
+        seed=seed,
+        attack=ROUND_ATTACKS[kind](3),
+    )
+    exact = run_session(config, collect_records=True)
+    dense = run_session(on_dense_engine(config), collect_records=True)
+    assert (exact.engine, dense.engine) == ("branch", "dense")
+    assert exact.records and exact.log.entries
+    # every other field, the records and the classical log included
+    assert replace(dense, engine=exact.engine) == exact
 
 
 def test_rate_one_tap_matches_the_dense_measure_resend_interceptor():

@@ -15,9 +15,7 @@ from mqss.protocol import (
     RoundRecord,
     SessionConfig,
     Verdict,
-    build_channels,
-    check_case2,
-    check_case3,
+    check_mismatch,
     classify_round,
     combine_shadows,
     effective_threshold,
@@ -83,32 +81,28 @@ def test_classification_partitions_every_mode_vector(participants):
 
 def test_check_case2_accepts_pattern_and_complement():
     spec = GhzSpec((0, 0, 1, 1), 0)
-    assert check_case2(make_record([C] * 4, [0, 0, 1, 1]), spec)
-    assert check_case2(make_record([C] * 4, [1, 1, 0, 0]), spec)
-    assert not check_case2(make_record([C] * 4, [0, 0, 1, 0]), spec)
-
-
-def test_check_case2_requires_all_check():
-    spec = GhzSpec((0, 0, 1, 1), 0)
-    with pytest.raises(ValueError):
-        check_case2(make_record([S, C, C, C], [0, 0, 1, 1]), spec)
+    assert check_mismatch(make_record([C] * 4, [0, 0, 1, 1]), spec) == 0
+    assert check_mismatch(make_record([C] * 4, [1, 1, 0, 0]), spec) == 0
+    assert check_mismatch(make_record([C] * 4, [0, 0, 1, 0]), spec) == 1
 
 
 def test_check_case3_examines_only_checkers():
     spec = GhzSpec((0, 0, 0, 1), 0)
     # checkers on particles 3 and 4 (positions 2,3); sharers' bits arbitrary
     record = make_record([S, S, C, C], [1, 0, 0, 1])
-    assert check_case3(record, spec)
+    assert check_mismatch(record, spec) == 0
     record = make_record([S, S, C, C], [1, 0, 1, 0])
-    assert check_case3(record, spec)
+    assert check_mismatch(record, spec) == 0
     record = make_record([S, S, C, C], [1, 0, 0, 0])
-    assert not check_case3(record, spec)
+    assert check_mismatch(record, spec) == 1
 
 
 def test_check_case3_requires_case3():
     spec = GhzSpec((0, 0, 0, 1), 0)
     with pytest.raises(ValueError):
-        check_case3(make_record([S] * 4, [0, 0, 0, 1]), spec)
+        check_mismatch(make_record([S] * 4, [0, 0, 0, 1]), spec)
+    with pytest.raises(ValueError):
+        check_mismatch(make_record([S, C, S, S], [0, 0, 0, 1]), spec)
 
 
 # --- round execution ----------------------------------------------------------
@@ -121,22 +115,20 @@ def honest_config(**kwargs):
 def test_all_check_round_reads_pattern_or_complement():
     config = honest_config()
     rng = derived_rng(11)
-    channels = build_channels(config)
     for trial in range(40):
         spec = GhzSpec(tuple(rng.integers(0, 2, size=4)), int(rng.integers(0, 2)))
-        record = run_round(config, spec, rng, channels, forced_modes=[C] * 4)
+        record = run_round(config, spec, rng, forced_modes=[C] * 4)
         assert record.classification is RoundCase.CASE2
-        assert check_case2(record, spec)
+        assert check_mismatch(record, spec) == 0
 
 
 @pytest.mark.parametrize("phase", [0, 1])
 def test_all_share_round_parity_equals_phase(phase):
     config = honest_config()
     rng = derived_rng(13, phase)
-    channels = build_channels(config)
     for trial in range(40):
         spec = GhzSpec(tuple(rng.integers(0, 2, size=4)), phase)
-        record = run_round(config, spec, rng, channels, forced_modes=[S] * 4)
+        record = run_round(config, spec, rng, forced_modes=[S] * 4)
         parity = 0
         for bit in record.results:
             parity ^= bit
@@ -147,7 +139,7 @@ def test_run_round_rejects_wrong_width_spec():
     config = honest_config()
     rng = derived_rng(1)
     with pytest.raises(ValueError):
-        run_round(config, GhzSpec((0, 0), 0), rng, build_channels(config))
+        run_round(config, GhzSpec((0, 0), 0), rng)
 
 
 # --- sifting ------------------------------------------------------------------
@@ -315,6 +307,29 @@ def test_session_determinism():
     first = run_session(config, collect_records=True)
     second = run_session(config, collect_records=True)
     assert first == second
+
+
+def test_completed_session_log_holds_the_public_discussion():
+    config = SessionConfig(n_agents=3, secret_bits=4, seed=3)
+    outcome = run_session(config)
+    assert outcome.verdict is Verdict.COMPLETED
+    rounds = outcome.stats.rounds_used
+    entries = outcome.log.entries
+    assert len(entries) == rounds + 3
+    assert entries[:rounds] == tuple(
+        ("dealer", {"round": index, "ack": True}) for index in range(rounds)
+    )
+    assert entries[rounds] == ("tp", {"announced_specs": rounds})
+    sender, message = entries[rounds + 1]
+    positions = message["check_positions"]
+    assert sender == "dealer" and list(message) == ["check_positions"]
+    assert positions == tuple(sorted(set(positions)))
+    assert len(positions) == config.secret_bits
+    # the announced positions are the ones burned before the shadows are cut
+    for raw, shadow in zip(outcome.raw_keys, outcome.shadow_keys):
+        kept = tuple(bit for i, bit in enumerate(raw) if i not in positions)
+        assert kept[: config.secret_bits] == shadow
+    assert entries[rounds + 2] == ("dealer", {"ciphertext": outcome.ciphertext})
 
 
 def test_session_with_noise_keeps_parity_checks_clean():
