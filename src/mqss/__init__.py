@@ -2,10 +2,10 @@
 
 A fully quantum but untrusted server distributes GHZ states to a dealer and
 n agents who are each limited to the Hadamard gate and Z-basis measurement.
-The package provides an exact O(q) engine for the protocol's GHZ rounds,
-the dense state-vector engine it is tested against, the participant state
-machines, the adversary models used in the security analysis, and a CLI for
-running seeded Monte-Carlo experiments.
+The package provides an exact engine that plays batches of the protocol's
+GHZ rounds as arrays, the dense state-vector engine it is tested against,
+the participant state machines, the adversary models used in the security
+analysis, and a CLI for running seeded Monte-Carlo experiments.
 """
 
 from .adversary import (

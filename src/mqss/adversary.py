@@ -24,12 +24,13 @@ import numpy as np
 
 from .branch import probe_kets, to_state
 from .channel import Interceptor
-from .ghz import GhzSpec
-from .protocol import (
+from .ghz import GhzSpec, sample_specs
+from .protocol import (  # noqa: F401 - perfbench's tracer wraps run_round here
     Mode,
     RoundAttack,
     SessionConfig,
     Verdict,
+    play_rounds,
     run_round,
     run_session,
 )
@@ -161,6 +162,11 @@ def mutual_information_bits(counts: np.ndarray) -> float:
     return max(mi, 0.0)
 
 
+def _counts(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """2x2 contingency table of two arrays of bits."""
+    return np.bincount(2 * rows + columns, minlength=4).reshape(2, 2)
+
+
 def estimate_leakage(
     config: CollectiveAttackConfig,
     session: SessionConfig,
@@ -184,34 +190,23 @@ def estimate_leakage(
     q = attacked.particle_count
     victim_position = victim  # dealer-first vectors: agent i sits at index i
 
-    def sample_round(forced_modes):
-        spec = GhzSpec(
-            tuple(int(b) for b in rng.integers(0, 2, size=q)),
-            int(rng.integers(0, 2)),
-        )
-        return spec, run_round(attacked, spec, rng, forced_modes=forced_modes)
+    def play(mode):
+        """One phase's results and probe readouts, with the victim's
+        announced pattern bits and the phases; its specs die here."""
+        specs = sample_specs(rng, trials, q)
+        batch = play_rounds(attacked, specs, rng, forced_modes=[mode] * q)
+        announced = np.array([(spec.bits[victim_position], spec.phase) for spec in specs])
+        return batch.results, batch.probe, announced[:, 0], announced[:, 1]
 
-    all_share = [Mode.SHARE] * q
-    all_check = [Mode.CHECK] * q
+    results, probe, _, phases = play(Mode.SHARE)
+    parity = np.bitwise_xor.reduce(results, axis=1)
+    parity_failures = int(np.count_nonzero(parity != phases))
+    sifted_counts = _counts(probe, results[:, victim_position])
 
-    parity_failures = 0
-    sifted_counts = np.zeros((2, 2))
-    for _ in range(trials):
-        spec, record = sample_round(all_share)
-        parity = 0
-        for bit in record.results:
-            parity ^= bit
-        if parity != spec.phase:
-            parity_failures += 1
-        sifted_counts[record.probe_outcome, record.results[victim_position]] += 1
-
-    check_counts = np.zeros((2, 2))
-    for _ in range(trials):
-        spec, record = sample_round(all_check)
-        # compare against the announced pattern so the probe/branch channel
-        # is scored identically for every announced state
-        branch_bit = record.results[victim_position] ^ spec.bits[victim_position]
-        check_counts[record.probe_outcome, branch_bit] += 1
+    # compare against the announced pattern so the probe/branch channel
+    # is scored identically for every announced state
+    results, probe, pattern, _ = play(Mode.CHECK)
+    check_counts = _counts(probe, results[:, victim_position] ^ pattern)
 
     return LeakageEstimate(
         mutual_information=mutual_information_bits(check_counts),

@@ -1,19 +1,33 @@
-"""Exact engine for protocol rounds: a GHZ state held as a few basis kets.
+"""Exact engine for protocol rounds: a batch of GHZ rounds played as arrays.
 
 The server only prepares GHZ states ``(|x> + (-1)^b |~x>)/sqrt(2)``,
 optionally entangled with one probe qubit; noise only flips bits; and the
 participants only Z-measure (Check mode, measure-resend taps) or apply a
-Hadamard and then Z-measure (Share mode). Such a state is a sum of at most
-four computational-basis kets, so it is held as a dict ``{ket: amplitude}``.
-Ket integers follow ``statevec``'s index convention: particle 1 owns the
-most significant bit and a probe register the least significant one. No
-operation enlarges the support, so every step costs O(q) where the dense
-engine pays O(2^q).
+Hadamard and then Z-measure (Share mode). So every round is a pair of
+branches, the pattern ket ``|x>`` and the complement ket ``|~x>``, each
+carrying a probe amplitude pair (one amplitude when there is no probe).
+``BranchPairs`` holds R rounds at once: their R x q pattern bits, the two
+branches' initial amplitudes, and per branch whether it survives and the
+parity of the signs it has picked up.
 
-Every measurement takes exactly one draw and compares it with the outcome-1
-probability, as ``statevec``'s measurements do, so a round consumes the same
-draws in the same order on either engine and samples the same outcomes
-(barring a draw that lands within rounding of a probability).
+- A bit flip flips one column of the pattern bits; the complement branch
+  follows, since its bits are always the complement of the pattern's.
+- A Z measurement keeps the branch whose bit matches the outcome.
+- Hadamard-then-Z multiplies each branch by ``(-1)^(outcome * bit)``, which
+  is ``ghz.residual_phase``. While other particles remain unmeasured the
+  two branches stay orthogonal, so either outcome has probability 1/2; at
+  the last particle their kets coincide and they interfere.
+
+Probabilities are ratios of branch norms and nothing is renormalised, so an
+honest round's probabilities are exactly 0, 1/2 or 1. A step costs O(R)
+array work where the dense engine pays O(2^q) per round.
+
+Every measurement compares one uniform draw per round with the outcome-1
+probability, as ``statevec``'s measurements do, so rounds fed the draws the
+dense walk would take sample the same outcomes (barring a draw that lands
+within rounding of a probability). Ket integers in ``probe_kets`` and
+``BranchPairs.kets`` follow ``statevec``'s index convention: particle 1 owns
+the most significant bit and a probe register the least significant one.
 """
 
 from __future__ import annotations
@@ -36,13 +50,9 @@ def _pattern_pair(bits) -> tuple[int, int]:
     return pattern, pattern ^ ((1 << len(bits)) - 1)
 
 
-def ghz_kets(spec) -> Kets:
-    """The honest GHZ state of a ``GhzSpec``, as ``ghz.prepare`` builds it."""
-    pattern, complement = _pattern_pair(spec.bits)
-    return {
-        pattern: complex(_SQRT2_INV),
-        complement: complex((-1.0) ** spec.phase * _SQRT2_INV),
-    }
+def _probe_pair(attack) -> tuple[float, float]:
+    overlap = attack.probe_overlap
+    return overlap, sqrt(max(0.0, 1.0 - overlap * overlap))
 
 
 def probe_kets(spec, attack) -> Kets:
@@ -52,8 +62,7 @@ def probe_kets(spec, attack) -> Kets:
     ``a_p`` and ``a_c`` its pattern and complement weights.
     """
     pattern, complement = _pattern_pair(spec.bits)
-    overlap = attack.probe_overlap
-    residual = sqrt(max(0.0, 1.0 - overlap * overlap))
+    overlap, residual = _probe_pair(attack)
     weight = (-1.0) ** spec.phase * attack.complement_weight
     kets = {
         pattern << 1: complex(attack.pattern_weight),
@@ -71,67 +80,127 @@ def to_state(kets: Kets, qubit_count: int, register_qubits: int = 0) -> PureStat
     return PureState(qubit_count, amps, register_qubits)
 
 
-def particle_mask(qubit_count: int, particle: int) -> int:
-    """Bit of 1-based ``particle`` in a ket over ``qubit_count`` qubits."""
-    if not 1 <= particle <= qubit_count:
-        raise ValueError(f"particle index {particle} out of range 1..{qubit_count}")
-    return 1 << (qubit_count - particle)
+def _norms(amps: np.ndarray) -> np.ndarray:
+    return (amps.real * amps.real + amps.imag * amps.imag).sum(axis=-1)
 
 
-def flip(kets: Kets, mask: int) -> Kets:
-    """Pauli X on one particle: flip its bit in every ket."""
-    return {ket ^ mask: amp for ket, amp in kets.items()}
+class BranchPairs:
+    """R rounds, each a pattern branch and a complement branch.
 
-
-def _draw(p1: float, rng) -> tuple[int, float]:
-    # one draw, compared with p1 exactly as statevec compares it
-    outcome = 1 if rng.random() < p1 else 0
-    return outcome, p1 if outcome else 1.0 - p1
-
-
-def measure_z(kets: Kets, mask: int, rng) -> tuple[int, Kets, float]:
-    """Z measurement: keep the kets that match the outcome, renormalised.
-
-    Returns ``(outcome, collapsed, probability)`` like ``statevec.measure_z``.
+    ``bits`` is the R x q array of pattern bits; ``pattern`` and
+    ``complement`` are R x 1 arrays of the branches' amplitudes, or R x 2
+    arrays of their probe amplitude pairs when a probe qubit is attached.
+    The steps address particle ``column + 1`` and take one uniform draw per
+    round; each returns the sampled outcomes and the outcome-1
+    probabilities.
     """
-    p1 = 0.0
-    for ket, amp in kets.items():
-        if ket & mask:
-            p1 += amp.real * amp.real + amp.imag * amp.imag
-    outcome, prob = _draw(p1, rng)
-    scale = 1.0 / sqrt(prob)
-    keep = mask if outcome else 0
-    return outcome, {
-        ket: amp * scale for ket, amp in kets.items() if ket & mask == keep
-    }, prob
 
+    def __init__(self, bits, pattern, complement) -> None:
+        self.bits = np.array(bits, dtype=bool)  # a copy: flips write to it
+        rounds, qubits = self.bits.shape
+        pattern = np.asarray(pattern, dtype=complex)
+        if pattern.shape != np.shape(complement) or len(pattern) != rounds:
+            raise ValueError("need one pattern and one complement amplitude row per round")
+        self.initial = np.stack((pattern, np.asarray(complement, dtype=complex)))
+        self.norms = _norms(self.initial)
+        self.alive = np.ones((2, rounds), dtype=bool)
+        self.signs = np.zeros((2, rounds), dtype=bool)  # parity of -1 factors
+        self.results = np.zeros((rounds, qubits), dtype=np.uint8)
+        self.measured = np.zeros(qubits, dtype=bool)
 
-def measure_after_hadamard(kets: Kets, mask: int, rng) -> tuple[int, Kets, float]:
-    """Hadamard then Z measurement of one particle.
+    @classmethod
+    def ghz(cls, bits, phases, collective=None) -> "BranchPairs":
+        """The server's states: honest GHZ states, or a collective attack's.
 
-    ``<o|H|bit> = (-1)^(o*bit)/sqrt(2)``: outcome ``o`` keeps every ket with
-    the particle's bit set to ``o`` and the sign ``(-1)^(o*bit)`` applied;
-    kets that then coincide merge, and drop out where they cancel. That is
-    where GHZ interference shows.
-    """
-    plus: Kets = {}   # rest -> v0 + v1, where v_b is the amplitude with bit b
-    minus: Kets = {}  # rest -> v0 - v1
-    for ket, amp in kets.items():
-        rest = ket & ~mask
-        signed = -amp if ket & mask else amp
-        if rest in plus:
-            plus[rest] += amp
-            minus[rest] += signed
+        ``collective`` is a ``CollectiveAttackConfig``; its states are the
+        ones ``probe_kets`` writes out.
+        """
+        signs = 1.0 - 2.0 * np.asarray(phases, dtype=float)  # (-1)^b
+        if collective is None:
+            pattern = np.full((len(signs), 1), _SQRT2_INV, dtype=complex)
+            return cls(bits, pattern, (signs * _SQRT2_INV)[:, None])
+        pattern = np.zeros((len(signs), 2), dtype=complex)
+        pattern[:, 0] = collective.pattern_weight
+        complement = np.outer(signs * collective.complement_weight, _probe_pair(collective))
+        return cls(bits, pattern, complement)
+
+    @property
+    def probe(self) -> bool:
+        return self.initial.shape[2] == 2
+
+    def flip(self, column: int, rows) -> None:
+        """Pauli X on the particle in the rounds where ``rows`` is set."""
+        self.bits[:, column] ^= rows
+
+    def tap(self, column: int, draws, rows=None):
+        """Z measurement in transit; the particle stays for its owner.
+
+        Measures every round, or only those where ``rows`` is set.
+        """
+        bit = self.bits[:, column]
+        p1 = self._z_probability(bit)
+        outcome = draws < p1
+        keep = outcome == bit  # the pattern branch survives
+        if rows is None:
+            self.alive[0] &= keep
+            self.alive[1] &= ~keep
         else:
-            plus[rest] = amp
-            minus[rest] = signed
-    p1 = 0.0
-    for amp in minus.values():
-        amp *= _SQRT2_INV
-        p1 += amp.real * amp.real + amp.imag * amp.imag
-    outcome, prob = _draw(p1, rng)
-    scale = 1.0 / sqrt(prob)
-    kept, bit = (minus, mask) if outcome else (plus, 0)
-    return outcome, {
-        rest | bit: amp * _SQRT2_INV * scale for rest, amp in kept.items() if amp
-    }, prob
+            self.alive[0] &= keep | ~rows
+            self.alive[1] &= ~keep | ~rows
+        return outcome, p1
+
+    def measure(self, column: int, share, draws):
+        """The owner's measurement: Hadamard-then-Z where ``share``, else Z."""
+        if self.measured[column]:
+            raise ValueError(f"particle {column + 1} was already measured")
+        bit = self.bits[:, column]
+        p1 = np.where(share, self._hadamard_probability(), self._z_probability(bit))
+        outcome = draws < p1
+        keep = outcome == bit
+        self.alive[0] &= keep | share
+        self.alive[1] &= ~keep | share
+        flipped = share & outcome
+        self.signs[0] ^= flipped & bit
+        self.signs[1] ^= flipped & ~bit
+        self.results[:, column] = outcome
+        self.measured[column] = True
+        return outcome, p1
+
+    def read_probe(self, draws):
+        """Z measurement of the probe once every particle has been measured."""
+        if not self.probe or not self.measured.all():
+            raise ValueError("the probe is read last, and only when there is one")
+        amps = self._amplitudes().sum(axis=0)  # both branches now share one ket
+        p1 = _norms(amps[:, 1:]) / _norms(amps)
+        return draws < p1, p1
+
+    def kets(self, row: int) -> Kets:
+        """Round ``row`` as normalised kets, measured particles at their results."""
+        qubits = self.bits.shape[1]
+        slots = self.initial.shape[2]
+        kets: Kets = {}
+        for branch, amps in enumerate(self._amplitudes()):
+            bits = np.where(self.measured, self.results[row], self.bits[row] ^ bool(branch))
+            ket = int(bits.astype(np.int64) @ (1 << np.arange(qubits - 1, -1, -1)))
+            for slot, amp in enumerate(amps[row].tolist()):
+                key = ket * slots + slot
+                kets[key] = kets.get(key, 0j) + amp
+        scale = 1.0 / sqrt(sum(abs(amp) ** 2 for amp in kets.values()))
+        return {ket: amp * scale for ket, amp in kets.items() if amp}
+
+    def _z_probability(self, bit):
+        weights = self.norms * self.alive
+        return np.where(bit, weights[0], weights[1]) / (weights[0] + weights[1])
+
+    def _hadamard_probability(self):
+        if self.measured.sum() < len(self.measured) - 1:
+            return 0.5  # the branches stay orthogonal on the unmeasured rest
+        # the last particle: both kets reduce to the probe and interfere
+        pattern, complement = self._amplitudes()
+        minus = _norms(pattern - complement)
+        return minus / (minus + _norms(pattern + complement))
+
+    def _amplitudes(self) -> np.ndarray:
+        """Both branches' current amplitudes, zero where a branch died."""
+        factors = np.where(self.signs, -1.0, 1.0) * self.alive
+        return self.initial * factors[:, :, None]

@@ -6,7 +6,7 @@ insertion attacks that rely on retrieving a photon structurally impossible
 in this model. Classical traffic goes over an authenticated broadcast log
 that anyone, including the adversary, can read, but nobody can rewrite.
 
-``protocol.run_round`` applies the same noise and interceptors in its own
+``protocol.play_rounds`` applies the same noise and interceptors in its own
 round walk, on either engine; ``QubitChannel`` and ``transmit`` model one
 link on its own, on the dense engine.
 """

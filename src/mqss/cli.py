@@ -37,6 +37,9 @@ from .adversary import (
 )
 from .ghz import GhzSpec
 from .protocol import (
+    BatchLimitError,
+    IndeterminateCheckError,
+    InsufficientRawKeyError,
     Mode,
     RoundCase,
     RoundRecord,
@@ -54,6 +57,11 @@ SEED_ENV_VAR = "MQSS_SEED"
 EXIT_OK = 0
 EXIT_SESSION_FAILED = 1
 EXIT_USAGE = 2
+
+_MIN_ESTIMATE_TRIALS = 1_000
+
+# what a valid experiment can still run into; anything else is a bug
+_SESSION_FAILURES = (BatchLimitError, IndeterminateCheckError, InsufficientRawKeyError)
 
 
 @dataclass(frozen=True)
@@ -179,7 +187,8 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 
     Precedence: command-line flags, then config-file values, then the
     MQSS_SEED environment variable (seed only), then built-in defaults.
-    Invalid combinations exit with the usage status.
+    Invalid values and combinations, including a session config that
+    ``SessionConfig`` rejects, exit with the usage status.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -203,12 +212,12 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     rounds_only = _pick(parser, args.rounds_only, file_values, "rounds-only", int, None)
     report = _pick(parser, args.report, file_values, "report", str, "full")
 
-    if agents < 2:
-        parser.error("--agents must be at least 2")
-    if secret_bits < 1:
-        parser.error("--secret-bits must be at least 1")
-    if not 0.0 <= epsilon <= 1.0:
-        parser.error("--epsilon must lie in [0, 1]")
+    try:
+        session = SessionConfig(
+            n_agents=agents, secret_bits=secret_bits, epsilon=epsilon, seed=seed
+        )
+    except ValueError as exc:
+        parser.error(f"invalid session: {exc}")
     if trials < 1:
         parser.error("--trials must be positive")
     if rounds_only is not None and rounds_only < 1:
@@ -244,12 +253,6 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     if attack_kind in ("collective", "collusion") and transcript:
         parser.error(f"--transcript is not available with --attack {attack_kind}")
 
-    session = SessionConfig(
-        n_agents=agents,
-        secret_bits=secret_bits,
-        epsilon=epsilon,
-        seed=seed,
-    )
     return ExperimentConfig(
         session=session,
         trials=trials,
@@ -266,20 +269,25 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 # --- transcripts -----------------------------------------------------------------
 
 
+# built once: json.dumps with any non-default option builds an encoder per call
+_TRANSCRIPT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def record_to_json(trial: int, record: RoundRecord) -> str:
+    # keys in sorted order, so the line reads as a sort_keys dump would
     payload = {
-        "trial": trial,
+        "classification": record.classification.value,
+        "modes": [m.value for m in record.modes],
+        "probe": record.probe_outcome,
+        "results": list(record.results),
         "round_index": record.round_index,
         "spec": {
-            "x": "".join(str(b) for b in record.spec.bits),
             "b": record.spec.phase,
+            "x": "".join(str(b) for b in record.spec.bits),
         },
-        "modes": [m.value for m in record.modes],
-        "results": list(record.results),
-        "classification": record.classification.value,
-        "probe": record.probe_outcome,
+        "trial": trial,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _TRANSCRIPT_ENCODER.encode(payload)
 
 
 def record_from_json(line: str) -> tuple[int, RoundRecord]:
@@ -340,7 +348,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         if config.transcript:
             write_transcript(config.transcript, [(0, records)])
     elif config.attack_kind == "collective":
-        trials = max(config.trials, 1_000)
+        trials = _monte_carlo_trials(config)
         report.leakage = estimate_leakage(
             CollectiveAttackConfig(probe_overlap=config.probe_overlap),
             config.session,
@@ -348,7 +356,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         )
         report.trials = trials
     elif config.attack_kind == "collusion":
-        trials = max(config.trials, 1_000)
+        trials = _monte_carlo_trials(config)
         report.collusion = run_collusion(
             CollusionConfig(config.colluders, MeasureResendConfig(config.victim)),
             config.session,
@@ -360,6 +368,18 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     report.duration_seconds = time.perf_counter() - started
     return report
+
+
+def _monte_carlo_trials(config: ExperimentConfig) -> int:
+    """The trial count of an attack estimate, which needs at least 1,000."""
+    if config.trials >= _MIN_ESTIMATE_TRIALS:
+        return config.trials
+    print(
+        f"warning: --trials {config.trials} raised to {_MIN_ESTIMATE_TRIALS} "
+        f"for --attack {config.attack_kind}",
+        file=sys.stderr,
+    )
+    return _MIN_ESTIMATE_TRIALS
 
 
 def _run_sessions(
@@ -488,7 +508,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = parse_config(argv)
     try:
         report = run_experiment(config)
-    except (ValueError, RuntimeError) as exc:
+    except _SESSION_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SESSION_FAILED
     sys.stdout.write(render_report(report))

@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import count, repeat
 from math import sqrt
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from . import branch
 from .channel import ClassicalLog, Interceptor, broadcast
@@ -56,6 +60,10 @@ class IndeterminateCheckError(RuntimeError):
 
 class InsufficientRawKeyError(RuntimeError):
     """Fewer raw key bits than the checks and shadows require; gather more rounds."""
+
+
+class BatchLimitError(RuntimeError):
+    """An attempt played its last batch of rounds short of the raw key it needs."""
 
 
 def participant_labels(n_agents: int) -> tuple[str, ...]:
@@ -162,19 +170,71 @@ def round_engine(config: SessionConfig) -> str:
     return "dense" if attack is not None and attack.interceptors else "branch"
 
 
-def _round_modes(
-    count: int, rng, forced_modes: Optional[Sequence[Mode]]
-) -> tuple[Mode, ...]:
+@dataclass(frozen=True, eq=False)
+class RoundBatch:
+    """Rounds played together: one row per spec, columns dealer first."""
+
+    specs: Sequence[GhzSpec]
+    share: np.ndarray  # R x q booleans: the participant chose Share mode
+    results: np.ndarray  # R x q measurement results
+    probe: Optional[np.ndarray] = None  # R probe readouts (collective attack)
+    start: int = 0  # round index of the first row
+
+    def records(self) -> list[RoundRecord]:
+        """One ``RoundRecord`` per row, numbered from ``start``."""
+        q = self.share.shape[1]
+        codes = self.share @ (1 << np.arange(q))
+        probes = self.probe.tolist() if self.probe is not None else repeat(None)
+        records = []
+        for index, spec, code, results, probe in zip(
+            count(self.start), self.specs, codes.tolist(), self.results.tolist(), probes
+        ):
+            modes, case = _modes_and_case(code, q)
+            records.append(RoundRecord(index, spec, modes, tuple(results), case, probe))
+        return records
+
+
+@lru_cache(maxsize=1 << 12)
+def _modes_and_case(code: int, q: int) -> tuple[tuple[Mode, ...], RoundCase]:
+    # bit j of code set: participant j chose Share
+    modes = tuple(Mode.SHARE if code >> j & 1 else Mode.CHECK for j in range(q))
+    return modes, classify_round(modes)
+
+
+def play_rounds(
+    config: SessionConfig,
+    specs: Sequence[GhzSpec],
+    rng,
+    start: int = 0,
+    forced_modes: Optional[Sequence[Mode]] = None,
+) -> RoundBatch:
+    """Execute one full distribution round per spec, in order.
+
+    Per round the server prepares the state (or the adversary's substitute),
+    then each participant, dealer first, receives and measures their
+    particle. Noise and attacks do not raise here; they surface later as
+    check failures.
+
+    The rounds run together on the exact branch engine (``mqss.branch``)
+    unless ``round_engine(config)`` is ``"dense"``, which plays them one
+    after another. Either way each round takes the same draws in the same
+    order: the mode draws, then per particle the noise draw, any tap
+    schedule draw and the tap's and the owner's measurement draws, and last
+    the probe draw. So both engines give the same rounds and leave ``rng``
+    in the same state.
+    """
+    q = config.particle_count
+    for spec in specs:
+        if spec.qubit_count != q:
+            raise ValueError(f"spec has {spec.qubit_count} particles, expected {q}")
+    forced = None
     if forced_modes is not None:
-        if len(forced_modes) != count:
-            raise ValueError(f"expected {count} forced modes, got {len(forced_modes)}")
-        return tuple(forced_modes)
-    draws = rng.random(size=count).tolist()
-    return tuple([Mode.SHARE if draw < 0.5 else Mode.CHECK for draw in draws])
-
-
-def _dense_flip(state, particle: int):
-    return apply_gate(state, particle, PAULI_X)
+        if len(forced_modes) != q:
+            raise ValueError(f"expected {q} forced modes, got {len(forced_modes)}")
+        forced = np.array([mode is Mode.SHARE for mode in forced_modes])
+    play = _play_dense if round_engine(config) == "dense" else _play_on_branches
+    share, results, probe = play(config, specs, rng, forced)
+    return RoundBatch(specs, share, results, probe, start)
 
 
 def run_round(
@@ -184,76 +244,121 @@ def run_round(
     round_index: int = 0,
     forced_modes: Optional[Sequence[Mode]] = None,
 ) -> RoundRecord:
-    """Execute one full distribution round.
+    """Execute one full distribution round: ``play_rounds`` of one spec."""
+    batch = play_rounds(config, [spec], rng, round_index, forced_modes)
+    return batch.records()[0]
 
-    The server prepares the state (or the adversary's substitute), then each
-    participant, dealer first, receives and measures their particle in turn.
-    Noise and attacks do not raise here; they surface later as check
-    failures.
 
-    The round runs on the exact branch engine (``mqss.branch``) unless
-    ``round_engine(config)`` is ``"dense"``. Either way the same walk makes
-    the same draws in the same order: the mode draws, then per particle the
-    noise draw, any tap schedule draw and the measurement draw, and last
-    the probe draw, so both engines give the same record.
-    """
-    q = _checked_qubits(config, spec)
+def _play_on_branches(config: SessionConfig, specs, rng, forced):
+    q = config.particle_count
     attack = config.attack or _NO_ATTACK
-    dense = round_engine(config) == "dense"
-    if attack.collective is None:
-        width = q
-        state = prepare(spec) if dense else branch.ghz_kets(spec)
-    else:
-        width = q + 1
-        kets = branch.probe_kets(spec, attack.collective)
-        state = branch.to_state(kets, width, register_qubits=1) if dense else kets
-    # each engine's three steps, and how it addresses a particle
-    if dense:
-        flip, measure, measure_h = _dense_flip, measure_z, measure_after_hadamard
-        addresses = range(1, width + 1)
-    else:
-        flip, measure, measure_h = (
-            branch.flip, branch.measure_z, branch.measure_after_hadamard
-        )
-        addresses = [branch.particle_mask(width, p) for p in range(1, width + 1)]
+    epsilon = config.epsilon
+    # the column of each draw in a round's row, in the order the walk takes
+    # them: per particle noise, tap schedule, tap and measurement (None where
+    # the round takes no such draw), then the probe
+    steps = []
+    width = q if forced is None else 0
+    for particle in range(1, q + 1):
+        noise = schedule = tap = None
+        rate = attack.z_taps.get(particle)
+        if epsilon > 0.0:
+            noise, width = width, width + 1
+        if rate is not None and rate < 1.0:
+            schedule, width = width, width + 1
+        if rate is not None:
+            tap, width = width, width + 1
+        steps.append((noise, schedule, rate, tap, width))
+        width += 1
+    probe_column, width = width, width + (attack.collective is not None)
+    partial = [(schedule, rate) for _, schedule, rate, _, _ in steps if schedule is not None]
+    draws = _draw_rows(rng, len(specs), width, partial)
 
-    modes = _round_modes(q, rng, forced_modes)
+    rounds = len(specs)
+    share = draws[:, :q] < 0.5 if forced is None else np.broadcast_to(forced, (rounds, q))
+    bits = np.array([spec.bits for spec in specs], dtype=bool).reshape(rounds, q)
+    phases = [spec.phase for spec in specs]
+    pairs = branch.BranchPairs.ghz(bits, phases, attack.collective)
+    for column, (noise, schedule, rate, tap, measure) in enumerate(steps):
+        if noise is not None:
+            pairs.flip(column, draws[:, noise] < epsilon)
+        if tap is not None:
+            fired = None if schedule is None else draws[:, schedule] < rate
+            pairs.tap(column, draws[:, tap], fired)
+        pairs.measure(column, share[:, column], draws[:, measure])
+    probe = None
+    if attack.collective is not None:
+        probe = pairs.read_probe(draws[:, probe_column])[0].astype(np.uint8)
+    return share, pairs.results, probe
+
+
+def _draw_rows(rng, rounds: int, width: int, partial_taps) -> np.ndarray:
+    """Every round's draws as a row of ``width`` columns, in stream order.
+
+    ``partial_taps`` lists the (schedule column, rate) of each tap whose
+    rate is below 1. Its measurement draw, in the next column, is taken
+    only when the schedule draw fires; where it did not fire, that column
+    repeats the next draw and goes unread. Nothing is drawn past what the
+    rounds consume, so the draws that follow see the stream they would see
+    after the rounds played one at a time.
+    """
+    if not partial_taps:
+        return rng.random(size=(rounds, width))
+    fixed = width - len(partial_taps)  # the draws of a round where no tap fires
+    flat = rng.random(rounds * fixed).tolist()
+    fired = np.zeros((rounds, len(partial_taps)), dtype=bool)
+    starts = []
+    start = extra = 0
+    for row in range(rounds):
+        starts.append(start)
+        skipped = 0
+        for tap, (column, rate) in enumerate(partial_taps):
+            position = start + column - skipped
+            if position >= len(flat):
+                # draw what the rounds surely consume: their fixed draws plus
+                # one per tap found to fire so far
+                flat += rng.random(rounds * fixed + extra - len(flat)).tolist()
+            if flat[position] < rate:
+                fired[row, tap] = True
+                extra += 1
+            else:
+                skipped += 1
+        start += width - skipped
+    flat += rng.random(rounds * fixed + extra - len(flat)).tolist()
+    measures = np.array([column + 1 for column, _ in partial_taps])
+    missing = (~fired).astype(np.int64) @ (measures[:, None] < np.arange(width))
+    offsets = np.array(starts, dtype=np.int64)[:, None] + np.arange(width) - missing
+    return np.asarray(flat)[offsets]
+
+
+def _play_dense(config: SessionConfig, specs, rng, forced):
+    # one round after another: an interceptor draws from rng itself
+    q = config.particle_count
+    attack = config.attack or _NO_ATTACK
     epsilon, taps, interceptors = config.epsilon, attack.z_taps, attack.interceptors
-    results = []
-    for particle, (mode, address) in enumerate(zip(modes, addresses), start=1):
-        if epsilon > 0.0 and rng.random() < epsilon:
-            state = flip(state, address)
-        hook = interceptors.get(particle)
-        if hook is not None:
-            state = hook(state, particle, rng)
-        rate = taps.get(particle)
-        if rate is not None and (rate >= 1.0 or rng.random() < rate):
-            _, state, _ = measure(state, address, rng)
-        if mode is Mode.SHARE:
-            outcome, state, _ = measure_h(state, address, rng)
+    share = np.zeros((len(specs), q), dtype=bool)
+    results = np.zeros((len(specs), q), dtype=np.uint8)
+    probe = None if attack.collective is None else np.zeros(len(specs), dtype=np.uint8)
+    for row, spec in enumerate(specs):
+        if attack.collective is None:
+            state = prepare(spec)
         else:
-            outcome, state, _ = measure(state, address, rng)
-        results.append(outcome)
-
-    probe_outcome = None
-    if width > q:
-        probe_outcome, _, _ = measure(state, addresses[-1], rng)
-    return RoundRecord(
-        round_index=round_index,
-        spec=spec,
-        modes=modes,
-        results=tuple(results),
-        classification=classify_round(modes),
-        probe_outcome=probe_outcome,
-    )
-
-
-def _checked_qubits(config: SessionConfig, spec: GhzSpec) -> int:
-    if spec.qubit_count != config.particle_count:
-        raise ValueError(
-            f"spec has {spec.qubit_count} particles, expected {config.particle_count}"
-        )
-    return spec.qubit_count
+            kets = branch.probe_kets(spec, attack.collective)
+            state = branch.to_state(kets, q + 1, register_qubits=1)
+        share[row] = rng.random(size=q) < 0.5 if forced is None else forced
+        for particle in range(1, q + 1):
+            if epsilon > 0.0 and rng.random() < epsilon:
+                state = apply_gate(state, particle, PAULI_X)
+            hook = interceptors.get(particle)
+            if hook is not None:
+                state = hook(state, particle, rng)
+            rate = taps.get(particle)
+            if rate is not None and (rate >= 1.0 or rng.random() < rate):
+                _, state, _ = measure_z(state, particle, rng)
+            measure = measure_after_hadamard if share[row, particle - 1] else measure_z
+            results[row, particle - 1], state, _ = measure(state, particle, rng)
+        if probe is not None:
+            probe[row], _, _ = measure_z(state, q + 1, rng)
+    return share, results, probe
 
 
 def classify_round(modes: Sequence[Mode]) -> RoundCase:
@@ -569,16 +674,17 @@ def _run_attempt(
     batches = 0
     while case1 < 2 * m:
         if batches >= _MAX_BATCHES:
-            raise RuntimeError("could not gather enough key rounds")
+            raise BatchLimitError(
+                f"{_MAX_BATCHES} batches of rounds gave {case1} of {2 * m} raw key bits"
+            )
         # full batch first; smaller top-ups cover any raw-bit shortfall
-        batch = config.batch_size if batches == 0 else max(config.batch_size // 4, 8)
-        for spec in sample_specs(rng, batch, q):
-            record = run_round(config, spec, rng, round_index=len(records))
+        size = config.batch_size if batches == 0 else max(config.batch_size // 4, 8)
+        batch = play_rounds(config, sample_specs(rng, size, q), rng, start=len(records))
+        for record in batch.records():
             broadcast(log, "dealer", {"round": record.round_index, "ack": True})
             records.append(record)
-            specs.append(spec)
-            if record.classification is RoundCase.CASE1:
-                case1 += 1
+        specs.extend(batch.specs)
+        case1 += int(np.count_nonzero(batch.share.all(axis=1)))
         batches += 1
 
     broadcast(log, "tp", {"announced_specs": len(specs)})
@@ -633,7 +739,5 @@ def run_rounds(
     """Round statistics mode: execute rounds with no sifting or key steps."""
     if rng is None:
         rng = derived_rng(config.seed, 0)
-    return [
-        run_round(config, spec, rng, round_index=index, forced_modes=forced_modes)
-        for index, spec in enumerate(sample_specs(rng, n_rounds, config.particle_count))
-    ]
+    specs = sample_specs(rng, n_rounds, config.particle_count)
+    return play_rounds(config, specs, rng, forced_modes=forced_modes).records()

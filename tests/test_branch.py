@@ -1,7 +1,9 @@
 """The exact branch engine against the dense state-vector oracle."""
 
+import copy
 import itertools
 from dataclasses import replace
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -17,11 +19,12 @@ from mqss.adversary import (
     measure_resend_interceptor,
     prepare_attacked_state,
 )
-from mqss.ghz import GhzSpec, prepare
+from mqss.ghz import GhzSpec, prepare, sample_specs
 from mqss.protocol import (
     Mode,
     RoundAttack,
     SessionConfig,
+    play_rounds,
     round_engine,
     run_rounds,
     run_session,
@@ -43,37 +46,131 @@ FORCE = {1: 0.0, 0: float(np.nextafter(1.0, 0.0))}
 NEGLIGIBLE = 1e-15
 
 
-# --- single operations: same outcome, probability and amplitudes ------------------
+# --- single steps: same outcome, probability and state ----------------------------
+
+
+def random_pairs(rng, qubits, overlap):
+    """One round holding a random two-branch state.
+
+    Random complex branch weights; with a probe, the branches' unit probe
+    vectors have overlap ``overlap``, and ``None`` attaches no probe.
+    """
+    bits = rng.integers(0, 2, size=(1, qubits))
+    weights = rng.normal(size=2) + 1j * rng.normal(size=2)
+    weights /= np.linalg.norm(weights)
+    if overlap is None:
+        return branch.BranchPairs(bits, [[weights[0]]], [[weights[1]]])
+    first = rng.normal(size=2) + 1j * rng.normal(size=2)
+    first /= np.linalg.norm(first)
+    orthogonal = np.array([-first[1].conjugate(), first[0].conjugate()])
+    orthogonal *= np.exp(2j * np.pi * rng.random())
+    second = overlap * first + sqrt(1.0 - overlap * overlap) * orthogonal
+    return branch.BranchPairs(bits, [weights[0] * first], [weights[1] * second])
+
+
+def fork(pairs):
+    """A copy of a batch whose steps leave the original as it was."""
+    twin = copy.copy(pairs)
+    for name, value in vars(pairs).items():
+        if isinstance(value, np.ndarray):
+            setattr(twin, name, value.copy())
+    return twin
+
+
+def dense_view(pairs):
+    qubits = pairs.bits.shape[1]
+    return branch.to_state(pairs.kets(0), qubits + pairs.probe, int(pairs.probe))
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_each_operation_matches_the_dense_engine(seed):
+    """Every step, on a random two-branch state: same outcomes,
+    probabilities and states as ``statevec``."""
+    overlap = (None, 0.0, 0.5, 1.0)[seed % 4]  # None: no probe qubit
     rng = np.random.default_rng(seed)
-    q = int(rng.integers(2, 6))
-    particle = int(rng.integers(1, q + 1))
-    mask = branch.particle_mask(q, particle)
-    # a ket pair differing only in the measured bit makes the Hadamard merge
-    first, second = (int(k) for k in rng.choice(1 << q, size=2, replace=False))
-    support = list({first, first ^ mask, second})
-    rng.shuffle(support)
-    amps = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-    kets = dict(zip(support, (amps / np.linalg.norm(amps)).tolist()))
-    state = branch.to_state(kets, q)
+    qubits = int(rng.integers(2, 6))
+    pairs = random_pairs(rng, qubits, overlap)
+    width = qubits + pairs.probe
 
-    flipped = branch.to_state(branch.flip(kets, mask), q)
-    oracle = apply_gate(state, particle, PAULI_X)
-    assert np.array_equal(flipped.amplitudes, oracle.amplitudes)
-    for exact_op, dense_op in (
-        (branch.measure_z, measure_z),
-        (branch.measure_after_hadamard, measure_after_hadamard),
-    ):
-        for draw in FORCE.values():
-            outcome, after, prob = exact_op(kets, mask, FixedRng(draw))
-            oracle = dense_op(state, particle, FixedRng(draw))
-            assert (outcome, prob) == (oracle[0], pytest.approx(oracle[2], abs=1e-12))
+    def check(step, dense_op, particle, collapses=True):
+        """Both outcomes of one step agree; the walk goes on from a possible one."""
+        possible = []
+        state = dense_view(pairs)
+        for intended, draw in FORCE.items():
+            after = fork(pairs)
+            outcome, p1 = step(after, np.array([draw]))
+            oracle, collapsed, prob = dense_op(state, particle, FixedRng(draw))
+            if oracle != intended:
+                prob = 1.0 - prob
+            assert (p1[0] if intended else 1.0 - p1[0]) == pytest.approx(prob, abs=1e-12)
+            if prob > NEGLIGIBLE:
+                assert int(outcome[0]) == oracle == intended
+                if collapses:
+                    np.testing.assert_allclose(
+                        dense_view(after).amplitudes, collapsed.amplitudes, atol=1e-12
+                    )
+                possible.append(after)
+        return possible[int(rng.integers(len(possible)))]
+
+    for column in range(qubits):
+        particle = column + 1
+        if rng.random() < 0.5:
+            state = dense_view(pairs)
+            pairs.flip(column, np.array([True]))
+            flipped = apply_gate(state, particle, PAULI_X)
             np.testing.assert_allclose(
-                branch.to_state(after, q).amplitudes, oracle[1].amplitudes, atol=1e-12
+                dense_view(pairs).amplitudes, flipped.amplitudes, atol=1e-12
             )
+        if rng.random() < 0.3:
+            pairs = check(lambda p, d: p.tap(column, d), measure_z, particle)
+        share = bool(rng.random() < 0.5)
+        pairs = check(
+            lambda p, d: p.measure(column, np.array([share]), d),
+            measure_after_hadamard if share else measure_z,
+            particle,
+        )
+    if pairs.probe:
+        # the probe is read last, so nothing keeps its collapse
+        check(lambda p, d: p.read_probe(d), measure_z, width, collapses=False)
+
+
+def test_support_never_grows():
+    collective = CollectiveAttackConfig(probe_overlap=0.5)
+    pairs = branch.BranchPairs.ghz(np.array([[1, 0, 1, 1]]), [1], collective)
+    assert len(pairs.kets(0)) == 3
+    rng = derived_rng(9)
+    for column in range(4):
+        pairs.flip(column, np.array([True]))
+        pairs.measure(column, np.array([True]), rng.random(1))
+        assert len(pairs.kets(0)) <= 3
+
+
+def test_a_particle_is_measured_once_and_the_probe_read_last():
+    collective = CollectiveAttackConfig(probe_overlap=0.5)
+    pairs = branch.BranchPairs.ghz(np.array([[1, 0, 1]]), [1], collective)
+    draws = np.array([0.3])
+    with pytest.raises(ValueError):
+        pairs.read_probe(draws)
+    pairs.measure(0, np.array([True]), draws)
+    with pytest.raises(ValueError):
+        pairs.measure(0, np.array([True]), draws)
+    honest = branch.BranchPairs.ghz(np.array([[1, 0]]), [0])
+    for column in range(2):
+        honest.measure(column, np.array([False]), draws)
+    with pytest.raises(ValueError):
+        honest.read_probe(draws)
+
+
+def test_honest_probabilities_are_exact():
+    rng = derived_rng(5)
+    rounds, qubits = 500, 6
+    pairs = branch.BranchPairs.ghz(
+        rng.integers(0, 2, size=(rounds, qubits)), rng.integers(0, 2, size=rounds)
+    )
+    for column in range(qubits):
+        pairs.flip(column, rng.random(rounds) < 0.2)
+        _, p1 = pairs.measure(column, rng.random(rounds) < 0.5, rng.random(rounds))
+        assert set(np.unique(p1)) <= {0.0, 0.5, 1.0}
 
 
 # --- exact outcome distributions, by enumeration ---------------------------------
@@ -84,29 +181,43 @@ def dense_engine(spec, collective):
         state = prepare(spec)
     else:
         state = prepare_attacked_state(spec, collective)
+    width = state.qubit_count
     ops = {
         "flip": lambda s, p: apply_gate(s, p, PAULI_X),
+        "tap": measure_z,
         Mode.CHECK: measure_z,
         Mode.SHARE: measure_after_hadamard,
+        "probe": lambda s, rng: measure_z(s, width, rng),
     }
-    return state, ops, state.qubit_count
+    return state, ops, width
 
 
 def branch_engine(spec, collective):
-    if collective is None:
-        kets, width = branch.ghz_kets(spec), spec.qubit_count
-    else:
-        kets, width = branch.probe_kets(spec, collective), spec.qubit_count + 1
+    """A batch of one round; each step works on a copy, as the dense ones do."""
+    pairs = branch.BranchPairs.ghz(np.array([spec.bits]), [spec.phase], collective)
 
-    def mask(particle):
-        return branch.particle_mask(width, particle)
+    def sampled(step):
+        def op(state, *args):
+            *args, rng = args
+            after = fork(state)
+            outcome, p1 = step(after, *args, np.array([rng.random()]))
+            outcome, p1 = int(outcome[0]), float(p1[0])
+            return outcome, after, p1 if outcome else 1.0 - p1
+        return op
+
+    def flip(state, particle):
+        after = fork(state)
+        after.flip(particle - 1, np.array([True]))
+        return after
 
     ops = {
-        "flip": lambda k, p: branch.flip(k, mask(p)),
-        Mode.CHECK: lambda k, p, rng: branch.measure_z(k, mask(p), rng),
-        Mode.SHARE: lambda k, p, rng: branch.measure_after_hadamard(k, mask(p), rng),
+        "flip": flip,
+        "tap": sampled(lambda s, p, d: s.tap(p - 1, d)),
+        Mode.CHECK: sampled(lambda s, p, d: s.measure(p - 1, np.array([False]), d)),
+        Mode.SHARE: sampled(lambda s, p, d: s.measure(p - 1, np.array([True]), d)),
+        "probe": sampled(lambda s, d: s.read_probe(d)),
     }
-    return kets, ops, width
+    return pairs, ops, spec.qubit_count + pairs.probe
 
 
 def outcome_distribution(engine, spec, collective, z_taps):
@@ -121,9 +232,9 @@ def outcome_distribution(engine, spec, collective, z_taps):
     q = spec.qubit_count
     dist = {}
 
-    def outcomes(op, state, particle):
+    def outcomes(op, *args):
         for intended, draw in FORCE.items():
-            outcome, after, prob = ops[op](state, particle, FixedRng(draw))
+            outcome, after, prob = ops[op](*args, FixedRng(draw))
             if outcome == intended and prob > NEGLIGIBLE:
                 yield outcome, after, prob
 
@@ -132,7 +243,7 @@ def outcome_distribution(engine, spec, collective, z_taps):
             if width == q:
                 dist[history] = weight
                 return
-            for bit, _, prob in outcomes(Mode.CHECK, state, width):
+            for bit, _, prob in outcomes("probe", state):
                 dist[history + (("probe", bit),)] = weight * prob
             return
         for flipped in (False, True):
@@ -144,7 +255,7 @@ def outcome_distribution(engine, spec, collective, z_taps):
                 if tapped:
                     branches = [
                         (("tap", bit), after, tap_weight * prob)
-                        for bit, after, prob in outcomes(Mode.CHECK, noisy, particle)
+                        for bit, after, prob in outcomes("tap", noisy, particle)
                     ]
                 else:
                     branches = [(("tap", None), noisy, tap_weight)]
@@ -199,18 +310,6 @@ def test_every_mode_vector_and_flip_pattern_is_walked():
     assert walked == set(itertools.product(patterns, vectors))
 
 
-def test_support_never_grows():
-    collective = CollectiveAttackConfig(probe_overlap=0.5)
-    kets = branch.probe_kets(GhzSpec((1, 0, 1, 1), 1), collective)
-    assert len(kets) == 3
-    rng = derived_rng(9)
-    for particle in range(1, 5):
-        mask = branch.particle_mask(5, particle)
-        kets = branch.flip(kets, mask)
-        _, kets, _ = branch.measure_after_hadamard(kets, mask, rng)
-        assert len(kets) <= 3
-
-
 # --- seeded runs: field-for-field identical records --------------------------------
 
 
@@ -247,11 +346,40 @@ def test_seeded_rounds_identical_on_both_engines(n_agents, epsilon, kind):
     dense_config = on_dense_engine(config)
     assert round_engine(config) == "branch"
     assert round_engine(dense_config) == "dense"
-    exact = run_rounds(config, 2_000)
-    dense = run_rounds(dense_config, 2_000)
+    exact_rng, dense_rng = derived_rng(config.seed), derived_rng(config.seed)
+    exact = run_rounds(config, 2_000, exact_rng)
+    dense = run_rounds(dense_config, 2_000, dense_rng)
     for fast, oracle in zip(exact, dense):
         assert fast == oracle
     assert len(exact) == len(dense) == 2_000
+    # the batch took exactly the draws the round-by-round walk took
+    assert exact_rng.bit_generator.state == dense_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_ATTACKS))
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_a_batch_split_in_two_plays_the_same_rounds(kind, epsilon):
+    config = SessionConfig(
+        n_agents=3, epsilon=epsilon, seed=31, attack=ROUND_ATTACKS[kind](3)
+    )
+    specs = sample_specs(derived_rng(32), 300, config.particle_count)
+    whole_rng = derived_rng(33)
+    whole = play_rounds(config, specs, whole_rng).records()
+    for cut in (0, 1, 2, 150, 299, 300):
+        rng = derived_rng(33)
+        first = play_rounds(config, specs[:cut], rng).records()
+        second = play_rounds(config, specs[cut:], rng, start=cut).records()
+        assert first + second == whole
+        assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_ATTACKS))
+def test_an_empty_batch_draws_nothing(kind):
+    config = SessionConfig(n_agents=3, epsilon=0.05, attack=ROUND_ATTACKS[kind](3))
+    rng = derived_rng(34)
+    before = rng.bit_generator.state
+    assert play_rounds(config, [], rng).records() == []
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])

@@ -13,8 +13,19 @@ from mqss.cli import (
     record_to_json,
     run_experiment,
 )
+import mqss.cli as cli_module
+from mqss.adversary import CollectiveAttackConfig, collective_attack
 from mqss.ghz import GhzSpec
-from mqss.protocol import Mode, RoundCase, RoundRecord, SessionConfig, run_rounds
+from mqss.protocol import (
+    BatchLimitError,
+    IndeterminateCheckError,
+    InsufficientRawKeyError,
+    Mode,
+    RoundCase,
+    RoundRecord,
+    SessionConfig,
+    run_rounds,
+)
 
 
 # --- parsing ------------------------------------------------------------------
@@ -72,6 +83,15 @@ def test_usage_errors_exit_2(argv):
     assert excinfo.value.code == 2
 
 
+def test_config_file_session_rejected_by_session_config_exits_2(tmp_path, capsys):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("agents = 1\n")
+    with pytest.raises(SystemExit) as excinfo:
+        parse_config(["--config", str(config_file)])
+    assert excinfo.value.code == 2
+    assert "invalid session: need at least 2 agents" in capsys.readouterr().err
+
+
 def test_env_seed_fallback(monkeypatch):
     monkeypatch.setenv("MQSS_SEED", "99")
     assert parse_config([]).session.seed == 99
@@ -118,6 +138,28 @@ def test_record_json_round_trip():
     trial, parsed = record_from_json(record_to_json(3, record))
     assert trial == 3
     assert parsed == record
+
+
+def test_record_json_matches_a_sorted_key_dump():
+    attack = collective_attack(CollectiveAttackConfig(probe_overlap=0.5))
+    records = run_rounds(SessionConfig(epsilon=0.05, seed=9), 400) + run_rounds(
+        SessionConfig(n_agents=2, seed=10, attack=attack), 400
+    )
+    for trial, record in enumerate(records):
+        payload = {
+            "trial": trial,
+            "round_index": record.round_index,
+            "spec": {
+                "x": "".join(str(b) for b in record.spec.bits),
+                "b": record.spec.phase,
+            },
+            "modes": [m.value for m in record.modes],
+            "results": list(record.results),
+            "classification": record.classification.value,
+            "probe": record.probe_outcome,
+        }
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert record_to_json(trial, record) == expected
 
 
 def test_transcript_round_trip_through_cli(tmp_path):
@@ -221,3 +263,40 @@ def test_collusion_run_reports_branch_engine(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "engine: branch" in out
+
+
+@pytest.mark.parametrize(
+    "error", [BatchLimitError, IndeterminateCheckError, InsufficientRawKeyError]
+)
+def test_session_failures_exit_one_with_the_reason(capsys, monkeypatch, error):
+    def fail(config, **kwargs):
+        raise error("no key this time")
+
+    monkeypatch.setattr(cli_module, "run_session", fail)
+    assert main(["--secret-bits", "2"]) == 1
+    assert "error: no key this time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_programming_errors_are_not_swallowed(monkeypatch, error):
+    def fail(config, **kwargs):
+        raise error("a bug")
+
+    monkeypatch.setattr(cli_module, "run_session", fail)
+    with pytest.raises(error):
+        main(["--secret-bits", "2"])
+
+
+@pytest.mark.parametrize("attack", [
+    ["--attack", "collective"],
+    ["--attack", "collusion", "--colluders", "1", "--victim", "2", "--agents", "2",
+     "--secret-bits", "1"],
+])
+def test_a_short_trial_count_is_raised_with_a_warning(capsys, attack):
+    assert main(attack + ["--trials", "20", "--seed", "6"]) == EXIT_OK
+    captured = capsys.readouterr()
+    kind = attack[1]
+    assert f"warning: --trials 20 raised to 1000 for --attack {kind}" in captured.err
+    assert "trials=1000" in captured.out
+    assert main(attack + ["--trials", "1000", "--seed", "6"]) == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
