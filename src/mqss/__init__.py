@@ -20,6 +20,7 @@ from .channel import ClassicalLog, QubitChannel, broadcast, transmit
 from .ghz import GhzSpec, HadamardPattern, prepare
 from .protocol import (
     Mode,
+    RoundBatch,
     RoundCase,
     RoundRecord,
     SessionConfig,
@@ -41,6 +42,7 @@ __all__ = [
     "Mode",
     "PureState",
     "QubitChannel",
+    "RoundBatch",
     "RoundCase",
     "RoundRecord",
     "SessionConfig",

@@ -187,8 +187,9 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 
     Precedence: command-line flags, then config-file values, then the
     MQSS_SEED environment variable (seed only), then built-in defaults.
-    Invalid values and combinations, including a session config that
-    ``SessionConfig`` rejects, exit with the usage status.
+    Invalid values and combinations, including a set MQSS_SEED that is not
+    an integer and a session config that ``SessionConfig`` rejects, exit
+    with the usage status.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -198,7 +199,12 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     secret_bits = _pick(parser, args.secret_bits, file_values, "secret-bits", int, 16)
     epsilon = _pick(parser, args.epsilon, file_values, "epsilon", float, 0.0)
     env_seed = os.environ.get(SEED_ENV_VAR)
-    seed_default = int(env_seed) if env_seed and env_seed.lstrip("-").isdigit() else 0
+    seed_default = 0
+    if env_seed:
+        try:
+            seed_default = int(env_seed)
+        except ValueError:
+            parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
     seed = _pick(parser, args.seed, file_values, "seed", int, seed_default)
     trials = _pick(parser, args.trials, file_values, "trials", int, 1)
     attack_kind = _pick(parser, args.attack, file_values, "attack", str, "none")
@@ -342,11 +348,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     report.engine = round_engine(attacked)
 
     if config.rounds_only is not None:
-        records = run_rounds(attacked, config.rounds_only)
-        report.case_counts = case_counts(records)
-        report.rounds_total = len(records)
+        batch = run_rounds(attacked, config.rounds_only)
+        report.case_counts = case_counts(batch)
+        report.rounds_total = len(batch.specs)
         if config.transcript:
-            write_transcript(config.transcript, [(0, records)])
+            write_transcript(config.transcript, [(0, batch.records())])
     elif config.attack_kind == "collective":
         trials = _monte_carlo_trials(config)
         report.leakage = estimate_leakage(
@@ -387,17 +393,20 @@ def _run_sessions(
 ) -> None:
     collect = config.transcript is not None
     verdicts = {verdict.value: 0 for verdict in Verdict}
-    counts = case_counts(())
+    counts = {case.value: 0 for case in RoundCase}
     matches = 0
     step5_rates = []
     step6_rates = []
     grouped = []
     for trial in range(config.trials):
         session = replace(attacked, seed=child_seed(config.session.seed, trial))
-        # the final attempt's records: the rounds the session's stats count
-        outcome = run_session(session, collect_records=True)
+        outcome = run_session(session, collect_records=collect)
         verdicts[outcome.verdict.value] += 1
-        case_counts(outcome.records or (), into=counts)
+        stats = outcome.stats
+        for case, rounds in zip(RoundCase, (
+            stats.case1_rounds, stats.case2_rounds, stats.case3_rounds, stats.discarded_rounds
+        )):
+            counts[case.value] += rounds
         if outcome.verdict is Verdict.COMPLETED:
             matches += outcome.reconstructed == outcome.secret
         if outcome.stats.step5_error_rate is not None:

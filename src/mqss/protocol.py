@@ -15,9 +15,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import repeat
 from math import sqrt
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from . import branch
 from .channel import ClassicalLog, Interceptor, broadcast
 from .ghz import GhzSpec, prepare, sample_specs
 from .statevec import (
+    MAX_QUBITS,
     PAULI_X,
     apply_gate,
     derived_rng,
@@ -73,7 +74,7 @@ def participant_labels(n_agents: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Everything one round produced, ordered dealer first, then agents."""
+    """One played round, dealer first: a row that ``RoundBatch.records()`` exports."""
 
     round_index: int
     spec: GhzSpec
@@ -91,7 +92,8 @@ class RoundAttack:
     state of that attack; the server reads the probe back after the
     participants measure. ``z_taps`` Z-measures a transmission in transit at
     the given rate: rate 1 taps every round, and a lower rate first spends
-    one draw on its schedule. ``interceptors`` are arbitrary callables on the
+    one draw on its schedule, then takes its measurement draw whether or
+    not it fires. ``interceptors`` are arbitrary callables on the
     dense state, applied after channel noise and before a Z tap; a round
     with any of them runs on the dense engine. Taps and interceptors are
     keyed by particle position (1 = dealer, 1+i = agent i).
@@ -126,6 +128,8 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.n_agents < 2:
             raise ValueError("need at least 2 agents")
+        if self.n_agents + 1 > MAX_QUBITS:
+            raise ValueError(f"at most {MAX_QUBITS - 1} agents supported")
         if self.secret_bits < 1:
             raise ValueError("secret must have at least 1 bit")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -172,22 +176,37 @@ def round_engine(config: SessionConfig) -> str:
 
 @dataclass(frozen=True, eq=False)
 class RoundBatch:
-    """Rounds played together: one row per spec, columns dealer first."""
+    """Played rounds: one row per spec, columns dealer first.
+
+    The one in-memory form of played rounds: the step-5 check, sifting and
+    the case tally read these arrays. ``records()`` exports them as
+    ``RoundRecord``s for transcripts and callers that ask for them.
+    """
 
     specs: Sequence[GhzSpec]
     share: np.ndarray  # R x q booleans: the participant chose Share mode
     results: np.ndarray  # R x q measurement results
     probe: Optional[np.ndarray] = None  # R probe readouts (collective attack)
-    start: int = 0  # round index of the first row
+
+    @classmethod
+    def join(cls, batches: Sequence["RoundBatch"]) -> "RoundBatch":
+        """The batches' rows in order, as one batch."""
+        probes = [batch.probe for batch in batches]
+        return cls(
+            [spec for batch in batches for spec in batch.specs],
+            np.concatenate([batch.share for batch in batches]),
+            np.concatenate([batch.results for batch in batches]),
+            None if probes[0] is None else np.concatenate(probes),
+        )
 
     def records(self) -> list[RoundRecord]:
-        """One ``RoundRecord`` per row, numbered from ``start``."""
+        """One ``RoundRecord`` per row, numbered from 0."""
         q = self.share.shape[1]
         codes = self.share @ (1 << np.arange(q))
         probes = self.probe.tolist() if self.probe is not None else repeat(None)
         records = []
-        for index, spec, code, results, probe in zip(
-            count(self.start), self.specs, codes.tolist(), self.results.tolist(), probes
+        for index, (spec, code, results, probe) in enumerate(
+            zip(self.specs, codes.tolist(), self.results.tolist(), probes)
         ):
             modes, case = _modes_and_case(code, q)
             records.append(RoundRecord(index, spec, modes, tuple(results), case, probe))
@@ -205,7 +224,6 @@ def play_rounds(
     config: SessionConfig,
     specs: Sequence[GhzSpec],
     rng,
-    start: int = 0,
     forced_modes: Optional[Sequence[Mode]] = None,
 ) -> RoundBatch:
     """Execute one full distribution round per spec, in order.
@@ -218,10 +236,11 @@ def play_rounds(
     The rounds run together on the exact branch engine (``mqss.branch``)
     unless ``round_engine(config)`` is ``"dense"``, which plays them one
     after another. Either way each round takes the same draws in the same
-    order: the mode draws, then per particle the noise draw, any tap
-    schedule draw and the tap's and the owner's measurement draws, and last
-    the probe draw. So both engines give the same rounds and leave ``rng``
-    in the same state.
+    order: the mode draws, then per particle the noise draw, any tap's
+    schedule and measurement draws and the owner's measurement draw, and
+    last the probe draw. So every round of a batch takes the same number of
+    draws, and both engines give the same rounds and leave ``rng`` in the
+    same state.
     """
     q = config.particle_count
     for spec in specs:
@@ -234,19 +253,17 @@ def play_rounds(
         forced = np.array([mode is Mode.SHARE for mode in forced_modes])
     play = _play_dense if round_engine(config) == "dense" else _play_on_branches
     share, results, probe = play(config, specs, rng, forced)
-    return RoundBatch(specs, share, results, probe, start)
+    return RoundBatch(specs, share, results, probe)
 
 
 def run_round(
     config: SessionConfig,
     spec: GhzSpec,
     rng,
-    round_index: int = 0,
     forced_modes: Optional[Sequence[Mode]] = None,
 ) -> RoundRecord:
     """Execute one full distribution round: ``play_rounds`` of one spec."""
-    batch = play_rounds(config, [spec], rng, round_index, forced_modes)
-    return batch.records()[0]
+    return play_rounds(config, [spec], rng, forced_modes).records()[0]
 
 
 def _play_on_branches(config: SessionConfig, specs, rng, forced):
@@ -270,14 +287,13 @@ def _play_on_branches(config: SessionConfig, specs, rng, forced):
         steps.append((noise, schedule, rate, tap, width))
         width += 1
     probe_column, width = width, width + (attack.collective is not None)
-    partial = [(schedule, rate) for _, schedule, rate, _, _ in steps if schedule is not None]
-    draws = _draw_rows(rng, len(specs), width, partial)
+    draws = rng.random(size=(len(specs), width))
 
     rounds = len(specs)
     share = draws[:, :q] < 0.5 if forced is None else np.broadcast_to(forced, (rounds, q))
-    bits = np.array([spec.bits for spec in specs], dtype=bool).reshape(rounds, q)
-    phases = [spec.phase for spec in specs]
-    pairs = branch.BranchPairs.ghz(bits, phases, attack.collective)
+    pairs = branch.BranchPairs.ghz(
+        _pattern_bits(specs, q), [spec.phase for spec in specs], attack.collective
+    )
     for column, (noise, schedule, rate, tap, measure) in enumerate(steps):
         if noise is not None:
             pairs.flip(column, draws[:, noise] < epsilon)
@@ -291,43 +307,9 @@ def _play_on_branches(config: SessionConfig, specs, rng, forced):
     return share, pairs.results, probe
 
 
-def _draw_rows(rng, rounds: int, width: int, partial_taps) -> np.ndarray:
-    """Every round's draws as a row of ``width`` columns, in stream order.
-
-    ``partial_taps`` lists the (schedule column, rate) of each tap whose
-    rate is below 1. Its measurement draw, in the next column, is taken
-    only when the schedule draw fires; where it did not fire, that column
-    repeats the next draw and goes unread. Nothing is drawn past what the
-    rounds consume, so the draws that follow see the stream they would see
-    after the rounds played one at a time.
-    """
-    if not partial_taps:
-        return rng.random(size=(rounds, width))
-    fixed = width - len(partial_taps)  # the draws of a round where no tap fires
-    flat = rng.random(rounds * fixed).tolist()
-    fired = np.zeros((rounds, len(partial_taps)), dtype=bool)
-    starts = []
-    start = extra = 0
-    for row in range(rounds):
-        starts.append(start)
-        skipped = 0
-        for tap, (column, rate) in enumerate(partial_taps):
-            position = start + column - skipped
-            if position >= len(flat):
-                # draw what the rounds surely consume: their fixed draws plus
-                # one per tap found to fire so far
-                flat += rng.random(rounds * fixed + extra - len(flat)).tolist()
-            if flat[position] < rate:
-                fired[row, tap] = True
-                extra += 1
-            else:
-                skipped += 1
-        start += width - skipped
-    flat += rng.random(rounds * fixed + extra - len(flat)).tolist()
-    measures = np.array([column + 1 for column, _ in partial_taps])
-    missing = (~fired).astype(np.int64) @ (measures[:, None] < np.arange(width))
-    offsets = np.array(starts, dtype=np.int64)[:, None] + np.arange(width) - missing
-    return np.asarray(flat)[offsets]
+def _pattern_bits(specs: Sequence[GhzSpec], q: int) -> np.ndarray:
+    """The specs' announced patterns as an R x q boolean array."""
+    return np.array([spec.bits for spec in specs], dtype=bool).reshape(len(specs), q)
 
 
 def _play_dense(config: SessionConfig, specs, rng, forced):
@@ -352,8 +334,11 @@ def _play_dense(config: SessionConfig, specs, rng, forced):
             if hook is not None:
                 state = hook(state, particle, rng)
             rate = taps.get(particle)
-            if rate is not None and (rate >= 1.0 or rng.random() < rate):
-                _, state, _ = measure_z(state, particle, rng)
+            if rate is not None:
+                if rate >= 1.0 or rng.random() < rate:
+                    _, state, _ = measure_z(state, particle, rng)
+                else:
+                    rng.random()  # an idle tap still takes its measurement draw
             measure = measure_after_hadamard if share[row, particle - 1] else measure_z
             results[row, particle - 1], state, _ = measure(state, particle, rng)
         if probe is not None:
@@ -367,56 +352,37 @@ def classify_round(modes: Sequence[Mode]) -> RoundCase:
     A single checker is discarded outright: the lone unmeasured-by-Hadamard
     particle ends up in an X-basis state, so its Z result carries nothing.
     """
-    checks = modes.count(Mode.CHECK)
+    return _case_of(modes.count(Mode.CHECK), len(modes))
+
+
+def _case_of(checks: int, participants: int) -> RoundCase:
+    """The case of a round with ``checks`` checkers among ``participants``."""
     if checks == 0:
         return RoundCase.CASE1
-    if checks == len(modes):
+    if checks == participants:
         return RoundCase.CASE2
     if checks >= 2:
         return RoundCase.CASE3
     return RoundCase.DISCARD
 
 
-def check_mismatch(record: RoundRecord, spec: GhzSpec) -> int:
-    """Pattern check over the checkers' positions; sharers' results are ignored.
-
-    Returns the Hamming distance from the checkers' results to the nearer of
-    the announced pattern and its complement, restricted to those positions:
-    0 means the round passes. Only case2 and case3 rounds carry a check.
-    """
-    if record.classification not in (RoundCase.CASE2, RoundCase.CASE3):
-        raise ValueError(f"a {record.classification.value} round carries no check")
-    checkers = [i for i, mode in enumerate(record.modes) if mode is Mode.CHECK]
-    direct = sum(1 for i in checkers if record.results[i] != spec.bits[i])
-    return min(direct, len(checkers) - direct)
-
-
 # --- sifting and verification -------------------------------------------------
 
 
-def sift(
-    records: Sequence[RoundRecord], announced_specs: Sequence[GhzSpec]
-) -> tuple[tuple[int, ...], ...]:
+def sift(batch: RoundBatch) -> tuple[tuple[int, ...], ...]:
     """Raw keys (dealer first) from the all-Share rounds.
 
     Each agent keeps their measured bit. The dealer folds the announced
     phase bit into hers so the parity relation between her key and the
     agents' keys holds for every announced state, not only phase-0 ones.
     """
-    if len(announced_specs) < len(records):
-        raise ValueError("announced specs must cover every record")
-    keys: Optional[list[list[int]]] = None
-    for record, spec in zip(records, announced_specs):
-        if record.classification is not RoundCase.CASE1:
-            continue
-        if keys is None:
-            keys = [[] for _ in record.results]
-        keys[0].append(record.results[0] ^ spec.phase)
-        for i, bit in enumerate(record.results[1:], start=1):
-            keys[i].append(bit)
-    if keys is None:
+    case1 = batch.share.all(axis=1)
+    if not case1.any():
         return ()
-    return tuple(tuple(k) for k in keys)
+    keys = batch.results[case1]
+    phases = np.array([spec.phase for spec in batch.specs], dtype=np.uint8)
+    keys[:, 0] ^= phases[case1]
+    return tuple(map(tuple, keys.T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -430,43 +396,33 @@ class Step5Report:
     passed: bool
 
 
-def verify_step5(
-    records: Sequence[RoundRecord],
-    announced_specs: Sequence[GhzSpec],
-    base_threshold: float = 0.0,
-) -> Step5Report:
-    """Pattern verification over the check rounds.
+def verify_step5(batch: RoundBatch, base_threshold: float = 0.0) -> Step5Report:
+    """Pattern verification over the rounds with two or more checkers.
 
-    The error rate is measured per checked position (Hamming distance to
-    the nearer of pattern/complement), which is the unit the noise-rate
-    threshold is calibrated in; whole-round pass/fail counts are also
-    reported.
+    A round passes when its checkers' results match the announced pattern
+    or its complement there; sharers' results are ignored. The error rate
+    is measured per checked position (Hamming distance to the nearer of
+    pattern/complement), the unit the noise-rate threshold is calibrated
+    in; whole-round pass/fail counts are also reported.
     """
-    if len(announced_specs) < len(records):
-        raise ValueError("announced specs must cover every record")
-    mismatches = 0
-    positions_checked = 0
-    round_failures = 0
-    checked_rounds = 0
-    for record, spec in zip(records, announced_specs):
-        if record.classification in (RoundCase.CASE1, RoundCase.DISCARD):
-            continue
-        distance = check_mismatch(record, spec)
-        mismatches += distance
-        positions_checked += record.modes.count(Mode.CHECK)
-        checked_rounds += 1
-        if distance > 0:
-            round_failures += 1
+    checkers = ~batch.share
+    checks = checkers.sum(axis=1)
+    q = checkers.shape[1]
+    direct = ((batch.results != _pattern_bits(batch.specs, q)) & checkers).sum(axis=1)
+    checked = checks >= 2
+    distance = np.minimum(direct, checks - direct)[checked]
+    positions_checked = int(checks[checked].sum())
     if positions_checked == 0:
         raise IndeterminateCheckError("no check-mode rounds available")
+    mismatches = int(distance.sum())
     error_rate = mismatches / positions_checked
     threshold = effective_threshold(base_threshold, positions_checked)
     return Step5Report(
         error_rate=error_rate,
         mismatches=mismatches,
         checked_positions=positions_checked,
-        round_failures=round_failures,
-        checked_rounds=checked_rounds,
+        round_failures=int(np.count_nonzero(distance)),
+        checked_rounds=len(distance),
         threshold=threshold,
         passed=error_rate <= threshold,
     )
@@ -622,28 +578,25 @@ def run_session(
     return outcome
 
 
-def case_counts(
-    records: Iterable[RoundRecord], into: Optional[dict[str, int]] = None
-) -> dict[str, int]:
-    """Rounds per case, keyed by ``RoundCase`` value; every case is present.
-
-    Counts into ``into`` when given, so tallies over many sessions add up.
-    """
-    counts = {case.value: 0 for case in RoundCase} if into is None else into
-    for record in records:
-        counts[record.classification.value] += 1
+def case_counts(batch: RoundBatch) -> dict[str, int]:
+    """Rounds per case, keyed by ``RoundCase`` value; every case is present."""
+    counts = {case.value: 0 for case in RoundCase}
+    q = batch.share.shape[1]
+    per_checks = np.bincount(q - batch.share.sum(axis=1), minlength=q + 1)
+    for checks, rounds in enumerate(per_checks.tolist()):
+        counts[_case_of(checks, q).value] += rounds
     return counts
 
 
 def _stats(
-    records: Sequence[RoundRecord],
+    batch: RoundBatch,
     step5: Optional[Step5Report],
     step6: Optional[Step6Report],
     attempts: int,
 ) -> SessionStats:
-    counts = case_counts(records)
+    counts = case_counts(batch)
     return SessionStats(
-        rounds_used=len(records),
+        rounds_used=len(batch.specs),
         case1_rounds=counts[RoundCase.CASE1.value],
         case2_rounds=counts[RoundCase.CASE2.value],
         case3_rounds=counts[RoundCase.CASE3.value],
@@ -666,47 +619,44 @@ def _run_attempt(
 ) -> SessionOutcome:
     q = config.particle_count
     m = config.secret_bits
-    log = ClassicalLog()
-    records: list[RoundRecord] = []
-    specs: list[GhzSpec] = []
+    batches: list[RoundBatch] = []
 
     case1 = 0
-    batches = 0
     while case1 < 2 * m:
-        if batches >= _MAX_BATCHES:
+        if len(batches) >= _MAX_BATCHES:
             raise BatchLimitError(
                 f"{_MAX_BATCHES} batches of rounds gave {case1} of {2 * m} raw key bits"
             )
         # full batch first; smaller top-ups cover any raw-bit shortfall
-        size = config.batch_size if batches == 0 else max(config.batch_size // 4, 8)
-        batch = play_rounds(config, sample_specs(rng, size, q), rng, start=len(records))
-        for record in batch.records():
-            broadcast(log, "dealer", {"round": record.round_index, "ack": True})
-            records.append(record)
-        specs.extend(batch.specs)
+        size = config.batch_size if not batches else max(config.batch_size // 4, 8)
+        batch = play_rounds(config, sample_specs(rng, size, q), rng)
         case1 += int(np.count_nonzero(batch.share.all(axis=1)))
-        batches += 1
+        batches.append(batch)
+    batch = RoundBatch.join(batches)
 
-    broadcast(log, "tp", {"announced_specs": len(specs)})
+    log = ClassicalLog()
+    for index in range(len(batch.specs)):
+        broadcast(log, "dealer", {"round": index, "ack": True})
+    broadcast(log, "tp", {"announced_specs": len(batch.specs)})
 
     def outcome(verdict, step5=None, step6=None, **fields) -> SessionOutcome:
         return SessionOutcome(
             verdict=verdict,
-            stats=_stats(records, step5, step6, attempt),
-            records=tuple(records) if collect_records else None,
+            stats=_stats(batch, step5, step6, attempt),
+            records=tuple(batch.records()) if collect_records else None,
             engine=round_engine(config),
             log=log,
             **fields,
         )
 
     try:
-        step5 = verify_step5(records, specs, config.epsilon)
+        step5 = verify_step5(batch, config.epsilon)
     except IndeterminateCheckError:
         return outcome(Verdict.ABORTED_STEP5)
     if not step5.passed:
         return outcome(Verdict.ABORTED_STEP5, step5)
 
-    raw_keys = sift(records, specs)
+    raw_keys = sift(batch)
     step6 = verify_step6(raw_keys, m, rng, config.epsilon)
     broadcast(log, "dealer", {"check_positions": step6.check_positions})
     if not step6.passed:
@@ -730,14 +680,9 @@ def _run_attempt(
     )
 
 
-def run_rounds(
-    config: SessionConfig,
-    n_rounds: int,
-    rng=None,
-    forced_modes: Optional[Sequence[Mode]] = None,
-) -> list[RoundRecord]:
+def run_rounds(config: SessionConfig, n_rounds: int, rng=None) -> RoundBatch:
     """Round statistics mode: execute rounds with no sifting or key steps."""
     if rng is None:
         rng = derived_rng(config.seed, 0)
     specs = sample_specs(rng, n_rounds, config.particle_count)
-    return play_rounds(config, specs, rng, forced_modes=forced_modes).records()
+    return play_rounds(config, specs, rng)

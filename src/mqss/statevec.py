@@ -265,5 +265,9 @@ def derived_rng(master_seed: int, *stream: int) -> np.random.Generator:
 
 
 def child_seed(master_seed: int, *stream: int) -> int:
-    """Deterministic integer seed derived from (master seed, indices)."""
-    return int(np.random.SeedSequence((master_seed, *stream)).generate_state(1)[0])
+    """Deterministic 128-bit seed derived from (master seed, indices).
+
+    32-bit seeds repeat within a few hundred thousand trials.
+    """
+    low, high = np.random.SeedSequence((master_seed, *stream)).generate_state(2, np.uint64)
+    return int(high) << 64 | int(low)

@@ -168,7 +168,7 @@ def test_criterion_5_qubit_efficiency():
     n_rounds = 100_000
     config = SessionConfig(n_agents=3, secret_bits=4, seed=55)
     with criterion("criterion 5 (qubit efficiency)"):
-        records = run_rounds(config, n_rounds)
+        records = run_rounds(config, n_rounds).records()
         counts = {case: 0 for case in RoundCase}
         for record in records:
             counts[record.classification] += 1

@@ -21,8 +21,9 @@ from mqss.ghz import GhzSpec, prepare
 from mqss.protocol import (
     Mode,
     SessionConfig,
-    check_mismatch,
+    play_rounds,
     run_round,
+    verify_step5,
 )
 from mqss.statevec import (
     ATOL,
@@ -116,10 +117,11 @@ def test_probe_predicts_branch_when_orthogonal():
     rng = derived_rng(31)
     for _ in range(60):
         spec = GhzSpec(tuple(rng.integers(0, 2, size=4)), int(rng.integers(0, 2)))
-        record = run_round(config, spec, rng, forced_modes=[C] * 4)
+        batch = play_rounds(config, [spec], rng, forced_modes=[C] * 4)
+        record = batch.records()[0]
         took_complement = record.results[0] != spec.bits[0]
         assert record.probe_outcome == int(took_complement)
-        assert check_mismatch(record, spec) == 0
+        assert verify_step5(batch).mismatches == 0
 
 
 # --- collective attack: measured trade-off ------------------------------------
@@ -184,20 +186,19 @@ def test_intercepted_check_rounds_are_indistinguishable():
     rng = derived_rng(41)
     for _ in range(200):
         spec = GhzSpec(tuple(rng.integers(0, 2, size=4)), int(rng.integers(0, 2)))
-        record = run_round(config, spec, rng, forced_modes=[C] * 4)
-        assert check_mismatch(record, spec) == 0
+        batch = play_rounds(config, [spec], rng, forced_modes=[C] * 4)
+        assert verify_step5(batch).mismatches == 0
 
 
 def test_z_basis_interception_leaves_pattern_checks_clean():
     # the Z collapse commutes with every Z-basis comparison, so the
     # post-distribution pattern verification cannot see this attack at all;
     # only the key-parity check catches it
-    from mqss.protocol import run_rounds, verify_step5
+    from mqss.protocol import run_rounds
 
     attack = measure_resend_attack(MeasureResendConfig(target=2))
     config = SessionConfig(n_agents=3, secret_bits=4, seed=47, attack=attack)
-    records = run_rounds(config, 4_000)
-    report = verify_step5(records, [r.spec for r in records])
+    report = verify_step5(run_rounds(config, 4_000))
     assert report.error_rate == 0.0
     assert report.round_failures == 0
 
@@ -205,7 +206,7 @@ def test_z_basis_interception_leaves_pattern_checks_clean():
 def test_basis_mismatched_interceptor_trips_pattern_checks():
     # sanity check that the pattern verification is not vacuous: a tap that
     # measures in the Hadamard basis disturbs Z statistics and gets caught
-    from mqss.protocol import run_rounds, verify_step5
+    from mqss.protocol import run_rounds
     from mqss.statevec import HADAMARD, apply_gate, measure_z
 
     def x_basis_tap(state, particle, rng):
@@ -219,8 +220,7 @@ def test_basis_mismatched_interceptor_trips_pattern_checks():
         n_agents=3, secret_bits=4, seed=48,
         attack=RoundAttack(interceptors={3: x_basis_tap}),
     )
-    records = run_rounds(config, 2_000)
-    report = verify_step5(records, [r.spec for r in records])
+    report = verify_step5(run_rounds(config, 2_000))
     assert report.error_rate > 0.0
     assert not report.passed
 

@@ -23,6 +23,7 @@ from mqss.ghz import GhzSpec, prepare, sample_specs
 from mqss.protocol import (
     Mode,
     RoundAttack,
+    RoundBatch,
     SessionConfig,
     play_rounds,
     round_engine,
@@ -347,8 +348,8 @@ def test_seeded_rounds_identical_on_both_engines(n_agents, epsilon, kind):
     assert round_engine(config) == "branch"
     assert round_engine(dense_config) == "dense"
     exact_rng, dense_rng = derived_rng(config.seed), derived_rng(config.seed)
-    exact = run_rounds(config, 2_000, exact_rng)
-    dense = run_rounds(dense_config, 2_000, dense_rng)
+    exact = run_rounds(config, 2_000, exact_rng).records()
+    dense = run_rounds(dense_config, 2_000, dense_rng).records()
     for fast, oracle in zip(exact, dense):
         assert fast == oracle
     assert len(exact) == len(dense) == 2_000
@@ -367,9 +368,9 @@ def test_a_batch_split_in_two_plays_the_same_rounds(kind, epsilon):
     whole = play_rounds(config, specs, whole_rng).records()
     for cut in (0, 1, 2, 150, 299, 300):
         rng = derived_rng(33)
-        first = play_rounds(config, specs[:cut], rng).records()
-        second = play_rounds(config, specs[cut:], rng, start=cut).records()
-        assert first + second == whole
+        first = play_rounds(config, specs[:cut], rng)
+        second = play_rounds(config, specs[cut:], rng)
+        assert RoundBatch.join([first, second]).records() == whole
         assert rng.bit_generator.state == whole_rng.bit_generator.state
 
 
@@ -408,7 +409,7 @@ def test_rate_one_tap_matches_the_dense_measure_resend_interceptor():
     dense_config = replace(config, attack=RoundAttack(
         interceptors={target.target + 1: measure_resend_interceptor(target)}
     ))
-    assert run_rounds(config, 2_000) == run_rounds(dense_config, 2_000)
+    assert run_rounds(config, 2_000).records() == run_rounds(dense_config, 2_000).records()
 
 
 def test_sessions_report_their_engine():

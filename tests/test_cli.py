@@ -64,6 +64,7 @@ def test_collusion_flags():
         ["--epsilon", "1.5"],
         ["--secret-bits", "0"],
         ["--agents", "1"],
+        ["--agents", "30"],                                  # past the qubit cap
         ["--attack", "measure-resend"],                      # missing victim
         ["--attack", "measure-resend", "--victim", "9"],     # out of range
         ["--attack", "collusion", "--victim", "3"],          # missing colluders
@@ -96,6 +97,15 @@ def test_env_seed_fallback(monkeypatch):
     monkeypatch.setenv("MQSS_SEED", "99")
     assert parse_config([]).session.seed == 99
     assert parse_config(["--seed", "3"]).session.seed == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "--7"])
+def test_a_malformed_env_seed_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("MQSS_SEED", value)
+    with pytest.raises(SystemExit) as excinfo:
+        parse_config([])
+    assert excinfo.value.code == 2
+    assert f"MQSS_SEED must be an integer, got {value!r}" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -142,9 +152,9 @@ def test_record_json_round_trip():
 
 def test_record_json_matches_a_sorted_key_dump():
     attack = collective_attack(CollectiveAttackConfig(probe_overlap=0.5))
-    records = run_rounds(SessionConfig(epsilon=0.05, seed=9), 400) + run_rounds(
+    records = run_rounds(SessionConfig(epsilon=0.05, seed=9), 400).records() + run_rounds(
         SessionConfig(n_agents=2, seed=10, attack=attack), 400
-    )
+    ).records()
     for trial, record in enumerate(records):
         payload = {
             "trial": trial,
@@ -170,7 +180,7 @@ def test_transcript_round_trip_through_cli(tmp_path):
     run_experiment(config)
     entries = read_transcript(path)
     assert len(entries) == 50
-    expected = run_rounds(SessionConfig(seed=5), 50)
+    expected = run_rounds(SessionConfig(seed=5), 50).records()
     assert [record for _, record in entries] == expected
 
 

@@ -11,16 +11,17 @@ from mqss.protocol import (
     IndeterminateCheckError,
     InsufficientRawKeyError,
     Mode,
+    RoundBatch,
     RoundCase,
-    RoundRecord,
     SessionConfig,
     Verdict,
-    check_mismatch,
+    case_counts,
     classify_round,
     combine_shadows,
     effective_threshold,
     finalize_and_share,
     participant_labels,
+    play_rounds,
     run_round,
     run_rounds,
     run_session,
@@ -28,20 +29,25 @@ from mqss.protocol import (
     verify_step5,
     verify_step6,
 )
-from mqss.statevec import derived_rng
+from mqss.statevec import MAX_QUBITS, derived_rng
 
 C, S = Mode.CHECK, Mode.SHARE
 
 
-def make_record(modes, results, spec=None, classification=None):
-    spec = spec or GhzSpec((0,) * len(modes), 0)
-    return RoundRecord(
-        round_index=0,
-        spec=spec,
-        modes=tuple(modes),
-        results=tuple(results),
-        classification=classification or classify_round(modes),
+def make_batch(rows, specs=None):
+    """A hand-built batch: one (modes, results) pair per round."""
+    modes, results = zip(*rows)
+    q = len(modes[0])
+    return RoundBatch(
+        list(specs or [GhzSpec((0,) * q, 0)] * len(rows)),
+        np.array([[mode is S for mode in row] for row in modes]),
+        np.array(results, dtype=np.uint8),
     )
+
+
+def mismatch(modes, results, spec):
+    """The step-5 distance of one round against ``spec``."""
+    return verify_step5(make_batch([(modes, results)], [spec])).mismatches
 
 
 # --- classification -----------------------------------------------------------
@@ -81,28 +87,26 @@ def test_classification_partitions_every_mode_vector(participants):
 
 def test_check_case2_accepts_pattern_and_complement():
     spec = GhzSpec((0, 0, 1, 1), 0)
-    assert check_mismatch(make_record([C] * 4, [0, 0, 1, 1]), spec) == 0
-    assert check_mismatch(make_record([C] * 4, [1, 1, 0, 0]), spec) == 0
-    assert check_mismatch(make_record([C] * 4, [0, 0, 1, 0]), spec) == 1
+    assert mismatch([C] * 4, [0, 0, 1, 1], spec) == 0
+    assert mismatch([C] * 4, [1, 1, 0, 0], spec) == 0
+    assert mismatch([C] * 4, [0, 0, 1, 0], spec) == 1
 
 
 def test_check_case3_examines_only_checkers():
     spec = GhzSpec((0, 0, 0, 1), 0)
     # checkers on particles 3 and 4 (positions 2,3); sharers' bits arbitrary
-    record = make_record([S, S, C, C], [1, 0, 0, 1])
-    assert check_mismatch(record, spec) == 0
-    record = make_record([S, S, C, C], [1, 0, 1, 0])
-    assert check_mismatch(record, spec) == 0
-    record = make_record([S, S, C, C], [1, 0, 0, 0])
-    assert check_mismatch(record, spec) == 1
+    assert mismatch([S, S, C, C], [1, 0, 0, 1], spec) == 0
+    assert mismatch([S, S, C, C], [1, 0, 1, 0], spec) == 0
+    assert mismatch([S, S, C, C], [1, 0, 0, 0], spec) == 1
 
 
-def test_check_case3_requires_case3():
+def test_rounds_without_a_check_are_not_checked():
     spec = GhzSpec((0, 0, 0, 1), 0)
-    with pytest.raises(ValueError):
-        check_mismatch(make_record([S] * 4, [0, 0, 0, 1]), spec)
-    with pytest.raises(ValueError):
-        check_mismatch(make_record([S, C, S, S], [0, 0, 0, 1]), spec)
+    unchecked = [([S] * 4, [1, 1, 1, 1]), ([S, C, S, S], [1, 1, 1, 1])]
+    with pytest.raises(IndeterminateCheckError):
+        verify_step5(make_batch(unchecked, [spec] * 2))
+    report = verify_step5(make_batch(unchecked + [([C] * 4, [0, 0, 0, 1])], [spec] * 3))
+    assert (report.mismatches, report.checked_positions, report.checked_rounds) == (0, 4, 1)
 
 
 # --- round execution ----------------------------------------------------------
@@ -117,9 +121,9 @@ def test_all_check_round_reads_pattern_or_complement():
     rng = derived_rng(11)
     for trial in range(40):
         spec = GhzSpec(tuple(rng.integers(0, 2, size=4)), int(rng.integers(0, 2)))
-        record = run_round(config, spec, rng, forced_modes=[C] * 4)
-        assert record.classification is RoundCase.CASE2
-        assert check_mismatch(record, spec) == 0
+        batch = play_rounds(config, [spec], rng, forced_modes=[C] * 4)
+        assert batch.records()[0].classification is RoundCase.CASE2
+        assert verify_step5(batch).mismatches == 0
 
 
 @pytest.mark.parametrize("phase", [0, 1])
@@ -148,27 +152,21 @@ def test_run_round_rejects_wrong_width_spec():
 def test_sift_folds_phase_into_dealer_key():
     spec0 = GhzSpec((0, 1, 1, 0), 0)
     spec1 = GhzSpec((0, 1, 1, 0), 1)
-    records = [
-        make_record([S] * 4, [1, 1, 0, 0], spec=spec0),
-        make_record([S] * 4, [0, 1, 0, 0], spec=spec1),
-        make_record([C] * 4, [0, 1, 1, 0], spec=spec0),
-    ]
-    keys = sift(records, [spec0, spec1, spec0])
+    batch = make_batch(
+        [([S] * 4, [1, 1, 0, 0]), ([S] * 4, [0, 1, 0, 0]), ([C] * 4, [0, 1, 1, 0])],
+        [spec0, spec1, spec0],
+    )
+    keys = sift(batch)
     assert keys == ((1, 1), (1, 1), (0, 0), (0, 0))
     # parity law: dealer bit equals XOR of agent bits in every column
     for j in range(2):
         assert keys[0][j] == keys[1][j] ^ keys[2][j] ^ keys[3][j]
-
-
-def test_sift_requires_announced_specs():
-    records = [make_record([S] * 4, [0, 0, 0, 0])]
-    with pytest.raises(ValueError):
-        sift(records, [])
+    # sifting reads the batch and leaves it as it was
+    assert batch.results[1].tolist() == [0, 1, 0, 0]
 
 
 def test_sift_no_key_rounds():
-    records = [make_record([C] * 4, [0, 0, 0, 0])]
-    assert sift(records, [records[0].spec]) == ()
+    assert sift(make_batch([([C] * 4, [0, 0, 0, 0])])) == ()
 
 
 # --- verification -------------------------------------------------------------
@@ -180,12 +178,11 @@ def test_effective_threshold_zero_noise_rejects_any_error():
 
 def test_verify_step5_honest_perfect():
     spec = GhzSpec((1, 0, 1, 0), 0)
-    records = [
-        make_record([C] * 4, [1, 0, 1, 0], spec=spec),
-        make_record([C] * 4, [0, 1, 0, 1], spec=spec),
-        make_record([S, C, C, S], [0, 0, 1, 1], spec=spec),
-    ]
-    report = verify_step5(records, [spec] * 3)
+    batch = make_batch(
+        [([C] * 4, [1, 0, 1, 0]), ([C] * 4, [0, 1, 0, 1]), ([S, C, C, S], [0, 0, 1, 1])],
+        [spec] * 3,
+    )
+    report = verify_step5(batch)
     assert report.error_rate == 0.0
     assert report.passed
     assert report.checked_rounds == 3
@@ -193,9 +190,7 @@ def test_verify_step5_honest_perfect():
 
 
 def test_verify_step5_counts_mismatched_positions():
-    spec = GhzSpec((0, 0, 0, 0), 0)
-    records = [make_record([C] * 4, [0, 0, 0, 1], spec=spec)]
-    report = verify_step5(records, [spec])
+    report = verify_step5(make_batch([([C] * 4, [0, 0, 0, 1])]))
     assert report.mismatches == 1
     assert report.error_rate == pytest.approx(0.25)
     assert report.round_failures == 1
@@ -203,9 +198,71 @@ def test_verify_step5_counts_mismatched_positions():
 
 
 def test_verify_step5_without_check_rounds_is_indeterminate():
-    records = [make_record([S] * 4, [0, 0, 0, 0])]
     with pytest.raises(IndeterminateCheckError):
-        verify_step5(records, [records[0].spec])
+        verify_step5(make_batch([([S] * 4, [0, 0, 0, 0])]))
+
+
+def per_round_oracle(specs, share, results):
+    """Case tally, step-5 figures and raw keys, one round at a time."""
+    q = len(specs[0].bits)
+    cases = {case.value: 0 for case in RoundCase}
+    step5 = {"mismatches": 0, "checked_positions": 0, "round_failures": 0,
+             "checked_rounds": 0}
+    keys = [[] for _ in range(q)]
+    for spec, shares, bits in zip(specs, share.tolist(), results.tolist()):
+        checkers = [i for i in range(q) if not shares[i]]
+        if not checkers:
+            cases["case1"] += 1
+            keys[0].append(bits[0] ^ spec.phase)
+            for i in range(1, q):
+                keys[i].append(bits[i])
+            continue
+        if len(checkers) == 1:
+            cases["discard"] += 1
+            continue
+        cases["case2" if len(checkers) == q else "case3"] += 1
+        to_pattern = sum(bits[i] != spec.bits[i] for i in checkers)
+        to_complement = sum(bits[i] == spec.bits[i] for i in checkers)
+        step5["mismatches"] += min(to_pattern, to_complement)
+        step5["checked_positions"] += len(checkers)
+        step5["round_failures"] += min(to_pattern, to_complement) > 0
+        step5["checked_rounds"] += 1
+    return cases, step5, tuple(map(tuple, keys)) if keys[0] else ()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batch_checks_match_a_per_round_oracle(seed):
+    rng = np.random.default_rng(seed)
+    q = 3 + seed % 4
+    rounds = 600
+    specs = [
+        GhzSpec(tuple(int(b) for b in rng.integers(0, 2, size=q)), int(rng.integers(0, 2)))
+        for _ in range(rounds)
+    ]
+    share = rng.random((rounds, q)) < 0.5
+    # each round reads the pattern or its complement, then a few bits flip
+    pattern = np.array([spec.bits for spec in specs], dtype=np.uint8)
+    complement = rng.random((rounds, 1)) < 0.5
+    flips = rng.random((rounds, q)) < 0.1
+    results = (pattern ^ complement ^ flips).astype(np.uint8)
+    batch = RoundBatch(specs, share, results)
+    cases, step5, keys = per_round_oracle(specs, share, results)
+    assert min(cases.values()) > 0
+    # some checked rounds pass by reading the complement
+    checkers = ~share
+    assert (complement[:, 0] & (checkers.sum(axis=1) >= 2) & ~(flips & checkers).any(axis=1)).any()
+
+    report = verify_step5(batch, 0.05)
+    figures = {name: getattr(report, name) for name in step5}
+    assert figures == step5
+    assert 0 < report.round_failures < report.checked_rounds
+    assert report.error_rate == step5["mismatches"] / step5["checked_positions"]
+    assert report.threshold == effective_threshold(0.05, step5["checked_positions"])
+    assert sift(batch) == keys
+    assert case_counts(batch) == cases
+    for record in batch.records():
+        cases[record.classification.value] -= 1
+    assert set(cases.values()) == {0}
 
 
 class PresetChoiceRng:
@@ -344,7 +401,7 @@ def test_session_with_noise_keeps_parity_checks_clean():
 
 def test_round_statistics_match_classification_combinatorics():
     config = SessionConfig(n_agents=3, secret_bits=4, seed=17)
-    records = run_rounds(config, 20_000)
+    records = run_rounds(config, 20_000).records()
     counts = {case: 0 for case in RoundCase}
     for record in records:
         counts[record.classification] += 1
@@ -368,3 +425,6 @@ def test_config_validation():
         SessionConfig(secret_bits=0)
     with pytest.raises(ValueError):
         SessionConfig(epsilon=-0.1)
+    SessionConfig(n_agents=MAX_QUBITS - 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_QUBITS - 1} agents"):
+        SessionConfig(n_agents=MAX_QUBITS)
