@@ -24,13 +24,13 @@ import numpy as np
 
 from .branch import probe_kets, to_state
 from .channel import Interceptor
-from .ghz import GhzSpec, sample_specs
+from .ghz import GhzSpec, sample_patterns
 from .protocol import (  # noqa: F401 - perfbench's tracer wraps run_round here
     Mode,
     RoundAttack,
     SessionConfig,
     Verdict,
-    play_rounds,
+    play_patterns,
     run_round,
     run_session,
 )
@@ -188,25 +188,20 @@ def estimate_leakage(
         rng = derived_rng(session.seed, 983)
     attacked = replace(session, attack=collective_attack(config))
     q = attacked.particle_count
-    victim_position = victim  # dealer-first vectors: agent i sits at index i
 
     def play(mode):
-        """One phase's results and probe readouts, with the victim's
-        announced pattern bits and the phases; its specs die here."""
-        specs = sample_specs(rng, trials, q)
-        batch = play_rounds(attacked, specs, rng, forced_modes=[mode] * q)
-        announced = np.array([(spec.bits[victim_position], spec.phase) for spec in specs])
-        return batch.results, batch.probe, announced[:, 0], announced[:, 1]
+        bits, phases = sample_patterns(rng, trials, q)
+        return play_patterns(attacked, bits, phases, rng, forced_modes=[mode] * q)
 
-    results, probe, _, phases = play(Mode.SHARE)
-    parity = np.bitwise_xor.reduce(results, axis=1)
-    parity_failures = int(np.count_nonzero(parity != phases))
-    sifted_counts = _counts(probe, results[:, victim_position])
+    batch = play(Mode.SHARE)  # dealer-first columns: agent i sits at column i
+    parity = np.bitwise_xor.reduce(batch.results, axis=1)
+    parity_failures = int(np.count_nonzero(parity != batch.phases))
+    sifted_counts = _counts(batch.probe, batch.results[:, victim])
 
     # compare against the announced pattern so the probe/branch channel
     # is scored identically for every announced state
-    results, probe, pattern, _ = play(Mode.CHECK)
-    check_counts = _counts(probe, results[:, victim_position] ^ pattern)
+    batch = play(Mode.CHECK)
+    check_counts = _counts(batch.probe, batch.results[:, victim] ^ batch.bits[:, victim])
 
     return LeakageEstimate(
         mutual_information=mutual_information_bits(check_counts),

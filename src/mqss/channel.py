@@ -14,7 +14,7 @@ link on its own, on the dense engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .statevec import PAULI_X, PureState, apply_gate
 
@@ -53,30 +53,55 @@ def transmit(
     return state
 
 
+class _Acks(NamedTuple):
+    """A run of per-round acknowledgements, kept as one log item."""
+
+    sender: str
+    rounds: range
+
+
 class ClassicalLog:
     """Append-only authenticated broadcast record.
 
     Messages can be read by every party (eavesdropping is free) but never
-    modified or removed once appended.
+    modified or removed once appended. A run of per-round acks
+    (``acknowledge``) is stored as one item and read back as one
+    ``(sender, {"round": i, "ack": True})`` entry per round; length and
+    equality are those of that expanded view.
     """
 
     def __init__(self) -> None:
-        self._entries: list[tuple[str, Any]] = []
+        self._items: list = []  # (sender, message) entries and _Acks runs
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(item.rounds) if isinstance(item, _Acks) else 1 for item in self._items)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassicalLog):
             return NotImplemented
-        return self._entries == other._entries
+        return self.entries == other.entries
 
     @property
     def entries(self) -> tuple[tuple[str, Any], ...]:
-        return tuple(self._entries)
+        entries: list[tuple[str, Any]] = []
+        for item in self._items:
+            if isinstance(item, _Acks):
+                entries.extend((item.sender, {"round": i, "ack": True}) for i in item.rounds)
+            else:
+                entries.append(item)
+        return tuple(entries)
 
 
 def broadcast(log: ClassicalLog, sender: str, message: Any) -> ClassicalLog:
     """Append a message visible to all parties; returns the same log."""
-    log._entries.append((sender, message))
+    log._items.append((sender, message))
+    return log
+
+
+def acknowledge(log: ClassicalLog, sender: str, rounds: int) -> ClassicalLog:
+    """Append ``sender``'s acks of rounds 0 .. ``rounds`` - 1 as one run.
+
+    Reads back as ``rounds`` broadcasts of ``{"round": i, "ack": True}``.
+    """
+    log._items.append(_Acks(sender, range(rounds)))
     return log

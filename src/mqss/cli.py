@@ -350,7 +350,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     if config.rounds_only is not None:
         batch = run_rounds(attacked, config.rounds_only)
         report.case_counts = case_counts(batch)
-        report.rounds_total = len(batch.specs)
+        report.rounds_total = len(batch)
         if config.transcript:
             write_transcript(config.transcript, [(0, batch.records())])
     elif config.attack_kind == "collective":

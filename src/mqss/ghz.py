@@ -7,12 +7,18 @@ arbitrary proper subset, without running the gate-by-gate evolution. The
 dense engine prepares its honest states with ``prepare``; only the test
 suite uses the closed-form predictors, checking them against the
 gate-by-gate engine as an independent oracle.
+
+The server's draws come from ``sample_patterns`` as arrays, which is the
+form the batch engine and the session checks read; a ``GhzSpec`` is built
+only where one state is described on its own (records, transcripts, the
+dense oracle), and ``sample_specs`` draws the same states as specs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import Optional
 
 import numpy as np
 
@@ -94,26 +100,44 @@ def _int_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def _trusted_spec(bits: tuple[int, ...], phase: int) -> GhzSpec:
-    # fast path for sample_specs, whose draws are 0/1 by construction
-    spec = object.__new__(GhzSpec)
-    object.__setattr__(spec, "bits", bits)
-    object.__setattr__(spec, "phase", phase)
-    return spec
+def sample_patterns(
+    rng, count: int, qubit_count: int, chunk_rows: Optional[int] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly random patterns and phase bits of the states the server prepares.
 
-
-def sample_specs(rng, count: int, qubit_count: int) -> list[GhzSpec]:
-    """Uniformly random (pattern, phase) descriptors the server prepares.
-
-    Draws every pattern bit in one call, then every phase bit in another.
+    Returns a count x q boolean array of pattern bits and a uint8 array of
+    phase bits. Draws every pattern bit, then every phase bit, at most
+    ``chunk_rows`` rows per ``rng.integers`` call (all of them in one call
+    by default). Split draws give the same bits and leave ``rng`` in the
+    same state as one call, so the chunk size never changes a stream; it
+    only bounds the int64 draw buffer.
     """
     if qubit_count < 2:
         raise ValueError("a GHZ spec needs at least 2 particles")
     if qubit_count > MAX_QUBITS:
         raise ValueError(f"at most {MAX_QUBITS} particles supported")
-    bits = rng.integers(0, 2, size=(count, qubit_count)).tolist()
-    phases = rng.integers(0, 2, size=count).tolist()
-    return [_trusted_spec(tuple(b), p) for b, p in zip(bits, phases)]
+    step = max(count, 1) if chunk_rows is None else chunk_rows
+
+    def draw(shape, dtype) -> np.ndarray:
+        out = np.empty(shape, dtype=dtype)
+        for start in range(0, count, step):
+            rows = min(step, count - start)
+            # the default int64 draw: another dtype would change the stream
+            out[start : start + rows] = rng.integers(0, 2, size=(rows,) + shape[1:])
+        return out
+
+    bits = draw((count, qubit_count), bool)
+    phases = draw((count,), np.uint8)
+    return bits, phases
+
+
+def sample_specs(rng, count: int, qubit_count: int) -> list[GhzSpec]:
+    """``sample_patterns`` as ``GhzSpec`` descriptors, for callers that want them.
+
+    Sessions play the arrays themselves and build no spec per round.
+    """
+    bits, phases = sample_patterns(rng, count, qubit_count)
+    return [GhzSpec(tuple(b), p) for b, p in zip(bits.tolist(), phases.tolist())]
 
 
 def prepare(spec: GhzSpec) -> PureState:

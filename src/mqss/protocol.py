@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import numpy as np
 
 from . import branch
-from .channel import ClassicalLog, Interceptor, broadcast
-from .ghz import GhzSpec, prepare, sample_specs
+from .channel import ClassicalLog, Interceptor, acknowledge, broadcast
+from .ghz import GhzSpec, prepare, sample_patterns
 from .statevec import (
     MAX_QUBITS,
     PAULI_X,
@@ -65,11 +65,6 @@ class InsufficientRawKeyError(RuntimeError):
 
 class BatchLimitError(RuntimeError):
     """An attempt played its last batch of rounds short of the raw key it needs."""
-
-
-def participant_labels(n_agents: int) -> tuple[str, ...]:
-    """Dealer-first labels matching the ordering of modes/results vectors."""
-    return ("dealer",) + tuple(f"agent{i}" for i in range(1, n_agents + 1))
 
 
 @dataclass(frozen=True)
@@ -176,28 +171,56 @@ def round_engine(config: SessionConfig) -> str:
 
 @dataclass(frozen=True, eq=False)
 class RoundBatch:
-    """Played rounds: one row per spec, columns dealer first.
+    """Played rounds: one row per round, columns dealer first.
 
-    The one in-memory form of played rounds: the step-5 check, sifting and
-    the case tally read these arrays. ``records()`` exports them as
-    ``RoundRecord``s for transcripts and callers that ask for them.
+    The one in-memory form of played rounds. The server's announced states
+    are arrays too: ``bits`` holds each round's pattern and ``phases`` its
+    phase bit. The step-5 check, sifting and the case tally read these
+    arrays; ``records()`` exports the rows as ``RoundRecord``s, and
+    ``specs`` the states as ``GhzSpec``s, for transcripts and callers that
+    ask for them.
     """
 
-    specs: Sequence[GhzSpec]
+    bits: np.ndarray  # R x q booleans: the announced pattern bits
+    phases: np.ndarray  # R uint8: the announced phase bits
     share: np.ndarray  # R x q booleans: the participant chose Share mode
     results: np.ndarray  # R x q measurement results
     probe: Optional[np.ndarray] = None  # R probe readouts (collective attack)
+
+    @classmethod
+    def from_specs(cls, specs, share, results, probe=None) -> "RoundBatch":
+        """A batch whose row i announced ``specs[i]``."""
+        share = np.asarray(share, dtype=bool)
+        return cls(*_spec_arrays(specs, share.shape[1]), share, np.asarray(results), probe)
 
     @classmethod
     def join(cls, batches: Sequence["RoundBatch"]) -> "RoundBatch":
         """The batches' rows in order, as one batch."""
         probes = [batch.probe for batch in batches]
         return cls(
-            [spec for batch in batches for spec in batch.specs],
-            np.concatenate([batch.share for batch in batches]),
-            np.concatenate([batch.results for batch in batches]),
+            *(
+                np.concatenate([getattr(batch, name) for batch in batches])
+                for name in ("bits", "phases", "share", "results")
+            ),
             None if probes[0] is None else np.concatenate(probes),
         )
+
+    def __len__(self) -> int:
+        return len(self.share)
+
+    def select(self, rows) -> "RoundBatch":
+        """The rows where ``rows`` is set, as a batch."""
+        probe = None if self.probe is None else self.probe[rows]
+        return RoundBatch(
+            self.bits[rows], self.phases[rows], self.share[rows], self.results[rows], probe
+        )
+
+    @property
+    def specs(self) -> list[GhzSpec]:
+        """The announced states, one ``GhzSpec`` per row."""
+        q = self.bits.shape[1]
+        codes = (self.bits @ (1 << np.arange(q))).tolist()
+        return [_spec_of(code, phase, q) for code, phase in zip(codes, self.phases.tolist())]
 
     def records(self) -> list[RoundRecord]:
         """One ``RoundRecord`` per row, numbered from 0."""
@@ -213,11 +236,27 @@ class RoundBatch:
         return records
 
 
+def _spec_arrays(specs: Sequence[GhzSpec], q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The specs' patterns (R x q booleans) and phase bits (R uint8)."""
+    bits = np.array([spec.bits for spec in specs], dtype=bool).reshape(len(specs), q)
+    return bits, np.array([spec.phase for spec in specs], dtype=np.uint8)
+
+
+@lru_cache(maxsize=1 << 12)
+def _spec_of(code: int, phase: int, q: int) -> GhzSpec:
+    # bit j of code set: particle j + 1's pattern bit is 1
+    return GhzSpec(tuple(code >> j & 1 for j in range(q)), phase)
+
+
 @lru_cache(maxsize=1 << 12)
 def _modes_and_case(code: int, q: int) -> tuple[tuple[Mode, ...], RoundCase]:
     # bit j of code set: participant j chose Share
     modes = tuple(Mode.SHARE if code >> j & 1 else Mode.CHECK for j in range(q))
     return modes, classify_round(modes)
+
+
+# rows played per engine call: bounds a batch's draw array and engine arrays
+_CHUNK_ROWS = 1 << 16
 
 
 def play_rounds(
@@ -228,10 +267,31 @@ def play_rounds(
 ) -> RoundBatch:
     """Execute one full distribution round per spec, in order.
 
-    Per round the server prepares the state (or the adversary's substitute),
-    then each participant, dealer first, receives and measures their
-    particle. Noise and attacks do not raise here; they surface later as
-    check failures.
+    ``play_patterns`` of the specs' patterns and phase bits, for callers
+    that hold ``GhzSpec``s: ``run_round``, the tests and the dense oracle's
+    checks.
+    """
+    q = config.particle_count
+    for spec in specs:
+        if spec.qubit_count != q:
+            raise ValueError(f"spec has {spec.qubit_count} particles, expected {q}")
+    return play_patterns(config, *_spec_arrays(specs, q), rng, forced_modes)
+
+
+def play_patterns(
+    config: SessionConfig,
+    bits: np.ndarray,
+    phases: np.ndarray,
+    rng,
+    forced_modes: Optional[Sequence[Mode]] = None,
+) -> RoundBatch:
+    """Execute one full distribution round per row of announced states.
+
+    Row i is the GHZ state with pattern ``bits[i]`` (R x q booleans) and
+    phase bit ``phases[i]``. Per round the server prepares the state (or
+    the adversary's substitute), then each participant, dealer first,
+    receives and measures their particle. Noise and attacks do not raise
+    here; they surface later as check failures.
 
     The rounds run together on the exact branch engine (``mqss.branch``)
     unless ``round_engine(config)`` is ``"dense"``, which plays them one
@@ -240,20 +300,29 @@ def play_rounds(
     schedule and measurement draws and the owner's measurement draw, and
     last the probe draw. So every round of a batch takes the same number of
     draws, and both engines give the same rounds and leave ``rng`` in the
-    same state.
+    same state. The rows are played ``_CHUNK_ROWS`` at a time; split
+    row-major draws are the same numbers as one call, so the chunk size
+    changes no round.
     """
     q = config.particle_count
-    for spec in specs:
-        if spec.qubit_count != q:
-            raise ValueError(f"spec has {spec.qubit_count} particles, expected {q}")
+    if np.shape(bits) != (len(phases), q):
+        raise ValueError(f"expected {len(phases)} x {q} pattern bits, got {np.shape(bits)}")
     forced = None
     if forced_modes is not None:
         if len(forced_modes) != q:
             raise ValueError(f"expected {q} forced modes, got {len(forced_modes)}")
         forced = np.array([mode is Mode.SHARE for mode in forced_modes])
+    return RoundBatch.join(list(_play_chunks(config, bits, phases, rng, forced)))
+
+
+def _play_chunks(config: SessionConfig, bits, phases, rng, forced):
+    """The rows played in order, as batches of at most ``_CHUNK_ROWS`` rows."""
     play = _play_dense if round_engine(config) == "dense" else _play_on_branches
-    share, results, probe = play(config, specs, rng, forced)
-    return RoundBatch(specs, share, results, probe)
+    # an empty batch still plays one empty chunk, which draws nothing
+    for start in range(0, max(len(bits), 1), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        share, results, probe = play(config, bits[rows], phases[rows], rng, forced)
+        yield RoundBatch(bits[rows], phases[rows], share, results, probe)
 
 
 def run_round(
@@ -266,7 +335,7 @@ def run_round(
     return play_rounds(config, [spec], rng, forced_modes).records()[0]
 
 
-def _play_on_branches(config: SessionConfig, specs, rng, forced):
+def _play_on_branches(config: SessionConfig, bits, phases, rng, forced):
     q = config.particle_count
     attack = config.attack or _NO_ATTACK
     epsilon = config.epsilon
@@ -287,13 +356,11 @@ def _play_on_branches(config: SessionConfig, specs, rng, forced):
         steps.append((noise, schedule, rate, tap, width))
         width += 1
     probe_column, width = width, width + (attack.collective is not None)
-    draws = rng.random(size=(len(specs), width))
+    rounds = len(bits)
+    draws = rng.random(size=(rounds, width))
 
-    rounds = len(specs)
     share = draws[:, :q] < 0.5 if forced is None else np.broadcast_to(forced, (rounds, q))
-    pairs = branch.BranchPairs.ghz(
-        _pattern_bits(specs, q), [spec.phase for spec in specs], attack.collective
-    )
+    pairs = branch.BranchPairs.ghz(bits, phases, attack.collective)
     for column, (noise, schedule, rate, tap, measure) in enumerate(steps):
         if noise is not None:
             pairs.flip(column, draws[:, noise] < epsilon)
@@ -307,20 +374,17 @@ def _play_on_branches(config: SessionConfig, specs, rng, forced):
     return share, pairs.results, probe
 
 
-def _pattern_bits(specs: Sequence[GhzSpec], q: int) -> np.ndarray:
-    """The specs' announced patterns as an R x q boolean array."""
-    return np.array([spec.bits for spec in specs], dtype=bool).reshape(len(specs), q)
-
-
-def _play_dense(config: SessionConfig, specs, rng, forced):
+def _play_dense(config: SessionConfig, bits, phases, rng, forced):
     # one round after another: an interceptor draws from rng itself
     q = config.particle_count
     attack = config.attack or _NO_ATTACK
     epsilon, taps, interceptors = config.epsilon, attack.z_taps, attack.interceptors
-    share = np.zeros((len(specs), q), dtype=bool)
-    results = np.zeros((len(specs), q), dtype=np.uint8)
-    probe = None if attack.collective is None else np.zeros(len(specs), dtype=np.uint8)
-    for row, spec in enumerate(specs):
+    rounds = len(bits)
+    share = np.zeros((rounds, q), dtype=bool)
+    results = np.zeros((rounds, q), dtype=np.uint8)
+    probe = None if attack.collective is None else np.zeros(rounds, dtype=np.uint8)
+    for row, (pattern, phase) in enumerate(zip(bits.tolist(), phases.tolist())):
+        spec = GhzSpec(tuple(pattern), phase)
         if attack.collective is None:
             state = prepare(spec)
         else:
@@ -380,8 +444,7 @@ def sift(batch: RoundBatch) -> tuple[tuple[int, ...], ...]:
     if not case1.any():
         return ()
     keys = batch.results[case1]
-    phases = np.array([spec.phase for spec in batch.specs], dtype=np.uint8)
-    keys[:, 0] ^= phases[case1]
+    keys[:, 0] ^= batch.phases[case1]
     return tuple(map(tuple, keys.T.tolist()))
 
 
@@ -405,24 +468,36 @@ def verify_step5(batch: RoundBatch, base_threshold: float = 0.0) -> Step5Report:
     pattern/complement), the unit the noise-rate threshold is calibrated
     in; whole-round pass/fail counts are also reported.
     """
+    return _step5_report(_step5_sums(batch), base_threshold)
+
+
+def _step5_sums(batch: RoundBatch) -> np.ndarray:
+    """Mismatches, checked positions, failed rounds and checked rounds.
+
+    Sums over rows, so a batch played in chunks adds up its chunks' sums.
+    """
     checkers = ~batch.share
     checks = checkers.sum(axis=1)
-    q = checkers.shape[1]
-    direct = ((batch.results != _pattern_bits(batch.specs, q)) & checkers).sum(axis=1)
+    direct = ((batch.results != batch.bits) & checkers).sum(axis=1)
     checked = checks >= 2
     distance = np.minimum(direct, checks - direct)[checked]
-    positions_checked = int(checks[checked].sum())
+    return np.array(
+        [distance.sum(), checks[checked].sum(), np.count_nonzero(distance), len(distance)]
+    )
+
+
+def _step5_report(sums: np.ndarray, base_threshold: float) -> Step5Report:
+    mismatches, positions_checked, round_failures, checked_rounds = sums.tolist()
     if positions_checked == 0:
         raise IndeterminateCheckError("no check-mode rounds available")
-    mismatches = int(distance.sum())
     error_rate = mismatches / positions_checked
     threshold = effective_threshold(base_threshold, positions_checked)
     return Step5Report(
         error_rate=error_rate,
         mismatches=mismatches,
         checked_positions=positions_checked,
-        round_failures=int(np.count_nonzero(distance)),
-        checked_rounds=len(distance),
+        round_failures=round_failures,
+        checked_rounds=checked_rounds,
         threshold=threshold,
         passed=error_rate <= threshold,
     )
@@ -580,23 +655,32 @@ def run_session(
 
 def case_counts(batch: RoundBatch) -> dict[str, int]:
     """Rounds per case, keyed by ``RoundCase`` value; every case is present."""
-    counts = {case.value: 0 for case in RoundCase}
+    return _cases(_checker_counts(batch))
+
+
+def _checker_counts(batch: RoundBatch) -> np.ndarray:
+    """Rounds per number of checkers, 0 to q."""
     q = batch.share.shape[1]
-    per_checks = np.bincount(q - batch.share.sum(axis=1), minlength=q + 1)
+    return np.bincount(q - batch.share.sum(axis=1), minlength=q + 1)
+
+
+def _cases(per_checks: np.ndarray) -> dict[str, int]:
+    q = len(per_checks) - 1
+    counts = {case.value: 0 for case in RoundCase}
     for checks, rounds in enumerate(per_checks.tolist()):
         counts[_case_of(checks, q).value] += rounds
     return counts
 
 
 def _stats(
-    batch: RoundBatch,
+    per_checks: np.ndarray,
     step5: Optional[Step5Report],
     step6: Optional[Step6Report],
     attempts: int,
 ) -> SessionStats:
-    counts = case_counts(batch)
+    counts = _cases(per_checks)
     return SessionStats(
-        rounds_used=len(batch.specs),
+        rounds_used=int(per_checks.sum()),
         case1_rounds=counts[RoundCase.CASE1.value],
         case2_rounds=counts[RoundCase.CASE2.value],
         case3_rounds=counts[RoundCase.CASE3.value],
@@ -617,46 +701,60 @@ def _run_attempt(
     collect_records: bool,
     attempt: int,
 ) -> SessionOutcome:
+    """One attempt, its batches played and tallied ``_CHUNK_ROWS`` rows at a time.
+
+    Of the played rounds it keeps the rounds per checker count, the step-5
+    sums and the all-Share rows that sifting reads, and every row only when
+    records are asked for.
+    """
     q = config.particle_count
     m = config.secret_bits
-    batches: list[RoundBatch] = []
+    per_checks = np.zeros(q + 1, dtype=np.int64)  # per_checks[0]: case-1 rounds
+    step5_sums = np.zeros(4, dtype=np.int64)
+    case1: list[RoundBatch] = []
+    played: list[RoundBatch] = []
 
-    case1 = 0
-    while case1 < 2 * m:
-        if len(batches) >= _MAX_BATCHES:
+    batches = 0
+    while per_checks[0] < 2 * m:
+        if batches >= _MAX_BATCHES:
             raise BatchLimitError(
-                f"{_MAX_BATCHES} batches of rounds gave {case1} of {2 * m} raw key bits"
+                f"{_MAX_BATCHES} batches of rounds gave {per_checks[0]} of {2 * m} raw key bits"
             )
         # full batch first; smaller top-ups cover any raw-bit shortfall
         size = config.batch_size if not batches else max(config.batch_size // 4, 8)
-        batch = play_rounds(config, sample_specs(rng, size, q), rng)
-        case1 += int(np.count_nonzero(batch.share.all(axis=1)))
-        batches.append(batch)
-    batch = RoundBatch.join(batches)
+        batches += 1
+        bits, phases = sample_patterns(rng, size, q, _CHUNK_ROWS)
+        for chunk in _play_chunks(config, bits, phases, rng, None):
+            per_checks += _checker_counts(chunk)
+            step5_sums += _step5_sums(chunk)
+            case1.append(chunk.select(chunk.share.all(axis=1)))
+            if collect_records:
+                played.append(chunk)
 
+    rounds = int(per_checks.sum())
     log = ClassicalLog()
-    for index in range(len(batch.specs)):
-        broadcast(log, "dealer", {"round": index, "ack": True})
-    broadcast(log, "tp", {"announced_specs": len(batch.specs)})
+    acknowledge(log, "dealer", rounds)
+    broadcast(log, "tp", {"announced_specs": rounds})
+    records = tuple(RoundBatch.join(played).records()) if collect_records else None
 
     def outcome(verdict, step5=None, step6=None, **fields) -> SessionOutcome:
         return SessionOutcome(
             verdict=verdict,
-            stats=_stats(batch, step5, step6, attempt),
-            records=tuple(batch.records()) if collect_records else None,
+            stats=_stats(per_checks, step5, step6, attempt),
+            records=records,
             engine=round_engine(config),
             log=log,
             **fields,
         )
 
     try:
-        step5 = verify_step5(batch, config.epsilon)
+        step5 = _step5_report(step5_sums, config.epsilon)
     except IndeterminateCheckError:
         return outcome(Verdict.ABORTED_STEP5)
     if not step5.passed:
         return outcome(Verdict.ABORTED_STEP5, step5)
 
-    raw_keys = sift(batch)
+    raw_keys = sift(RoundBatch.join(case1))
     step6 = verify_step6(raw_keys, m, rng, config.epsilon)
     broadcast(log, "dealer", {"check_positions": step6.check_positions})
     if not step6.passed:
@@ -684,5 +782,5 @@ def run_rounds(config: SessionConfig, n_rounds: int, rng=None) -> RoundBatch:
     """Round statistics mode: execute rounds with no sifting or key steps."""
     if rng is None:
         rng = derived_rng(config.seed, 0)
-    specs = sample_specs(rng, n_rounds, config.particle_count)
-    return play_rounds(config, specs, rng)
+    bits, phases = sample_patterns(rng, n_rounds, config.particle_count, _CHUNK_ROWS)
+    return play_patterns(config, bits, phases, rng)

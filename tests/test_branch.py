@@ -177,59 +177,26 @@ def test_honest_probabilities_are_exact():
 # --- exact outcome distributions, by enumeration ---------------------------------
 
 
-def dense_engine(spec, collective):
+def outcome_distribution(spec, collective, z_taps):
+    """Probability of every (flips, modes, taps, results, probe) history.
+
+    Walks a round on the dense engine the way ``run_round`` plays it: per
+    particle, noise flip, Z tap (its schedule branching at the tap rate),
+    then the measurement in the chosen mode; the probe last. Flip patterns
+    and mode vectors are branches of weight 1 each, so every one of them
+    carries total mass 1.
+    """
     if collective is None:
         state = prepare(spec)
     else:
         state = prepare_attacked_state(spec, collective)
     width = state.qubit_count
     ops = {
-        "flip": lambda s, p: apply_gate(s, p, PAULI_X),
         "tap": measure_z,
         Mode.CHECK: measure_z,
         Mode.SHARE: measure_after_hadamard,
         "probe": lambda s, rng: measure_z(s, width, rng),
     }
-    return state, ops, width
-
-
-def branch_engine(spec, collective):
-    """A batch of one round; each step works on a copy, as the dense ones do."""
-    pairs = branch.BranchPairs.ghz(np.array([spec.bits]), [spec.phase], collective)
-
-    def sampled(step):
-        def op(state, *args):
-            *args, rng = args
-            after = fork(state)
-            outcome, p1 = step(after, *args, np.array([rng.random()]))
-            outcome, p1 = int(outcome[0]), float(p1[0])
-            return outcome, after, p1 if outcome else 1.0 - p1
-        return op
-
-    def flip(state, particle):
-        after = fork(state)
-        after.flip(particle - 1, np.array([True]))
-        return after
-
-    ops = {
-        "flip": flip,
-        "tap": sampled(lambda s, p, d: s.tap(p - 1, d)),
-        Mode.CHECK: sampled(lambda s, p, d: s.measure(p - 1, np.array([False]), d)),
-        Mode.SHARE: sampled(lambda s, p, d: s.measure(p - 1, np.array([True]), d)),
-        "probe": sampled(lambda s, d: s.read_probe(d)),
-    }
-    return pairs, ops, spec.qubit_count + pairs.probe
-
-
-def outcome_distribution(engine, spec, collective, z_taps):
-    """Probability of every (flips, modes, taps, results, probe) history.
-
-    Walks a round the way ``run_round`` plays it: per particle, noise flip,
-    Z tap (its schedule branching at the tap rate), then the measurement
-    in the chosen mode; the probe last. Flip patterns and mode vectors are
-    branches of weight 1 each, so every one of them carries total mass 1.
-    """
-    state, ops, width = engine(spec, collective)
     q = spec.qubit_count
     dist = {}
 
@@ -248,7 +215,7 @@ def outcome_distribution(engine, spec, collective, z_taps):
                 dist[history + (("probe", bit),)] = weight * prob
             return
         for flipped in (False, True):
-            noisy = ops["flip"](state, particle) if flipped else state
+            noisy = apply_gate(state, particle, PAULI_X) if flipped else state
             rate = z_taps.get(particle, 0.0)
             for tapped, tap_weight in ((True, rate), (False, 1.0 - rate)):
                 if tap_weight == 0.0:
@@ -274,6 +241,70 @@ def outcome_distribution(engine, spec, collective, z_taps):
     return dist
 
 
+def batch_distribution(spec, collective, z_taps):
+    """``outcome_distribution`` from one ``BranchPairs`` batch.
+
+    Every history the walk can take is one row: its flips, tap schedule,
+    modes and intended outcomes, the probe's last. Each step forces the
+    row's intended outcome with a ``FORCE`` draw, and the row's weight is
+    the product of those outcomes' probabilities and its tap schedule's
+    rates. A row whose intended outcome is impossible carries no mass and
+    is dropped, as the walk prunes it; its later steps divide zero by zero.
+    """
+    q = spec.qubit_count
+    per_particle = []
+    for particle in range(1, q + 1):
+        rate = z_taps.get(particle, 0.0)
+        taps = [("tap", bit) for bit in (0, 1) if rate > 0.0]
+        taps += [("tap", None)] if rate < 1.0 else []
+        per_particle.append(list(itertools.product((False, True), taps, Mode, (0, 1))))
+    probes = [(0,), (1,)] if collective is not None else [()]
+    histories = list(itertools.product(*per_particle, probes))
+    rounds = len(histories)
+    # row r takes option choice[c][r] at particle c + 1, as the product orders them
+    choice = np.unravel_index(
+        np.arange(rounds), [len(options) for options in per_particle] + [len(probes)]
+    )
+    pairs = branch.BranchPairs.ghz(
+        np.tile(spec.bits, (rounds, 1)), np.full(rounds, spec.phase), collective
+    )
+    weight = np.ones(rounds)
+    possible = every = np.ones(rounds, dtype=bool)
+
+    def force(step, intended, rows=every):
+        """One step with each row's intended outcome; it counts where ``rows``."""
+        nonlocal weight, possible
+        outcome, p1 = step(np.where(intended, FORCE[1], FORCE[0]))
+        prob = np.where(intended, p1, 1.0 - p1)
+        ok = prob > NEGLIGIBLE  # false where a dead row's probability is nan
+        assert (outcome == intended)[ok & rows].all()
+        possible = possible & (ok | ~rows)
+        weight = np.where(rows, weight * prob, weight)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for column in range(q):
+            table = np.array(
+                [(flipped, tap[1] is not None, tap[1] or 0, mode is Mode.SHARE, bit)
+                 for flipped, tap, mode, bit in per_particle[column]],
+                dtype=bool,
+            )
+            flip, tapped, tap_bit, share, bit = table[choice[column]].T
+            pairs.flip(column, flip)
+            rate = z_taps.get(column + 1)
+            if rate is not None:
+                fired = None if rate == 1.0 else tapped
+                force(lambda d: pairs.tap(column, d, fired), tap_bit, tapped)
+                weight *= np.where(tapped, rate, 1.0 - rate)
+            force(lambda d: pairs.measure(column, share, d), bit)
+        if collective is not None:
+            force(pairs.read_probe, choice[q] == 1)
+    return {
+        history[:q] + ((("probe", history[q][0]),) if history[q] else ()): mass
+        for history, mass, kept in zip(histories, weight.tolist(), possible.tolist())
+        if kept
+    }
+
+
 ATTACKS = [
     (None, {}),
     (None, {2: 1.0}),
@@ -289,8 +320,8 @@ ATTACKS = [
 def test_exact_outcome_distributions_match_dense_oracle(qubits, collective, z_taps):
     rng = np.random.default_rng(qubits)
     spec = GhzSpec(tuple(int(b) for b in rng.integers(0, 2, size=qubits)), qubits % 2)
-    dense = outcome_distribution(dense_engine, spec, collective, z_taps)
-    exact = outcome_distribution(branch_engine, spec, collective, z_taps)
+    dense = outcome_distribution(spec, collective, z_taps)
+    exact = batch_distribution(spec, collective, z_taps)
     # every flip pattern and mode vector was walked, each with mass 1
     histories = 4 ** qubits
     assert sum(dense.values()) == pytest.approx(histories, abs=1e-9)
@@ -301,14 +332,14 @@ def test_exact_outcome_distributions_match_dense_oracle(qubits, collective, z_ta
 
 def test_every_mode_vector_and_flip_pattern_is_walked():
     spec = GhzSpec((0, 1, 1), 0)
-    dist = outcome_distribution(branch_engine, spec, None, {})
-    walked = {
-        (tuple(step[0] for step in history), tuple(step[2] for step in history))
-        for history in dist
-    }
     patterns = set(itertools.product((False, True), repeat=3))
     vectors = set(itertools.product(Mode, repeat=3))
-    assert walked == set(itertools.product(patterns, vectors))
+    for distribution in (outcome_distribution, batch_distribution):
+        walked = {
+            (tuple(step[0] for step in history), tuple(step[2] for step in history))
+            for history in distribution(spec, None, {})
+        }
+        assert walked == set(itertools.product(patterns, vectors))
 
 
 # --- seeded runs: field-for-field identical records --------------------------------

@@ -1,11 +1,21 @@
 """Round classification, checks, sifting, and full-session behavior."""
 
 import itertools
+import sys
 from math import sqrt
 
 import numpy as np
 import pytest
 
+from mqss import protocol
+from mqss.adversary import (
+    CollectiveAttackConfig,
+    CollusionConfig,
+    MeasureResendConfig,
+    collective_attack,
+    collusion_attack,
+    measure_resend_attack,
+)
 from mqss.ghz import GhzSpec
 from mqss.protocol import (
     IndeterminateCheckError,
@@ -20,7 +30,6 @@ from mqss.protocol import (
     combine_shadows,
     effective_threshold,
     finalize_and_share,
-    participant_labels,
     play_rounds,
     run_round,
     run_rounds,
@@ -38,9 +47,9 @@ def make_batch(rows, specs=None):
     """A hand-built batch: one (modes, results) pair per round."""
     modes, results = zip(*rows)
     q = len(modes[0])
-    return RoundBatch(
-        list(specs or [GhzSpec((0,) * q, 0)] * len(rows)),
-        np.array([[mode is S for mode in row] for row in modes]),
+    return RoundBatch.from_specs(
+        specs or [GhzSpec((0,) * q, 0)] * len(rows),
+        [[mode is S for mode in row] for row in modes],
         np.array(results, dtype=np.uint8),
     )
 
@@ -245,7 +254,8 @@ def test_batch_checks_match_a_per_round_oracle(seed):
     complement = rng.random((rounds, 1)) < 0.5
     flips = rng.random((rounds, q)) < 0.1
     results = (pattern ^ complement ^ flips).astype(np.uint8)
-    batch = RoundBatch(specs, share, results)
+    batch = RoundBatch.from_specs(specs, share, results)
+    assert batch.specs == specs
     cases, step5, keys = per_round_oracle(specs, share, results)
     assert min(cases.values()) > 0
     # some checked rounds pass by reading the complement
@@ -389,6 +399,63 @@ def test_completed_session_log_holds_the_public_discussion():
     assert entries[rounds + 2] == ("dealer", {"ciphertext": outcome.ciphertext})
 
 
+class RowCountingRng:
+    """A generator that records how many rounds' draws each ``random`` call takes."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.rows = []
+
+    def random(self, size=None):
+        # an R x k size is R rounds' draws; a flat one is one round's
+        self.rows.append(size[0] if isinstance(size, tuple) else 1)
+        return self._rng.random(size=size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+CHUNK_ATTACKS = {
+    "honest": None,
+    "measure-resend": measure_resend_attack(MeasureResendConfig(target=2)),
+    "collusion": collusion_attack(
+        CollusionConfig(frozenset({1}), MeasureResendConfig(target=2))
+    ),
+    "collective": collective_attack(CollectiveAttackConfig(probe_overlap=0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_ATTACKS))
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("n_agents", [2, 3, 5])
+def test_sessions_do_not_depend_on_the_chunk_size(monkeypatch, n_agents, epsilon, kind):
+    generators = []
+
+    def counting_rng(*key):
+        generators.append(RowCountingRng(derived_rng(*key)))
+        return generators[-1]
+
+    monkeypatch.setattr(protocol, "derived_rng", counting_rng)
+    for seed in (1, 2, 3):
+        config = SessionConfig(
+            n_agents=n_agents,
+            secret_bits=2 if n_agents == 5 else 4,
+            epsilon=epsilon,
+            seed=seed,
+            attack=CHUNK_ATTACKS[kind],
+        )
+        outcomes = []
+        for chunk in (sys.maxsize, 1024, 7, 1):
+            monkeypatch.setattr(protocol, "_CHUNK_ROWS", chunk)
+            generators.clear()
+            outcomes.append(run_session(config, collect_records=True))
+            assert max(row for rng in generators for row in rng.rows) <= chunk
+        whole = outcomes[0]
+        assert len(whole.records) == whole.stats.rounds_used > 7
+        # every field, the records and the classical log included
+        assert all(outcome == whole for outcome in outcomes[1:])
+
+
 def test_session_with_noise_keeps_parity_checks_clean():
     # bit-flip noise remaps the pattern, not the phase, so the sacrificial
     # parity check stays exactly clean while pattern checks absorb the noise
@@ -412,10 +479,6 @@ def test_round_statistics_match_classification_combinatorics():
                         (counts[RoundCase.DISCARD], p_discard)):
         sigma = sqrt(n * p * (1 - p))
         assert abs(observed - n * p) <= 3 * sigma
-
-
-def test_participant_labels():
-    assert participant_labels(3) == ("dealer", "agent1", "agent2", "agent3")
 
 
 def test_config_validation():
