@@ -28,6 +28,7 @@ from .protocol import (
     Verdict,
     run_rounds,
     run_session,
+    run_sessions,
 )
 from .statevec import PureState, fidelity
 
@@ -55,6 +56,7 @@ __all__ = [
     "run_collusion",
     "run_rounds",
     "run_session",
+    "run_sessions",
     "transmit",
 ]
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .protocol import (  # noqa: F401 - perfbench's tracer wraps run_round here
     Verdict,
     play_patterns,
     run_round,
-    run_session,
+    run_sessions,
 )
 from .statevec import (
     ATOL,
@@ -254,10 +254,12 @@ def run_collusion(
 ) -> CollusionReport:
     """Measure collusion detection statistics over independent sessions.
 
-    Each trial runs one single-attempt session; the colluders disclose
-    their modes and results to the server out of band, which does not
-    change what the honest checks see. Returns the session abort fraction
-    and the pooled per-checked-bit failure rate.
+    Each trial is one single-attempt session seeded by
+    ``child_seed(master, trial)``, and all of them run as one
+    ``run_sessions`` call, which plays their rounds together. The colluders
+    disclose their modes and results to the server out of band, which does
+    not change what the honest checks see. Returns the session abort
+    fraction and the pooled per-checked-bit failure rate.
     """
     if trials < 1_000:
         raise ValueError("need at least 1000 trials for stable estimates")
@@ -269,24 +271,15 @@ def run_collusion(
             raise ValueError("colluders must be a proper subset of the agents")
         attack = collusion_attack(config)
     master = session.seed if rng_seed is None else rng_seed
-
-    aborted = 0
-    checked_bits = 0
-    bit_failures = 0
-    for trial in range(trials):
-        trial_config = replace(
-            session,
-            attack=attack,
-            max_attempts=1,
-            seed=child_seed(master, trial),
-        )
-        outcome = run_session(trial_config)
-        if outcome.verdict is not Verdict.COMPLETED:
-            aborted += 1
-        if outcome.stats.step6_failures is not None:
-            checked_bits += session.secret_bits
-            bit_failures += outcome.stats.step6_failures
-    per_bit = bit_failures / checked_bits if checked_bits else 0.0
+    outcomes = run_sessions(
+        replace(session, attack=attack, max_attempts=1),
+        [child_seed(master, trial) for trial in range(trials)],
+    )
+    aborted = sum(outcome.verdict is not Verdict.COMPLETED for outcome in outcomes)
+    # sessions that reach step 6 check secret_bits positions each
+    failures = [o.stats.step6_failures for o in outcomes if o.stats.step6_failures is not None]
+    checked_bits = len(failures) * session.secret_bits
+    per_bit = sum(failures) / checked_bits if checked_bits else 0.0
     return CollusionReport(
         detection_rate_overall=aborted / trials,
         per_bit_rate=per_bit,

@@ -48,7 +48,7 @@ from .protocol import (
     case_counts,
     round_engine,
     run_rounds,
-    run_session,
+    run_sessions,
 )
 from .statevec import child_seed
 
@@ -397,10 +397,9 @@ def _run_sessions(
     matches = 0
     step5_rates = []
     step6_rates = []
-    grouped = []
-    for trial in range(config.trials):
-        session = replace(attacked, seed=child_seed(config.session.seed, trial))
-        outcome = run_session(session, collect_records=collect)
+    seeds = [child_seed(config.session.seed, trial) for trial in range(config.trials)]
+    outcomes = run_sessions(attacked, seeds, collect_records=collect)
+    for outcome in outcomes:
         verdicts[outcome.verdict.value] += 1
         stats = outcome.stats
         for case, rounds in zip(RoundCase, (
@@ -413,8 +412,6 @@ def _run_sessions(
             step5_rates.append(outcome.stats.step5_error_rate)
         if outcome.stats.step6_error_rate is not None:
             step6_rates.append(outcome.stats.step6_error_rate)
-        if collect:
-            grouped.append((trial, outcome.records))
     report.trials = config.trials
     report.verdict_counts = verdicts
     report.reconstruction_matches = matches
@@ -428,6 +425,7 @@ def _run_sessions(
         case1 = report.case_counts[RoundCase.CASE1.value]
         report.raw_bits_per_round = case1 / report.rounds_total
     if collect:
+        grouped = [(trial, outcome.records) for trial, outcome in enumerate(outcomes)]
         write_transcript(config.transcript, grouped)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Optional
 
 import numpy as np
 
@@ -100,35 +99,19 @@ def _int_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def sample_patterns(
-    rng, count: int, qubit_count: int, chunk_rows: Optional[int] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_patterns(rng, count: int, qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniformly random patterns and phase bits of the states the server prepares.
 
     Returns a count x q boolean array of pattern bits and a uint8 array of
-    phase bits. Draws every pattern bit, then every phase bit, at most
-    ``chunk_rows`` rows per ``rng.integers`` call (all of them in one call
-    by default). Split draws give the same bits and leave ``rng`` in the
-    same state as one call, so the chunk size never changes a stream; it
-    only bounds the int64 draw buffer.
+    phase bits, drawn in that order.
     """
     if qubit_count < 2:
         raise ValueError("a GHZ spec needs at least 2 particles")
     if qubit_count > MAX_QUBITS:
         raise ValueError(f"at most {MAX_QUBITS} particles supported")
-    step = max(count, 1) if chunk_rows is None else chunk_rows
-
-    def draw(shape, dtype) -> np.ndarray:
-        out = np.empty(shape, dtype=dtype)
-        for start in range(0, count, step):
-            rows = min(step, count - start)
-            # the default int64 draw: another dtype would change the stream
-            out[start : start + rows] = rng.integers(0, 2, size=(rows,) + shape[1:])
-        return out
-
-    bits = draw((count, qubit_count), bool)
-    phases = draw((count,), np.uint8)
-    return bits, phases
+    # the default int64 draws: another dtype would change the stream
+    bits = rng.integers(0, 2, size=(count, qubit_count)).astype(bool)
+    return bits, rng.integers(0, 2, size=count).astype(np.uint8)
 
 
 def sample_specs(rng, count: int, qubit_count: int) -> list[GhzSpec]:

@@ -12,6 +12,7 @@ over m random raw positions then guards the key that encrypts the secret.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -256,7 +257,7 @@ def _modes_and_case(code: int, q: int) -> tuple[tuple[Mode, ...], RoundCase]:
 
 
 # rows played per engine call: bounds a batch's draw array and engine arrays
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1 << 12
 
 
 def play_rounds(
@@ -317,12 +318,17 @@ def play_patterns(
 
 def _play_chunks(config: SessionConfig, bits, phases, rng, forced):
     """The rows played in order, as batches of at most ``_CHUNK_ROWS`` rows."""
-    play = _play_dense if round_engine(config) == "dense" else _play_on_branches
+    dense = round_engine(config) == "dense"
+    width = _draw_columns(config, forced)[2]
     # an empty batch still plays one empty chunk, which draws nothing
     for start in range(0, max(len(bits), 1), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        share, results, probe = play(config, bits[rows], phases[rows], rng, forced)
-        yield RoundBatch(bits[rows], phases[rows], share, results, probe)
+        if dense:
+            played = _play_dense(config, bits[rows], phases[rows], rng, forced)
+        else:
+            draws = rng.random(size=(len(bits[rows]), width))
+            played = _play_on_branches(config, bits[rows], phases[rows], draws, forced)
+        yield RoundBatch(bits[rows], phases[rows], *played)
 
 
 def run_round(
@@ -335,19 +341,22 @@ def run_round(
     return play_rounds(config, [spec], rng, forced_modes).records()[0]
 
 
-def _play_on_branches(config: SessionConfig, bits, phases, rng, forced):
-    q = config.particle_count
+def _draw_columns(config: SessionConfig, forced):
+    """Where a round's draws sit in its row of ``rng.random`` draws.
+
+    Per particle, in the order the walk takes them: the noise, tap schedule
+    and tap columns (None where the round takes no such draw) and the
+    measurement column; then the probe column, and the row's width. Unforced
+    rounds start with one mode column per particle.
+    """
     attack = config.attack or _NO_ATTACK
-    epsilon = config.epsilon
-    # the column of each draw in a round's row, in the order the walk takes
-    # them: per particle noise, tap schedule, tap and measurement (None where
-    # the round takes no such draw), then the probe
+    q = config.particle_count
     steps = []
     width = q if forced is None else 0
     for particle in range(1, q + 1):
         noise = schedule = tap = None
         rate = attack.z_taps.get(particle)
-        if epsilon > 0.0:
+        if config.epsilon > 0.0:
             noise, width = width, width + 1
         if rate is not None and rate < 1.0:
             schedule, width = width, width + 1
@@ -355,15 +364,20 @@ def _play_on_branches(config: SessionConfig, bits, phases, rng, forced):
             tap, width = width, width + 1
         steps.append((noise, schedule, rate, tap, width))
         width += 1
-    probe_column, width = width, width + (attack.collective is not None)
-    rounds = len(bits)
-    draws = rng.random(size=(rounds, width))
+    return steps, width, width + (attack.collective is not None)
 
+
+def _play_on_branches(config: SessionConfig, bits, phases, draws, forced):
+    """Play rows on the branch engine; row i takes its draws from ``draws[i]``."""
+    q = config.particle_count
+    attack = config.attack or _NO_ATTACK
+    steps, probe_column, _ = _draw_columns(config, forced)
+    rounds = len(bits)
     share = draws[:, :q] < 0.5 if forced is None else np.broadcast_to(forced, (rounds, q))
     pairs = branch.BranchPairs.ghz(bits, phases, attack.collective)
     for column, (noise, schedule, rate, tap, measure) in enumerate(steps):
         if noise is not None:
-            pairs.flip(column, draws[:, noise] < epsilon)
+            pairs.flip(column, draws[:, noise] < config.epsilon)
         if tap is not None:
             fired = None if schedule is None else draws[:, schedule] < rate
             pairs.tap(column, draws[:, tap], fired)
@@ -440,12 +454,16 @@ def sift(batch: RoundBatch) -> tuple[tuple[int, ...], ...]:
     phase bit into hers so the parity relation between her key and the
     agents' keys holds for every announced state, not only phase-0 ones.
     """
+    keys = _key_rows(batch)
+    return tuple(map(tuple, keys.T.tolist())) if len(keys) else ()
+
+
+def _key_rows(batch: RoundBatch) -> np.ndarray:
+    """The all-Share rows' results, dealer first, the phase folded into the dealer's."""
     case1 = batch.share.all(axis=1)
-    if not case1.any():
-        return ()
     keys = batch.results[case1]
     keys[:, 0] ^= batch.phases[case1]
-    return tuple(map(tuple, keys.T.tolist()))
+    return keys
 
 
 @dataclass(frozen=True)
@@ -468,22 +486,29 @@ def verify_step5(batch: RoundBatch, base_threshold: float = 0.0) -> Step5Report:
     pattern/complement), the unit the noise-rate threshold is calibrated
     in; whole-round pass/fail counts are also reported.
     """
-    return _step5_report(_step5_sums(batch), base_threshold)
+    return _step5_report(_segment_sums(batch, [0])[0, -4:], base_threshold)
 
 
-def _step5_sums(batch: RoundBatch) -> np.ndarray:
-    """Mismatches, checked positions, failed rounds and checked rounds.
+def _segment_sums(batch: RoundBatch, starts) -> np.ndarray:
+    """Sums over segments of rows, one row of sums per start row.
 
-    Sums over rows, so a batch played in chunks adds up its chunks' sums.
+    A segment runs from its start to the next one's, the last to the end.
+    Per segment: the rounds per number of checkers, 0 to q, then the step-5
+    sums (mismatches, checked positions, failed rounds, checked rounds).
+    Sums add, so rounds played in pieces add up their pieces' sums.
     """
+    q = batch.share.shape[1]
+    if not len(batch):
+        return np.zeros((len(starts), q + 5), dtype=np.int64)
     checkers = ~batch.share
     checks = checkers.sum(axis=1)
     direct = ((batch.results != batch.bits) & checkers).sum(axis=1)
     checked = checks >= 2
-    distance = np.minimum(direct, checks - direct)[checked]
-    return np.array(
-        [distance.sum(), checks[checked].sum(), np.count_nonzero(distance), len(distance)]
-    )
+    distance = np.minimum(direct, checks - direct) * checked
+    segment = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(batch)))
+    per_checks = np.bincount(segment * (q + 1) + checks, minlength=len(starts) * (q + 1))
+    step5 = np.column_stack((distance, checks * checked, distance > 0, checked))
+    return np.hstack((per_checks.reshape(-1, q + 1), np.add.reduceat(step5, starts)))
 
 
 def _step5_report(sums: np.ndarray, base_threshold: float) -> Step5Report:
@@ -525,36 +550,28 @@ def verify_step6(
     there and each position must satisfy dealer = XOR of all agents. The
     checked positions are burned from every key, whatever the verdict.
     """
-    lengths = {len(k) for k in raw_keys}
-    if len(lengths) != 1:
+    keys = np.asarray(raw_keys, dtype=np.uint8)  # ragged keys raise ValueError here
+    if keys.ndim != 2:
         raise ValueError("raw keys must all have the same length")
-    available = lengths.pop()
+    available = keys.shape[1]
     if available < 2 * secret_bits:
         raise InsufficientRawKeyError(
             f"need {2 * secret_bits} raw bits, have {available}"
         )
-    chosen = rng.choice(available, size=secret_bits, replace=False)
-    check_positions = tuple(sorted(int(p) for p in chosen))
-    failures = 0
-    for p in check_positions:
-        agent_parity = 0
-        for key in raw_keys[1:]:
-            agent_parity ^= key[p]
-        if raw_keys[0][p] != agent_parity:
-            failures += 1
+    chosen = np.sort(rng.choice(available, size=secret_bits, replace=False))
+    # a position passes when the dealer's bit equals the agents' XOR
+    failures = int(np.count_nonzero(np.bitwise_xor.reduce(keys[:, chosen], axis=0)))
     error_rate = failures / secret_bits
     threshold = effective_threshold(base_threshold, secret_bits)
-    burn = set(check_positions)
-    remaining = tuple(
-        tuple(bit for i, bit in enumerate(key) if i not in burn) for key in raw_keys
-    )
+    kept = np.ones(available, dtype=bool)
+    kept[chosen] = False
     return Step6Report(
-        check_positions=check_positions,
+        check_positions=tuple(chosen.tolist()),
         error_rate=error_rate,
         failures=failures,
         threshold=threshold,
         passed=error_rate <= threshold,
-        remaining_keys=remaining,
+        remaining_keys=tuple(map(tuple, keys[:, kept].tolist())),
     )
 
 
@@ -640,47 +657,74 @@ def run_session(
 ) -> SessionOutcome:
     """Run a full session, restarting on abort up to ``config.max_attempts``.
 
-    Deterministic given the config: every attempt draws from a generator
-    derived from (seed, attempt index). Returns the final attempt's outcome;
-    a non-completed verdict after the retry cap means the session failed.
+    ``run_sessions`` of the one seed ``config.seed``: deterministic given
+    the config, every attempt drawing from a generator derived from (seed,
+    attempt index). Returns the final attempt's outcome; a non-completed
+    verdict after the retry cap means the session failed.
     """
-    outcome = None
+    return run_sessions(config, [config.seed], secret, collect_records)[0]
+
+
+def run_sessions(
+    config: SessionConfig,
+    seeds: Sequence[int],
+    secret: Optional[Sequence[int]] = None,
+    collect_records: bool = False,
+) -> list[SessionOutcome]:
+    """Run one session per seed, each ``config`` with that seed, in seed order.
+
+    A session's outcome depends on its seed alone: attempt k draws from
+    ``derived_rng(seed, k)`` exactly what the session run on its own draws,
+    in the same order. The sessions' rounds are played together, every
+    attempt's rows packed into chunks of at most ``_CHUNK_ROWS`` rows with
+    one engine pass per chunk; then each attempt's checks run on its own
+    generator. Retries run as a further pass over the sessions that
+    aborted. On the dense engine the attempts play one after another,
+    because interceptors draw from the generator themselves.
+    """
+    outcomes: list[SessionOutcome] = [None] * len(seeds)
+    pending = range(len(seeds))
     for attempt in range(config.max_attempts):
-        rng = derived_rng(config.seed, attempt)
-        outcome = _run_attempt(config, rng, secret, collect_records, attempt + 1)
-        if outcome.verdict is Verdict.COMPLETED:
+        if not pending:
             break
-    return outcome
+        rngs = [derived_rng(seeds[trial], attempt) for trial in pending]
+        played = _play_attempts(config, rngs, collect_records)
+        for index, (trial, rng) in enumerate(zip(pending, rngs)):
+            outcomes[trial] = _finish_attempt(config, played, index, rng, secret, attempt + 1)
+        pending = [trial for trial in pending if outcomes[trial].verdict is not Verdict.COMPLETED]
+    return outcomes
 
 
 def case_counts(batch: RoundBatch) -> dict[str, int]:
     """Rounds per case, keyed by ``RoundCase`` value; every case is present."""
-    return _cases(_checker_counts(batch))
+    return _cases(_segment_sums(batch, [0])[0, :-4].tolist())
 
 
-def _checker_counts(batch: RoundBatch) -> np.ndarray:
-    """Rounds per number of checkers, 0 to q."""
-    q = batch.share.shape[1]
-    return np.bincount(q - batch.share.sum(axis=1), minlength=q + 1)
-
-
-def _cases(per_checks: np.ndarray) -> dict[str, int]:
-    q = len(per_checks) - 1
-    counts = {case.value: 0 for case in RoundCase}
-    for checks, rounds in enumerate(per_checks.tolist()):
-        counts[_case_of(checks, q).value] += rounds
+def _cases(per_checks: list[int]) -> dict[str, int]:
+    counts = dict.fromkeys(_CASE_VALUES, 0)
+    for case, rounds in zip(_case_values(len(per_checks) - 1), per_checks):
+        counts[case] += rounds
     return counts
 
 
+_CASE_VALUES = tuple(case.value for case in RoundCase)
+
+
+@lru_cache(maxsize=None)
+def _case_values(q: int) -> tuple[str, ...]:
+    """The case value of a round with 0 to q checkers."""
+    return tuple(_case_of(checks, q).value for checks in range(q + 1))
+
+
 def _stats(
-    per_checks: np.ndarray,
+    per_checks: list[int],
     step5: Optional[Step5Report],
     step6: Optional[Step6Report],
     attempts: int,
 ) -> SessionStats:
     counts = _cases(per_checks)
     return SessionStats(
-        rounds_used=int(per_checks.sum()),
+        rounds_used=sum(per_checks),
         case1_rounds=counts[RoundCase.CASE1.value],
         case2_rounds=counts[RoundCase.CASE2.value],
         case3_rounds=counts[RoundCase.CASE3.value],
@@ -694,48 +738,141 @@ def _stats(
     )
 
 
-def _run_attempt(
-    config: SessionConfig,
-    rng,
-    secret: Optional[Sequence[int]],
-    collect_records: bool,
-    attempt: int,
-) -> SessionOutcome:
-    """One attempt, its batches played and tallied ``_CHUNK_ROWS`` rows at a time.
+class _Played:
+    """What a pass keeps of each attempt's played rows.
 
-    Of the played rounds it keeps the rounds per checker count, the step-5
-    sums and the all-Share rows that sifting reads, and every row only when
-    records are asked for.
+    Per attempt: its ``_segment_sums`` (rounds per checker count and the
+    step-5 sums), the raw key rows of its all-Share rounds, and every row
+    when records are asked for.
+    """
+
+    def __init__(self, attempts: int, q: int, collect_records: bool) -> None:
+        self.sums = np.zeros((attempts, q + 5), dtype=np.int64)
+        self.keys: list[list[np.ndarray]] = [[] for _ in range(attempts)]
+        self.rows = [[] for _ in range(attempts)] if collect_records else None
+
+    def add(self, batch: RoundBatch, owners: Sequence[int], starts) -> None:
+        """Tally a played batch whose rows from ``starts[i]`` on are attempt ``owners[i]``'s."""
+        sums = _segment_sums(batch, starts)
+        np.add.at(self.sums, owners, sums)
+        # the key rows come in row order, sums[:, 0] of them per segment
+        keys, ends = _key_rows(batch), np.cumsum(sums[:, 0]).tolist()
+        for owner, start, end in zip(owners, [0, *ends], ends):
+            self.keys[owner].append(keys[start:end])
+        if self.rows is not None:
+            for owner, start, end in zip(owners, starts, [*starts[1:], len(batch)]):
+                self.rows[owner].append(batch.select(slice(start, end)))
+
+
+def _play_attempts(config: SessionConfig, rngs, collect_records: bool) -> _Played:
+    """Play one attempt per generator; attempt i draws from ``rngs[i]``."""
+    q = config.particle_count
+    played = _Played(len(rngs), q, collect_records)
+    if round_engine(config) == "dense":
+        for index, rng in enumerate(rngs):
+            for size in _batch_sizes(config, lambda: played.sums[index, 0]):
+                for bits, phases in _pattern_blocks(rng, size, q):
+                    batch = RoundBatch(bits, phases, *_play_dense(config, bits, phases, rng, None))
+                    played.add(batch, [index], [0])
+        return played
+    width = _draw_columns(config, None)[2]
+    blocks, rows = [], 0
+    for index, rng in enumerate(rngs):
+        for bits, phases, draws in _attempt_rows(config, rng, width):
+            while rows + len(bits) >= _CHUNK_ROWS:  # the block fills the chunk
+                take = _CHUNK_ROWS - rows
+                blocks.append((index, bits[:take], phases[:take], draws[:take]))
+                _play_packed(config, blocks, played)
+                blocks, rows = [], 0
+                bits, phases, draws = bits[take:], phases[take:], draws[take:]
+            if len(bits):
+                blocks.append((index, bits, phases, draws))
+                rows += len(bits)
+    if blocks:
+        _play_packed(config, blocks, played)
+    return played
+
+
+def _play_packed(config: SessionConfig, blocks, played: _Played) -> None:
+    """Play (owner, bits, phases, draws) blocks of rows as one chunk and tally them."""
+    bits, phases, draws = (np.concatenate([block[i] for block in blocks]) for i in (1, 2, 3))
+    batch = RoundBatch(bits, phases, *_play_on_branches(config, bits, phases, draws, None))
+    starts = np.cumsum([0] + [len(block[1]) for block in blocks[:-1]])
+    played.add(batch, [block[0] for block in blocks], starts)
+
+
+def _attempt_rows(config: SessionConfig, rng, width: int):
+    """One attempt's rows, unplayed and in draw order, as (bits, phases, draws) blocks.
+
+    Row i's round takes its ``width`` draws from ``draws[i]``. Whether a
+    top-up batch follows depends only on the raw key bits drawn so far, and
+    a row is an all-Share round exactly when its q mode draws are all below
+    1/2; so every row is drawn before any is played.
     """
     q = config.particle_count
-    m = config.secret_bits
-    per_checks = np.zeros(q + 1, dtype=np.int64)  # per_checks[0]: case-1 rounds
-    step5_sums = np.zeros(4, dtype=np.int64)
-    case1: list[RoundBatch] = []
-    played: list[RoundBatch] = []
+    raw_bits = 0
+    for size in _batch_sizes(config, lambda: raw_bits):
+        for bits, phases in _pattern_blocks(rng, size, q):
+            draws = rng.random(size=(len(bits), width))
+            raw_bits += np.count_nonzero((draws[:, :q] < 0.5).all(axis=1))
+            yield bits, phases, draws
 
+
+def _batch_sizes(config: SessionConfig, raw_bits):
+    """An attempt's batch sizes, until ``raw_bits()`` reaches the 2m it needs."""
+    need = 2 * config.secret_bits
     batches = 0
-    while per_checks[0] < 2 * m:
+    while raw_bits() < need:
         if batches >= _MAX_BATCHES:
             raise BatchLimitError(
-                f"{_MAX_BATCHES} batches of rounds gave {per_checks[0]} of {2 * m} raw key bits"
+                f"{_MAX_BATCHES} batches of rounds gave {raw_bits()} of {need} raw key bits"
             )
         # full batch first; smaller top-ups cover any raw-bit shortfall
-        size = config.batch_size if not batches else max(config.batch_size // 4, 8)
+        yield config.batch_size if not batches else max(config.batch_size // 4, 8)
         batches += 1
-        bits, phases = sample_patterns(rng, size, q, _CHUNK_ROWS)
-        for chunk in _play_chunks(config, bits, phases, rng, None):
-            per_checks += _checker_counts(chunk)
-            step5_sums += _step5_sums(chunk)
-            case1.append(chunk.select(chunk.share.all(axis=1)))
-            if collect_records:
-                played.append(chunk)
 
-    rounds = int(per_checks.sum())
+
+def _pattern_blocks(rng, size: int, q: int):
+    """A batch's pattern bits and phases, in blocks of at most ``_CHUNK_ROWS`` rows.
+
+    The same bits and phases ``sample_patterns`` draws, leaving ``rng`` in
+    the same state. A batch of more rows never holds all its pattern bits:
+    ``rng`` draws past them and draws the phases, and a copy of it taken
+    before draws each block's bits again when the block is asked for.
+    """
+    if size <= _CHUNK_ROWS:
+        yield sample_patterns(rng, size, q)
+        return
+    starts = range(0, size, _CHUNK_ROWS)
+    rows = [min(_CHUNK_ROWS, size - start) for start in starts]
+    replay = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    for count in rows:
+        rng.integers(0, 2, size=(count, q))
+    phases = np.empty(size, dtype=np.uint8)
+    for start, count in zip(starts, rows):
+        phases[start : start + count] = rng.integers(0, 2, size=count)
+    for start, count in zip(starts, rows):
+        yield replay.integers(0, 2, size=(count, q)).astype(bool), phases[start : start + count]
+
+
+def _finish_attempt(
+    config: SessionConfig,
+    played: _Played,
+    index: int,
+    rng,
+    secret: Optional[Sequence[int]],
+    attempt: int,
+) -> SessionOutcome:
+    """Steps 5 and 6 and the sharing of the attempt at ``index`` of ``played``."""
+    m = config.secret_bits
+    per_checks = played.sums[index, :-4].tolist()
+    rounds = sum(per_checks)
     log = ClassicalLog()
     acknowledge(log, "dealer", rounds)
     broadcast(log, "tp", {"announced_specs": rounds})
-    records = tuple(RoundBatch.join(played).records()) if collect_records else None
+    records = None
+    if played.rows is not None:
+        records = tuple(RoundBatch.join(played.rows[index]).records())
 
     def outcome(verdict, step5=None, step6=None, **fields) -> SessionOutcome:
         return SessionOutcome(
@@ -748,14 +885,15 @@ def _run_attempt(
         )
 
     try:
-        step5 = _step5_report(step5_sums, config.epsilon)
+        step5 = _step5_report(played.sums[index, -4:], config.epsilon)
     except IndeterminateCheckError:
         return outcome(Verdict.ABORTED_STEP5)
     if not step5.passed:
         return outcome(Verdict.ABORTED_STEP5, step5)
 
-    raw_keys = sift(RoundBatch.join(case1))
-    step6 = verify_step6(raw_keys, m, rng, config.epsilon)
+    keys = np.concatenate(played.keys[index]).T
+    raw_keys = tuple(map(tuple, keys.tolist()))
+    step6 = verify_step6(keys, m, rng, config.epsilon)
     broadcast(log, "dealer", {"check_positions": step6.check_positions})
     if not step6.passed:
         return outcome(Verdict.ABORTED_STEP6, step5, step6, raw_keys=raw_keys)
@@ -782,5 +920,6 @@ def run_rounds(config: SessionConfig, n_rounds: int, rng=None) -> RoundBatch:
     """Round statistics mode: execute rounds with no sifting or key steps."""
     if rng is None:
         rng = derived_rng(config.seed, 0)
-    bits, phases = sample_patterns(rng, n_rounds, config.particle_count, _CHUNK_ROWS)
+    blocks = _pattern_blocks(rng, n_rounds, config.particle_count)
+    bits, phases = (np.concatenate(arrays) for arrays in zip(*blocks))
     return play_patterns(config, bits, phases, rng)

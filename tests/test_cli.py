@@ -248,8 +248,8 @@ def test_failed_honest_session_exits_one(capsys, monkeypatch):
         attempts=3,
     )
     aborted = SessionOutcome(verdict=Verdict.ABORTED_STEP5, stats=stats)
-    monkeypatch.setattr(cli_module, "run_session",
-                        lambda config, **kwargs: aborted)
+    monkeypatch.setattr(cli_module, "run_sessions",
+                        lambda config, seeds, **kwargs: [aborted] * len(seeds))
     code = cli_module.main(["--secret-bits", "2"])
     out = capsys.readouterr().out
     assert code == 1
@@ -279,20 +279,20 @@ def test_collusion_run_reports_branch_engine(capsys):
     "error", [BatchLimitError, IndeterminateCheckError, InsufficientRawKeyError]
 )
 def test_session_failures_exit_one_with_the_reason(capsys, monkeypatch, error):
-    def fail(config, **kwargs):
+    def fail(config, seeds, **kwargs):
         raise error("no key this time")
 
-    monkeypatch.setattr(cli_module, "run_session", fail)
+    monkeypatch.setattr(cli_module, "run_sessions", fail)
     assert main(["--secret-bits", "2"]) == 1
     assert "error: no key this time" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])
 def test_programming_errors_are_not_swallowed(monkeypatch, error):
-    def fail(config, **kwargs):
+    def fail(config, seeds, **kwargs):
         raise error("a bug")
 
-    monkeypatch.setattr(cli_module, "run_session", fail)
+    monkeypatch.setattr(cli_module, "run_sessions", fail)
     with pytest.raises(error):
         main(["--secret-bits", "2"])
 

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -16,8 +17,9 @@ from mqss.adversary import (
     collusion_attack,
     measure_resend_attack,
 )
-from mqss.ghz import GhzSpec
+from mqss.ghz import GhzSpec, sample_patterns
 from mqss.protocol import (
+    BatchLimitError,
     IndeterminateCheckError,
     InsufficientRawKeyError,
     Mode,
@@ -34,11 +36,12 @@ from mqss.protocol import (
     run_round,
     run_rounds,
     run_session,
+    run_sessions,
     sift,
     verify_step5,
     verify_step6,
 )
-from mqss.statevec import MAX_QUBITS, derived_rng
+from mqss.statevec import MAX_QUBITS, PAULI_X, apply_gate, derived_rng
 
 C, S = Mode.CHECK, Mode.SHARE
 
@@ -304,6 +307,43 @@ def test_verify_step6_flipped_bit_fails_at_checked_position():
     assert not report.passed
 
 
+def step6_oracle(raw_keys, secret_bits, rng, base_threshold):
+    """Step 6 one position and one bit at a time."""
+    chosen = rng.choice(len(raw_keys[0]), size=secret_bits, replace=False)
+    positions = sorted(int(p) for p in chosen)
+    failures = 0
+    for p in positions:
+        agents = 0
+        for key in raw_keys[1:]:
+            agents ^= key[p]
+        failures += raw_keys[0][p] != agents
+    threshold = effective_threshold(base_threshold, secret_bits)
+    remaining = tuple(
+        tuple(bit for i, bit in enumerate(key) if i not in positions) for key in raw_keys
+    )
+    return tuple(positions), failures / secret_bits, failures, threshold, remaining
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_step6_matches_a_per_bit_oracle(seed):
+    rng = np.random.default_rng(seed)
+    participants, length, secret_bits = 2 + seed % 4, 12 + seed, 2 + seed % 3
+    keys = rng.integers(0, 2, size=(participants, length))
+    keys[0] = np.bitwise_xor.reduce(keys[1:], axis=0)
+    keys[rng.integers(participants), rng.integers(length, size=3)] ^= 1
+    raw = tuple(map(tuple, keys.tolist()))
+    base = 0.05 * (seed % 2)  # seeds 0 and 4 fail at a zero base rate
+    report = verify_step6(raw, secret_bits, derived_rng(seed, 1), base)
+    assert (
+        report.check_positions,
+        report.error_rate,
+        report.failures,
+        report.threshold,
+        report.remaining_keys,
+    ) == step6_oracle(raw, secret_bits, derived_rng(seed, 1), base)
+    assert report.passed == (report.error_rate <= report.threshold)
+
+
 def test_verify_step6_needs_twice_the_secret_length():
     raw = ((0, 1), (0, 1), (0, 0), (0, 0))
     with pytest.raises(InsufficientRawKeyError):
@@ -454,6 +494,92 @@ def test_sessions_do_not_depend_on_the_chunk_size(monkeypatch, n_agents, epsilon
         assert len(whole.records) == whole.stats.rounds_used > 7
         # every field, the records and the classical log included
         assert all(outcome == whole for outcome in outcomes[1:])
+
+
+def random_flips(state, particle, rng):
+    """A dense interceptor that bit-flips the particle on a tenth of the rounds."""
+    return apply_gate(state, particle, PAULI_X) if rng.random() < 0.1 else state
+
+
+TRIAL_ATTACKS = {
+    "honest": (None, 0.0),
+    "noise": (None, 0.05),
+    "measure-resend": (CHUNK_ATTACKS["measure-resend"], 0.0),
+    "collusion": (CHUNK_ATTACKS["collusion"], 0.0),
+    "collective": (CHUNK_ATTACKS["collective"], 0.0),
+    "dense": (protocol.RoundAttack(interceptors={2: random_flips}), 0.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRIAL_ATTACKS))
+@pytest.mark.parametrize("n_agents", [2, 3, 5])
+def test_many_sessions_match_the_same_sessions_one_at_a_time(monkeypatch, n_agents, kind):
+    attack, epsilon = TRIAL_ATTACKS[kind]
+    config = SessionConfig(
+        n_agents=n_agents, secret_bits=2 if n_agents == 5 else 4, epsilon=epsilon, attack=attack
+    )
+    seeds = [11, 3, 2**64 + 7, 3, 5]
+    alone = [run_session(replace(config, seed=seed), collect_records=True) for seed in seeds]
+    streams = []
+
+    def recording_rng(*key):
+        streams.append(key)
+        return derived_rng(*key)
+
+    monkeypatch.setattr(protocol, "derived_rng", recording_rng)
+    # 7-row chunks: sessions start and end inside chunks and straddle them
+    monkeypatch.setattr(protocol, "_CHUNK_ROWS", 7)
+    together = run_sessions(config, seeds, collect_records=True)
+    # every field, the records and the classical log included
+    assert together == alone
+    # attempt k of a session draws from derived_rng(seed, k), k from 0
+    assert sorted(streams) == sorted(
+        (seed, attempt) for seed, outcome in zip(seeds, alone)
+        for attempt in range(outcome.stats.attempts)
+    )
+    assert alone[1] == alone[3] and alone[0] != alone[1]
+    if kind in ("measure-resend", "collusion"):
+        assert any(outcome.stats.attempts > 1 for outcome in alone)
+
+
+def test_no_seeds_run_no_sessions():
+    assert run_sessions(SessionConfig(), []) == []
+
+
+NOOP_INTERCEPTOR = protocol.RoundAttack(interceptors={2: lambda state, particle, rng: state})
+
+
+@pytest.mark.parametrize("attack", [None, NOOP_INTERCEPTOR], ids=["branch", "dense"])
+def test_an_attempt_short_of_raw_key_after_its_last_batch_raises(monkeypatch, attack):
+    # 16-round batches hold 2 all-Share rounds on average, and 2 are needed
+    config = SessionConfig(n_agents=2, secret_bits=1, attack=attack, max_attempts=1)
+    seeds = range(1, 13)
+    topped_up = [
+        run_session(replace(config, seed=seed)).stats.rounds_used > config.batch_size
+        for seed in seeds
+    ]
+    assert any(topped_up) and not all(topped_up)
+    monkeypatch.setattr(protocol, "_MAX_BATCHES", 1)
+    for seed, short in zip(seeds, topped_up):
+        if short:
+            with pytest.raises(BatchLimitError, match="1 batches of rounds gave [01] of 2 raw"):
+                run_session(replace(config, seed=seed))
+        else:
+            assert run_session(replace(config, seed=seed)).stats.rounds_used == config.batch_size
+    with pytest.raises(BatchLimitError):
+        run_sessions(config, seeds)
+
+
+@pytest.mark.parametrize("size", [1, 6, 7, 8, 21, 30])
+def test_pattern_blocks_replay_the_batch_draws(monkeypatch, size):
+    monkeypatch.setattr(protocol, "_CHUNK_ROWS", 7)
+    rng, oracle = derived_rng(4, size), derived_rng(4, size)
+    blocks = list(protocol._pattern_blocks(rng, size, 3))
+    bits, phases = sample_patterns(oracle, size, 3)
+    assert all(len(block_bits) <= 7 for block_bits, _ in blocks)
+    assert np.array_equal(np.concatenate([block[0] for block in blocks]), bits)
+    assert np.array_equal(np.concatenate([block[1] for block in blocks]), phases)
+    assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 def test_session_with_noise_keeps_parity_checks_clean():
