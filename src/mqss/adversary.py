@@ -24,14 +24,14 @@ import numpy as np
 
 from .branch import probe_kets, to_state
 from .channel import Interceptor
-from .ghz import GhzSpec, sample_patterns
+from .ghz import GhzSpec
 from .protocol import (  # noqa: F401 - perfbench's tracer wraps run_round here
     Mode,
     RoundAttack,
     SessionConfig,
     Verdict,
-    play_patterns,
     run_round,
+    run_rounds,
     run_sessions,
 )
 from .statevec import (
@@ -140,14 +140,6 @@ def collective_attack(config: CollectiveAttackConfig) -> RoundAttack:
     return RoundAttack(collective=config)
 
 
-def probe_readout(state: PureState, rng) -> int:
-    """Z measurement of the probe register, returned to the server."""
-    if state.register_qubits < 1:
-        raise ValueError("state carries no probe register")
-    outcome, _, _ = measure_z(state, state.qubit_count, rng)
-    return outcome
-
-
 def mutual_information_bits(counts: np.ndarray) -> float:
     """Plug-in mutual information (bits) with add-one smoothing.
 
@@ -190,8 +182,7 @@ def estimate_leakage(
     q = attacked.particle_count
 
     def play(mode):
-        bits, phases = sample_patterns(rng, trials, q)
-        return play_patterns(attacked, bits, phases, rng, forced_modes=[mode] * q)
+        return run_rounds(attacked, trials, rng, forced_modes=[mode] * q)
 
     batch = play(Mode.SHARE)  # dealer-first columns: agent i sits at column i
     parity = np.bitwise_xor.reduce(batch.results, axis=1)

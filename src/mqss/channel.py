@@ -6,9 +6,10 @@ insertion attacks that rely on retrieving a photon structurally impossible
 in this model. Classical traffic goes over an authenticated broadcast log
 that anyone, including the adversary, can read, but nobody can rewrite.
 
-``protocol.play_rounds`` applies the same noise and interceptors in its own
-round walk, on either engine; ``QubitChannel`` and ``transmit`` model one
-link on its own, on the dense engine.
+The protocol's round driver (``protocol._play_rows``, behind
+``play_rounds``, ``run_rounds`` and sessions) applies the same noise and
+interceptors in its own round walk, on either engine; ``QubitChannel`` and
+``transmit`` model one link on its own, on the dense engine.
 """
 
 from __future__ import annotations

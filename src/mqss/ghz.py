@@ -11,7 +11,7 @@ gate-by-gate engine as an independent oracle.
 The server's draws come from ``sample_patterns`` as arrays, which is the
 form the batch engine and the session checks read; a ``GhzSpec`` is built
 only where one state is described on its own (records, transcripts, the
-dense oracle), and ``sample_specs`` draws the same states as specs.
+dense oracle).
 """
 
 from __future__ import annotations
@@ -112,15 +112,6 @@ def sample_patterns(rng, count: int, qubit_count: int) -> tuple[np.ndarray, np.n
     # the default int64 draws: another dtype would change the stream
     bits = rng.integers(0, 2, size=(count, qubit_count)).astype(bool)
     return bits, rng.integers(0, 2, size=count).astype(np.uint8)
-
-
-def sample_specs(rng, count: int, qubit_count: int) -> list[GhzSpec]:
-    """``sample_patterns`` as ``GhzSpec`` descriptors, for callers that want them.
-
-    Sessions play the arrays themselves and build no spec per round.
-    """
-    bits, phases = sample_patterns(rng, count, qubit_count)
-    return [GhzSpec(tuple(b), p) for b, p in zip(bits.tolist(), phases.tolist())]
 
 
 def prepare(spec: GhzSpec) -> PureState:

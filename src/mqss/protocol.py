@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from math import sqrt
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
@@ -196,7 +196,9 @@ class RoundBatch:
 
     @classmethod
     def join(cls, batches: Sequence["RoundBatch"]) -> "RoundBatch":
-        """The batches' rows in order, as one batch."""
+        """The batches' rows in order, as one batch; one batch is its own join."""
+        if len(batches) == 1:
+            return batches[0]
         probes = [batch.probe for batch in batches]
         return cls(
             *(
@@ -268,67 +270,18 @@ def play_rounds(
 ) -> RoundBatch:
     """Execute one full distribution round per spec, in order.
 
-    ``play_patterns`` of the specs' patterns and phase bits, for callers
-    that hold ``GhzSpec``s: ``run_round``, the tests and the dense oracle's
-    checks.
+    Per round the server prepares the announced state (or the adversary's
+    substitute), then each participant, dealer first, receives and
+    measures their particle; ``forced_modes`` fixes every round's modes in
+    place of the mode draws. Noise and attacks do not raise here; they
+    surface later as check failures. The rounds play through ``_play_rows``
+    like every other round of the package.
     """
     q = config.particle_count
     for spec in specs:
         if spec.qubit_count != q:
             raise ValueError(f"spec has {spec.qubit_count} particles, expected {q}")
-    return play_patterns(config, *_spec_arrays(specs, q), rng, forced_modes)
-
-
-def play_patterns(
-    config: SessionConfig,
-    bits: np.ndarray,
-    phases: np.ndarray,
-    rng,
-    forced_modes: Optional[Sequence[Mode]] = None,
-) -> RoundBatch:
-    """Execute one full distribution round per row of announced states.
-
-    Row i is the GHZ state with pattern ``bits[i]`` (R x q booleans) and
-    phase bit ``phases[i]``. Per round the server prepares the state (or
-    the adversary's substitute), then each participant, dealer first,
-    receives and measures their particle. Noise and attacks do not raise
-    here; they surface later as check failures.
-
-    The rounds run together on the exact branch engine (``mqss.branch``)
-    unless ``round_engine(config)`` is ``"dense"``, which plays them one
-    after another. Either way each round takes the same draws in the same
-    order: the mode draws, then per particle the noise draw, any tap's
-    schedule and measurement draws and the owner's measurement draw, and
-    last the probe draw. So every round of a batch takes the same number of
-    draws, and both engines give the same rounds and leave ``rng`` in the
-    same state. The rows are played ``_CHUNK_ROWS`` at a time; split
-    row-major draws are the same numbers as one call, so the chunk size
-    changes no round.
-    """
-    q = config.particle_count
-    if np.shape(bits) != (len(phases), q):
-        raise ValueError(f"expected {len(phases)} x {q} pattern bits, got {np.shape(bits)}")
-    forced = None
-    if forced_modes is not None:
-        if len(forced_modes) != q:
-            raise ValueError(f"expected {q} forced modes, got {len(forced_modes)}")
-        forced = np.array([mode is Mode.SHARE for mode in forced_modes])
-    return RoundBatch.join(list(_play_chunks(config, bits, phases, rng, forced)))
-
-
-def _play_chunks(config: SessionConfig, bits, phases, rng, forced):
-    """The rows played in order, as batches of at most ``_CHUNK_ROWS`` rows."""
-    dense = round_engine(config) == "dense"
-    width = _draw_columns(config, forced)[2]
-    # an empty batch still plays one empty chunk, which draws nothing
-    for start in range(0, max(len(bits), 1), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        if dense:
-            played = _play_dense(config, bits[rows], phases[rows], rng, forced)
-        else:
-            draws = rng.random(size=(len(bits[rows]), width))
-            played = _play_on_branches(config, bits[rows], phases[rows], draws, forced)
-        yield RoundBatch(bits[rows], phases[rows], *played)
+    return _play_batch(config, rng, [_spec_arrays(specs, q)], forced_modes)
 
 
 def run_round(
@@ -339,6 +292,96 @@ def run_round(
 ) -> RoundRecord:
     """Execute one full distribution round: ``play_rounds`` of one spec."""
     return play_rounds(config, [spec], rng, forced_modes).records()[0]
+
+
+def run_rounds(
+    config: SessionConfig,
+    n_rounds: int,
+    rng=None,
+    forced_modes: Optional[Sequence[Mode]] = None,
+) -> RoundBatch:
+    """Round statistics mode: execute rounds with no sifting or key steps.
+
+    The server draws the rounds' states as ``sample_patterns`` does, and
+    the rounds play as ``play_rounds`` plays them.
+    """
+    if rng is None:
+        rng = derived_rng(config.seed, 0)
+    blocks = _pattern_blocks(rng, n_rounds, config.particle_count)
+    return _play_batch(config, rng, blocks, forced_modes)
+
+
+def _play_batch(config: SessionConfig, rng, blocks, forced_modes) -> RoundBatch:
+    """The (bits, phases) ``blocks`` of rows played on ``rng``, as one batch."""
+    q = config.particle_count
+    forced = None
+    if forced_modes is not None:
+        if len(forced_modes) != q:
+            raise ValueError(f"expected {q} forced modes, got {len(forced_modes)}")
+        forced = np.array([mode is Mode.SHARE for mode in forced_modes])
+    batches = []
+    _play_rows(config, [(rng, lambda _: blocks)], lambda batch, *_: batches.append(batch), forced)
+    return RoundBatch.join(batches)
+
+
+def _play_rows(config: SessionConfig, jobs, sink, forced=None) -> None:
+    """Play every job's rows: the one driver all played rounds go through.
+
+    A job is a pair (rng, blocks): ``blocks(shared)`` yields the job's
+    (bits, phases) blocks of rows in draw order, and ``shared()`` counts
+    the all-Share rows among the job's unforced rows drawn so far, which is
+    what a session's top-ups read. Jobs draw one after another, each from
+    its own ``rng``, and each round takes the same draws in the same order
+    on either engine: the mode draws, then per particle the noise draw, any
+    interceptor's, any tap's schedule and measurement draws and the owner's
+    measurement draw, and last the probe draw.
+
+    On the branch engine a row's draws are taken as the row is packed into
+    a chunk of at most ``_CHUNK_ROWS`` rows, and each chunk, whatever jobs
+    its rows come from, plays in one ``BranchPairs`` pass. Split row-major
+    draws are the same numbers as one call, so the chunk size changes no
+    round. On the dense engine (``round_engine``) each block plays round
+    by round as it arrives, because an interceptor draws from the job's
+    generator itself. ``sink(batch, owners, starts)`` receives each played
+    batch, whose rows from ``starts[i]`` on are job ``owners[i]``'s.
+    """
+    q = config.particle_count
+    dense = round_engine(config) == "dense"
+    width = _draw_columns(config, forced)[2]
+    pieces, rows = [], 0  # the chunk being packed: (owner, bits, phases, draws)
+    for owner, (rng, blocks) in enumerate(jobs):
+        shared = 0
+        for bits, phases in blocks(lambda: shared):
+            if dense:
+                batch = RoundBatch(bits, phases, *_play_dense(config, bits, phases, rng, forced))
+                shared += np.count_nonzero(batch.share.all(axis=1))
+                sink(batch, [owner], [0])
+                continue
+            while True:  # one piece per chunk the block reaches; an empty block is one piece
+                take = min(len(bits), _CHUNK_ROWS - rows)
+                draws = rng.random(size=(take, width))
+                if forced is None:
+                    shared += np.count_nonzero((draws[:, :q] < 0.5).all(axis=1))
+                pieces.append((owner, bits[:take], phases[:take], draws))
+                bits, phases, rows = bits[take:], phases[take:], rows + take
+                if rows == _CHUNK_ROWS:
+                    _play_packed(config, pieces, sink, forced)
+                    pieces, rows = [], 0
+                if not len(bits):
+                    break
+    if pieces:
+        _play_packed(config, pieces, sink, forced)
+
+
+def _play_packed(config: SessionConfig, pieces, sink, forced) -> None:
+    """Play (owner, bits, phases, draws) pieces of rows as one chunk and sink it."""
+    owners, *columns = zip(*pieces)
+    # one piece plays as it is: a copy would cost a fresh chunk-sized allocation
+    bits, phases, draws = (
+        np.concatenate(arrays) if len(arrays) > 1 else arrays[0] for arrays in columns
+    )
+    batch = RoundBatch(bits, phases, *_play_on_branches(config, bits, phases, draws, forced))
+    sink(batch, list(owners), np.cumsum([0] + [len(piece[1]) for piece in pieces[:-1]]))
 
 
 def _draw_columns(config: SessionConfig, forced):
@@ -675,20 +718,25 @@ def run_sessions(
 
     A session's outcome depends on its seed alone: attempt k draws from
     ``derived_rng(seed, k)`` exactly what the session run on its own draws,
-    in the same order. The sessions' rounds are played together, every
-    attempt's rows packed into chunks of at most ``_CHUNK_ROWS`` rows with
-    one engine pass per chunk; then each attempt's checks run on its own
-    generator. Retries run as a further pass over the sessions that
-    aborted. On the dense engine the attempts play one after another,
-    because interceptors draw from the generator themselves.
+    in the same order. The sessions' rounds are played together, one
+    ``_play_rows`` job per attempt, so on the branch engine every attempt's
+    rows share chunks of at most ``_CHUNK_ROWS`` rows; then each attempt's
+    checks run on its own generator. Retries run as a further pass over the
+    sessions that aborted. A ``secret`` is checked before any round plays.
     """
+    if secret is not None and (
+        len(secret) != config.secret_bits or any(bit not in (0, 1) for bit in secret)
+    ):
+        raise ValueError(f"secret must be {config.secret_bits} bits, each 0 or 1")
     outcomes: list[SessionOutcome] = [None] * len(seeds)
     pending = range(len(seeds))
     for attempt in range(config.max_attempts):
         if not pending:
             break
         rngs = [derived_rng(seeds[trial], attempt) for trial in pending]
-        played = _play_attempts(config, rngs, collect_records)
+        played = _Played(len(rngs), config.particle_count, collect_records)
+        jobs = [(rng, partial(_attempt_blocks, config, rng)) for rng in rngs]
+        _play_rows(config, jobs, played.add)
         for index, (trial, rng) in enumerate(zip(pending, rngs)):
             outcomes[trial] = _finish_attempt(config, played, index, rng, secret, attempt + 1)
         pending = [trial for trial in pending if outcomes[trial].verdict is not Verdict.COMPLETED]
@@ -764,62 +812,12 @@ class _Played:
                 self.rows[owner].append(batch.select(slice(start, end)))
 
 
-def _play_attempts(config: SessionConfig, rngs, collect_records: bool) -> _Played:
-    """Play one attempt per generator; attempt i draws from ``rngs[i]``."""
-    q = config.particle_count
-    played = _Played(len(rngs), q, collect_records)
-    if round_engine(config) == "dense":
-        for index, rng in enumerate(rngs):
-            for size in _batch_sizes(config, lambda: played.sums[index, 0]):
-                for bits, phases in _pattern_blocks(rng, size, q):
-                    batch = RoundBatch(bits, phases, *_play_dense(config, bits, phases, rng, None))
-                    played.add(batch, [index], [0])
-        return played
-    width = _draw_columns(config, None)[2]
-    blocks, rows = [], 0
-    for index, rng in enumerate(rngs):
-        for bits, phases, draws in _attempt_rows(config, rng, width):
-            while rows + len(bits) >= _CHUNK_ROWS:  # the block fills the chunk
-                take = _CHUNK_ROWS - rows
-                blocks.append((index, bits[:take], phases[:take], draws[:take]))
-                _play_packed(config, blocks, played)
-                blocks, rows = [], 0
-                bits, phases, draws = bits[take:], phases[take:], draws[take:]
-            if len(bits):
-                blocks.append((index, bits, phases, draws))
-                rows += len(bits)
-    if blocks:
-        _play_packed(config, blocks, played)
-    return played
+def _attempt_blocks(config: SessionConfig, rng, raw_bits):
+    """An attempt's pattern blocks, batch after batch until ``raw_bits()`` reaches 2m.
 
-
-def _play_packed(config: SessionConfig, blocks, played: _Played) -> None:
-    """Play (owner, bits, phases, draws) blocks of rows as one chunk and tally them."""
-    bits, phases, draws = (np.concatenate([block[i] for block in blocks]) for i in (1, 2, 3))
-    batch = RoundBatch(bits, phases, *_play_on_branches(config, bits, phases, draws, None))
-    starts = np.cumsum([0] + [len(block[1]) for block in blocks[:-1]])
-    played.add(batch, [block[0] for block in blocks], starts)
-
-
-def _attempt_rows(config: SessionConfig, rng, width: int):
-    """One attempt's rows, unplayed and in draw order, as (bits, phases, draws) blocks.
-
-    Row i's round takes its ``width`` draws from ``draws[i]``. Whether a
-    top-up batch follows depends only on the raw key bits drawn so far, and
-    a row is an all-Share round exactly when its q mode draws are all below
-    1/2; so every row is drawn before any is played.
+    A batch of ``config.batch_size`` rows comes first; smaller top-ups
+    cover any raw-bit shortfall.
     """
-    q = config.particle_count
-    raw_bits = 0
-    for size in _batch_sizes(config, lambda: raw_bits):
-        for bits, phases in _pattern_blocks(rng, size, q):
-            draws = rng.random(size=(len(bits), width))
-            raw_bits += np.count_nonzero((draws[:, :q] < 0.5).all(axis=1))
-            yield bits, phases, draws
-
-
-def _batch_sizes(config: SessionConfig, raw_bits):
-    """An attempt's batch sizes, until ``raw_bits()`` reaches the 2m it needs."""
     need = 2 * config.secret_bits
     batches = 0
     while raw_bits() < need:
@@ -827,8 +825,8 @@ def _batch_sizes(config: SessionConfig, raw_bits):
             raise BatchLimitError(
                 f"{_MAX_BATCHES} batches of rounds gave {raw_bits()} of {need} raw key bits"
             )
-        # full batch first; smaller top-ups cover any raw-bit shortfall
-        yield config.batch_size if not batches else max(config.batch_size // 4, 8)
+        size = config.batch_size if not batches else max(config.batch_size // 4, 8)
+        yield from _pattern_blocks(rng, size, config.particle_count)
         batches += 1
 
 
@@ -914,12 +912,3 @@ def _finish_attempt(
         ciphertext=sharing.ciphertext,
         reconstructed=sharing.reconstructed,
     )
-
-
-def run_rounds(config: SessionConfig, n_rounds: int, rng=None) -> RoundBatch:
-    """Round statistics mode: execute rounds with no sifting or key steps."""
-    if rng is None:
-        rng = derived_rng(config.seed, 0)
-    blocks = _pattern_blocks(rng, n_rounds, config.particle_count)
-    bits, phases = (np.concatenate(arrays) for arrays in zip(*blocks))
-    return play_patterns(config, bits, phases, rng)

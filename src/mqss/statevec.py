@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,10 +28,6 @@ IDENTITY = np.eye(2, dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-class DegenerateSuperpositionError(ValueError):
-    """Raised when a linear combination of states has (near-)zero norm."""
 
 
 def is_unitary(matrix: np.ndarray, atol: float = ATOL) -> bool:
@@ -137,29 +133,6 @@ def basis_state(qubit_count: int, bits: Sequence[int]) -> PureState:
     amps = np.zeros(1 << qubit_count, dtype=complex)
     amps[index] = 1.0
     return PureState(qubit_count, amps)
-
-
-def superpose(states: Iterable[tuple[complex, PureState]]) -> PureState:
-    """Normalized linear combination of same-sized states.
-
-    Raises ``DegenerateSuperpositionError`` if the combination cancels to
-    the zero vector.
-    """
-    terms = list(states)
-    if not terms:
-        raise ValueError("superpose requires at least one term")
-    first = terms[0][1]
-    total = np.zeros(first.dimension, dtype=complex)
-    for coeff, st in terms:
-        if st.qubit_count != first.qubit_count:
-            raise ValueError("all states in a superposition must have equal size")
-        if st.register_qubits != first.register_qubits:
-            raise ValueError("register layout must agree across superposed states")
-        total += complex(coeff) * st.amplitudes
-    norm = float(np.linalg.norm(total))
-    if norm <= ATOL:
-        raise DegenerateSuperpositionError("superposition has zero norm")
-    return PureState(first.qubit_count, total / norm, first.register_qubits)
 
 
 def apply_gate(state: PureState, particle: int, gate: np.ndarray) -> PureState:

@@ -14,7 +14,6 @@ from mqss.adversary import (
     measure_resend_attack,
     mutual_information_bits,
     prepare_attacked_state,
-    probe_readout,
     run_collusion,
 )
 from mqss.ghz import GhzSpec, prepare
@@ -96,17 +95,6 @@ def test_collective_config_validation():
     with pytest.raises(ValueError):
         CollectiveAttackConfig(probe_overlap=0.5, pattern_weight=1.0,
                                complement_weight=1.0)
-
-
-def test_probe_readout_requires_register(rng):
-    with pytest.raises(ValueError):
-        probe_readout(prepare(GhzSpec((0, 0), 0)), rng)
-
-
-def test_probe_readout_constant_when_probe_is_bystander(rng):
-    spec = GhzSpec((1, 1, 0, 0), 0)
-    state = prepare_attacked_state(spec, CollectiveAttackConfig(probe_overlap=1.0))
-    assert all(probe_readout(state, rng) == 0 for _ in range(50))
 
 
 def test_probe_predicts_branch_when_orthogonal():

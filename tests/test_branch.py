@@ -19,7 +19,7 @@ from mqss.adversary import (
     measure_resend_interceptor,
     prepare_attacked_state,
 )
-from mqss.ghz import GhzSpec, prepare, sample_specs
+from mqss.ghz import GhzSpec, prepare, sample_patterns
 from mqss.protocol import (
     Mode,
     RoundAttack,
@@ -394,7 +394,8 @@ def test_a_batch_split_in_two_plays_the_same_rounds(kind, epsilon):
     config = SessionConfig(
         n_agents=3, epsilon=epsilon, seed=31, attack=ROUND_ATTACKS[kind](3)
     )
-    specs = sample_specs(derived_rng(32), 300, config.particle_count)
+    bits, phases = sample_patterns(derived_rng(32), 300, config.particle_count)
+    specs = [GhzSpec(tuple(b), p) for b, p in zip(bits.tolist(), phases.tolist())]
     whole_rng = derived_rng(33)
     whole = play_rounds(config, specs, whole_rng).records()
     for cut in (0, 1, 2, 150, 299, 300):

@@ -18,7 +18,7 @@ from mqss.ghz import (
     predict_partial_hadamard,
     prepare,
     residual_phase,
-    sample_specs,
+    sample_patterns,
 )
 from mqss.statevec import (
     ATOL,
@@ -133,14 +133,14 @@ def test_spec_validation():
         GhzSpec((0, 1), 2)
 
 
-def test_sample_specs_draws_all_patterns_then_all_phases():
-    specs = sample_specs(np.random.default_rng(3), 40, 5)
+def test_sample_patterns_draws_all_patterns_then_all_phases():
+    bits, phases = sample_patterns(np.random.default_rng(3), 40, 5)
     rng = np.random.default_rng(3)
-    bits = rng.integers(0, 2, size=(40, 5)).tolist()
-    phases = rng.integers(0, 2, size=40).tolist()
-    assert specs == [GhzSpec(tuple(b), p) for b, p in zip(bits, phases)]
+    assert bits.dtype == bool and phases.dtype == np.uint8
+    assert bits.tolist() == rng.integers(0, 2, size=(40, 5)).astype(bool).tolist()
+    assert phases.tolist() == rng.integers(0, 2, size=40).tolist()
     with pytest.raises(ValueError):
-        sample_specs(rng, 3, 1)
+        sample_patterns(rng, 3, 1)
 
 
 # --- full-Hadamard closed form ----------------------------------------------

@@ -15,6 +15,7 @@ from mqss.adversary import (
     MeasureResendConfig,
     collective_attack,
     collusion_attack,
+    estimate_leakage,
     measure_resend_attack,
 )
 from mqss.ghz import GhzSpec, sample_patterns
@@ -580,6 +581,60 @@ def test_pattern_blocks_replay_the_batch_draws(monkeypatch, size):
     assert np.array_equal(np.concatenate([block[0] for block in blocks]), bits)
     assert np.array_equal(np.concatenate([block[1] for block in blocks]), phases)
     assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+CHUNK_PLAYS = {
+    "run_rounds": lambda rng: run_rounds(
+        SessionConfig(epsilon=0.05, attack=CHUNK_ATTACKS["collusion"]), 50, rng
+    ),
+    "run_rounds-forced": lambda rng: run_rounds(
+        SessionConfig(attack=CHUNK_ATTACKS["collective"]), 50, rng, forced_modes=[C, S, C, C]
+    ),
+    "run_rounds-dense": lambda rng: run_rounds(
+        SessionConfig(n_agents=2, attack=TRIAL_ATTACKS["dense"][0]), 50, rng
+    ),
+    # 1,000 pattern rows take _pattern_blocks' replay path at 7-row chunks
+    "estimate_leakage": lambda rng: estimate_leakage(
+        CollectiveAttackConfig(probe_overlap=0.5), SessionConfig(), 1_000, rng
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_PLAYS))
+def test_round_batches_do_not_depend_on_the_chunk_size(monkeypatch, kind):
+    played = []
+    for chunk in (sys.maxsize, 7):
+        monkeypatch.setattr(protocol, "_CHUNK_ROWS", chunk)
+        rng = RowCountingRng(derived_rng(41))
+        result = CHUNK_PLAYS[kind](rng)
+        assert max(rng.rows) <= chunk
+        if isinstance(result, RoundBatch):
+            result = result.records()
+        played.append((result, rng.bit_generator.state))
+    assert len(rng.rows) > 2  # the 7-row chunks took several draw calls
+    assert played[1] == played[0]
+
+
+@pytest.mark.parametrize(
+    "config, secret",
+    [
+        (SessionConfig(n_agents=2, max_attempts=1, attack=CHUNK_ATTACKS["collusion"]), (1,)),
+        (SessionConfig(n_agents=3), (2, 0, 1, 1)),
+    ],
+    ids=["too-short", "not-a-bit"],
+)
+def test_a_malformed_secret_is_refused_before_any_round_plays(monkeypatch, config, secret):
+    config = replace(config, secret_bits=4, seed=0)
+    streams = []
+
+    def recording_rng(*key):
+        streams.append(key)
+        return derived_rng(*key)
+
+    monkeypatch.setattr(protocol, "derived_rng", recording_rng)
+    with pytest.raises(ValueError, match="secret must be 4 bits, each 0 or 1"):
+        run_session(config, secret=secret)
+    assert streams == []
 
 
 def test_session_with_noise_keeps_parity_checks_clean():

@@ -13,7 +13,6 @@ from mqss.statevec import (
     HADAMARD,
     IDENTITY,
     PAULI_X,
-    DegenerateSuperpositionError,
     PureState,
     apply_gate,
     attach_register,
@@ -24,7 +23,6 @@ from mqss.statevec import (
     measure_after_hadamard,
     measure_all,
     measure_z,
-    superpose,
 )
 
 from conftest import FixedRng, state_from_terms
@@ -76,26 +74,6 @@ def test_amplitudes_are_frozen():
     state = basis_state(2, [0, 1])
     with pytest.raises(ValueError):
         state.amplitudes[0] = 1.0
-
-
-def test_superpose_builds_ghz_running_example():
-    ghz = superpose(
-        [(S2, basis_state(4, [0, 0, 1, 1])), (S2, basis_state(4, [1, 1, 0, 0]))]
-    )
-    assert abs(ghz.amplitudes[0b0011] - S2) < ATOL
-    assert abs(ghz.amplitudes[0b1100] - S2) < ATOL
-    assert np.count_nonzero(ghz.amplitudes) == 2
-
-
-def test_superpose_trivial_identity():
-    state = superpose([(1.0, basis_state(1, [0])), (0.0, basis_state(1, [1]))])
-    assert fidelity(state, basis_state(1, [0])) == pytest.approx(1.0)
-
-
-def test_superpose_zero_norm_is_degenerate():
-    zero = basis_state(1, [0])
-    with pytest.raises(DegenerateSuperpositionError):
-        superpose([(S2, zero), (-S2, zero)])
 
 
 # --- gates ------------------------------------------------------------------
