@@ -77,13 +77,13 @@ class ExperimentConfig:
     report: str = "full"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
     config: ExperimentConfig
     trials: int = 0
-    verdict_counts: dict = None
+    verdict_counts: Optional[dict[str, int]] = None
     reconstruction_matches: int = 0
-    case_counts: dict = None
+    case_counts: Optional[dict[str, int]] = None
     rounds_total: int = 0
     step5_error_rate: Optional[float] = None
     step6_error_rate: Optional[float] = None
@@ -109,24 +109,24 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mqss",
         description="Run mediated quantum secret sharing experiments.",
     )
-    parser.add_argument("--agents", type=int, default=None,
+    parser.add_argument("--agents", type=int, default=3,
                         help="number of agents (default 3)")
-    parser.add_argument("--secret-bits", type=int, default=None,
+    parser.add_argument("--secret-bits", type=int, default=16,
                         help="secret length in bits (default 16)")
-    parser.add_argument("--epsilon", type=float, default=None,
+    parser.add_argument("--epsilon", type=float, default=0.0,
                         help="channel bit-flip noise rate (default 0)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=0,
                         help=f"master seed (default ${SEED_ENV_VAR} or 0)")
-    parser.add_argument("--trials", type=int, default=None,
+    parser.add_argument("--trials", type=int, default=1,
                         help="number of independent sessions (default 1)")
-    parser.add_argument("--attack", default=None,
+    parser.add_argument("--attack", default="none",
                         choices=["none", "measure-resend", "collective", "collusion"],
                         help="adversary model (default none)")
     parser.add_argument("--victim", type=int, default=None,
                         help="victim agent index for interception attacks")
-    parser.add_argument("--colluders", default=None,
+    parser.add_argument("--colluders", type=_parse_colluders, default=None,
                         help="comma-separated colluding agent indices")
-    parser.add_argument("--probe-overlap", type=float, default=None,
+    parser.add_argument("--probe-overlap", type=float, default=1.0,
                         help="probe state overlap for the collective attack")
     parser.add_argument("--transcript", default=None,
                         help="write per-round records to this file (JSON lines)")
@@ -134,45 +134,35 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flat key=value config file; flags take precedence")
     parser.add_argument("--rounds-only", type=int, default=None, metavar="N",
                         help="statistics mode: run N rounds without key steps")
-    parser.add_argument("--report", default=None, choices=["full", "cases"],
+    parser.add_argument("--report", default="full", choices=["full", "cases"],
                         help="report style (default full)")
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if env_seed:
+        try:
+            parser.set_defaults(seed=int(env_seed))
+        except ValueError:
+            parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
     return parser
 
 
-def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
-    values = {}
-    known = {
-        "agents", "secret-bits", "epsilon", "seed", "trials", "attack",
-        "victim", "colluders", "probe-overlap", "transcript", "rounds-only",
-        "report",
-    }
+def _config_file_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """Each ``key = value`` line of a config file as a ``--key=value`` argument."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
+    args = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             parser.error(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in known:
-            parser.error(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
-def _pick(parser, flag_value, file_values: dict, key: str, convert, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        try:
-            return convert(file_values[key])
-        except ValueError:
-            parser.error(f"invalid value for {key!r} in config file")
-    return default
+        if key.strip() == "config":
+            parser.error(f"{path}:{lineno}: unknown key 'config'")
+        args.append(f"--{key.strip()}={value.strip()}")
+    return args
 
 
 def _parse_colluders(text: str) -> frozenset[int]:
@@ -185,90 +175,67 @@ def _parse_colluders(text: str) -> frozenset[int]:
 def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     """Resolve flags, config file, and environment into an experiment setup.
 
-    Precedence: command-line flags, then config-file values, then the
-    MQSS_SEED environment variable (seed only), then built-in defaults.
-    Invalid values and combinations, including a set MQSS_SEED that is not
-    an integer and a session config that ``SessionConfig`` rejects, exit
-    with the usage status.
+    One argparse parser holds every flag with its default, type and choices.
+    It reads each ``key = value`` line of a ``--config`` file as
+    ``--key=value`` ahead of the command line, so a key must name a flag
+    other than ``--config`` exactly, and its value gets that flag's checks.
+    Precedence: flags, then config-file values, then the MQSS_SEED
+    environment variable (seed only), then built-in defaults. Whatever the
+    parser, ``SessionConfig`` or the attack configs reject (a negative seed,
+    say), a cross-field check fails or a set MQSS_SEED that is not an
+    integer exits with the usage status.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    file_values = _load_config_file(args.config, parser) if args.config else {}
+    if args.config:
+        # a config key must name its flag exactly; the command line may abbreviate
+        parser.allow_abbrev = False
+        from_file = parser.parse_args(_config_file_args(args.config, parser))
+        parser.allow_abbrev = True
+        args = parser.parse_args(argv, namespace=from_file)
 
-    agents = _pick(parser, args.agents, file_values, "agents", int, 3)
-    secret_bits = _pick(parser, args.secret_bits, file_values, "secret-bits", int, 16)
-    epsilon = _pick(parser, args.epsilon, file_values, "epsilon", float, 0.0)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    seed_default = 0
-    if env_seed:
-        try:
-            seed_default = int(env_seed)
-        except ValueError:
-            parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
-    seed = _pick(parser, args.seed, file_values, "seed", int, seed_default)
-    trials = _pick(parser, args.trials, file_values, "trials", int, 1)
-    attack_kind = _pick(parser, args.attack, file_values, "attack", str, "none")
-    victim = _pick(parser, args.victim, file_values, "victim", int, None)
-    colluders = args.colluders
-    if colluders is None and "colluders" in file_values:
-        colluders = file_values["colluders"]
-    probe_overlap = _pick(parser, args.probe_overlap, file_values, "probe-overlap",
-                          float, 1.0)
-    transcript = _pick(parser, args.transcript, file_values, "transcript", str, None)
-    rounds_only = _pick(parser, args.rounds_only, file_values, "rounds-only", int, None)
-    report = _pick(parser, args.report, file_values, "report", str, "full")
-
+    attack_kind = args.attack
+    intercepts = attack_kind in ("measure-resend", "collusion")
+    if intercepts and args.victim is None:
+        parser.error(f"--attack {attack_kind} requires --victim")
+    if attack_kind == "collusion" and args.colluders is None:
+        parser.error("--attack collusion requires --colluders")
     try:
-        session = SessionConfig(
-            n_agents=agents, secret_bits=secret_bits, epsilon=epsilon, seed=seed
-        )
+        session = SessionConfig(n_agents=args.agents, secret_bits=args.secret_bits,
+                                epsilon=args.epsilon, seed=args.seed)
+        # an overlap outside [0, 1] is refused whatever the attack
+        CollectiveAttackConfig(probe_overlap=args.probe_overlap)
+        if intercepts:
+            inner = MeasureResendConfig(args.victim)
+        if attack_kind == "collusion":
+            CollusionConfig(args.colluders, inner)
     except ValueError as exc:
         parser.error(f"invalid session: {exc}")
-    if trials < 1:
+    if args.trials < 1:
         parser.error("--trials must be positive")
-    if rounds_only is not None and rounds_only < 1:
+    if args.rounds_only is not None and args.rounds_only < 1:
         parser.error("--rounds-only must be positive")
-    if not 0.0 <= probe_overlap <= 1.0:
-        parser.error("--probe-overlap must lie in [0, 1]")
-    if report not in ("full", "cases"):
-        parser.error("--report must be 'full' or 'cases'")
-    if attack_kind not in ("none", "measure-resend", "collective", "collusion"):
-        parser.error(f"unknown attack {attack_kind!r}")
-
-    colluder_set: Optional[frozenset[int]] = None
-    if attack_kind in ("measure-resend", "collusion"):
-        if victim is None:
-            parser.error(f"--attack {attack_kind} requires --victim")
-        if not 1 <= victim <= agents:
-            parser.error("--victim must name one of the agents")
-    if attack_kind == "collusion":
-        if not colluders:
-            parser.error("--attack collusion requires --colluders")
-        try:
-            colluder_set = _parse_colluders(colluders)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(str(exc))
-        if not colluder_set:
-            parser.error("--colluders must not be empty")
-        if any(not 1 <= c <= agents for c in colluder_set):
+    if intercepts and args.victim > args.agents:
+        parser.error("--victim must name one of the agents")
+    colluders = args.colluders if attack_kind == "collusion" else None
+    if colluders is not None:
+        if any(not 1 <= c <= args.agents for c in colluders):
             parser.error("--colluders must name agents")
-        if victim in colluder_set:
-            parser.error("the victim cannot be a colluder")
-        if len(colluder_set) >= agents:
+        if len(colluders) >= args.agents:
             parser.error("--colluders must be a proper subset of the agents")
-    if attack_kind in ("collective", "collusion") and transcript:
+    if attack_kind in ("collective", "collusion") and args.transcript:
         parser.error(f"--transcript is not available with --attack {attack_kind}")
 
     return ExperimentConfig(
         session=session,
-        trials=trials,
+        trials=args.trials,
         attack_kind=attack_kind,
-        victim=victim,
-        colluders=colluder_set,
-        probe_overlap=probe_overlap,
-        rounds_only=rounds_only,
-        transcript=Path(transcript) if transcript else None,
-        report=report,
+        victim=args.victim,
+        colluders=colluders,
+        probe_overlap=args.probe_overlap,
+        rounds_only=args.rounds_only,
+        transcript=Path(args.transcript) if args.transcript else None,
+        report=args.report,
     )
 
 
@@ -328,52 +295,47 @@ def read_transcript(path: Path) -> list[tuple[int, RoundRecord]]:
 # --- experiment execution ---------------------------------------------------------
 
 
-def _session_attack(config: ExperimentConfig):
-    if config.attack_kind == "measure-resend":
-        return measure_resend_attack(MeasureResendConfig(target=config.victim))
-    if config.attack_kind == "collusion":
-        return collusion_attack(
-            CollusionConfig(config.colluders, MeasureResendConfig(config.victim))
-        )
-    return None
-
-
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute the configured experiment and aggregate its statistics."""
-    report = RunReport(config=config)
     started = time.perf_counter()
+    kind = config.attack_kind
+    session_attack = None
+    if kind == "measure-resend":
+        session_attack = measure_resend_attack(MeasureResendConfig(config.victim))
+    elif kind == "collusion":
+        collusion = CollusionConfig(config.colluders, MeasureResendConfig(config.victim))
+        session_attack = collusion_attack(collusion)
     # the collective attack only swaps the preparation, so it has no
     # interceptor either; every experiment's rounds run on this engine
-    attacked = replace(config.session, attack=_session_attack(config))
-    report.engine = round_engine(attacked)
+    attacked = replace(config.session, attack=session_attack)
 
     if config.rounds_only is not None:
         batch = run_rounds(attacked, config.rounds_only)
-        report.case_counts = case_counts(batch)
-        report.rounds_total = len(batch)
+        results = dict(case_counts=case_counts(batch), rounds_total=len(batch))
         if config.transcript:
             write_transcript(config.transcript, [(0, batch.records())])
-    elif config.attack_kind == "collective":
+    elif kind == "collective":
         trials = _monte_carlo_trials(config)
-        report.leakage = estimate_leakage(
+        leakage = estimate_leakage(
             CollectiveAttackConfig(probe_overlap=config.probe_overlap),
             config.session,
             trials=trials,
         )
-        report.trials = trials
-    elif config.attack_kind == "collusion":
+        results = dict(trials=trials, leakage=leakage)
+    elif kind == "collusion":
         trials = _monte_carlo_trials(config)
-        report.collusion = run_collusion(
-            CollusionConfig(config.colluders, MeasureResendConfig(config.victim)),
-            config.session,
-            trials=trials,
+        results = dict(
+            trials=trials, collusion=run_collusion(collusion, config.session, trials=trials)
         )
-        report.trials = trials
     else:
-        _run_sessions(config, attacked, report)
+        results = _run_sessions(config, attacked)
 
-    report.duration_seconds = time.perf_counter() - started
-    return report
+    return RunReport(
+        config=config,
+        engine=round_engine(attacked),
+        duration_seconds=time.perf_counter() - started,
+        **results,
+    )
 
 
 def _monte_carlo_trials(config: ExperimentConfig) -> int:
@@ -388,9 +350,12 @@ def _monte_carlo_trials(config: ExperimentConfig) -> int:
     return _MIN_ESTIMATE_TRIALS
 
 
-def _run_sessions(
-    config: ExperimentConfig, attacked: SessionConfig, report: RunReport
-) -> None:
+def _mean(rates: list[float]) -> Optional[float]:
+    return sum(rates) / len(rates) if rates else None
+
+
+def _run_sessions(config: ExperimentConfig, attacked: SessionConfig) -> dict:
+    """The ``RunReport`` fields of ``config.trials`` seeded sessions."""
     collect = config.transcript is not None
     verdicts = {verdict.value: 0 for verdict in Verdict}
     counts = {case.value: 0 for case in RoundCase}
@@ -412,21 +377,22 @@ def _run_sessions(
             step5_rates.append(outcome.stats.step5_error_rate)
         if outcome.stats.step6_error_rate is not None:
             step6_rates.append(outcome.stats.step6_error_rate)
-    report.trials = config.trials
-    report.verdict_counts = verdicts
-    report.reconstruction_matches = matches
-    report.case_counts = counts
-    report.rounds_total = sum(counts.values())
-    if step5_rates:
-        report.step5_error_rate = sum(step5_rates) / len(step5_rates)
-    if step6_rates:
-        report.step6_error_rate = sum(step6_rates) / len(step6_rates)
-    if report.rounds_total:
-        case1 = report.case_counts[RoundCase.CASE1.value]
-        report.raw_bits_per_round = case1 / report.rounds_total
     if collect:
         grouped = [(trial, outcome.records) for trial, outcome in enumerate(outcomes)]
         write_transcript(config.transcript, grouped)
+    rounds_total = sum(counts.values())
+    return dict(
+        trials=config.trials,
+        verdict_counts=verdicts,
+        reconstruction_matches=matches,
+        case_counts=counts,
+        rounds_total=rounds_total,
+        step5_error_rate=_mean(step5_rates),
+        step6_error_rate=_mean(step6_rates),
+        raw_bits_per_round=(
+            counts[RoundCase.CASE1.value] / rounds_total if rounds_total else None
+        ),
+    )
 
 
 # --- reporting ----------------------------------------------------------------------

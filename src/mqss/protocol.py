@@ -130,6 +130,8 @@ class SessionConfig:
             raise ValueError("secret must have at least 1 bit")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
 

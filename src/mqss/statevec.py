@@ -30,14 +30,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def is_unitary(matrix: np.ndarray, atol: float = ATOL) -> bool:
-    """True if ``matrix @ matrix^dagger`` is the identity within ``atol``."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        return False
-    return bool(np.allclose(m @ m.conj().T, np.eye(2), atol=atol))
-
-
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized amplitude vector over ``qubit_count`` qubits.
@@ -199,18 +191,6 @@ def measure_after_hadamard(
     return outcome, _trusted_state(
         state.qubit_count, collapsed, state.register_qubits
     ), prob
-
-
-def measure_all(state: PureState, rng) -> tuple[tuple[int, ...], float]:
-    """Measure every particle in order 1..q; returns bits and joint probability."""
-    outcomes = []
-    joint = 1.0
-    current = state
-    for particle in range(1, state.qubit_count + 1):
-        bit, current, prob = measure_z(current, particle, rng)
-        outcomes.append(bit)
-        joint *= prob
-    return tuple(outcomes), joint
 
 
 def attach_register(state: PureState, register: PureState) -> PureState:

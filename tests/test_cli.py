@@ -76,6 +76,7 @@ def test_collusion_flags():
         ["--probe-overlap", "1.5"],
         ["--attack", "collusion", "--colluders", "1", "--victim", "2",
          "--transcript", "x.jsonl"],
+        ["--seed", "-1"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -108,7 +109,13 @@ def test_a_malformed_env_seed_is_a_usage_error(monkeypatch, capsys, value):
     assert f"MQSS_SEED must be an integer, got {value!r}" in capsys.readouterr().err
 
 
-def test_config_file_and_flag_precedence(tmp_path):
+@pytest.mark.parametrize("env_seed", [None, "5"])
+def test_config_file_and_flag_precedence(tmp_path, monkeypatch, env_seed):
+    # seed precedence: MQSS_SEED, then the config file, then the flag
+    if env_seed is None:
+        monkeypatch.delenv("MQSS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MQSS_SEED", env_seed)
     config_file = tmp_path / "run.cfg"
     config_file.write_text(
         "# experiment setup\n"
@@ -123,11 +130,23 @@ def test_config_file_and_flag_precedence(tmp_path):
     config = parse_config(["--config", str(config_file), "--agents", "2"])
     assert config.session.n_agents == 2
     assert config.session.secret_bits == 8
+    config = parse_config(["--config", str(config_file), "--seed", "3"])
+    assert config.session.seed == 3
 
 
-def test_config_file_unknown_key(tmp_path):
+@pytest.mark.parametrize("line", [
+    "bogus = 1",
+    "agent = 4",                     # an abbreviation names no flag exactly
+    "config = other.cfg",
+    "attack = bogus",
+    "report = json",
+    "trials = 0",
+    "colluders = 1,x",
+    "seed = -1",
+])
+def test_config_file_unknown_key(tmp_path, line):
     config_file = tmp_path / "run.cfg"
-    config_file.write_text("bogus = 1\n")
+    config_file.write_text(line + "\n")
     with pytest.raises(SystemExit) as excinfo:
         parse_config(["--config", str(config_file)])
     assert excinfo.value.code == 2

@@ -669,6 +669,8 @@ def test_config_validation():
         SessionConfig(secret_bits=0)
     with pytest.raises(ValueError):
         SessionConfig(epsilon=-0.1)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SessionConfig(seed=-1)
     SessionConfig(n_agents=MAX_QUBITS - 1)
     with pytest.raises(ValueError, match=f"at most {MAX_QUBITS - 1} agents"):
         SessionConfig(n_agents=MAX_QUBITS)
