@@ -9,7 +9,8 @@ Usage examples::
     mqss --rounds-only 10000 --report cases
 
 Transcripts carry one JSON record per round, grouped by trial, with a fixed
-key order, so identical configurations produce byte-identical files.
+key order, so identical configurations produce byte-identical files. They
+are rendered straight from the played ``RoundBatch`` arrays.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from math import sqrt
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .adversary import (
     CollectiveAttackConfig,
     CollusionConfig,
     CollusionReport,
     LeakageEstimate,
     MeasureResendConfig,
+    collective_attack,
     collusion_attack,
     estimate_leakage,
     measure_resend_attack,
@@ -41,11 +45,13 @@ from .protocol import (
     IndeterminateCheckError,
     InsufficientRawKeyError,
     Mode,
+    RoundBatch,
     RoundCase,
     RoundRecord,
     SessionConfig,
     Verdict,
     case_counts,
+    classify_round,
     round_engine,
     run_rounds,
     run_sessions,
@@ -200,6 +206,11 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
         parser.error(f"--attack {attack_kind} requires --victim")
     if attack_kind == "collusion" and args.colluders is None:
         parser.error("--attack collusion requires --colluders")
+    # a flag the attack does not read would be silently ignored
+    if not intercepts and args.victim is not None:
+        parser.error(f"--attack {attack_kind} reads no --victim")
+    if attack_kind != "collusion" and args.colluders is not None:
+        parser.error(f"--attack {attack_kind} reads no --colluders")
     try:
         session = SessionConfig(n_agents=args.agents, secret_bits=args.secret_bits,
                                 epsilon=args.epsilon, seed=args.seed)
@@ -217,21 +228,21 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
         parser.error("--rounds-only must be positive")
     if intercepts and args.victim > args.agents:
         parser.error("--victim must name one of the agents")
-    colluders = args.colluders if attack_kind == "collusion" else None
-    if colluders is not None:
-        if any(not 1 <= c <= args.agents for c in colluders):
+    if args.colluders is not None:
+        if any(not 1 <= c <= args.agents for c in args.colluders):
             parser.error("--colluders must name agents")
-        if len(colluders) >= args.agents:
+        if len(args.colluders) >= args.agents:
             parser.error("--colluders must be a proper subset of the agents")
-    if attack_kind in ("collective", "collusion") and args.transcript:
-        parser.error(f"--transcript is not available with --attack {attack_kind}")
+    # a Monte-Carlo estimate plays no session rounds to write
+    if attack_kind in ("collective", "collusion") and args.transcript and not args.rounds_only:
+        parser.error(f"--transcript with --attack {attack_kind} needs --rounds-only")
 
     return ExperimentConfig(
         session=session,
         trials=args.trials,
         attack_kind=attack_kind,
         victim=args.victim,
-        colluders=colluders,
+        colluders=args.colluders,
         probe_overlap=args.probe_overlap,
         rounds_only=args.rounds_only,
         transcript=Path(args.transcript) if args.transcript else None,
@@ -240,27 +251,6 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 
 
 # --- transcripts -----------------------------------------------------------------
-
-
-# built once: json.dumps with any non-default option builds an encoder per call
-_TRANSCRIPT_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def record_to_json(trial: int, record: RoundRecord) -> str:
-    # keys in sorted order, so the line reads as a sort_keys dump would
-    payload = {
-        "classification": record.classification.value,
-        "modes": [m.value for m in record.modes],
-        "probe": record.probe_outcome,
-        "results": list(record.results),
-        "round_index": record.round_index,
-        "spec": {
-            "b": record.spec.phase,
-            "x": "".join(str(b) for b in record.spec.bits),
-        },
-        "trial": trial,
-    }
-    return _TRANSCRIPT_ENCODER.encode(payload)
 
 
 def record_from_json(line: str) -> tuple[int, RoundRecord]:
@@ -279,12 +269,65 @@ def record_from_json(line: str) -> tuple[int, RoundRecord]:
     return payload["trial"], record
 
 
-def write_transcript(path: Path, grouped_records) -> None:
-    with open(path, "w") as handle:
-        for trial, records in grouped_records:
-            for record in records:
-                handle.write(record_to_json(trial, record))
-                handle.write("\n")
+def write_transcript(path: Path, grouped) -> None:
+    """Write each (trial, ``RoundBatch``) pair's rows, one JSON line per round.
+
+    Row i of a batch is its round i. A line is what ``json.dumps(record,
+    sort_keys=True, separators=(",", ":"))`` makes of the round's record,
+    rendered from the batch's arrays.
+    """
+    step = 1 << 12  # rows rendered at a time, which bounds the byte matrix
+    with open(path, "wb") as handle:
+        for trial, batch in grouped:
+            for first in range(0, len(batch), step):
+                rows = batch.select(slice(first, first + step))
+                handle.write(_transcript_lines(trial, rows, first))
+
+
+def _transcript_lines(trial: int, rows: RoundBatch, first: int) -> bytes:
+    """The lines of ``rows``, numbered from ``first``.
+
+    The lines are laid out as one byte matrix, a line per row, whose
+    variable-width fields (the classification and the round index) are
+    padded with NUL bytes; dropping the NULs leaves the lines.
+    """
+    count, q = rows.share.shape
+    cases = np.array(
+        [classify_round([Mode.CHECK] * c + [Mode.SHARE] * (q - c)).value for c in range(q + 1)],
+        dtype="S",
+    )
+    parts = (
+        b'{"classification":"', cases[q - np.count_nonzero(rows.share, axis=1)],
+        b'","modes":[', _listed(_MODE_CELLS, rows.share.view(np.uint8)),
+        b'],"probe":', b"null" if rows.probe is None else _digits(rows.probe),
+        b',"results":[', _listed(_RESULT_CELLS, rows.results),
+        b'],"round_index":', np.arange(first, first + count).astype(f"S{len(str(first + count))}"),
+        b',"spec":{"b":', _digits(rows.phases),
+        b',"x":"', _digits(rows.bits),
+        f'"}},"trial":{trial}}}\n'.encode(),
+    )
+    lines = np.hstack([
+        np.broadcast_to(np.frombuffer(part, np.uint8), (count, len(part)))
+        if isinstance(part, bytes) else part.view(np.uint8).reshape(count, -1)
+        for part in parts
+    ])
+    return lines.tobytes().replace(b"\0", b"")
+
+
+# a list's items as fixed-width cells, each with its trailing comma: a Check
+# or Share mode in 8 bytes, a result bit in 2
+_MODE_CELLS = np.frombuffer(b'"check","share",', dtype=np.uint64)
+_RESULT_CELLS = np.frombuffer(b"0,1,", dtype=np.uint16)
+
+
+def _listed(cells: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Each row of ``codes`` as the comma-separated bytes of its cells."""
+    return cells[codes].view(np.uint8).reshape(len(codes), -1)[:, :-1]
+
+
+def _digits(bits: np.ndarray) -> np.ndarray:
+    """0/1 values as the bytes of their digits."""
+    return bits.astype(np.uint8) + ord("0")
 
 
 def read_transcript(path: Path) -> list[tuple[int, RoundRecord]]:
@@ -305,22 +348,21 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     elif kind == "collusion":
         collusion = CollusionConfig(config.colluders, MeasureResendConfig(config.victim))
         session_attack = collusion_attack(collusion)
-    # the collective attack only swaps the preparation, so it has no
-    # interceptor either; every experiment's rounds run on this engine
+    elif kind == "collective":
+        collective = CollectiveAttackConfig(probe_overlap=config.probe_overlap)
+        session_attack = collective_attack(collective)
+    # no modelled attack has an interceptor, so every experiment's rounds
+    # run on this config's engine
     attacked = replace(config.session, attack=session_attack)
 
     if config.rounds_only is not None:
         batch = run_rounds(attacked, config.rounds_only)
         results = dict(case_counts=case_counts(batch), rounds_total=len(batch))
         if config.transcript:
-            write_transcript(config.transcript, [(0, batch.records())])
+            write_transcript(config.transcript, [(0, batch)])
     elif kind == "collective":
         trials = _monte_carlo_trials(config)
-        leakage = estimate_leakage(
-            CollectiveAttackConfig(probe_overlap=config.probe_overlap),
-            config.session,
-            trials=trials,
-        )
+        leakage = estimate_leakage(collective, config.session, trials=trials)
         results = dict(trials=trials, leakage=leakage)
     elif kind == "collusion":
         trials = _monte_carlo_trials(config)
@@ -378,7 +420,7 @@ def _run_sessions(config: ExperimentConfig, attacked: SessionConfig) -> dict:
         if outcome.stats.step6_error_rate is not None:
             step6_rates.append(outcome.stats.step6_error_rate)
     if collect:
-        grouped = [(trial, outcome.records) for trial, outcome in enumerate(outcomes)]
+        grouped = [(trial, outcome.rounds) for trial, outcome in enumerate(outcomes)]
         write_transcript(config.transcript, grouped)
     rounds_total = sum(counts.values())
     return dict(

@@ -178,10 +178,10 @@ class RoundBatch:
 
     The one in-memory form of played rounds. The server's announced states
     are arrays too: ``bits`` holds each round's pattern and ``phases`` its
-    phase bit. The step-5 check, sifting and the case tally read these
-    arrays; ``records()`` exports the rows as ``RoundRecord``s, and
-    ``specs`` the states as ``GhzSpec``s, for transcripts and callers that
-    ask for them.
+    phase bit. The step-5 check, sifting, the case tally and transcripts
+    read these arrays; ``records()`` exports the rows as ``RoundRecord``s,
+    and ``specs`` the states as ``GhzSpec``s, for callers that ask for
+    them. Batches are equal when they hold the same rows.
     """
 
     bits: np.ndarray  # R x q booleans: the announced pattern bits
@@ -212,6 +212,18 @@ class RoundBatch:
 
     def __len__(self) -> int:
         return len(self.share)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RoundBatch):
+            return NotImplemented
+        # the same rows: equal arrays, and a probe on both or on neither
+        return all(
+            mine is theirs if mine is None or theirs is None else np.array_equal(mine, theirs)
+            for mine, theirs in (
+                (getattr(self, name), getattr(other, name))
+                for name in ("bits", "phases", "share", "results", "probe")
+            )
+        )
 
     def select(self, rows) -> "RoundBatch":
         """The rows where ``rows`` is set, as a batch."""
@@ -687,7 +699,7 @@ class SessionOutcome:
     shadow_keys: Optional[tuple[tuple[int, ...], ...]] = None
     ciphertext: Optional[tuple[int, ...]] = None
     reconstructed: Optional[tuple[int, ...]] = None
-    records: Optional[tuple[RoundRecord, ...]] = None
+    rounds: Optional[RoundBatch] = None  # the attempt's rows, when records are asked for
     engine: str = "branch"  # round_engine() of the session's config
     log: Optional[ClassicalLog] = None  # what the attempt broadcast
 
@@ -866,19 +878,17 @@ def _finish_attempt(
     """Steps 5 and 6 and the sharing of the attempt at ``index`` of ``played``."""
     m = config.secret_bits
     per_checks = played.sums[index, :-4].tolist()
-    rounds = sum(per_checks)
+    played_rounds = sum(per_checks)
     log = ClassicalLog()
-    acknowledge(log, "dealer", rounds)
-    broadcast(log, "tp", {"announced_specs": rounds})
-    records = None
-    if played.rows is not None:
-        records = tuple(RoundBatch.join(played.rows[index]).records())
+    acknowledge(log, "dealer", played_rounds)
+    broadcast(log, "tp", {"announced_specs": played_rounds})
+    rounds = None if played.rows is None else RoundBatch.join(played.rows[index])
 
     def outcome(verdict, step5=None, step6=None, **fields) -> SessionOutcome:
         return SessionOutcome(
             verdict=verdict,
             stats=_stats(per_checks, step5, step6, attempt),
-            records=records,
+            rounds=rounds,
             engine=round_engine(config),
             log=log,
             **fields,

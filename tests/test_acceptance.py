@@ -289,7 +289,7 @@ def test_criterion_9_noise_calibration():
             outcome = run_session(config, collect_records=True)
             if outcome.verdict is not Verdict.COMPLETED:
                 aborted += 1
-            for record in outcome.records:
+            for record in outcome.rounds.records():
                 if record.classification is not RoundCase.CASE2:
                     continue
                 case2_rounds += 1

@@ -429,7 +429,7 @@ def test_whole_sessions_identical_on_both_engines(kind, epsilon, seed):
     exact = run_session(config, collect_records=True)
     dense = run_session(on_dense_engine(config), collect_records=True)
     assert (exact.engine, dense.engine) == ("branch", "dense")
-    assert exact.records and exact.log.entries
+    assert exact.rounds.records() and exact.log.entries
     # every other field, the records and the classical log included
     assert replace(dense, engine=exact.engine) == exact
 

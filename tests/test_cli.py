@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mqss.cli import (
@@ -9,9 +10,8 @@ from mqss.cli import (
     main,
     parse_config,
     read_transcript,
-    record_from_json,
-    record_to_json,
     run_experiment,
+    write_transcript,
 )
 import mqss.cli as cli_module
 from mqss.adversary import CollectiveAttackConfig, collective_attack
@@ -21,6 +21,7 @@ from mqss.protocol import (
     IndeterminateCheckError,
     InsufficientRawKeyError,
     Mode,
+    RoundBatch,
     RoundCase,
     RoundRecord,
     SessionConfig,
@@ -77,6 +78,9 @@ def test_collusion_flags():
         ["--attack", "collusion", "--colluders", "1", "--victim", "2",
          "--transcript", "x.jsonl"],
         ["--seed", "-1"],
+        ["--victim", "9"],                                   # no attack reads it
+        ["--attack", "measure-resend", "--victim", "2", "--colluders", "1"],
+        ["--attack", "collective", "--transcript", "x.jsonl"],  # no rounds to write
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -155,7 +159,7 @@ def test_config_file_unknown_key(tmp_path, line):
 # --- transcripts ----------------------------------------------------------------
 
 
-def test_record_json_round_trip():
+def test_record_json_round_trip(tmp_path):
     record = RoundRecord(
         round_index=5,
         spec=GhzSpec((0, 1, 1, 0), 1),
@@ -164,31 +168,96 @@ def test_record_json_round_trip():
         classification=RoundCase.CASE3,
         probe_outcome=None,
     )
-    trial, parsed = record_from_json(record_to_json(3, record))
+    # the record is row 5 of its batch
+    specs = [GhzSpec((0, 0, 0, 0), 0)] * 5 + [record.spec]
+    share = [[True] * 4] * 5 + [[mode is Mode.SHARE for mode in record.modes]]
+    batch = RoundBatch.from_specs(specs, share, [[0] * 4] * 5 + [list(record.results)])
+    path = tmp_path / "t.jsonl"
+    write_transcript(path, [(3, batch)])
+    trial, parsed = read_transcript(path)[5]
     assert trial == 3
     assert parsed == record
 
 
-def test_record_json_matches_a_sorted_key_dump():
-    attack = collective_attack(CollectiveAttackConfig(probe_overlap=0.5))
-    records = run_rounds(SessionConfig(epsilon=0.05, seed=9), 400).records() + run_rounds(
-        SessionConfig(n_agents=2, seed=10, attack=attack), 400
-    ).records()
-    for trial, record in enumerate(records):
-        payload = {
-            "trial": trial,
-            "round_index": record.round_index,
-            "spec": {
-                "x": "".join(str(b) for b in record.spec.bits),
-                "b": record.spec.phase,
-            },
-            "modes": [m.value for m in record.modes],
-            "results": list(record.results),
-            "classification": record.classification.value,
-            "probe": record.probe_outcome,
-        }
-        expected = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        assert record_to_json(trial, record) == expected
+def test_record_json_matches_a_sorted_key_dump(tmp_path):
+    collective = collective_attack(CollectiveAttackConfig(probe_overlap=0.5))
+    configs = [
+        (SessionConfig(epsilon=0.05, seed=9), 400),
+        (SessionConfig(n_agents=2, seed=10, attack=collective), 400),
+        (SessionConfig(n_agents=4, seed=11, attack=collective), 200),
+        (SessionConfig(n_agents=5, epsilon=0.1, seed=12), 200),
+        (SessionConfig(n_agents=12, seed=13), 200),
+        (SessionConfig(n_agents=2, seed=14), 10_050),  # round indices past 9,999
+        (SessionConfig(seed=15), 0),                   # an empty batch writes nothing
+    ]
+    grouped = [
+        (trial, run_rounds(config, rounds)) for trial, (config, rounds) in enumerate(configs)
+    ]
+    grouped.append((7, run_rounds(SessionConfig(seed=16), 30)))  # a trial after an empty one
+    lines = []
+    for trial, batch in grouped:
+        for record in batch.records():
+            payload = {
+                "trial": trial,
+                "round_index": record.round_index,
+                "spec": {
+                    "x": "".join(str(b) for b in record.spec.bits),
+                    "b": record.spec.phase,
+                },
+                "modes": [m.value for m in record.modes],
+                "results": list(record.results),
+                "classification": record.classification.value,
+                "probe": record.probe_outcome,
+            }
+            lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    path = tmp_path / "t.jsonl"
+    write_transcript(path, grouped)
+    assert path.read_text() == "".join(lines)
+    assert len(lines) == 11_480
+    assert sum(line.startswith('{"classification":"case1"') for line in lines) > 0
+    assert sum('"probe":1' in line for line in lines) > 0
+
+
+def test_rounds_only_plays_the_collective_attack(monkeypatch):
+    played = []
+
+    def keep(*args):
+        played.append(run_rounds(*args))
+        return played[-1]
+
+    monkeypatch.setattr(cli_module, "run_rounds", keep)
+    argv = ["--rounds-only", "2000", "--seed", "8", "--report", "cases"]
+    assert main(argv) == EXIT_OK
+    assert main(argv + ["--attack", "collective", "--probe-overlap", "0"]) == EXIT_OK
+    honest, attacked = played
+    assert honest.probe is None and attacked.probe is not None
+
+    def parity_failures(batch):
+        rows = batch.select(batch.share.all(axis=1))
+        return np.count_nonzero(np.bitwise_xor.reduce(rows.results, axis=1) != rows.phases)
+
+    # a probe at overlap 0 records the branch: every all-Check round reads it,
+    # and the all-Share rounds lose the parity law half of the time
+    case2 = attacked.select(~attacked.share.any(axis=1))
+    branch = case2.results[:, 0] != case2.bits[:, 0]
+    assert len(case2) > 100 and len(set((branch ^ case2.probe).tolist())) == 1
+    assert parity_failures(honest) == 0
+    case1 = np.count_nonzero(attacked.share.all(axis=1))
+    assert 0.3 * case1 < parity_failures(attacked) < 0.7 * case1
+
+
+@pytest.mark.parametrize("attack", [
+    ["--attack", "collective", "--probe-overlap", "0.5"],
+    ["--attack", "collusion", "--colluders", "1", "--victim", "2"],
+])
+def test_rounds_only_transcripts_for_every_attack(tmp_path, attack):
+    path = tmp_path / "t.jsonl"
+    argv = ["--rounds-only", "300", "--seed", "3", "--transcript", str(path)]
+    assert main(argv + attack) == EXIT_OK
+    entries = read_transcript(path)
+    assert [record.round_index for _, record in entries] == list(range(300))
+    probes = {record.probe_outcome for _, record in entries}
+    assert probes == ({0, 1} if attack[1] == "collective" else {None})
 
 
 def test_transcript_round_trip_through_cli(tmp_path):

@@ -279,6 +279,25 @@ def test_batch_checks_match_a_per_round_oracle(seed):
     assert set(cases.values()) == {0}
 
 
+def test_batches_are_equal_when_their_rows_are():
+    config = SessionConfig(n_agents=2, seed=4, attack=collective_attack(
+        CollectiveAttackConfig(probe_overlap=0.5)
+    ))
+    batch = run_rounds(config, 50)
+    copy = RoundBatch(*(np.copy(getattr(batch, name))
+                        for name in ("bits", "phases", "share", "results", "probe")))
+    assert batch.probe is not None
+    assert copy == batch and not copy != batch
+    flipped = np.copy(batch.results)
+    flipped[17, 1] ^= 1
+    assert replace(batch, results=flipped) != batch
+    assert replace(batch, probe=None) != batch
+    assert batch != replace(batch, probe=None)
+    assert replace(batch, probe=None) == replace(copy, probe=None)
+    assert batch.select(slice(0, 49)) != batch
+    assert batch != batch.records()
+
+
 class PresetChoiceRng:
     def __init__(self, picks):
         self.picks = picks
@@ -401,7 +420,7 @@ def test_honest_session_completes_and_reconstructs():
 def test_case1_parity_invariant_in_honest_rounds():
     config = SessionConfig(n_agents=3, secret_bits=4, seed=3)
     outcome = run_session(config, collect_records=True)
-    case1 = [r for r in outcome.records if r.classification is RoundCase.CASE1]
+    case1 = [r for r in outcome.rounds.records() if r.classification is RoundCase.CASE1]
     assert case1
     for record in case1:
         parity = 0
@@ -492,7 +511,7 @@ def test_sessions_do_not_depend_on_the_chunk_size(monkeypatch, n_agents, epsilon
             outcomes.append(run_session(config, collect_records=True))
             assert max(row for rng in generators for row in rng.rows) <= chunk
         whole = outcomes[0]
-        assert len(whole.records) == whole.stats.rounds_used > 7
+        assert len(whole.rounds.records()) == whole.stats.rounds_used > 7
         # every field, the records and the classical log included
         assert all(outcome == whole for outcome in outcomes[1:])
 
