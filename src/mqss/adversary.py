@@ -43,6 +43,10 @@ from .statevec import (
 )
 
 
+# the fewest trials an estimator accepts: fewer give no stable estimate
+MIN_ESTIMATE_TRIALS = 1_000
+
+
 # --- attack configurations ----------------------------------------------------
 
 
@@ -164,18 +168,16 @@ def estimate_leakage(
     session: SessionConfig,
     trials: int,
     rng=None,
-    victim: int = 1,
 ) -> LeakageEstimate:
     """Monte-Carlo the attack's detection rate and information gain.
 
     Detection is the per-checked-key-bit parity failure rate, measured on
     all-Share rounds. Information is measured on all-Check rounds, where
-    the probe readout can correlate with the victim's recorded result.
+    the probe readout can correlate with the victim's recorded result. The
+    victim is agent 1: every agent's particle is prepared alike.
     """
-    if trials < 1_000:
-        raise ValueError("need at least 1000 trials for stable estimates")
-    if not 1 <= victim <= session.n_agents:
-        raise ValueError("victim must be one of the agents")
+    if trials < MIN_ESTIMATE_TRIALS:
+        raise ValueError(f"need at least {MIN_ESTIMATE_TRIALS} trials for stable estimates")
     if rng is None:
         rng = derived_rng(session.seed, 983)
     attacked = replace(session, attack=collective_attack(config))
@@ -184,15 +186,15 @@ def estimate_leakage(
     def play(mode):
         return run_rounds(attacked, trials, rng, forced_modes=[mode] * q)
 
-    batch = play(Mode.SHARE)  # dealer-first columns: agent i sits at column i
+    batch = play(Mode.SHARE)  # dealer-first columns: agent 1 sits at column 1
     parity = np.bitwise_xor.reduce(batch.results, axis=1)
     parity_failures = int(np.count_nonzero(parity != batch.phases))
-    sifted_counts = _counts(batch.probe, batch.results[:, victim])
+    sifted_counts = _counts(batch.probe, batch.results[:, 1])
 
     # compare against the announced pattern so the probe/branch channel
     # is scored identically for every announced state
     batch = play(Mode.CHECK)
-    check_counts = _counts(batch.probe, batch.results[:, victim] ^ batch.bits[:, victim])
+    check_counts = _counts(batch.probe, batch.results[:, 1] ^ batch.bits[:, 1])
 
     return LeakageEstimate(
         mutual_information=mutual_information_bits(check_counts),
@@ -241,7 +243,6 @@ def run_collusion(
     config: Optional[CollusionConfig],
     session: SessionConfig,
     trials: int,
-    rng_seed: Optional[int] = None,
 ) -> CollusionReport:
     """Measure collusion detection statistics over independent sessions.
 
@@ -250,21 +251,19 @@ def run_collusion(
     ``run_sessions`` call, which plays their rounds together. The colluders
     disclose their modes and results to the server out of band, which does
     not change what the honest checks see. Returns the session abort
-    fraction and the pooled per-checked-bit failure rate.
+    fraction and the pooled per-checked-bit failure rate. A victim past the
+    last agent is refused by ``SessionConfig``.
     """
-    if trials < 1_000:
-        raise ValueError("need at least 1000 trials for stable estimates")
+    if trials < MIN_ESTIMATE_TRIALS:
+        raise ValueError(f"need at least {MIN_ESTIMATE_TRIALS} trials for stable estimates")
     attack = None
     if config is not None:
-        if config.inner_attack.target > session.n_agents:
-            raise ValueError("victim index exceeds agent count")
         if not config.colluders < set(range(1, session.n_agents + 1)):
             raise ValueError("colluders must be a proper subset of the agents")
         attack = collusion_attack(config)
-    master = session.seed if rng_seed is None else rng_seed
     outcomes = run_sessions(
         replace(session, attack=attack, max_attempts=1),
-        [child_seed(master, trial) for trial in range(trials)],
+        [child_seed(session.seed, trial) for trial in range(trials)],
     )
     aborted = sum(outcome.verdict is not Verdict.COMPLETED for outcome in outcomes)
     # sessions that reach step 6 check secret_bits positions each

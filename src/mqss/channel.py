@@ -8,8 +8,9 @@ that anyone, including the adversary, can read, but nobody can rewrite.
 
 The protocol's round driver (``protocol._play_rows``, behind
 ``play_rounds``, ``run_rounds`` and sessions) applies the same noise and
-interceptors in its own round walk, on either engine; ``QubitChannel`` and
-``transmit`` model one link on its own, on the dense engine.
+interceptors in its own round walk, on the engine ``protocol.round_engine``
+picks for the config; ``QubitChannel`` and ``transmit`` model one link on
+its own, on the dense engine.
 """
 
 from __future__ import annotations

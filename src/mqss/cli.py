@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adversary import (
+    MIN_ESTIMATE_TRIALS,
     CollectiveAttackConfig,
     CollusionConfig,
     CollusionReport,
@@ -51,8 +52,7 @@ from .protocol import (
     SessionConfig,
     Verdict,
     case_counts,
-    classify_round,
-    round_engine,
+    case_table,
     run_rounds,
     run_sessions,
 )
@@ -64,10 +64,15 @@ EXIT_OK = 0
 EXIT_SESSION_FAILED = 1
 EXIT_USAGE = 2
 
-_MIN_ESTIMATE_TRIALS = 1_000
-
 # what a valid experiment can still run into; anything else is a bug
 _SESSION_FAILURES = (BatchLimitError, IndeterminateCheckError, InsufficientRawKeyError)
+
+# the attacks that read each attack flag: any other would silently ignore it
+_FLAG_READERS = {
+    "victim": ("measure-resend", "collusion"),
+    "colluders": ("collusion",),
+    "probe_overlap": ("collective",),
+}
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,6 @@ class RunReport:
     raw_bits_per_round: Optional[float] = None
     leakage: Optional[LeakageEstimate] = None
     collusion: Optional[CollusionReport] = None
-    engine: Optional[str] = None
     duration_seconds: float = 0.0
 
     @property
@@ -132,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="victim agent index for interception attacks")
     parser.add_argument("--colluders", type=_parse_colluders, default=None,
                         help="comma-separated colluding agent indices")
-    parser.add_argument("--probe-overlap", type=float, default=1.0,
-                        help="probe state overlap for the collective attack")
+    parser.add_argument("--probe-overlap", type=float, default=None,
+                        help="probe state overlap for the collective attack (default 1)")
     parser.add_argument("--transcript", default=None,
                         help="write per-round records to this file (JSON lines)")
     parser.add_argument("--config", default=None,
@@ -206,16 +210,14 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
         parser.error(f"--attack {attack_kind} requires --victim")
     if attack_kind == "collusion" and args.colluders is None:
         parser.error("--attack collusion requires --colluders")
-    # a flag the attack does not read would be silently ignored
-    if not intercepts and args.victim is not None:
-        parser.error(f"--attack {attack_kind} reads no --victim")
-    if attack_kind != "collusion" and args.colluders is not None:
-        parser.error(f"--attack {attack_kind} reads no --colluders")
+    for flag, readers in _FLAG_READERS.items():
+        if attack_kind not in readers and getattr(args, flag) is not None:
+            parser.error(f"--attack {attack_kind} reads no --{flag.replace('_', '-')}")
+    probe_overlap = 1.0 if args.probe_overlap is None else args.probe_overlap
     try:
         session = SessionConfig(n_agents=args.agents, secret_bits=args.secret_bits,
                                 epsilon=args.epsilon, seed=args.seed)
-        # an overlap outside [0, 1] is refused whatever the attack
-        CollectiveAttackConfig(probe_overlap=args.probe_overlap)
+        CollectiveAttackConfig(probe_overlap=probe_overlap)
         if intercepts:
             inner = MeasureResendConfig(args.victim)
         if attack_kind == "collusion":
@@ -243,7 +245,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
         attack_kind=attack_kind,
         victim=args.victim,
         colluders=args.colluders,
-        probe_overlap=args.probe_overlap,
+        probe_overlap=probe_overlap,
         rounds_only=args.rounds_only,
         transcript=Path(args.transcript) if args.transcript else None,
         report=args.report,
@@ -292,10 +294,7 @@ def _transcript_lines(trial: int, rows: RoundBatch, first: int) -> bytes:
     padded with NUL bytes; dropping the NULs leaves the lines.
     """
     count, q = rows.share.shape
-    cases = np.array(
-        [classify_round([Mode.CHECK] * c + [Mode.SHARE] * (q - c)).value for c in range(q + 1)],
-        dtype="S",
-    )
+    cases = np.array([case.value for case in case_table(q)], dtype="S")
     parts = (
         b'{"classification":"', cases[q - np.count_nonzero(rows.share, axis=1)],
         b'","modes":[', _listed(_MODE_CELLS, rows.share.view(np.uint8)),
@@ -351,8 +350,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     elif kind == "collective":
         collective = CollectiveAttackConfig(probe_overlap=config.probe_overlap)
         session_attack = collective_attack(collective)
-    # no modelled attack has an interceptor, so every experiment's rounds
-    # run on this config's engine
     attacked = replace(config.session, attack=session_attack)
 
     if config.rounds_only is not None:
@@ -374,22 +371,21 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     return RunReport(
         config=config,
-        engine=round_engine(attacked),
         duration_seconds=time.perf_counter() - started,
         **results,
     )
 
 
 def _monte_carlo_trials(config: ExperimentConfig) -> int:
-    """The trial count of an attack estimate, which needs at least 1,000."""
-    if config.trials >= _MIN_ESTIMATE_TRIALS:
+    """The trial count of an attack estimate, which needs ``MIN_ESTIMATE_TRIALS``."""
+    if config.trials >= MIN_ESTIMATE_TRIALS:
         return config.trials
     print(
-        f"warning: --trials {config.trials} raised to {_MIN_ESTIMATE_TRIALS} "
+        f"warning: --trials {config.trials} raised to {MIN_ESTIMATE_TRIALS} "
         f"for --attack {config.attack_kind}",
         file=sys.stderr,
     )
-    return _MIN_ESTIMATE_TRIALS
+    return MIN_ESTIMATE_TRIALS
 
 
 def _mean(rates: list[float]) -> Optional[float]:
@@ -465,8 +461,6 @@ def render_report(report: RunReport) -> str:
         lines.append("attack: " + extra)
     if config.attack_kind == "collective":
         lines.append(f"attack: probe_overlap={config.probe_overlap}")
-    if report.engine is not None:
-        lines.append(f"engine: {report.engine}")
 
     if report.case_counts is not None:
         lines.append(f"rounds: {report.rounds_total}")

@@ -92,7 +92,8 @@ class RoundAttack:
     not it fires. ``interceptors`` are arbitrary callables on the
     dense state, applied after channel noise and before a Z tap; a round
     with any of them runs on the dense engine. Taps and interceptors are
-    keyed by particle position (1 = dealer, 1+i = agent i).
+    keyed by particle position (1 = dealer, 1+i = agent i); the session
+    config refuses a position past its last particle.
     """
 
     collective: Optional["CollectiveAttackConfig"] = None
@@ -100,9 +101,9 @@ class RoundAttack:
     interceptors: Mapping[int, Interceptor] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for position, rate in self.z_taps.items():
-            if position < 1:
-                raise ValueError("tap positions are 1-based")
+        if any(position < 1 for position in (*self.z_taps, *self.interceptors)):
+            raise ValueError("tap and interceptor positions are 1-based")
+        for rate in self.z_taps.values():
             if not 0.0 < rate <= 1.0:
                 raise ValueError(f"tap rate must be in (0, 1], got {rate}")
 
@@ -134,6 +135,11 @@ class SessionConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
+        attack, q = self.attack or _NO_ATTACK, self.particle_count
+        # a tap or interceptor past the last particle would never fire
+        for position in (*attack.z_taps, *attack.interceptors):
+            if position > q:
+                raise ValueError(f"attack position {position} is past particle {q}")
 
     @property
     def particle_count(self) -> int:
@@ -166,7 +172,8 @@ def round_engine(config: SessionConfig) -> str:
 
     An interceptor may do anything to the state vector, so only the dense
     engine can run it; everything else the protocol and the modelled
-    attacks do keeps a round on the exact branch engine.
+    attacks do keeps a round on the exact branch engine. ``_play_rows`` is
+    its one caller here; a user can ask it before a run.
     """
     attack = config.attack
     return "dense" if attack is not None and attack.interceptors else "branch"
@@ -482,23 +489,25 @@ def _play_dense(config: SessionConfig, bits, phases, rng, forced):
 
 
 def classify_round(modes: Sequence[Mode]) -> RoundCase:
-    """Table the round by how many participants checked.
+    """Table the round by how many participants checked: ``case_table``."""
+    return case_table(len(modes))[modes.count(Mode.CHECK)]
 
-    A single checker is discarded outright: the lone unmeasured-by-Hadamard
-    particle ends up in an X-basis state, so its Z result carries nothing.
+
+@lru_cache(maxsize=None)
+def case_table(q: int) -> tuple[RoundCase, ...]:
+    """The case of a round with 0 to q checkers among q participants, by count.
+
+    The one statement of the rule every classification reads. A single
+    checker is discarded outright: the lone unmeasured-by-Hadamard particle
+    ends up in an X-basis state, so its Z result carries nothing.
     """
-    return _case_of(modes.count(Mode.CHECK), len(modes))
-
-
-def _case_of(checks: int, participants: int) -> RoundCase:
-    """The case of a round with ``checks`` checkers among ``participants``."""
-    if checks == 0:
-        return RoundCase.CASE1
-    if checks == participants:
-        return RoundCase.CASE2
-    if checks >= 2:
-        return RoundCase.CASE3
-    return RoundCase.DISCARD
+    return tuple(
+        RoundCase.CASE1 if checks == 0
+        else RoundCase.CASE2 if checks == q
+        else RoundCase.CASE3 if checks >= 2
+        else RoundCase.DISCARD
+        for checks in range(q + 1)
+    )
 
 
 # --- sifting and verification -------------------------------------------------
@@ -700,7 +709,6 @@ class SessionOutcome:
     ciphertext: Optional[tuple[int, ...]] = None
     reconstructed: Optional[tuple[int, ...]] = None
     rounds: Optional[RoundBatch] = None  # the attempt's rows, when records are asked for
-    engine: str = "branch"  # round_engine() of the session's config
     log: Optional[ClassicalLog] = None  # what the attempt broadcast
 
 
@@ -763,19 +771,11 @@ def case_counts(batch: RoundBatch) -> dict[str, int]:
 
 
 def _cases(per_checks: list[int]) -> dict[str, int]:
-    counts = dict.fromkeys(_CASE_VALUES, 0)
-    for case, rounds in zip(_case_values(len(per_checks) - 1), per_checks):
-        counts[case] += rounds
+    """Rounds per case value from rounds per checker count, 0 to q."""
+    counts = {case.value: 0 for case in RoundCase}
+    for case, rounds in zip(case_table(len(per_checks) - 1), per_checks):
+        counts[case.value] += rounds
     return counts
-
-
-_CASE_VALUES = tuple(case.value for case in RoundCase)
-
-
-@lru_cache(maxsize=None)
-def _case_values(q: int) -> tuple[str, ...]:
-    """The case value of a round with 0 to q checkers."""
-    return tuple(_case_of(checks, q).value for checks in range(q + 1))
 
 
 def _stats(
@@ -889,7 +889,6 @@ def _finish_attempt(
             verdict=verdict,
             stats=_stats(per_checks, step5, step6, attempt),
             rounds=rounds,
-            engine=round_engine(config),
             log=log,
             **fields,
         )

@@ -27,7 +27,6 @@ _SQRT2_INV = 1.0 / sqrt(2.0)
 IDENTITY = np.eye(2, dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)

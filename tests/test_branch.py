@@ -8,7 +8,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from mqss import branch
+from mqss import branch, protocol
 from mqss.adversary import (
     CollectiveAttackConfig,
     CollusionConfig,
@@ -428,10 +428,9 @@ def test_whole_sessions_identical_on_both_engines(kind, epsilon, seed):
     )
     exact = run_session(config, collect_records=True)
     dense = run_session(on_dense_engine(config), collect_records=True)
-    assert (exact.engine, dense.engine) == ("branch", "dense")
     assert exact.rounds.records() and exact.log.entries
-    # every other field, the records and the classical log included
-    assert replace(dense, engine=exact.engine) == exact
+    # every field, the records and the classical log included
+    assert dense == exact
 
 
 def test_rate_one_tap_matches_the_dense_measure_resend_interceptor():
@@ -444,7 +443,7 @@ def test_rate_one_tap_matches_the_dense_measure_resend_interceptor():
     assert run_rounds(config, 2_000).records() == run_rounds(dense_config, 2_000).records()
 
 
-def test_sessions_report_their_engine():
+def test_sessions_report_their_engine(monkeypatch):
     honest = SessionConfig(n_agents=3, secret_bits=2, seed=4)
     collusion = replace(honest, attack=collusion_attack(
         CollusionConfig(frozenset({1}), MeasureResendConfig(target=3))
@@ -456,9 +455,23 @@ def test_sessions_report_their_engine():
         return apply_gate(collapsed, particle, HADAMARD)
 
     tapped = replace(honest, attack=RoundAttack(interceptors={3: x_basis_tap}))
-    assert run_session(honest).engine == "branch"
-    assert run_session(collusion).engine == "branch"
-    assert run_session(tapped).engine == "dense"
+    assert round_engine(honest) == "branch"
+    assert round_engine(collusion) == "branch"
+    assert round_engine(tapped) == "dense"
+
+    dense_calls = []
+    play_dense = protocol._play_dense
+
+    def counted(*args):
+        dense_calls.append(args[0])
+        return play_dense(*args)
+
+    monkeypatch.setattr(protocol, "_play_dense", counted)
+    run_session(honest)
+    run_session(collusion)
+    assert not dense_calls
+    run_session(tapped)
+    assert dense_calls and all(config is tapped for config in dense_calls)
 
 
 def test_tap_rates_are_validated():

@@ -24,11 +24,13 @@ from mqss.protocol import (
     IndeterminateCheckError,
     InsufficientRawKeyError,
     Mode,
+    RoundAttack,
     RoundBatch,
     RoundCase,
     SessionConfig,
     Verdict,
     case_counts,
+    case_table,
     classify_round,
     combine_shadows,
     effective_threshold,
@@ -80,11 +82,12 @@ def test_classify_round(modes, expected):
     assert classify_round(modes) == expected
 
 
-@pytest.mark.parametrize("participants", [3, 4, 5])
+@pytest.mark.parametrize("participants", [2, 3, 4, 5])
 def test_classification_partitions_every_mode_vector(participants):
     for modes in itertools.product((C, S), repeat=participants):
         case = classify_round(modes)
         checks = sum(1 for m in modes if m is C)
+        assert case_table(participants)[checks] is case
         if checks == 0:
             assert case is RoundCase.CASE1
         elif checks == participants:
@@ -693,3 +696,28 @@ def test_config_validation():
     SessionConfig(n_agents=MAX_QUBITS - 1)
     with pytest.raises(ValueError, match=f"at most {MAX_QUBITS - 1} agents"):
         SessionConfig(n_agents=MAX_QUBITS)
+
+
+def _unchanged(state, particle, rng):
+    return state
+
+
+@pytest.mark.parametrize("attack_at", [
+    lambda position: RoundAttack(z_taps={position: 1.0}),
+    lambda position: RoundAttack(z_taps={position: 0.5}),
+    lambda position: RoundAttack(interceptors={position: _unchanged}),
+], ids=["tap", "half-rate-tap", "interceptor"])
+def test_attack_positions_outside_the_particles_are_refused(attack_at):
+    # an n=3 session has 4 particles: 4 is agent 3's position, 5 is past it
+    SessionConfig(n_agents=3, attack=attack_at(4))
+    with pytest.raises(ValueError, match="position 5 is past particle 4"):
+        SessionConfig(n_agents=3, attack=attack_at(5))
+    with pytest.raises(ValueError, match="1-based"):
+        attack_at(0)
+
+
+def test_a_measure_resend_victim_past_the_agents_is_refused():
+    session = SessionConfig(n_agents=3)
+    replace(session, attack=measure_resend_attack(MeasureResendConfig(3)))
+    with pytest.raises(ValueError, match="past particle 4"):
+        replace(session, attack=measure_resend_attack(MeasureResendConfig(9)))
