@@ -13,6 +13,7 @@ from .adversary import (
     CollusionConfig,
     LeakageEstimate,
     MeasureResendConfig,
+    attacked,
     estimate_leakage,
     run_collusion,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "SessionConfig",
     "SessionOutcome",
     "Verdict",
+    "attacked",
     "broadcast",
     "estimate_leakage",
     "fidelity",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import sqrt
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -96,6 +96,29 @@ class CollusionConfig:
             raise ValueError("collusion needs at least one colluding agent")
         if self.inner_attack.target in self.colluders:
             raise ValueError("the victim cannot be a colluder")
+
+
+AttackConfig = Union[CollectiveAttackConfig, MeasureResendConfig, CollusionConfig]
+
+
+def attacked(session: SessionConfig, config: Optional[AttackConfig]) -> SessionConfig:
+    """``session`` under the attack ``config``, the one place the two meet.
+
+    ``None`` leaves the session honest. Colluders must be a proper subset of
+    the agents; ``SessionConfig`` refuses a victim past the last agent.
+    """
+    attack = None
+    if isinstance(config, CollectiveAttackConfig):
+        attack = collective_attack(config)
+    elif isinstance(config, MeasureResendConfig):
+        attack = measure_resend_attack(config)
+    elif isinstance(config, CollusionConfig):
+        if not config.colluders < set(range(1, session.n_agents + 1)):
+            raise ValueError("colluders must be a proper subset of the agents")
+        attack = collusion_attack(config)
+    elif config is not None:
+        raise TypeError(f"not an attack config: {config!r}")
+    return replace(session, attack=attack)
 
 
 @dataclass(frozen=True)
@@ -180,11 +203,10 @@ def estimate_leakage(
         raise ValueError(f"need at least {MIN_ESTIMATE_TRIALS} trials for stable estimates")
     if rng is None:
         rng = derived_rng(session.seed, 983)
-    attacked = replace(session, attack=collective_attack(config))
-    q = attacked.particle_count
+    session = attacked(session, config)
 
     def play(mode):
-        return run_rounds(attacked, trials, rng, forced_modes=[mode] * q)
+        return run_rounds(session, trials, rng, forced_modes=[mode] * session.particle_count)
 
     batch = play(Mode.SHARE)  # dealer-first columns: agent 1 sits at column 1
     parity = np.bitwise_xor.reduce(batch.results, axis=1)
@@ -251,18 +273,12 @@ def run_collusion(
     ``run_sessions`` call, which plays their rounds together. The colluders
     disclose their modes and results to the server out of band, which does
     not change what the honest checks see. Returns the session abort
-    fraction and the pooled per-checked-bit failure rate. A victim past the
-    last agent is refused by ``SessionConfig``.
+    fraction and the pooled per-checked-bit failure rate.
     """
     if trials < MIN_ESTIMATE_TRIALS:
         raise ValueError(f"need at least {MIN_ESTIMATE_TRIALS} trials for stable estimates")
-    attack = None
-    if config is not None:
-        if not config.colluders < set(range(1, session.n_agents + 1)):
-            raise ValueError("colluders must be a proper subset of the agents")
-        attack = collusion_attack(config)
     outcomes = run_sessions(
-        replace(session, attack=attack, max_attempts=1),
+        replace(attacked(session, config), max_attempts=1),
         [child_seed(session.seed, trial) for trial in range(trials)],
     )
     aborted = sum(outcome.verdict is not Verdict.COMPLETED for outcome in outcomes)

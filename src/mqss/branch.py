@@ -6,9 +6,9 @@ participants only Z-measure (Check mode, measure-resend taps) or apply a
 Hadamard and then Z-measure (Share mode). So every round is a pair of
 branches, the pattern ket ``|x>`` and the complement ket ``|~x>``, each
 carrying a probe amplitude pair (one amplitude when there is no probe).
-``BranchPairs`` holds R rounds at once: their R x q pattern bits, the two
-branches' initial amplitudes, and per branch whether it survives and the
-parity of the signs it has picked up.
+``BranchPairs`` holds R rounds at once: their R x q pattern bits, the one
+amplitude pair all their branches start from, and per round and branch
+whether it survives and the parity of its signs, which starts at ``b``.
 
 - A bit flip flips one column of the pattern bits; the complement branch
   follows, since its bits are always the complement of the pattern's.
@@ -87,24 +87,24 @@ def _norms(amps: np.ndarray) -> np.ndarray:
 class BranchPairs:
     """R rounds, each a pattern branch and a complement branch.
 
-    ``bits`` is the R x q array of pattern bits; ``pattern`` and
-    ``complement`` are R x 1 arrays of the branches' amplitudes, or R x 2
-    arrays of their probe amplitude pairs when a probe qubit is attached.
-    The steps address particle ``column + 1`` and take one uniform draw per
-    round; each returns the sampled outcomes and the outcome-1
-    probabilities.
+    ``bits`` is the R x q array of pattern bits. Every round starts from
+    the amplitudes ``pattern`` and ``complement``, or from these probe
+    amplitude pairs when a probe qubit is attached, its complement negated
+    where its bit of ``phases`` is 1. The steps address particle
+    ``column + 1`` and take one uniform draw per round; each returns the
+    sampled outcomes and the outcome-1 probabilities.
     """
 
-    def __init__(self, bits, pattern, complement) -> None:
+    def __init__(self, bits, pattern, complement, phases) -> None:
         self.bits = np.array(bits, dtype=bool)  # a copy: flips write to it
         rounds, qubits = self.bits.shape
-        pattern = np.asarray(pattern, dtype=complex)
-        if pattern.shape != np.shape(complement) or len(pattern) != rounds:
-            raise ValueError("need one pattern and one complement amplitude row per round")
-        self.initial = np.stack((pattern, np.asarray(complement, dtype=complex)))
-        self.norms = _norms(self.initial)
+        self.initial = np.array((pattern, complement), dtype=complex)
+        if self.initial.ndim != 2:
+            raise ValueError("need one pattern and one complement amplitude slot each")
+        self.norms = _norms(self.initial)[:, None]
         self.alive = np.ones((2, rounds), dtype=bool)
         self.signs = np.zeros((2, rounds), dtype=bool)  # parity of -1 factors
+        self.signs[1] = phases
         self.results = np.zeros((rounds, qubits), dtype=np.uint8)
         self.measured = np.zeros(qubits, dtype=bool)
 
@@ -115,18 +115,14 @@ class BranchPairs:
         ``collective`` is a ``CollectiveAttackConfig``; its states are the
         ones ``probe_kets`` writes out.
         """
-        signs = 1.0 - 2.0 * np.asarray(phases, dtype=float)  # (-1)^b
         if collective is None:
-            pattern = np.full((len(signs), 1), _SQRT2_INV, dtype=complex)
-            return cls(bits, pattern, (signs * _SQRT2_INV)[:, None])
-        pattern = np.zeros((len(signs), 2), dtype=complex)
-        pattern[:, 0] = collective.pattern_weight
-        complement = np.outer(signs * collective.complement_weight, _probe_pair(collective))
-        return cls(bits, pattern, complement)
+            return cls(bits, [_SQRT2_INV], [_SQRT2_INV], phases)
+        complement = np.multiply(collective.complement_weight, _probe_pair(collective))
+        return cls(bits, [collective.pattern_weight, 0.0], complement, phases)
 
     @property
     def probe(self) -> bool:
-        return self.initial.shape[2] == 2
+        return self.initial.shape[1] == 2
 
     def flip(self, column: int, rows) -> None:
         """Pauli X on the particle in the rounds where ``rows`` is set."""
@@ -177,7 +173,7 @@ class BranchPairs:
     def kets(self, row: int) -> Kets:
         """Round ``row`` as normalised kets, measured particles at their results."""
         qubits = self.bits.shape[1]
-        slots = self.initial.shape[2]
+        slots = self.initial.shape[1]
         kets: Kets = {}
         for branch, amps in enumerate(self._amplitudes()):
             bits = np.where(self.measured, self.results[row], self.bits[row] ^ bool(branch))
@@ -203,4 +199,4 @@ class BranchPairs:
     def _amplitudes(self) -> np.ndarray:
         """Both branches' current amplitudes, zero where a branch died."""
         factors = np.where(self.signs, -1.0, 1.0) * self.alive
-        return self.initial * factors[:, :, None]
+        return self.initial[:, None, :] * factors[:, :, None]

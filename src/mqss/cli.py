@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import sqrt
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,15 +29,14 @@ import numpy as np
 
 from .adversary import (
     MIN_ESTIMATE_TRIALS,
+    AttackConfig,
     CollectiveAttackConfig,
     CollusionConfig,
     CollusionReport,
     LeakageEstimate,
     MeasureResendConfig,
-    collective_attack,
-    collusion_attack,
+    attacked,
     estimate_leakage,
-    measure_resend_attack,
     run_collusion,
 )
 from .ghz import GhzSpec
@@ -74,15 +73,16 @@ _FLAG_READERS = {
     "probe_overlap": ("collective",),
 }
 
+# the --attack name of each attack config, as reports print it
+_ATTACK_NAMES = {type(None): "none", MeasureResendConfig: "measure-resend",
+                 CollectiveAttackConfig: "collective", CollusionConfig: "collusion"}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     session: SessionConfig
     trials: int = 1
-    attack_kind: str = "none"
-    victim: Optional[int] = None
-    colluders: Optional[frozenset[int]] = None
-    probe_overlap: float = 1.0
+    attack: Optional[AttackConfig] = None
     rounds_only: Optional[int] = None
     transcript: Optional[Path] = None
     report: str = "full"
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, default=1,
                         help="number of independent sessions (default 1)")
     parser.add_argument("--attack", default="none",
-                        choices=["none", "measure-resend", "collective", "collusion"],
+                        choices=list(_ATTACK_NAMES.values()),
                         help="adversary model (default none)")
     parser.add_argument("--victim", type=int, default=None,
                         help="victim agent index for interception attacks")
@@ -191,8 +191,8 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     other than ``--config`` exactly, and its value gets that flag's checks.
     Precedence: flags, then config-file values, then the MQSS_SEED
     environment variable (seed only), then built-in defaults. Whatever the
-    parser, ``SessionConfig`` or the attack configs reject (a negative seed,
-    say), a cross-field check fails or a set MQSS_SEED that is not an
+    parser or the library rejects (a negative seed or a victim past the last
+    agent, say), a cross-field check fails or a set MQSS_SEED that is not an
     integer exits with the usage status.
     """
     parser = _build_parser()
@@ -205,36 +205,30 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
         args = parser.parse_args(argv, namespace=from_file)
 
     attack_kind = args.attack
-    intercepts = attack_kind in ("measure-resend", "collusion")
-    if intercepts and args.victim is None:
-        parser.error(f"--attack {attack_kind} requires --victim")
-    if attack_kind == "collusion" and args.colluders is None:
-        parser.error("--attack collusion requires --colluders")
+    for flag in ("victim", "colluders"):
+        if attack_kind in _FLAG_READERS[flag] and getattr(args, flag) is None:
+            parser.error(f"--attack {attack_kind} requires --{flag}")
     for flag, readers in _FLAG_READERS.items():
         if attack_kind not in readers and getattr(args, flag) is not None:
             parser.error(f"--attack {attack_kind} reads no --{flag.replace('_', '-')}")
-    probe_overlap = 1.0 if args.probe_overlap is None else args.probe_overlap
     try:
         session = SessionConfig(n_agents=args.agents, secret_bits=args.secret_bits,
                                 epsilon=args.epsilon, seed=args.seed)
-        CollectiveAttackConfig(probe_overlap=probe_overlap)
-        if intercepts:
-            inner = MeasureResendConfig(args.victim)
-        if attack_kind == "collusion":
-            CollusionConfig(args.colluders, inner)
+        attack = None
+        if attack_kind == "collective":
+            overlap = 1.0 if args.probe_overlap is None else args.probe_overlap
+            attack = CollectiveAttackConfig(probe_overlap=overlap)
+        elif attack_kind == "measure-resend":
+            attack = MeasureResendConfig(args.victim)
+        elif attack_kind == "collusion":
+            attack = CollusionConfig(args.colluders, MeasureResendConfig(args.victim))
+        attacked(session, attack)  # the library judges the attack against the session
     except ValueError as exc:
         parser.error(f"invalid session: {exc}")
     if args.trials < 1:
         parser.error("--trials must be positive")
     if args.rounds_only is not None and args.rounds_only < 1:
         parser.error("--rounds-only must be positive")
-    if intercepts and args.victim > args.agents:
-        parser.error("--victim must name one of the agents")
-    if args.colluders is not None:
-        if any(not 1 <= c <= args.agents for c in args.colluders):
-            parser.error("--colluders must name agents")
-        if len(args.colluders) >= args.agents:
-            parser.error("--colluders must be a proper subset of the agents")
     # a Monte-Carlo estimate plays no session rounds to write
     if attack_kind in ("collective", "collusion") and args.transcript and not args.rounds_only:
         parser.error(f"--transcript with --attack {attack_kind} needs --rounds-only")
@@ -242,10 +236,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     return ExperimentConfig(
         session=session,
         trials=args.trials,
-        attack_kind=attack_kind,
-        victim=args.victim,
-        colluders=args.colluders,
-        probe_overlap=probe_overlap,
+        attack=attack,
         rounds_only=args.rounds_only,
         transcript=Path(args.transcript) if args.transcript else None,
         report=args.report,
@@ -340,34 +331,23 @@ def read_transcript(path: Path) -> list[tuple[int, RoundRecord]]:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute the configured experiment and aggregate its statistics."""
     started = time.perf_counter()
-    kind = config.attack_kind
-    session_attack = None
-    if kind == "measure-resend":
-        session_attack = measure_resend_attack(MeasureResendConfig(config.victim))
-    elif kind == "collusion":
-        collusion = CollusionConfig(config.colluders, MeasureResendConfig(config.victim))
-        session_attack = collusion_attack(collusion)
-    elif kind == "collective":
-        collective = CollectiveAttackConfig(probe_overlap=config.probe_overlap)
-        session_attack = collective_attack(collective)
-    attacked = replace(config.session, attack=session_attack)
+    session = attacked(config.session, config.attack)
 
     if config.rounds_only is not None:
-        batch = run_rounds(attacked, config.rounds_only)
+        batch = run_rounds(session, config.rounds_only)
         results = dict(case_counts=case_counts(batch), rounds_total=len(batch))
         if config.transcript:
             write_transcript(config.transcript, [(0, batch)])
-    elif kind == "collective":
+    elif isinstance(config.attack, CollectiveAttackConfig):
         trials = _monte_carlo_trials(config)
-        leakage = estimate_leakage(collective, config.session, trials=trials)
+        leakage = estimate_leakage(config.attack, config.session, trials=trials)
         results = dict(trials=trials, leakage=leakage)
-    elif kind == "collusion":
+    elif isinstance(config.attack, CollusionConfig):
         trials = _monte_carlo_trials(config)
-        results = dict(
-            trials=trials, collusion=run_collusion(collusion, config.session, trials=trials)
-        )
+        collusion = run_collusion(config.attack, config.session, trials=trials)
+        results = dict(trials=trials, collusion=collusion)
     else:
-        results = _run_sessions(config, attacked)
+        results = _run_sessions(config, session)
 
     return RunReport(
         config=config,
@@ -382,7 +362,7 @@ def _monte_carlo_trials(config: ExperimentConfig) -> int:
         return config.trials
     print(
         f"warning: --trials {config.trials} raised to {MIN_ESTIMATE_TRIALS} "
-        f"for --attack {config.attack_kind}",
+        f"for --attack {_ATTACK_NAMES[type(config.attack)]}",
         file=sys.stderr,
     )
     return MIN_ESTIMATE_TRIALS
@@ -392,23 +372,21 @@ def _mean(rates: list[float]) -> Optional[float]:
     return sum(rates) / len(rates) if rates else None
 
 
-def _run_sessions(config: ExperimentConfig, attacked: SessionConfig) -> dict:
+def _run_sessions(config: ExperimentConfig, session: SessionConfig) -> dict:
     """The ``RunReport`` fields of ``config.trials`` seeded sessions."""
     collect = config.transcript is not None
     verdicts = {verdict.value: 0 for verdict in Verdict}
-    counts = {case.value: 0 for case in RoundCase}
+    tally = np.zeros(len(RoundCase), dtype=np.int64)
     matches = 0
     step5_rates = []
     step6_rates = []
     seeds = [child_seed(config.session.seed, trial) for trial in range(config.trials)]
-    outcomes = run_sessions(attacked, seeds, collect_records=collect)
+    outcomes = run_sessions(session, seeds, collect_records=collect)
     for outcome in outcomes:
         verdicts[outcome.verdict.value] += 1
         stats = outcome.stats
-        for case, rounds in zip(RoundCase, (
-            stats.case1_rounds, stats.case2_rounds, stats.case3_rounds, stats.discarded_rounds
-        )):
-            counts[case.value] += rounds
+        tally += (stats.case1_rounds, stats.case2_rounds, stats.case3_rounds,
+                  stats.discarded_rounds)
         if outcome.verdict is Verdict.COMPLETED:
             matches += outcome.reconstructed == outcome.secret
         if outcome.stats.step5_error_rate is not None:
@@ -418,6 +396,7 @@ def _run_sessions(config: ExperimentConfig, attacked: SessionConfig) -> dict:
     if collect:
         grouped = [(trial, outcome.rounds) for trial, outcome in enumerate(outcomes)]
         write_transcript(config.transcript, grouped)
+    counts = {case.value: int(rounds) for case, rounds in zip(RoundCase, tally)}
     rounds_total = sum(counts.values())
     return dict(
         trials=config.trials,
@@ -447,20 +426,21 @@ def _interval(successes: int, total: int) -> str:
 def render_report(report: RunReport) -> str:
     config = report.config
     session = config.session
+    attack = config.attack
     lines = ["mqss run report"]
     lines.append(
         "config: agents={} secret_bits={} epsilon={} seed={} trials={} attack={}".format(
             session.n_agents, session.secret_bits, session.epsilon,
-            session.seed, report.trials or config.trials, config.attack_kind,
+            session.seed, report.trials or config.trials, _ATTACK_NAMES[type(attack)],
         )
     )
-    if config.attack_kind in ("measure-resend", "collusion"):
-        extra = f"victim={config.victim}"
-        if config.colluders:
-            extra += " colluders={}".format(",".join(map(str, sorted(config.colluders))))
-        lines.append("attack: " + extra)
-    if config.attack_kind == "collective":
-        lines.append(f"attack: probe_overlap={config.probe_overlap}")
+    if isinstance(attack, MeasureResendConfig):
+        lines.append(f"attack: victim={attack.target}")
+    if isinstance(attack, CollusionConfig):
+        colluders = ",".join(map(str, sorted(attack.colluders)))
+        lines.append(f"attack: victim={attack.inner_attack.target} colluders={colluders}")
+    if isinstance(attack, CollectiveAttackConfig):
+        lines.append(f"attack: probe_overlap={attack.probe_overlap}")
 
     if report.case_counts is not None:
         lines.append(f"rounds: {report.rounds_total}")
@@ -521,7 +501,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SESSION_FAILED
     sys.stdout.write(render_report(report))
-    if config.attack_kind == "none" and report.session_failed:
+    if config.attack is None and report.session_failed:
         return EXIT_SESSION_FAILED
     return EXIT_OK
 

@@ -767,15 +767,19 @@ def run_sessions(
 
 def case_counts(batch: RoundBatch) -> dict[str, int]:
     """Rounds per case, keyed by ``RoundCase`` value; every case is present."""
-    return _cases(_segment_sums(batch, [0])[0, :-4].tolist())
+    tally = _case_tally(_segment_sums(batch, [0])[0, :-4].tolist())
+    return {case.value: rounds for case, rounds in zip(RoundCase, tally)}
 
 
-def _cases(per_checks: list[int]) -> dict[str, int]:
-    """Rounds per case value from rounds per checker count, 0 to q."""
-    counts = {case.value: 0 for case in RoundCase}
+_CASE_ORDER = tuple(RoundCase)
+
+
+def _case_tally(per_checks: list[int]) -> list[int]:
+    """Rounds per case in ``RoundCase`` order, from rounds per checker count 0 to q."""
+    tally = [0] * len(_CASE_ORDER)
     for case, rounds in zip(case_table(len(per_checks) - 1), per_checks):
-        counts[case.value] += rounds
-    return counts
+        tally[_CASE_ORDER.index(case)] += rounds  # by identity: no Enum hashing
+    return tally
 
 
 def _stats(
@@ -784,13 +788,13 @@ def _stats(
     step6: Optional[Step6Report],
     attempts: int,
 ) -> SessionStats:
-    counts = _cases(per_checks)
+    case1, case2, case3, discarded = _case_tally(per_checks)
     return SessionStats(
         rounds_used=sum(per_checks),
-        case1_rounds=counts[RoundCase.CASE1.value],
-        case2_rounds=counts[RoundCase.CASE2.value],
-        case3_rounds=counts[RoundCase.CASE3.value],
-        discarded_rounds=counts[RoundCase.DISCARD.value],
+        case1_rounds=case1,
+        case2_rounds=case2,
+        case3_rounds=case3,
+        discarded_rounds=discarded,
         step5_error_rate=step5.error_rate if step5 else None,
         step5_round_failures=step5.round_failures if step5 else None,
         step5_checked_rounds=step5.checked_rounds if step5 else None,

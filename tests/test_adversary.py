@@ -1,5 +1,6 @@
 """Attack models: state-level guarantees and Monte-Carlo detection laws."""
 
+from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -9,7 +10,9 @@ from mqss.adversary import (
     CollectiveAttackConfig,
     CollusionConfig,
     MeasureResendConfig,
+    attacked,
     collective_attack,
+    collusion_attack,
     estimate_leakage,
     measure_resend_attack,
     mutual_information_bits,
@@ -277,3 +280,33 @@ def test_collusion_validates_victim_and_trials():
         )
     with pytest.raises(ValueError):
         run_collusion(None, session, trials=5)
+
+
+# --- applying an attack config -------------------------------------------------------
+
+
+def test_attacked_applies_each_config_through_its_factory():
+    session = SessionConfig(n_agents=3, secret_bits=2, seed=5)
+    assert attacked(session, None) == session
+    for config, factory in [
+        (CollectiveAttackConfig(probe_overlap=0.3), collective_attack),
+        (MeasureResendConfig(target=2), measure_resend_attack),
+        (CollusionConfig(frozenset({1}), MeasureResendConfig(target=3)), collusion_attack),
+    ]:
+        assert attacked(session, config) == replace(session, attack=factory(config))
+    with pytest.raises(TypeError):  # a built attack is not a config
+        attacked(session, measure_resend_attack(MeasureResendConfig(target=2)))
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (CollusionConfig(frozenset({1, 4}), MeasureResendConfig(target=3)), "proper subset"),
+        (CollusionConfig(frozenset({0}), MeasureResendConfig(target=3)), "proper subset"),
+        (CollusionConfig(frozenset({1, 2, 3}), MeasureResendConfig(target=4)), "proper subset"),
+        (MeasureResendConfig(target=4), "past particle 4"),
+    ],
+)
+def test_attacked_refuses_what_three_agents_cannot_hold(config, message):
+    with pytest.raises(ValueError, match=message):
+        attacked(SessionConfig(n_agents=3), config)

@@ -60,13 +60,13 @@ def random_pairs(rng, qubits, overlap):
     weights = rng.normal(size=2) + 1j * rng.normal(size=2)
     weights /= np.linalg.norm(weights)
     if overlap is None:
-        return branch.BranchPairs(bits, [[weights[0]]], [[weights[1]]])
+        return branch.BranchPairs(bits, [weights[0]], [weights[1]], [0])
     first = rng.normal(size=2) + 1j * rng.normal(size=2)
     first /= np.linalg.norm(first)
     orthogonal = np.array([-first[1].conjugate(), first[0].conjugate()])
     orthogonal *= np.exp(2j * np.pi * rng.random())
     second = overlap * first + sqrt(1.0 - overlap * overlap) * orthogonal
-    return branch.BranchPairs(bits, [weights[0] * first], [weights[1] * second])
+    return branch.BranchPairs(bits, weights[0] * first, weights[1] * second, [0])
 
 
 def fork(pairs):

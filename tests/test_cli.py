@@ -14,7 +14,12 @@ from mqss.cli import (
     write_transcript,
 )
 import mqss.cli as cli_module
-from mqss.adversary import CollectiveAttackConfig, collective_attack
+from mqss.adversary import (
+    CollectiveAttackConfig,
+    CollusionConfig,
+    MeasureResendConfig,
+    collective_attack,
+)
 from mqss.ghz import GhzSpec
 from mqss.protocol import (
     BatchLimitError,
@@ -37,7 +42,7 @@ def test_defaults():
     assert config.session == SessionConfig(n_agents=3, secret_bits=16,
                                            epsilon=0.0, seed=0)
     assert config.trials == 1
-    assert config.attack_kind == "none"
+    assert config.attack is None
     assert config.rounds_only is None
 
 
@@ -53,9 +58,7 @@ def test_collusion_flags():
         ["--attack", "collusion", "--colluders", "1,2", "--victim", "3",
          "--trials", "1000"]
     )
-    assert config.attack_kind == "collusion"
-    assert config.colluders == frozenset({1, 2})
-    assert config.victim == 3
+    assert config.attack == CollusionConfig(frozenset({1, 2}), MeasureResendConfig(3))
     assert config.trials == 1000
 
 
@@ -71,6 +74,8 @@ def test_collusion_flags():
         ["--attack", "collusion", "--victim", "3"],          # missing colluders
         ["--attack", "collusion", "--colluders", "1,3", "--victim", "3"],
         ["--attack", "collusion", "--colluders", "1,2,3", "--victim", "3"],
+        ["--attack", "collusion", "--colluders", "1,4", "--victim", "3"],  # no agent 4
+        ["--attack", "collusion", "--colluders", "0", "--victim", "2"],    # no agent 0
         ["--attack", "bogus"],
         ["--trials", "0"],
         ["--rounds-only", "0"],
