@@ -105,20 +105,28 @@ def attacked(session: SessionConfig, config: Optional[AttackConfig]) -> SessionC
     """``session`` under the attack ``config``, the one place the two meet.
 
     ``None`` leaves the session honest. Colluders must be a proper subset of
-    the agents; ``SessionConfig`` refuses a victim past the last agent.
+    the agents, and a victim must be one of them.
     """
     attack = None
     if isinstance(config, CollectiveAttackConfig):
         attack = collective_attack(config)
     elif isinstance(config, MeasureResendConfig):
+        _refuse_absent_victim(config, session)
         attack = measure_resend_attack(config)
     elif isinstance(config, CollusionConfig):
         if not config.colluders < set(range(1, session.n_agents + 1)):
             raise ValueError("colluders must be a proper subset of the agents")
+        _refuse_absent_victim(config.inner_attack, session)
         attack = collusion_attack(config)
     elif config is not None:
         raise TypeError(f"not an attack config: {config!r}")
     return replace(session, attack=attack)
+
+
+def _refuse_absent_victim(config: MeasureResendConfig, session: SessionConfig) -> None:
+    # named in agents: SessionConfig would name the tapped particle, one past it
+    if config.target > session.n_agents:
+        raise ValueError(f"victim {config.target} is past agent {session.n_agents}")
 
 
 @dataclass(frozen=True)

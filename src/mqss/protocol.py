@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import repeat
 from math import sqrt
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -340,20 +340,30 @@ def _play_batch(config: SessionConfig, rng, blocks, forced_modes) -> RoundBatch:
         if len(forced_modes) != q:
             raise ValueError(f"expected {q} forced modes, got {len(forced_modes)}")
         forced = np.array([mode is Mode.SHARE for mode in forced_modes])
-    batches = []
-    _play_rows(config, [(rng, lambda _: blocks)], lambda batch, *_: batches.append(batch), forced)
-    return RoundBatch.join(batches)
+    chunks = []
+    _play_rows(config, [(rng, lambda _: blocks)], lambda chunk, *_: chunks.append(chunk), forced)
+    return RoundBatch.join([chunk.batch for chunk in chunks])
 
 
-def _play_rows(config: SessionConfig, jobs, sink, forced=None) -> None:
+class _Chunk(NamedTuple):
+    """A played chunk of rows: every row's modes, and what played of them."""
+
+    share: np.ndarray  # R x q booleans: the participant chose Share
+    case1: np.ndarray  # R booleans: every participant chose Share
+    batch: Optional[RoundBatch]  # every row, when every row played
+    keys: Optional[np.ndarray] = None  # else the case1 rows' raw key rows
+    flips: Optional[np.ndarray] = None  # and the noise flips, None at epsilon 0
+
+
+def _play_rows(config: SessionConfig, jobs, sink, forced=None, keys_only=False) -> None:
     """Play every job's rows: the one driver all played rounds go through.
 
     A job is a pair (rng, blocks): ``blocks(shared)`` yields the job's
     (bits, phases) blocks of rows in draw order, and ``shared()`` counts
-    the all-Share rows among the job's unforced rows drawn so far, which is
-    what a session's top-ups read. Jobs draw one after another, each from
-    its own ``rng``, and each round takes the same draws in the same order
-    on either engine: the mode draws, then per particle the noise draw, any
+    the all-Share rows among the job's rows drawn so far, which is what a
+    session's top-ups read. Jobs draw one after another, each from its own
+    ``rng``, and each round takes the same draws in the same order on
+    either engine: the mode draws, then per particle the noise draw, any
     interceptor's, any tap's schedule and measurement draws and the owner's
     measurement draw, and last the probe draw.
 
@@ -361,48 +371,72 @@ def _play_rows(config: SessionConfig, jobs, sink, forced=None) -> None:
     a chunk of at most ``_CHUNK_ROWS`` rows, and each chunk, whatever jobs
     its rows come from, plays in one ``BranchPairs`` pass. Split row-major
     draws are the same numbers as one call, so the chunk size changes no
-    round. On the dense engine (``round_engine``) each block plays round
-    by round as it arrives, because an interceptor draws from the job's
-    generator itself. ``sink(batch, owners, starts)`` receives each played
-    batch, whose rows from ``starts[i]`` on are job ``owners[i]``'s.
+    round. With ``keys_only`` that pass plays only the all-Share rows; every
+    other row is tallied from its draws, since each of its checkers reads
+    the one surviving branch, off its announced bit exactly where a noise
+    flip hit it. On the dense engine (``round_engine``) each block plays
+    round by round as it arrives, because an interceptor draws from the
+    job's generator itself, and every row plays. ``sink(chunk, owners,
+    starts)`` receives each played ``_Chunk``, whose rows from ``starts[i]``
+    on are job ``owners[i]``'s.
     """
     q = config.particle_count
     dense = round_engine(config) == "dense"
     width = _draw_columns(config, forced)[2]
-    pieces, rows = [], 0  # the chunk being packed: (owner, bits, phases, draws)
+    pieces, rows = [], 0  # the chunk being packed: (owner, bits, phases, draws, share, case1)
     for owner, (rng, blocks) in enumerate(jobs):
         shared = 0
         for bits, phases in blocks(lambda: shared):
             if dense:
                 batch = RoundBatch(bits, phases, *_play_dense(config, bits, phases, rng, forced))
-                shared += np.count_nonzero(batch.share.all(axis=1))
-                sink(batch, [owner], [0])
+                chunk = _Chunk(batch.share, batch.share.all(axis=1), batch)
+                shared += np.count_nonzero(chunk.case1)
+                sink(chunk, [owner], [0])
                 continue
             while True:  # one piece per chunk the block reaches; an empty block is one piece
                 take = min(len(bits), _CHUNK_ROWS - rows)
                 draws = rng.random(size=(take, width))
                 if forced is None:
-                    shared += np.count_nonzero((draws[:, :q] < 0.5).all(axis=1))
-                pieces.append((owner, bits[:take], phases[:take], draws))
+                    share = draws[:, :q] < 0.5
+                    case1 = share.all(axis=1)
+                else:
+                    share = np.broadcast_to(forced, (take, q))
+                    case1 = np.broadcast_to(forced.all(), take)
+                shared += np.count_nonzero(case1)
+                pieces.append((owner, bits[:take], phases[:take], draws, share, case1))
                 bits, phases, rows = bits[take:], phases[take:], rows + take
                 if rows == _CHUNK_ROWS:
-                    _play_packed(config, pieces, sink, forced)
+                    _play_packed(config, pieces, sink, forced, keys_only)
                     pieces, rows = [], 0
                 if not len(bits):
                     break
     if pieces:
-        _play_packed(config, pieces, sink, forced)
+        _play_packed(config, pieces, sink, forced, keys_only)
 
 
-def _play_packed(config: SessionConfig, pieces, sink, forced) -> None:
-    """Play (owner, bits, phases, draws) pieces of rows as one chunk and sink it."""
-    owners, *columns = zip(*pieces)
+def _play_packed(config: SessionConfig, pieces, sink, forced, keys_only) -> None:
+    """Play (owner, bits, phases, draws, share, case1) pieces as one chunk and sink it."""
+    owners, *columns = map(list, zip(*pieces))
     # one piece plays as it is: a copy would cost a fresh chunk-sized allocation
-    bits, phases, draws = (
+    bits, phases, draws, share, case1 = (
         np.concatenate(arrays) if len(arrays) > 1 else arrays[0] for arrays in columns
     )
-    batch = RoundBatch(bits, phases, *_play_on_branches(config, bits, phases, draws, forced))
-    sink(batch, list(owners), np.cumsum([0] + [len(piece[1]) for piece in pieces[:-1]]))
+    starts = np.cumsum([0] + [len(piece[1]) for piece in pieces[:-1]])
+    if not keys_only:
+        results, probe = _play_on_branches(config, bits, phases, draws, share, forced)
+        sink(_Chunk(share, case1, RoundBatch(bits, phases, share, results, probe)), owners, starts)
+        return
+    results = np.zeros((0, config.particle_count), dtype=np.uint8)
+    if case1.any():  # most chunks of a wide session hold no all-Share row
+        results, _ = _play_on_branches(
+            config, bits[case1], phases[case1], draws[case1], share[case1], forced
+        )
+    flips = None
+    if config.epsilon > 0.0:
+        noise = [steps[0] for steps in _draw_columns(config, forced)[0]]
+        flips = draws[:, noise] < config.epsilon
+    keys = _key_rows(results, phases[case1])
+    sink(_Chunk(share, case1, None, keys, flips), owners, starts)
 
 
 def _draw_columns(config: SessionConfig, forced):
@@ -431,13 +465,13 @@ def _draw_columns(config: SessionConfig, forced):
     return steps, width, width + (attack.collective is not None)
 
 
-def _play_on_branches(config: SessionConfig, bits, phases, draws, forced):
-    """Play rows on the branch engine; row i takes its draws from ``draws[i]``."""
-    q = config.particle_count
+def _play_on_branches(config: SessionConfig, bits, phases, draws, share, forced):
+    """Play rows on the branch engine: row i's modes are ``share[i]``, its draws ``draws[i]``.
+
+    Returns the results and, under the collective attack, the probe readouts.
+    """
     attack = config.attack or _NO_ATTACK
     steps, probe_column, _ = _draw_columns(config, forced)
-    rounds = len(bits)
-    share = draws[:, :q] < 0.5 if forced is None else np.broadcast_to(forced, (rounds, q))
     pairs = branch.BranchPairs.ghz(bits, phases, attack.collective)
     for column, (noise, schedule, rate, tap, measure) in enumerate(steps):
         if noise is not None:
@@ -449,7 +483,7 @@ def _play_on_branches(config: SessionConfig, bits, phases, draws, forced):
     probe = None
     if attack.collective is not None:
         probe = pairs.read_probe(draws[:, probe_column])[0].astype(np.uint8)
-    return share, pairs.results, probe
+    return pairs.results, probe
 
 
 def _play_dense(config: SessionConfig, bits, phases, rng, forced):
@@ -520,16 +554,15 @@ def sift(batch: RoundBatch) -> tuple[tuple[int, ...], ...]:
     phase bit into hers so the parity relation between her key and the
     agents' keys holds for every announced state, not only phase-0 ones.
     """
-    keys = _key_rows(batch)
+    case1 = batch.share.all(axis=1)
+    keys = _key_rows(batch.results[case1], batch.phases[case1])
     return tuple(map(tuple, keys.T.tolist())) if len(keys) else ()
 
 
-def _key_rows(batch: RoundBatch) -> np.ndarray:
-    """The all-Share rows' results, dealer first, the phase folded into the dealer's."""
-    case1 = batch.share.all(axis=1)
-    keys = batch.results[case1]
-    keys[:, 0] ^= batch.phases[case1]
-    return keys
+def _key_rows(results: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """All-Share rows' results as raw key rows, each phase folded into the dealer's in place."""
+    results[:, 0] ^= phases
+    return results
 
 
 @dataclass(frozen=True)
@@ -552,26 +585,34 @@ def verify_step5(batch: RoundBatch, base_threshold: float = 0.0) -> Step5Report:
     pattern/complement), the unit the noise-rate threshold is calibrated
     in; whole-round pass/fail counts are also reported.
     """
-    return _step5_report(_segment_sums(batch, [0])[0, -4:], base_threshold)
+    sums = _segment_sums(batch.share, batch.results != batch.bits, [0])
+    return _step5_report(sums[0, -4:], base_threshold)
 
 
-def _segment_sums(batch: RoundBatch, starts) -> np.ndarray:
+def _segment_sums(share: np.ndarray, wrong: Optional[np.ndarray], starts) -> np.ndarray:
     """Sums over segments of rows, one row of sums per start row.
+
+    ``share`` marks the participants who chose Share and ``wrong`` the
+    results off their announced pattern bits, read at checkers only; None
+    marks none. Played rows pass ``results != bits``, unplayed rows their
+    noise flips: a checker reads the one surviving branch, pattern or
+    complement, so a row's distance to the nearer of the two, min(F, k - F)
+    for F flips among k checkers, is the same either way.
 
     A segment runs from its start to the next one's, the last to the end.
     Per segment: the rounds per number of checkers, 0 to q, then the step-5
     sums (mismatches, checked positions, failed rounds, checked rounds).
     Sums add, so rounds played in pieces add up their pieces' sums.
     """
-    q = batch.share.shape[1]
-    if not len(batch):
+    rounds, q = share.shape
+    if not rounds:
         return np.zeros((len(starts), q + 5), dtype=np.int64)
-    checkers = ~batch.share
+    checkers = ~share
     checks = checkers.sum(axis=1)
-    direct = ((batch.results != batch.bits) & checkers).sum(axis=1)
+    direct = 0 if wrong is None else (wrong & checkers).sum(axis=1)
     checked = checks >= 2
     distance = np.minimum(direct, checks - direct) * checked
-    segment = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(batch)))
+    segment = np.repeat(np.arange(len(starts)), np.diff(starts, append=rounds))
     per_checks = np.bincount(segment * (q + 1) + checks, minlength=len(starts) * (q + 1))
     step5 = np.column_stack((distance, checks * checked, distance > 0, checked))
     return np.hstack((per_checks.reshape(-1, q + 1), np.add.reduceat(step5, starts)))
@@ -758,7 +799,7 @@ def run_sessions(
         rngs = [derived_rng(seeds[trial], attempt) for trial in pending]
         played = _Played(len(rngs), config.particle_count, collect_records)
         jobs = [(rng, partial(_attempt_blocks, config, rng)) for rng in rngs]
-        _play_rows(config, jobs, played.add)
+        _play_rows(config, jobs, played.add, keys_only=not collect_records)
         for index, (trial, rng) in enumerate(zip(pending, rngs)):
             outcomes[trial] = _finish_attempt(config, played, index, rng, secret, attempt + 1)
         pending = [trial for trial in pending if outcomes[trial].verdict is not Verdict.COMPLETED]
@@ -767,7 +808,7 @@ def run_sessions(
 
 def case_counts(batch: RoundBatch) -> dict[str, int]:
     """Rounds per case, keyed by ``RoundCase`` value; every case is present."""
-    tally = _case_tally(_segment_sums(batch, [0])[0, :-4].tolist())
+    tally = _case_tally(_segment_sums(batch.share, None, [0])[0, :-4].tolist())
     return {case.value: rounds for case, rounds in zip(RoundCase, tally)}
 
 
@@ -817,12 +858,18 @@ class _Played:
         self.keys: list[list[np.ndarray]] = [[] for _ in range(attempts)]
         self.rows = [[] for _ in range(attempts)] if collect_records else None
 
-    def add(self, batch: RoundBatch, owners: Sequence[int], starts) -> None:
-        """Tally a played batch whose rows from ``starts[i]`` on are attempt ``owners[i]``'s."""
-        sums = _segment_sums(batch, starts)
+    def add(self, chunk: _Chunk, owners: Sequence[int], starts) -> None:
+        """Tally a played chunk whose rows from ``starts[i]`` on are attempt ``owners[i]``'s."""
+        batch, case1 = chunk.batch, chunk.case1
+        if batch is None:
+            wrong, keys = chunk.flips, chunk.keys
+        else:
+            wrong = batch.results != batch.bits
+            keys = _key_rows(batch.results[case1], batch.phases[case1])
+        sums = _segment_sums(chunk.share, wrong, starts)
         np.add.at(self.sums, owners, sums)
         # the key rows come in row order, sums[:, 0] of them per segment
-        keys, ends = _key_rows(batch), np.cumsum(sums[:, 0]).tolist()
+        ends = np.cumsum(sums[:, 0]).tolist()
         for owner, start, end in zip(owners, [0, *ends], ends):
             self.keys[owner].append(keys[start:end])
         if self.rows is not None:

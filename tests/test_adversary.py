@@ -304,9 +304,25 @@ def test_attacked_applies_each_config_through_its_factory():
         (CollusionConfig(frozenset({1, 4}), MeasureResendConfig(target=3)), "proper subset"),
         (CollusionConfig(frozenset({0}), MeasureResendConfig(target=3)), "proper subset"),
         (CollusionConfig(frozenset({1, 2, 3}), MeasureResendConfig(target=4)), "proper subset"),
-        (MeasureResendConfig(target=4), "past particle 4"),
+        (MeasureResendConfig(target=4), "victim 4 is past agent 3"),
     ],
 )
 def test_attacked_refuses_what_three_agents_cannot_hold(config, message):
     with pytest.raises(ValueError, match=message):
         attacked(SessionConfig(n_agents=3), config)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        MeasureResendConfig(target=9),
+        CollusionConfig(frozenset({1}), MeasureResendConfig(target=9)),
+    ],
+    ids=["measure-resend", "collusion"],
+)
+def test_a_victim_past_the_last_agent_is_named_as_an_agent(config):
+    with pytest.raises(ValueError, match="^victim 9 is past agent 3$"):
+        attacked(SessionConfig(n_agents=3), config)
+    # a victim among the agents is tapped at its particle, one past its index
+    session = attacked(SessionConfig(n_agents=9), config)
+    assert list(session.attack.z_taps) == [10]

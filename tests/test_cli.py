@@ -97,6 +97,18 @@ def test_usage_errors_exit_2(argv):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "attack",
+    [["measure-resend"], ["collusion", "--colluders", "1"]],
+    ids=["measure-resend", "collusion"],
+)
+def test_a_victim_past_the_last_agent_is_named_as_an_agent(attack, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        parse_config(["--attack", *attack, "--victim", "9"])
+    assert excinfo.value.code == 2
+    assert "invalid session: victim 9 is past agent 3" in capsys.readouterr().err
+
+
 def test_config_file_session_rejected_by_session_config_exits_2(tmp_path, capsys):
     config_file = tmp_path / "run.cfg"
     config_file.write_text("agents = 1\n")

@@ -8,11 +8,12 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from mqss import protocol
+from mqss import branch, protocol
 from mqss.adversary import (
     CollectiveAttackConfig,
     CollusionConfig,
     MeasureResendConfig,
+    attacked,
     collective_attack,
     collusion_attack,
     estimate_leakage,
@@ -657,6 +658,87 @@ def test_a_malformed_secret_is_refused_before_any_round_plays(monkeypatch, confi
     with pytest.raises(ValueError, match="secret must be 4 bits, each 0 or 1"):
         run_session(config, secret=secret)
     assert streams == []
+
+
+KEYS_ONLY_ATTACKS = {
+    "honest": None,
+    "measure-resend": MeasureResendConfig(target=2),
+    "collusion": CollusionConfig(frozenset({1}), MeasureResendConfig(target=2)),
+    "collective": CollectiveAttackConfig(
+        probe_overlap=0.3, pattern_weight=0.6, complement_weight=0.8
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEYS_ONLY_ATTACKS))
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.2])
+@pytest.mark.parametrize("n_agents", [2, 3, 5])
+def test_sessions_without_records_match_sessions_that_play_every_row(
+    monkeypatch, n_agents, epsilon, kind
+):
+    session = SessionConfig(
+        n_agents=n_agents, secret_bits=2 if n_agents == 5 else 4, epsilon=epsilon
+    )
+    config = attacked(session, KEYS_ONLY_ATTACKS[kind])
+    seeds = range(12)
+    every_row = run_sessions(config, seeds, collect_records=True)
+    assert all(len(outcome.rounds) == outcome.stats.rounds_used for outcome in every_row)
+    expected = [replace(outcome, rounds=None) for outcome in every_row]
+    assert run_sessions(config, seeds) == expected
+    # 7-row chunks: the tallied rows of several sessions share and straddle chunks
+    monkeypatch.setattr(protocol, "_CHUNK_ROWS", 7)
+    assert run_sessions(config, seeds) == expected
+
+
+def counted_rows(monkeypatch) -> list[int]:
+    """The number of rows each engine call plays, on either engine, as calls are made."""
+    counts = []
+    ghz, play_dense = branch.BranchPairs.ghz, protocol._play_dense
+
+    def counting_ghz(bits, phases, collective=None):
+        counts.append(len(bits))
+        return ghz(bits, phases, collective)
+
+    def counting_dense(config, bits, *rest):
+        counts.append(len(bits))
+        return play_dense(config, bits, *rest)
+
+    monkeypatch.setattr(branch.BranchPairs, "ghz", staticmethod(counting_ghz))
+    monkeypatch.setattr(protocol, "_play_dense", counting_dense)
+    return counts
+
+
+@pytest.mark.parametrize("collect_records", [False, True], ids=["keys-only", "records"])
+@pytest.mark.parametrize(
+    "attack, epsilon",
+    [(None, 0.0), (CHUNK_ATTACKS["collusion"], 0.05), (NOOP_INTERCEPTOR, 0.0)],
+    ids=["honest", "collusion", "dense"],
+)
+def test_only_sessions_without_records_on_the_branch_engine_skip_rows(
+    monkeypatch, attack, epsilon, collect_records
+):
+    # one attempt each, so the outcome's stats count every row played
+    config = SessionConfig(
+        n_agents=3, secret_bits=4, epsilon=epsilon, attack=attack, max_attempts=1
+    )
+    counts = counted_rows(monkeypatch)
+    outcomes = run_sessions(config, range(1, 6), collect_records=collect_records)
+    every_row = collect_records or attack is NOOP_INTERCEPTOR
+    rows = [o.stats.rounds_used if every_row else o.stats.case1_rounds for o in outcomes]
+    assert sum(counts) == sum(rows) > 0
+    assert all(o.stats.case1_rounds < o.stats.rounds_used for o in outcomes)
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [None, CHUNK_ATTACKS["collective"], NOOP_INTERCEPTOR],
+    ids=["honest", "collective", "dense"],
+)
+def test_run_rounds_plays_every_row(monkeypatch, attack):
+    counts = counted_rows(monkeypatch)
+    run_rounds(SessionConfig(attack=attack), 300, derived_rng(8))
+    run_rounds(SessionConfig(attack=attack), 200, derived_rng(9), forced_modes=[C, S, C, C])
+    assert sum(counts) == 500
 
 
 def test_session_with_noise_keeps_parity_checks_clean():
