@@ -103,15 +103,19 @@ def sample_patterns(rng, count: int, qubit_count: int) -> tuple[np.ndarray, np.n
     """Uniformly random patterns and phase bits of the states the server prepares.
 
     Returns a count x q boolean array of pattern bits and a uint8 array of
-    phase bits, drawn in that order.
+    phase bits, drawn in that order. One call draws both: int64 draws in
+    [0, 2) take one 32-bit word each from the generator, whose unused half
+    word carries over between calls, so the numbers and the generator state
+    after them are those of drawing the bits and then the phases.
     """
     if qubit_count < 2:
         raise ValueError("a GHZ spec needs at least 2 particles")
     if qubit_count > MAX_QUBITS:
         raise ValueError(f"at most {MAX_QUBITS} particles supported")
     # the default int64 draws: another dtype would change the stream
-    bits = rng.integers(0, 2, size=(count, qubit_count)).astype(bool)
-    return bits, rng.integers(0, 2, size=count).astype(np.uint8)
+    draws = rng.integers(0, 2, size=count * (qubit_count + 1))
+    split = count * qubit_count
+    return draws[:split].reshape(count, qubit_count).astype(bool), draws[split:].astype(np.uint8)
 
 
 def prepare(spec: GhzSpec) -> PureState:

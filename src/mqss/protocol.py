@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
 from math import sqrt
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
@@ -341,7 +341,9 @@ def _play_batch(config: SessionConfig, rng, blocks, forced_modes) -> RoundBatch:
             raise ValueError(f"expected {q} forced modes, got {len(forced_modes)}")
         forced = np.array([mode is Mode.SHARE for mode in forced_modes])
     chunks = []
-    _play_rows(config, [(rng, lambda _: blocks)], lambda chunk, *_: chunks.append(chunk), forced)
+    shared = np.zeros(1, dtype=np.int64)
+    job = (0, rng, blocks)
+    _play_rows(config, [[job]], lambda chunk, *_: chunks.append(chunk), shared, forced)
     return RoundBatch.join([chunk.batch for chunk in chunks])
 
 
@@ -355,12 +357,13 @@ class _Chunk(NamedTuple):
     flips: Optional[np.ndarray] = None  # and the noise flips, None at epsilon 0
 
 
-def _play_rows(config: SessionConfig, jobs, sink, forced=None, keys_only=False) -> None:
-    """Play every job's rows: the one driver all played rounds go through.
+def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_only=False) -> None:
+    """Play every round's rows: the one driver all played rounds go through.
 
-    A job is a pair (rng, blocks): ``blocks(shared)`` yields the job's
-    (bits, phases) blocks of rows in draw order, and ``shared()`` counts
-    the all-Share rows among the job's rows drawn so far, which is what a
+    ``rounds`` yields rounds of (owner, rng, blocks) jobs, where ``blocks``
+    yields the job's (bits, phases) blocks of rows in draw order.
+    ``shared[owner]`` counts the all-Share rows drawn for an owner so far and
+    is current whenever the next round is asked for, which is what a
     session's top-ups read. Jobs draw one after another, each from its own
     ``rng``, and each round takes the same draws in the same order on
     either engine: the mode draws, then per particle the noise draw, any
@@ -369,56 +372,88 @@ def _play_rows(config: SessionConfig, jobs, sink, forced=None, keys_only=False) 
 
     On the branch engine a row's draws are taken as the row is packed into
     a chunk of at most ``_CHUNK_ROWS`` rows, and each chunk, whatever jobs
-    its rows come from, plays in one ``BranchPairs`` pass. Split row-major
-    draws are the same numbers as one call, so the chunk size changes no
-    round. With ``keys_only`` that pass plays only the all-Share rows; every
-    other row is tallied from its draws, since each of its checkers reads
-    the one surviving branch, off its announced bit exactly where a noise
-    flip hit it. On the dense engine (``round_engine``) each block plays
-    round by round as it arrives, because an interceptor draws from the
-    job's generator itself, and every row plays. ``sink(chunk, owners,
-    starts)`` receives each played ``_Chunk``, whose rows from ``starts[i]``
-    on are job ``owners[i]``'s.
+    and rounds its rows come from, plays in one ``BranchPairs`` pass. Split
+    row-major draws are the same numbers as one call, so the chunk size
+    changes no round. A chunk's modes are worked out once: when it fills,
+    or for the rows it holds when a round ends. With ``keys_only`` the pass
+    plays only the all-Share rows; every other row is tallied from its
+    draws, since each of its checkers reads the one surviving branch, off
+    its announced bit exactly where a noise flip hit it. On the dense
+    engine (``round_engine``) each block plays round by round as it
+    arrives, because an interceptor draws from the job's generator itself,
+    and every row plays. ``sink(chunk, owners, starts)`` receives each
+    played ``_Chunk``, whose rows from ``starts[i]`` on are job
+    ``owners[i]``'s.
     """
-    q = config.particle_count
     dense = round_engine(config) == "dense"
     width = _draw_columns(config, forced)[2]
-    pieces, rows = [], 0  # the chunk being packed: (owner, bits, phases, draws, share, case1)
-    for owner, (rng, blocks) in enumerate(jobs):
-        shared = 0
-        for bits, phases in blocks(lambda: shared):
-            if dense:
-                batch = RoundBatch(bits, phases, *_play_dense(config, bits, phases, rng, forced))
-                chunk = _Chunk(batch.share, batch.share.all(axis=1), batch)
-                shared += np.count_nonzero(chunk.case1)
-                sink(chunk, [owner], [0])
-                continue
-            while True:  # one piece per chunk the block reaches; an empty block is one piece
-                take = min(len(bits), _CHUNK_ROWS - rows)
-                draws = rng.random(size=(take, width))
-                if forced is None:
-                    share = draws[:, :q] < 0.5
-                    case1 = share.all(axis=1)
-                else:
-                    share = np.broadcast_to(forced, (take, q))
-                    case1 = np.broadcast_to(forced.all(), take)
-                shared += np.count_nonzero(case1)
-                pieces.append((owner, bits[:take], phases[:take], draws, share, case1))
-                bits, phases, rows = bits[take:], phases[take:], rows + take
-                if rows == _CHUNK_ROWS:
-                    _play_packed(config, pieces, sink, forced, keys_only)
-                    pieces, rows = [], 0
-                if not len(bits):
-                    break
+    pieces, rows = [], 0  # the chunk being packed: (owner, bits, phases, draws)
+    modes = None  # the packed pieces' modes, as far as a round's end worked them out
+    for jobs in rounds:
+        for owner, rng, blocks in jobs:
+            for bits, phases in blocks:
+                if dense:
+                    rounds_played = _play_dense(config, bits, phases, rng, forced)
+                    batch = RoundBatch(bits, phases, *rounds_played)
+                    chunk = _Chunk(batch.share, batch.share.all(axis=1), batch)
+                    shared[owner] += np.count_nonzero(chunk.case1)
+                    sink(chunk, [owner], [0])
+                    continue
+                while True:  # one piece per chunk the block reaches; an empty block is one piece
+                    take = min(len(bits), _CHUNK_ROWS - rows)
+                    draws = rng.random(size=(take, width))
+                    pieces.append((owner, bits[:take], phases[:take], draws))
+                    bits, phases, rows = bits[take:], phases[take:], rows + take
+                    if rows == _CHUNK_ROWS:
+                        _play_packed(config, pieces, modes, shared, sink, forced, keys_only)
+                        pieces, rows, modes = [], 0, None
+                    if not len(bits):
+                        break
+        if pieces:  # the held rows' all-Share rows count towards the next round's top-ups
+            modes = _piece_modes(config, pieces, modes, shared, forced)
     if pieces:
-        _play_packed(config, pieces, sink, forced, keys_only)
+        _play_packed(config, pieces, modes, shared, sink, forced, keys_only)
 
 
-def _play_packed(config: SessionConfig, pieces, sink, forced, keys_only) -> None:
-    """Play (owner, bits, phases, draws, share, case1) pieces as one chunk and sink it."""
+def _piece_modes(config: SessionConfig, pieces, modes, shared, forced):
+    """The packed pieces' (share, case1, pieces worked out): ``modes``, extended.
+
+    Only the pieces past ``modes`` are worked out, in one op from their mode
+    draws (or ``forced``), and their all-Share rows are counted into
+    ``shared`` by owner.
+    """
+    q = config.particle_count
+    share, case1, done = modes or (None, None, 0)
+    fresh = pieces[done:]
+    if not fresh:
+        return modes
+    lengths = [len(piece[1]) for piece in fresh]
+    if forced is None:
+        draws = [piece[3][:, :q] for piece in fresh]
+        new_share = (np.concatenate(draws) if len(draws) > 1 else draws[0]) < 0.5
+        new_case1 = _row_counts(new_share) == q
+    else:
+        new_share = np.broadcast_to(forced, (sum(lengths), q))
+        new_case1 = np.broadcast_to(forced.all(), sum(lengths))
+    if new_case1.any():
+        owners = np.repeat([piece[0] for piece in fresh], lengths)
+        shared += np.bincount(owners[new_case1], minlength=len(shared))
+    if done:
+        new_share = np.concatenate((share, new_share))
+        new_case1 = np.concatenate((case1, new_case1))
+    return new_share, new_case1, len(pieces)
+
+
+def _play_packed(config: SessionConfig, pieces, modes, shared, sink, forced, keys_only) -> None:
+    """Play (owner, bits, phases, draws) pieces as one chunk and sink it.
+
+    The chunk's modes are ``modes``, which ``_piece_modes`` extends over any
+    pieces packed since a round's end worked them out.
+    """
+    share, case1, _ = _piece_modes(config, pieces, modes, shared, forced)
     owners, *columns = map(list, zip(*pieces))
     # one piece plays as it is: a copy would cost a fresh chunk-sized allocation
-    bits, phases, draws, share, case1 = (
+    bits, phases, draws = (
         np.concatenate(arrays) if len(arrays) > 1 else arrays[0] for arrays in columns
     )
     starts = np.cumsum([0] + [len(piece[1]) for piece in pieces[:-1]])
@@ -608,14 +643,23 @@ def _segment_sums(share: np.ndarray, wrong: Optional[np.ndarray], starts) -> np.
     if not rounds:
         return np.zeros((len(starts), q + 5), dtype=np.int64)
     checkers = ~share
-    checks = checkers.sum(axis=1)
-    direct = 0 if wrong is None else (wrong & checkers).sum(axis=1)
+    checks = _row_counts(checkers)
+    direct = 0 if wrong is None else _row_counts(wrong & checkers)
     checked = checks >= 2
     distance = np.minimum(direct, checks - direct) * checked
     segment = np.repeat(np.arange(len(starts)), np.diff(starts, append=rounds))
     per_checks = np.bincount(segment * (q + 1) + checks, minlength=len(starts) * (q + 1))
     step5 = np.column_stack((distance, checks * checked, distance > 0, checked))
     return np.hstack((per_checks.reshape(-1, q + 1), np.add.reduceat(step5, starts)))
+
+
+def _row_counts(flags: np.ndarray) -> np.ndarray:
+    """The set flags in each row of an R x q boolean matrix, as int64.
+
+    A uint8 matrix-vector product: numpy reduces along a short row axis
+    about twice as slowly.
+    """
+    return (flags.view(np.uint8) @ np.ones(flags.shape[1], dtype=np.uint8)).astype(np.int64)
 
 
 def _step5_report(sums: np.ndarray, base_threshold: float) -> Step5Report:
@@ -665,20 +709,22 @@ def verify_step6(
         raise InsufficientRawKeyError(
             f"need {2 * secret_bits} raw bits, have {available}"
         )
-    chosen = np.sort(rng.choice(available, size=secret_bits, replace=False))
-    # a position passes when the dealer's bit equals the agents' XOR
-    failures = int(np.count_nonzero(np.bitwise_xor.reduce(keys[:, chosen], axis=0)))
+    chosen = sorted(rng.choice(available, size=secret_bits, replace=False).tolist())
+    # a position fails when the dealer's bit differs from the agents' XOR
+    parity = np.bitwise_xor.reduce(keys, axis=0).tolist()
+    failures = sum(1 for position in chosen if parity[position])
     error_rate = failures / secret_bits
     threshold = effective_threshold(base_threshold, secret_bits)
-    kept = np.ones(available, dtype=bool)
-    kept[chosen] = False
+    burned = set(chosen)
+    kept = [position for position in range(available) if position not in burned]
+    rows = keys.tolist()  # the keys become Python ints once, here
     return Step6Report(
-        check_positions=tuple(chosen.tolist()),
+        check_positions=tuple(chosen),
         error_rate=error_rate,
         failures=failures,
         threshold=threshold,
         passed=error_rate <= threshold,
-        remaining_keys=tuple(map(tuple, keys[:, kept].tolist())),
+        remaining_keys=tuple(tuple([row[position] for position in kept]) for row in rows),
     )
 
 
@@ -798,51 +844,31 @@ def run_sessions(
             break
         rngs = [derived_rng(seeds[trial], attempt) for trial in pending]
         played = _Played(len(rngs), config.particle_count, collect_records)
-        jobs = [(rng, partial(_attempt_blocks, config, rng)) for rng in rngs]
-        _play_rows(config, jobs, played.add, keys_only=not collect_records)
-        for index, (trial, rng) in enumerate(zip(pending, rngs)):
-            outcomes[trial] = _finish_attempt(config, played, index, rng, secret, attempt + 1)
+        shared = np.zeros(len(rngs), dtype=np.int64)
+        rounds = _attempt_rounds(config, rngs, shared)
+        _play_rows(config, rounds, played.add, shared, keys_only=not collect_records)
+        finished = _finish_pass(config, played, rngs, secret, attempt + 1)
+        for trial, outcome in zip(pending, finished):
+            outcomes[trial] = outcome
         pending = [trial for trial in pending if outcomes[trial].verdict is not Verdict.COMPLETED]
     return outcomes
 
 
 def case_counts(batch: RoundBatch) -> dict[str, int]:
     """Rounds per case, keyed by ``RoundCase`` value; every case is present."""
-    tally = _case_tally(_segment_sums(batch.share, None, [0])[0, :-4].tolist())
-    return {case.value: rounds for case, rounds in zip(RoundCase, tally)}
+    per_checks = _segment_sums(batch.share, None, [0])[0, :-4]
+    tally = per_checks @ _case_matrix(batch.share.shape[1])
+    return {case.value: rounds for case, rounds in zip(RoundCase, tally.tolist())}
 
 
-_CASE_ORDER = tuple(RoundCase)
-
-
-def _case_tally(per_checks: list[int]) -> list[int]:
-    """Rounds per case in ``RoundCase`` order, from rounds per checker count 0 to q."""
-    tally = [0] * len(_CASE_ORDER)
-    for case, rounds in zip(case_table(len(per_checks) - 1), per_checks):
-        tally[_CASE_ORDER.index(case)] += rounds  # by identity: no Enum hashing
-    return tally
-
-
-def _stats(
-    per_checks: list[int],
-    step5: Optional[Step5Report],
-    step6: Optional[Step6Report],
-    attempts: int,
-) -> SessionStats:
-    case1, case2, case3, discarded = _case_tally(per_checks)
-    return SessionStats(
-        rounds_used=sum(per_checks),
-        case1_rounds=case1,
-        case2_rounds=case2,
-        case3_rounds=case3,
-        discarded_rounds=discarded,
-        step5_error_rate=step5.error_rate if step5 else None,
-        step5_round_failures=step5.round_failures if step5 else None,
-        step5_checked_rounds=step5.checked_rounds if step5 else None,
-        step6_error_rate=step6.error_rate if step6 else None,
-        step6_failures=step6.failures if step6 else None,
-        attempts=attempts,
-    )
+@lru_cache(maxsize=None)
+def _case_matrix(q: int) -> np.ndarray:
+    """(q+1) x 4 ones and zeros: row k marks the case, in ``RoundCase`` order, of k checkers."""
+    cases = list(RoundCase)
+    matrix = np.zeros((q + 1, len(cases)), dtype=np.int64)
+    matrix[range(q + 1), [cases.index(case) for case in case_table(q)]] = 1
+    matrix.flags.writeable = False
+    return matrix
 
 
 class _Played:
@@ -850,12 +876,14 @@ class _Played:
 
     Per attempt: its ``_segment_sums`` (rounds per checker count and the
     step-5 sums), the raw key rows of its all-Share rounds, and every row
-    when records are asked for.
+    when records are asked for. The key rows are kept per chunk, each with
+    the attempt it is from, and sorted by attempt once the pass has played.
     """
 
     def __init__(self, attempts: int, q: int, collect_records: bool) -> None:
         self.sums = np.zeros((attempts, q + 5), dtype=np.int64)
-        self.keys: list[list[np.ndarray]] = [[] for _ in range(attempts)]
+        self.keys: list[np.ndarray] = []
+        self.key_owners: list[np.ndarray] = []
         self.rows = [[] for _ in range(attempts)] if collect_records else None
 
     def add(self, chunk: _Chunk, owners: Sequence[int], starts) -> None:
@@ -869,108 +897,119 @@ class _Played:
         sums = _segment_sums(chunk.share, wrong, starts)
         np.add.at(self.sums, owners, sums)
         # the key rows come in row order, sums[:, 0] of them per segment
-        ends = np.cumsum(sums[:, 0]).tolist()
-        for owner, start, end in zip(owners, [0, *ends], ends):
-            self.keys[owner].append(keys[start:end])
+        self.keys.append(keys)
+        self.key_owners.append(np.repeat(owners, sums[:, 0]))
         if self.rows is not None:
             for owner, start, end in zip(owners, starts, [*starts[1:], len(batch)]):
                 self.rows[owner].append(batch.select(slice(start, end)))
 
+    def attempt_keys(self) -> tuple[np.ndarray, list[int]]:
+        """Every key row, attempt by attempt in row order, and where each attempt's rows end."""
+        order = np.argsort(np.concatenate(self.key_owners), kind="stable")
+        return np.concatenate(self.keys)[order], np.cumsum(self.sums[:, 0]).tolist()
 
-def _attempt_blocks(config: SessionConfig, rng, raw_bits):
-    """An attempt's pattern blocks, batch after batch until ``raw_bits()`` reaches 2m.
 
-    A batch of ``config.batch_size`` rows comes first; smaller top-ups
-    cover any raw-bit shortfall.
+def _attempt_rounds(config: SessionConfig, rngs, shared):
+    """A pass's rounds of jobs, one job per attempt short of raw key.
+
+    Every attempt draws a batch of ``config.batch_size`` rows in the first
+    round; each later round draws a smaller top-up for every attempt whose
+    ``shared`` all-Share rows, its raw key bits, are still short of 2m.
     """
-    need = 2 * config.secret_bits
-    batches = 0
-    while raw_bits() < need:
-        if batches >= _MAX_BATCHES:
+    need, q = 2 * config.secret_bits, config.particle_count
+    for batches in range(_MAX_BATCHES + 1):
+        short = np.flatnonzero(shared < need).tolist()
+        if not short:
+            return
+        if batches == _MAX_BATCHES:
             raise BatchLimitError(
-                f"{_MAX_BATCHES} batches of rounds gave {raw_bits()} of {need} raw key bits"
+                f"{_MAX_BATCHES} batches of rounds gave {shared[short[0]]} of {need} raw key bits"
             )
         size = config.batch_size if not batches else max(config.batch_size // 4, 8)
-        yield from _pattern_blocks(rng, size, config.particle_count)
-        batches += 1
+        yield [(owner, rngs[owner], _pattern_blocks(rngs[owner], size, q)) for owner in short]
 
 
 def _pattern_blocks(rng, size: int, q: int):
     """A batch's pattern bits and phases, in blocks of at most ``_CHUNK_ROWS`` rows.
 
     The same bits and phases ``sample_patterns`` draws, leaving ``rng`` in
-    the same state. A batch of more rows never holds all its pattern bits:
-    ``rng`` draws past them and draws the phases, and a copy of it taken
-    before draws each block's bits again when the block is asked for.
+    the same state. A batch of more rows never holds all its bits or
+    phases: copies of ``rng`` taken before the bits and before the phases
+    draw each block's share of them again when the block is asked for,
+    while ``rng`` itself draws past both.
     """
     if size <= _CHUNK_ROWS:
         yield sample_patterns(rng, size, q)
         return
-    starts = range(0, size, _CHUNK_ROWS)
-    rows = [min(_CHUNK_ROWS, size - start) for start in starts]
-    replay = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    rows = [min(_CHUNK_ROWS, size - start) for start in range(0, size, _CHUNK_ROWS)]
+    bit_replay = np.random.Generator(copy.deepcopy(rng.bit_generator))
     for count in rows:
         rng.integers(0, 2, size=(count, q))
-    phases = np.empty(size, dtype=np.uint8)
-    for start, count in zip(starts, rows):
-        phases[start : start + count] = rng.integers(0, 2, size=count)
-    for start, count in zip(starts, rows):
-        yield replay.integers(0, 2, size=(count, q)).astype(bool), phases[start : start + count]
+    phase_replay = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    for count in rows:
+        rng.integers(0, 2, size=count)
+    for count in rows:
+        bits = bit_replay.integers(0, 2, size=(count, q)).astype(bool)
+        yield bits, phase_replay.integers(0, 2, size=count).astype(np.uint8)
 
 
-def _finish_attempt(
+def _finish_pass(
     config: SessionConfig,
     played: _Played,
-    index: int,
-    rng,
+    rngs,
     secret: Optional[Sequence[int]],
     attempt: int,
-) -> SessionOutcome:
-    """Steps 5 and 6 and the sharing of the attempt at ``index`` of ``played``."""
-    m = config.secret_bits
-    per_checks = played.sums[index, :-4].tolist()
-    played_rounds = sum(per_checks)
-    log = ClassicalLog()
-    acknowledge(log, "dealer", played_rounds)
-    broadcast(log, "tp", {"announced_specs": played_rounds})
-    rounds = None if played.rows is None else RoundBatch.join(played.rows[index])
+) -> list[SessionOutcome]:
+    """Steps 5 and 6 and the sharing of every attempt of a pass, in attempt order.
 
-    def outcome(verdict, step5=None, step6=None, **fields) -> SessionOutcome:
-        return SessionOutcome(
-            verdict=verdict,
-            stats=_stats(per_checks, step5, step6, attempt),
-            rounds=rounds,
-            log=log,
-            **fields,
+    Every attempt's case tally, rounds used and step-5 verdict come from
+    ``played.sums`` as arrays; only the attempts that pass step 5 go on, one
+    by one on their own generators, to step 6 and the sharing.
+    """
+    q, m, epsilon = config.particle_count, config.secret_bits, config.epsilon
+    per_checks = played.sums[:, : q + 1]
+    mismatches, positions, failures, checked = played.sums[:, q + 1 :].T
+    rates = mismatches / np.maximum(positions, 1)  # no checked position: step 5 cannot pass
+    thresholds = [effective_threshold(epsilon, count) for count in positions.tolist()]
+    passed = ((positions > 0) & (rates <= thresholds)).tolist()
+    # per attempt, SessionStats' fields up to step 6: rounds, cases, step 5
+    counts = np.column_stack((per_checks.sum(axis=1), per_checks @ _case_matrix(q))).tolist()
+    step5 = zip(rates.tolist(), failures.tolist(), checked.tolist())
+    all_keys, ends = played.attempt_keys()
+    secret = None if secret is None else tuple(int(bit) for bit in secret)
+    outcomes = []
+    for index, (rng, count, step5_fields, checks, ok, start, end) in enumerate(
+        zip(rngs, counts, step5, positions.tolist(), passed, [0, *ends], ends)
+    ):
+        head = (*count, *(step5_fields if checks else (None, None, None)))
+        log = ClassicalLog()
+        acknowledge(log, "dealer", head[0])
+        broadcast(log, "tp", {"announced_specs": head[0]})
+        rounds = None if played.rows is None else RoundBatch.join(played.rows[index])
+        if not ok:
+            stats = SessionStats(*head, None, None, attempt)
+            outcomes.append(SessionOutcome(Verdict.ABORTED_STEP5, stats, rounds=rounds, log=log))
+            continue
+        keys = all_keys[start:end].T
+        step6 = verify_step6(keys, m, rng, epsilon)
+        broadcast(log, "dealer", {"check_positions": step6.check_positions})
+        stats = SessionStats(*head, step6.error_rate, step6.failures, attempt)
+        fields = {"raw_keys": tuple(map(tuple, keys.tolist())), "rounds": rounds, "log": log}
+        if not step6.passed:
+            outcomes.append(SessionOutcome(Verdict.ABORTED_STEP6, stats, **fields))
+            continue
+        secret_vec = tuple(rng.integers(0, 2, size=m).tolist()) if secret is None else secret
+        sharing = finalize_and_share(step6.remaining_keys, m, secret_vec)
+        broadcast(log, "dealer", {"ciphertext": sharing.ciphertext})
+        outcomes.append(
+            SessionOutcome(
+                Verdict.COMPLETED,
+                stats,
+                secret_vec,
+                shadow_keys=sharing.shadow_keys,
+                ciphertext=sharing.ciphertext,
+                reconstructed=sharing.reconstructed,
+                **fields,
+            )
         )
-
-    try:
-        step5 = _step5_report(played.sums[index, -4:], config.epsilon)
-    except IndeterminateCheckError:
-        return outcome(Verdict.ABORTED_STEP5)
-    if not step5.passed:
-        return outcome(Verdict.ABORTED_STEP5, step5)
-
-    keys = np.concatenate(played.keys[index]).T
-    raw_keys = tuple(map(tuple, keys.tolist()))
-    step6 = verify_step6(keys, m, rng, config.epsilon)
-    broadcast(log, "dealer", {"check_positions": step6.check_positions})
-    if not step6.passed:
-        return outcome(Verdict.ABORTED_STEP6, step5, step6, raw_keys=raw_keys)
-
-    if secret is None:
-        secret_vec = tuple(int(b) for b in rng.integers(0, 2, size=m))
-    else:
-        secret_vec = tuple(int(b) for b in secret)
-    sharing = finalize_and_share(step6.remaining_keys, m, secret_vec)
-    broadcast(log, "dealer", {"ciphertext": sharing.ciphertext})
-    return outcome(
-        Verdict.COMPLETED,
-        step5,
-        step6,
-        secret=secret_vec,
-        raw_keys=raw_keys,
-        shadow_keys=sharing.shadow_keys,
-        ciphertext=sharing.ciphertext,
-        reconstructed=sharing.reconstructed,
-    )
+    return outcomes

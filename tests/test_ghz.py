@@ -143,6 +143,21 @@ def test_sample_patterns_draws_all_patterns_then_all_phases():
         sample_patterns(rng, 3, 1)
 
 
+@pytest.mark.parametrize("count, q", [(1, 3), (3, 3), (5, 5), (7, 9), (64, 3), (0, 4)])
+def test_sample_patterns_one_draw_matches_bits_then_phases(count, q):
+    # odd count * q leaves half of a 64-bit output for the phases' first draw
+    for seed in range(100):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:  # start with a half word already buffered
+            rng.integers(0, 2, size=1), oracle.integers(0, 2, size=1)
+        bits, phases = sample_patterns(rng, count, q)
+        assert np.array_equal(bits, oracle.integers(0, 2, size=(count, q)).astype(bool))
+        assert np.array_equal(phases, oracle.integers(0, 2, size=count))
+        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+        assert rng.random() == oracle.random()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 # --- full-Hadamard closed form ----------------------------------------------
 
 

@@ -729,6 +729,51 @@ def test_only_sessions_without_records_on_the_branch_engine_skip_rows(
     assert all(o.stats.case1_rounds < o.stats.rounds_used for o in outcomes)
 
 
+# n=2, m=1: 16-row batches that often fall short of the 2 raw bits, and 8-row top-ups
+TOPPED_UP = SessionConfig(n_agents=2, secret_bits=1)
+
+
+@pytest.mark.parametrize("collect_records", [False, True], ids=["keys-only", "records"])
+def test_a_batch_and_its_top_ups_in_one_chunk_play_in_one_engine_pass(
+    monkeypatch, collect_records
+):
+    config = replace(TOPPED_UP, max_attempts=1)
+    seed = next(
+        seed for seed in range(1, 100)
+        if run_session(replace(config, seed=seed)).stats.rounds_used > config.batch_size
+    )
+    counts = counted_rows(monkeypatch)
+    outcome = run_session(replace(config, seed=seed), collect_records=collect_records)
+    stats = outcome.stats
+    assert counts == [stats.rounds_used if collect_records else stats.case1_rounds]
+
+
+@pytest.mark.parametrize("collect_records", [False, True], ids=["keys-only", "records"])
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default-chunk", "7-row-chunk"])
+def test_sessions_topped_up_in_rounds_match_the_same_sessions_one_at_a_time(
+    monkeypatch, chunk, collect_records
+):
+    seeds = range(200)
+    alone = [
+        run_session(replace(TOPPED_UP, seed=seed), collect_records=collect_records)
+        for seed in seeds
+    ]
+    # the last attempt's top-ups: the pass ran rounds to at least the fourth
+    top_ups = {(o.stats.rounds_used - TOPPED_UP.batch_size) // 8 for o in alone}
+    assert {0, 1, 2, 3} <= top_ups
+    if chunk is not None:
+        monkeypatch.setattr(protocol, "_CHUNK_ROWS", chunk)
+    assert run_sessions(TOPPED_UP, seeds, collect_records=collect_records) == alone
+
+
+@pytest.mark.parametrize("batches", [1, 2])
+def test_a_pass_short_of_raw_key_after_its_last_batch_raises(monkeypatch, batches):
+    monkeypatch.setattr(protocol, "_MAX_BATCHES", batches)
+    message = f"^{batches} batches of rounds gave [01] of 2 raw key bits$"
+    with pytest.raises(BatchLimitError, match=message):
+        run_sessions(replace(TOPPED_UP, max_attempts=1), range(200))
+
+
 @pytest.mark.parametrize(
     "attack",
     [None, CHUNK_ATTACKS["collective"], NOOP_INTERCEPTOR],
