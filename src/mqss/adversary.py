@@ -167,7 +167,7 @@ def prepare_attacked_state(
     all-Check pattern comparison), and two pure probe states span at most a
     two-dimensional space, so a single probe qubit loses no generality.
     """
-    return to_state(probe_kets(spec, config), spec.qubit_count + 1, register_qubits=1)
+    return to_state(probe_kets(spec, config), spec.qubit_count + 1)
 
 
 def collective_attack(config: CollectiveAttackConfig) -> RoundAttack:
@@ -263,8 +263,9 @@ def collusion_attack(config: CollusionConfig) -> RoundAttack:
     every round would double the disturbance for no extra key knowledge,
     since a Z-collapsed qubit reveals nothing about post-Hadamard results.
     Under this schedule each checked key bit breaks parity with probability
-    1/4, so m checked bits catch the collusion with probability
-    1 - (3/4)^m.
+    1/4, so at zero channel noise m checked bits catch the collusion with
+    probability 1 - (3/4)^m. Under noise step 6 aborts only above its
+    noise threshold, so it catches less.
     """
     return RoundAttack(z_taps={config.inner_attack.target + 1: 0.5})
 

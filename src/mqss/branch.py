@@ -72,12 +72,12 @@ def probe_kets(spec, attack) -> Kets:
     return {ket: amp for ket, amp in kets.items() if amp}
 
 
-def to_state(kets: Kets, qubit_count: int, register_qubits: int = 0) -> PureState:
+def to_state(kets: Kets, qubit_count: int) -> PureState:
     """The same state as a validated dense vector (for the dense engine)."""
     amps = np.zeros(1 << qubit_count, dtype=complex)
     for ket, amp in kets.items():
         amps[ket] = amp
-    return PureState(qubit_count, amps, register_qubits)
+    return PureState(qubit_count, amps)
 
 
 def _norms(amps: np.ndarray) -> np.ndarray:

@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="channel bit-flip noise rate (default 0)")
     parser.add_argument("--seed", type=int, default=0,
                         help=f"master seed (default ${SEED_ENV_VAR} or 0)")
-    parser.add_argument("--trials", type=int, default=1,
+    parser.add_argument("--trials", type=int, default=None,
                         help="number of independent sessions (default 1)")
     parser.add_argument("--attack", default="none",
                         choices=list(_ATTACK_NAMES.values()),
@@ -225,17 +225,19 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
         attacked(session, attack)  # the library judges the attack against the session
     except ValueError as exc:
         parser.error(f"invalid session: {exc}")
-    if args.trials < 1:
+    if args.trials is not None and args.trials < 1:
         parser.error("--trials must be positive")
     if args.rounds_only is not None and args.rounds_only < 1:
         parser.error("--rounds-only must be positive")
+    if args.rounds_only is not None and args.trials is not None:
+        parser.error("--rounds-only reads no --trials")
     # a Monte-Carlo estimate plays no session rounds to write
     if attack_kind in ("collective", "collusion") and args.transcript and not args.rounds_only:
         parser.error(f"--transcript with --attack {attack_kind} needs --rounds-only")
 
     return ExperimentConfig(
         session=session,
-        trials=args.trials,
+        trials=1 if args.trials is None else args.trials,
         attack=attack,
         rounds_only=args.rounds_only,
         transcript=Path(args.transcript) if args.transcript else None,

@@ -147,8 +147,8 @@ class SessionConfig:
 
     @property
     def batch_size(self) -> int:
-        # double the bare minimum so one batch usually suffices: the
-        # minimal round count only yields the needed 2m raw bits on average
+        # a row is all-Share with probability 2^-(n+1), so the batch yields the 2m
+        # raw bits an attempt needs only on average: about half of attempts top up
         return self.secret_bits << (self.n_agents + 2)
 
 
@@ -535,8 +535,7 @@ def _play_dense(config: SessionConfig, bits, phases, rng, forced):
         if attack.collective is None:
             state = prepare(spec)
         else:
-            kets = branch.probe_kets(spec, attack.collective)
-            state = branch.to_state(kets, q + 1, register_qubits=1)
+            state = branch.to_state(branch.probe_kets(spec, attack.collective), q + 1)
         share[row] = rng.random(size=q) < 0.5 if forced is None else forced
         for particle in range(1, q + 1):
             if epsilon > 0.0 and rng.random() < epsilon:
@@ -620,8 +619,12 @@ def verify_step5(batch: RoundBatch, base_threshold: float = 0.0) -> Step5Report:
     pattern/complement), the unit the noise-rate threshold is calibrated
     in; whole-round pass/fail counts are also reported.
     """
-    sums = _segment_sums(batch.share, batch.results != batch.bits, [0])
-    return _step5_report(sums[0, -4:], base_threshold)
+    sums = _segment_sums(batch.share, batch.results != batch.bits, [0])[:, -4:]
+    mismatches, positions, failures, checked = sums[0].tolist()
+    if positions == 0:
+        raise IndeterminateCheckError("no check-mode rounds available")
+    (rate,), (threshold,), (passed,) = _step5_verdicts(sums, base_threshold)
+    return Step5Report(rate, mismatches, positions, failures, checked, threshold, passed)
 
 
 def _segment_sums(share: np.ndarray, wrong: Optional[np.ndarray], starts) -> np.ndarray:
@@ -662,21 +665,17 @@ def _row_counts(flags: np.ndarray) -> np.ndarray:
     return (flags.view(np.uint8) @ np.ones(flags.shape[1], dtype=np.uint8)).astype(np.int64)
 
 
-def _step5_report(sums: np.ndarray, base_threshold: float) -> Step5Report:
-    mismatches, positions_checked, round_failures, checked_rounds = sums.tolist()
-    if positions_checked == 0:
-        raise IndeterminateCheckError("no check-mode rounds available")
-    error_rate = mismatches / positions_checked
-    threshold = effective_threshold(base_threshold, positions_checked)
-    return Step5Report(
-        error_rate=error_rate,
-        mismatches=mismatches,
-        checked_positions=positions_checked,
-        round_failures=round_failures,
-        checked_rounds=checked_rounds,
-        threshold=threshold,
-        passed=error_rate <= threshold,
-    )
+def _step5_verdicts(sums: np.ndarray, base_threshold: float) -> tuple[list, list, list]:
+    """Each row's step-5 error rate, threshold and verdict: the one step-5 rule.
+
+    A row of ``_segment_sums``' step-5 sums passes when its mismatches per
+    checked position are within ``effective_threshold``, never with none checked.
+    """
+    mismatches, positions = sums[:, 0], sums[:, 1]
+    rates = mismatches / np.maximum(positions, 1)
+    thresholds = [effective_threshold(base_threshold, count) for count in positions.tolist()]
+    passed = (positions > 0) & (rates <= thresholds)
+    return rates.tolist(), thresholds, passed.tolist()
 
 
 @dataclass(frozen=True)
@@ -730,6 +729,8 @@ def verify_step6(
 
 @dataclass(frozen=True)
 class SharingResult:
+    """What the sharing makes; a completed ``SessionOutcome`` holds each field by name."""
+
     shadow_keys: tuple[tuple[int, ...], ...]  # dealer first, then agents
     ciphertext: tuple[int, ...]
     reconstructed: tuple[int, ...]
@@ -964,52 +965,43 @@ def _finish_pass(
 
     Every attempt's case tally, rounds used and step-5 verdict come from
     ``played.sums`` as arrays; only the attempts that pass step 5 go on, one
-    by one on their own generators, to step 6 and the sharing.
+    by one on their own generators, to step 6 and the sharing. An attempt's
+    outcome gains its fields as it clears each of them.
     """
     q, m, epsilon = config.particle_count, config.secret_bits, config.epsilon
     per_checks = played.sums[:, : q + 1]
-    mismatches, positions, failures, checked = played.sums[:, q + 1 :].T
-    rates = mismatches / np.maximum(positions, 1)  # no checked position: step 5 cannot pass
-    thresholds = [effective_threshold(epsilon, count) for count in positions.tolist()]
-    passed = ((positions > 0) & (rates <= thresholds)).tolist()
+    step5_sums = played.sums[:, q + 1 :]
+    rates, _, passed = _step5_verdicts(step5_sums, epsilon)
+    _, positions, failures, checked = step5_sums.T.tolist()
     # per attempt, SessionStats' fields up to step 6: rounds, cases, step 5
     counts = np.column_stack((per_checks.sum(axis=1), per_checks @ _case_matrix(q))).tolist()
-    step5 = zip(rates.tolist(), failures.tolist(), checked.tolist())
+    step5 = zip(rates, failures, checked)
     all_keys, ends = played.attempt_keys()
     secret = None if secret is None else tuple(int(bit) for bit in secret)
     outcomes = []
     for index, (rng, count, step5_fields, checks, ok, start, end) in enumerate(
-        zip(rngs, counts, step5, positions.tolist(), passed, [0, *ends], ends)
+        zip(rngs, counts, step5, positions, passed, [0, *ends], ends)
     ):
         head = (*count, *(step5_fields if checks else (None, None, None)))
         log = ClassicalLog()
         acknowledge(log, "dealer", head[0])
         broadcast(log, "tp", {"announced_specs": head[0]})
+        verdict, step6_fields, fields = Verdict.ABORTED_STEP5, (None, None), {}
+        if ok:
+            keys = all_keys[start:end].T
+            step6 = verify_step6(keys, m, rng, epsilon)
+            broadcast(log, "dealer", {"check_positions": step6.check_positions})
+            verdict, step6_fields = Verdict.ABORTED_STEP6, (step6.error_rate, step6.failures)
+            fields["raw_keys"] = tuple(map(tuple, keys.tolist()))
+            if step6.passed:
+                secret_vec = secret
+                if secret is None:
+                    secret_vec = tuple(rng.integers(0, 2, size=m).tolist())
+                sharing = finalize_and_share(step6.remaining_keys, m, secret_vec)
+                broadcast(log, "dealer", {"ciphertext": sharing.ciphertext})
+                verdict = Verdict.COMPLETED
+                fields.update(secret=secret_vec, **vars(sharing))
         rounds = None if played.rows is None else RoundBatch.join(played.rows[index])
-        if not ok:
-            stats = SessionStats(*head, None, None, attempt)
-            outcomes.append(SessionOutcome(Verdict.ABORTED_STEP5, stats, rounds=rounds, log=log))
-            continue
-        keys = all_keys[start:end].T
-        step6 = verify_step6(keys, m, rng, epsilon)
-        broadcast(log, "dealer", {"check_positions": step6.check_positions})
-        stats = SessionStats(*head, step6.error_rate, step6.failures, attempt)
-        fields = {"raw_keys": tuple(map(tuple, keys.tolist())), "rounds": rounds, "log": log}
-        if not step6.passed:
-            outcomes.append(SessionOutcome(Verdict.ABORTED_STEP6, stats, **fields))
-            continue
-        secret_vec = tuple(rng.integers(0, 2, size=m).tolist()) if secret is None else secret
-        sharing = finalize_and_share(step6.remaining_keys, m, secret_vec)
-        broadcast(log, "dealer", {"ciphertext": sharing.ciphertext})
-        outcomes.append(
-            SessionOutcome(
-                Verdict.COMPLETED,
-                stats,
-                secret_vec,
-                shadow_keys=sharing.shadow_keys,
-                ciphertext=sharing.ciphertext,
-                reconstructed=sharing.reconstructed,
-                **fields,
-            )
-        )
+        stats = SessionStats(*head, *step6_fields, attempt)
+        outcomes.append(SessionOutcome(verdict, stats, rounds=rounds, log=log, **fields))
     return outcomes

@@ -31,25 +31,16 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized amplitude vector over ``qubit_count`` qubits.
-
-    The trailing ``register_qubits`` qubits form an attached ancilla
-    register (an eavesdropper's probe); they behave like ordinary particles
-    for every operation but let callers keep track of which qubits belong
-    to the protocol system and which were bolted on.
-    """
+    """Normalized amplitude vector over ``qubit_count`` qubits."""
 
     qubit_count: int
     amplitudes: np.ndarray = field(repr=False)
-    register_qubits: int = 0
 
     def __post_init__(self) -> None:
         if not 1 <= self.qubit_count <= MAX_QUBITS:
             raise ValueError(
                 f"qubit_count must be in [1, {MAX_QUBITS}], got {self.qubit_count}"
             )
-        if not 0 <= self.register_qubits < self.qubit_count:
-            raise ValueError("register_qubits must be fewer than qubit_count")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (1 << self.qubit_count,):
             raise ValueError(
@@ -72,15 +63,12 @@ class PureState:
         return np.abs(self.amplitudes) ** 2
 
 
-def _trusted_state(
-    qubit_count: int, amplitudes: np.ndarray, register_qubits: int = 0
-) -> PureState:
+def _trusted_state(qubit_count: int, amplitudes: np.ndarray) -> PureState:
     # fast path for operations that preserve the invariants by construction
     state = object.__new__(PureState)
     amplitudes.setflags(write=False)
     object.__setattr__(state, "qubit_count", qubit_count)
     object.__setattr__(state, "amplitudes", amplitudes)
-    object.__setattr__(state, "register_qubits", register_qubits)
     return state
 
 
@@ -138,7 +126,7 @@ def apply_gate(state: PureState, particle: int, gate: np.ndarray) -> PureState:
     out = np.empty_like(view)
     out[:, 0, :] = g[0, 0] * view[:, 0, :] + g[0, 1] * view[:, 1, :]
     out[:, 1, :] = g[1, 0] * view[:, 0, :] + g[1, 1] * view[:, 1, :]
-    return _trusted_state(state.qubit_count, out.reshape(-1), state.register_qubits)
+    return _trusted_state(state.qubit_count, out.reshape(-1))
 
 
 def measure_z(
@@ -160,9 +148,7 @@ def measure_z(
     collapsed = np.zeros(state.dimension, dtype=complex)
     cview = collapsed.reshape(view.shape)
     np.divide(view[:, outcome, :], sqrt(prob), out=cview[:, outcome, :])
-    return outcome, _trusted_state(
-        state.qubit_count, collapsed, state.register_qubits
-    ), prob
+    return outcome, _trusted_state(state.qubit_count, collapsed), prob
 
 
 def measure_after_hadamard(
@@ -187,19 +173,13 @@ def measure_after_hadamard(
     else:
         plus = (view[:, 0, :] + view[:, 1, :]) * _SQRT2_INV
         np.divide(plus, sqrt(prob), out=cview[:, 0, :])
-    return outcome, _trusted_state(
-        state.qubit_count, collapsed, state.register_qubits
-    ), prob
+    return outcome, _trusted_state(state.qubit_count, collapsed), prob
 
 
 def attach_register(state: PureState, register: PureState) -> PureState:
     """Tensor a register onto a state; register particles come last."""
     amps = np.kron(state.amplitudes, register.amplitudes)
-    return PureState(
-        state.qubit_count + register.qubit_count,
-        amps,
-        state.register_qubits + register.qubit_count,
-    )
+    return PureState(state.qubit_count + register.qubit_count, amps)
 
 
 def fidelity(a: PureState, b: PureState) -> float:

@@ -80,7 +80,7 @@ def fork(pairs):
 
 def dense_view(pairs):
     qubits = pairs.bits.shape[1]
-    return branch.to_state(pairs.kets(0), qubits + pairs.probe, int(pairs.probe))
+    return branch.to_state(pairs.kets(0), qubits + pairs.probe)
 
 
 @pytest.mark.parametrize("seed", range(40))

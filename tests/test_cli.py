@@ -109,6 +109,15 @@ def test_a_victim_past_the_last_agent_is_named_as_an_agent(attack, capsys):
     assert "invalid session: victim 9 is past agent 3" in capsys.readouterr().err
 
 
+def test_rounds_only_reads_no_trials(capsys):
+    # statistics mode plays one batch of rounds, so a trial count would be ignored
+    with pytest.raises(SystemExit) as excinfo:
+        parse_config(["--rounds-only", "200", "--trials", "5"])
+    assert excinfo.value.code == 2
+    assert "--rounds-only reads no --trials" in capsys.readouterr().err
+    assert parse_config(["--rounds-only", "200"]).trials == 1
+
+
 def test_config_file_session_rejected_by_session_config_exits_2(tmp_path, capsys):
     config_file = tmp_path / "run.cfg"
     config_file.write_text("agents = 1\n")

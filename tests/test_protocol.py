@@ -690,6 +690,34 @@ def test_sessions_without_records_match_sessions_that_play_every_row(
     assert run_sessions(config, seeds) == expected
 
 
+# the modelled attacks, and an X-basis tap that step 5 sees
+STEP5_ATTACKS = {**CHUNK_ATTACKS, "x-flips": TRIAL_ATTACKS["dense"][0]}
+
+
+@pytest.mark.parametrize("kind", sorted(STEP5_ATTACKS))
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.2])
+def test_a_sessions_step5_figures_are_verify_step5_of_its_rounds(epsilon, kind):
+    config = SessionConfig(
+        n_agents=3, secret_bits=4, epsilon=epsilon, max_attempts=1, attack=STEP5_ATTACKS[kind]
+    )
+    verdicts = set()
+    for outcome in run_sessions(config, range(20), collect_records=True):
+        stats, rounds = outcome.stats, outcome.rounds
+        report = verify_step5(rounds, epsilon)
+        assert stats.step5_error_rate == report.error_rate
+        assert stats.step5_round_failures == report.round_failures
+        assert stats.step5_checked_rounds == report.checked_rounds
+        assert (outcome.verdict is not Verdict.ABORTED_STEP5) == report.passed
+        cases = case_counts(rounds)
+        assert stats.rounds_used == len(rounds) == sum(cases.values())
+        assert (
+            stats.case1_rounds, stats.case2_rounds, stats.case3_rounds, stats.discarded_rounds
+        ) == tuple(cases[case.value] for case in RoundCase)
+        verdicts.add(outcome.verdict)
+    if kind == "x-flips" and epsilon == 0.0:
+        assert Verdict.ABORTED_STEP5 in verdicts
+
+
 def counted_rows(monkeypatch) -> list[int]:
     """The number of rows each engine call plays, on either engine, as calls are made."""
     counts = []
