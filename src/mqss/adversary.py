@@ -252,6 +252,8 @@ def measure_resend_attack(config: MeasureResendConfig) -> RoundAttack:
 
     The rate-1 Z tap does what ``measure_resend_interceptor`` does on the
     dense engine, with the same single draw, but keeps rounds exact and O(q).
+    Each checked key bit then breaks parity with probability 1/2, so at zero
+    noise m checked bits catch it with probability 1 - (1/2)^m; under noise, less.
     """
     return RoundAttack(z_taps={config.target + 1: 1.0})
 

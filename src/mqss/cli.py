@@ -234,13 +234,17 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     # a Monte-Carlo estimate plays no session rounds to write
     if attack_kind in ("collective", "collusion") and args.transcript and not args.rounds_only:
         parser.error(f"--transcript with --attack {attack_kind} needs --rounds-only")
+    transcript = Path(args.transcript) if args.transcript else None
+    # the transcript is written after every session has run: refuse a bad path first
+    if transcript is not None and (transcript.is_dir() or not transcript.parent.is_dir()):
+        parser.error(f"--transcript {transcript} is not a file in an existing directory")
 
     return ExperimentConfig(
         session=session,
         trials=1 if args.trials is None else args.trials,
         attack=attack,
         rounds_only=args.rounds_only,
-        transcript=Path(args.transcript) if args.transcript else None,
+        transcript=transcript,
         report=args.report,
     )
 

@@ -16,7 +16,6 @@ import copy
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from math import sqrt
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
@@ -70,7 +69,7 @@ class BatchLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One played round, dealer first: a row that ``RoundBatch.records()`` exports."""
+    """One played round, dealer first: only ``run_round`` and ``read_transcript`` build one."""
 
     round_index: int
     spec: GhzSpec
@@ -186,9 +185,9 @@ class RoundBatch:
     The one in-memory form of played rounds. The server's announced states
     are arrays too: ``bits`` holds each round's pattern and ``phases`` its
     phase bit. The step-5 check, sifting, the case tally and transcripts
-    read these arrays; ``records()`` exports the rows as ``RoundRecord``s,
-    and ``specs`` the states as ``GhzSpec``s, for callers that ask for
-    them. Batches are equal when they hold the same rows.
+    read these arrays; a ``RoundRecord`` exists only as what ``run_round``
+    returns and ``read_transcript`` parses. Batches are equal when they
+    hold the same rows.
     """
 
     bits: np.ndarray  # R x q booleans: the announced pattern bits
@@ -239,44 +238,11 @@ class RoundBatch:
             self.bits[rows], self.phases[rows], self.share[rows], self.results[rows], probe
         )
 
-    @property
-    def specs(self) -> list[GhzSpec]:
-        """The announced states, one ``GhzSpec`` per row."""
-        q = self.bits.shape[1]
-        codes = (self.bits @ (1 << np.arange(q))).tolist()
-        return [_spec_of(code, phase, q) for code, phase in zip(codes, self.phases.tolist())]
-
-    def records(self) -> list[RoundRecord]:
-        """One ``RoundRecord`` per row, numbered from 0."""
-        q = self.share.shape[1]
-        codes = self.share @ (1 << np.arange(q))
-        probes = self.probe.tolist() if self.probe is not None else repeat(None)
-        records = []
-        for index, (spec, code, results, probe) in enumerate(
-            zip(self.specs, codes.tolist(), self.results.tolist(), probes)
-        ):
-            modes, case = _modes_and_case(code, q)
-            records.append(RoundRecord(index, spec, modes, tuple(results), case, probe))
-        return records
-
 
 def _spec_arrays(specs: Sequence[GhzSpec], q: int) -> tuple[np.ndarray, np.ndarray]:
     """The specs' patterns (R x q booleans) and phase bits (R uint8)."""
     bits = np.array([spec.bits for spec in specs], dtype=bool).reshape(len(specs), q)
     return bits, np.array([spec.phase for spec in specs], dtype=np.uint8)
-
-
-@lru_cache(maxsize=1 << 12)
-def _spec_of(code: int, phase: int, q: int) -> GhzSpec:
-    # bit j of code set: particle j + 1's pattern bit is 1
-    return GhzSpec(tuple(code >> j & 1 for j in range(q)), phase)
-
-
-@lru_cache(maxsize=1 << 12)
-def _modes_and_case(code: int, q: int) -> tuple[tuple[Mode, ...], RoundCase]:
-    # bit j of code set: participant j chose Share
-    modes = tuple(Mode.SHARE if code >> j & 1 else Mode.CHECK for j in range(q))
-    return modes, classify_round(modes)
 
 
 # rows played per engine call: bounds a batch's draw array and engine arrays
@@ -311,8 +277,12 @@ def run_round(
     rng,
     forced_modes: Optional[Sequence[Mode]] = None,
 ) -> RoundRecord:
-    """Execute one full distribution round: ``play_rounds`` of one spec."""
-    return play_rounds(config, [spec], rng, forced_modes).records()[0]
+    """Execute one full distribution round: ``play_rounds`` of one spec, as its record."""
+    batch = play_rounds(config, [spec], rng, forced_modes)
+    modes = tuple(Mode.SHARE if share else Mode.CHECK for share in batch.share[0].tolist())
+    probe = None if batch.probe is None else int(batch.probe[0])
+    results = tuple(batch.results[0].tolist())
+    return RoundRecord(0, spec, modes, results, classify_round(modes), probe)
 
 
 def run_rounds(
@@ -700,6 +670,8 @@ def verify_step6(
     there and each position must satisfy dealer = XOR of all agents. The
     checked positions are burned from every key, whatever the verdict.
     """
+    if secret_bits < 1:
+        raise ValueError("secret must have at least 1 bit")
     keys = np.asarray(raw_keys, dtype=np.uint8)  # ragged keys raise ValueError here
     if keys.ndim != 2:
         raise ValueError("raw keys must all have the same length")
@@ -746,8 +718,7 @@ def finalize_and_share(
     The dealer's shadow masks the secret; XOR-ing the ciphertext with every
     agent's shadow recovers it, and nothing less than all of them does.
     """
-    if len(secret) != secret_bits:
-        raise ValueError(f"secret must have {secret_bits} bits")
+    _check_secret(secret, secret_bits)
     for key in raw_keys_after_check:
         if len(key) < secret_bits:
             raise InsufficientRawKeyError(
@@ -765,8 +736,16 @@ def combine_shadows(
     """XOR a set of agent shadows into the ciphertext (a recovery attempt)."""
     out = list(ciphertext)
     for shadow in shadows:
+        if len(shadow) != len(out):
+            raise ValueError(f"shadow has {len(shadow)} bits, ciphertext has {len(out)}")
         out = [c ^ s for c, s in zip(out, shadow)]
     return tuple(out)
+
+
+def _check_secret(secret: Sequence[int], secret_bits: int) -> None:
+    """The one secret rule: exactly ``secret_bits`` bits, each 0 or 1."""
+    if len(secret) != secret_bits or any(bit not in (0, 1) for bit in secret):
+        raise ValueError(f"secret must be {secret_bits} bits, each 0 or 1")
 
 
 # --- session driver -----------------------------------------------------------
@@ -834,10 +813,8 @@ def run_sessions(
     checks run on its own generator. Retries run as a further pass over the
     sessions that aborted. A ``secret`` is checked before any round plays.
     """
-    if secret is not None and (
-        len(secret) != config.secret_bits or any(bit not in (0, 1) for bit in secret)
-    ):
-        raise ValueError(f"secret must be {config.secret_bits} bits, each 0 or 1")
+    if secret is not None:
+        _check_secret(secret, config.secret_bits)
     outcomes: list[SessionOutcome] = [None] * len(seeds)
     pending = range(len(seeds))
     for attempt in range(config.max_attempts):

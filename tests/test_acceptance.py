@@ -31,9 +31,11 @@ from mqss.ghz import (
     prepare,
 )
 from mqss.protocol import (
+    Mode,
     RoundCase,
     SessionConfig,
     Verdict,
+    classify_round,
     combine_shadows,
     run_rounds,
     run_session,
@@ -168,10 +170,10 @@ def test_criterion_5_qubit_efficiency():
     n_rounds = 100_000
     config = SessionConfig(n_agents=3, secret_bits=4, seed=55)
     with criterion("criterion 5 (qubit efficiency)"):
-        records = run_rounds(config, n_rounds).records()
+        batch = run_rounds(config, n_rounds)
         counts = {case: 0 for case in RoundCase}
-        for record in records:
-            counts[record.classification] += 1
+        for share in batch.share.tolist():
+            counts[classify_round([Mode.SHARE if s else Mode.CHECK for s in share])] += 1
         participants = 4
         # exact oracle from mode combinatorics: each of the 2^4 mode vectors
         # is equally likely per round
@@ -289,13 +291,14 @@ def test_criterion_9_noise_calibration():
             outcome = run_session(config, collect_records=True)
             if outcome.verdict is not Verdict.COMPLETED:
                 aborted += 1
-            for record in outcome.rounds.records():
-                if record.classification is not RoundCase.CASE2:
+            batch = outcome.rounds
+            for share, results, bits in zip(
+                batch.share.tolist(), batch.results.tolist(), batch.bits.tolist()
+            ):
+                if any(share):  # case 2: every participant checked
                     continue
                 case2_rounds += 1
-                direct = sum(
-                    1 for r, x in zip(record.results, record.spec.bits) if r != x
-                )
+                direct = sum(1 for r, x in zip(results, bits) if r != x)
                 case2_mismatch += min(direct, participants - direct)
 
         observed_rate = case2_mismatch / (case2_rounds * participants)

@@ -23,8 +23,10 @@ from mqss.ghz import GhzSpec, prepare
 from mqss.protocol import (
     Mode,
     SessionConfig,
+    Verdict,
     play_rounds,
     run_round,
+    run_sessions,
     verify_step5,
 )
 from mqss.statevec import (
@@ -108,9 +110,8 @@ def test_probe_predicts_branch_when_orthogonal():
     for _ in range(60):
         spec = GhzSpec(tuple(rng.integers(0, 2, size=4)), int(rng.integers(0, 2)))
         batch = play_rounds(config, [spec], rng, forced_modes=[C] * 4)
-        record = batch.records()[0]
-        took_complement = record.results[0] != spec.bits[0]
-        assert record.probe_outcome == int(took_complement)
+        took_complement = batch.results[0, 0] != spec.bits[0]
+        assert batch.probe[0] == int(took_complement)
         assert verify_step5(batch).mismatches == 0
 
 
@@ -233,6 +234,23 @@ def test_intercepted_share_rounds_break_parity_half_the_time():
 
 
 # --- collusion -------------------------------------------------------------------
+
+
+def test_measure_resend_step6_law_on_a_noiseless_channel():
+    # the victim's Z-collapsed particle leaves each checked key bit's parity a
+    # fair coin, so m checked bits catch the tap with probability 1 - (1/2)^m
+    m, sessions = 2, 2_000
+    config = SessionConfig(n_agents=3, secret_bits=m, max_attempts=1,
+                           attack=measure_resend_attack(MeasureResendConfig(target=2)))
+    outcomes = run_sessions(config, range(sessions))
+    # Z-basis checks cannot see the tap: every session reaches step 6
+    assert all(outcome.stats.step6_failures is not None for outcome in outcomes)
+    aborted = sum(outcome.verdict is Verdict.ABORTED_STEP6 for outcome in outcomes) / sessions
+    expected = 1.0 - 0.5 ** m
+    assert abs(aborted - expected) <= 3 * sqrt(expected * (1 - expected) / sessions)
+    bits = sessions * m
+    per_bit = sum(outcome.stats.step6_failures for outcome in outcomes) / bits
+    assert abs(per_bit - 0.5) <= 3 * sqrt(0.25 / bits)
 
 
 def test_collusion_config_validation():

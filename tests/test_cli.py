@@ -30,6 +30,7 @@ from mqss.protocol import (
     RoundCase,
     RoundRecord,
     SessionConfig,
+    classify_round,
     run_rounds,
 )
 
@@ -107,6 +108,21 @@ def test_a_victim_past_the_last_agent_is_named_as_an_agent(attack, capsys):
         parse_config(["--attack", *attack, "--victim", "9"])
     assert excinfo.value.code == 2
     assert "invalid session: victim 9 is past agent 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing/x.jsonl", "."], ids=["no-directory", "a-directory"])
+def test_a_transcript_path_that_cannot_be_written_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, where
+):
+    # refused at parse time, before a session runs, not after every session ran
+    monkeypatch.setattr(cli_module, "run_experiment", lambda config: pytest.fail("ran"))
+    path = tmp_path / where
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--trials", "2", "--transcript", str(path)])
+    assert excinfo.value.code == 2
+    assert f"--transcript {path}" in capsys.readouterr().err
+    writable = tmp_path / "x.jsonl"
+    assert parse_config(["--transcript", str(writable)]).transcript == writable
 
 
 def test_rounds_only_reads_no_trials(capsys):
@@ -225,18 +241,19 @@ def test_record_json_matches_a_sorted_key_dump(tmp_path):
     grouped.append((7, run_rounds(SessionConfig(seed=16), 30)))  # a trial after an empty one
     lines = []
     for trial, batch in grouped:
-        for record in batch.records():
+        probes = [None] * len(batch) if batch.probe is None else batch.probe.tolist()
+        rows = zip(batch.bits.tolist(), batch.phases.tolist(), batch.share.tolist(),
+                   batch.results.tolist(), probes)
+        for index, (bits, phase, share, results, probe) in enumerate(rows):
+            modes = [Mode.SHARE if chose else Mode.CHECK for chose in share]
             payload = {
                 "trial": trial,
-                "round_index": record.round_index,
-                "spec": {
-                    "x": "".join(str(b) for b in record.spec.bits),
-                    "b": record.spec.phase,
-                },
-                "modes": [m.value for m in record.modes],
-                "results": list(record.results),
-                "classification": record.classification.value,
-                "probe": record.probe_outcome,
+                "round_index": index,
+                "spec": {"x": "".join(str(int(b)) for b in bits), "b": phase},
+                "modes": [m.value for m in modes],
+                "results": results,
+                "classification": classify_round(modes).value,
+                "probe": probe,
             }
             lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     path = tmp_path / "t.jsonl"
@@ -297,8 +314,14 @@ def test_transcript_round_trip_through_cli(tmp_path):
     run_experiment(config)
     entries = read_transcript(path)
     assert len(entries) == 50
-    expected = run_rounds(SessionConfig(seed=5), 50).records()
-    assert [record for _, record in entries] == expected
+    records = [record for _, record in entries]
+    assert [record.round_index for record in records] == list(range(50))
+    parsed = RoundBatch.from_specs(
+        [record.spec for record in records],
+        [[mode is Mode.SHARE for mode in record.modes] for record in records],
+        [record.results for record in records],
+    )
+    assert parsed == run_rounds(SessionConfig(seed=5), 50)
 
 
 def test_transcript_determinism(tmp_path):

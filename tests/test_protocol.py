@@ -139,7 +139,7 @@ def test_all_check_round_reads_pattern_or_complement():
     for trial in range(40):
         spec = GhzSpec(tuple(rng.integers(0, 2, size=4)), int(rng.integers(0, 2)))
         batch = play_rounds(config, [spec], rng, forced_modes=[C] * 4)
-        assert batch.records()[0].classification is RoundCase.CASE2
+        assert case_counts(batch)[RoundCase.CASE2.value] == len(batch) == 1
         assert verify_step5(batch).mismatches == 0
 
 
@@ -161,6 +161,26 @@ def test_run_round_rejects_wrong_width_spec():
     rng = derived_rng(1)
     with pytest.raises(ValueError):
         run_round(config, GhzSpec((0, 0), 0), rng)
+
+
+@pytest.mark.parametrize("kind", ["honest", "collective"])
+def test_run_round_records_the_row_play_rounds_plays(kind):
+    config = honest_config(epsilon=0.05, attack=CHUNK_ATTACKS[kind])
+    patterns = derived_rng(47)
+    for index, forced in enumerate(itertools.product((C, S), repeat=4)):
+        spec = GhzSpec(tuple(patterns.integers(0, 2, size=4)), int(patterns.integers(0, 2)))
+        record = run_round(config, spec, derived_rng(48, index), list(forced))
+        batch = play_rounds(config, [spec], derived_rng(48, index), list(forced))
+        assert len(batch) == 1 and record.round_index == 0
+        assert record.spec == spec == GhzSpec(tuple(batch.bits[0].tolist()), int(batch.phases[0]))
+        assert record.modes == forced
+        assert batch.share[0].tolist() == [mode is S for mode in forced]
+        assert record.results == tuple(batch.results[0].tolist())
+        assert record.classification is case_table(4)[forced.count(C)]
+        if batch.probe is None:
+            assert kind == "honest" and record.probe_outcome is None
+        else:
+            assert kind == "collective" and record.probe_outcome == batch.probe[0]
 
 
 # --- sifting ------------------------------------------------------------------
@@ -263,7 +283,8 @@ def test_batch_checks_match_a_per_round_oracle(seed):
     flips = rng.random((rounds, q)) < 0.1
     results = (pattern ^ complement ^ flips).astype(np.uint8)
     batch = RoundBatch.from_specs(specs, share, results)
-    assert batch.specs == specs
+    assert np.array_equal(batch.bits, pattern)
+    assert batch.phases.tolist() == [spec.phase for spec in specs]
     cases, step5, keys = per_round_oracle(specs, share, results)
     assert min(cases.values()) > 0
     # some checked rounds pass by reading the complement
@@ -278,8 +299,8 @@ def test_batch_checks_match_a_per_round_oracle(seed):
     assert report.threshold == effective_threshold(0.05, step5["checked_positions"])
     assert sift(batch) == keys
     assert case_counts(batch) == cases
-    for record in batch.records():
-        cases[record.classification.value] -= 1
+    for row in batch.share.tolist():
+        cases[classify_round([S if chose else C for chose in row]).value] -= 1
     assert set(cases.values()) == {0}
 
 
@@ -299,7 +320,7 @@ def test_batches_are_equal_when_their_rows_are():
     assert batch != replace(batch, probe=None)
     assert replace(batch, probe=None) == replace(copy, probe=None)
     assert batch.select(slice(0, 49)) != batch
-    assert batch != batch.records()
+    assert batch != batch.results.tolist()
 
 
 class PresetChoiceRng:
@@ -374,6 +395,12 @@ def test_verify_step6_needs_twice_the_secret_length():
         verify_step6(raw, 2, PresetChoiceRng([0, 1]))
 
 
+def test_verify_step6_refuses_a_secret_of_no_bits():
+    raw = ((0, 1), (0, 1), (0, 0), (0, 0))
+    with pytest.raises(ValueError, match="secret must have at least 1 bit"):
+        verify_step6(raw, 0, derived_rng(1))
+
+
 # --- finalization ---------------------------------------------------------------
 
 
@@ -396,6 +423,13 @@ def test_finalize_insufficient_bits():
         finalize_and_share(((0,), (1,), (0,)), 2, (0, 1))
 
 
+@pytest.mark.parametrize("secret", [(2, 0), (1,), (0, 1, 1)], ids=["not-a-bit", "short", "long"])
+def test_finalize_refuses_a_malformed_secret(secret):
+    keys = ((0, 1), (1, 1), (1, 0))
+    with pytest.raises(ValueError, match="secret must be 2 bits, each 0 or 1"):
+        finalize_and_share(keys, 2, secret)
+
+
 def test_combine_shadows_partial_subset_differs():
     keys = ((0, 1, 1), (1, 1, 0), (1, 0, 1))
     secret = (1, 0, 1)
@@ -403,6 +437,12 @@ def test_combine_shadows_partial_subset_differs():
     assert combine_shadows(result.ciphertext, result.shadow_keys[1:]) == secret
     partial = combine_shadows(result.ciphertext, result.shadow_keys[1:2])
     assert partial != secret or result.shadow_keys[2] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("shadow, length", [((1, 0), 2), ((1, 0, 1, 1), 4)], ids=["short", "long"])
+def test_combine_shadows_refuses_a_shadow_of_another_length(shadow, length):
+    with pytest.raises(ValueError, match=f"shadow has {length} bits, ciphertext has 3"):
+        combine_shadows((1, 0, 1), [(0, 1, 1), shadow])
 
 
 # --- sessions -------------------------------------------------------------------
@@ -424,13 +464,20 @@ def test_honest_session_completes_and_reconstructs():
 def test_case1_parity_invariant_in_honest_rounds():
     config = SessionConfig(n_agents=3, secret_bits=4, seed=3)
     outcome = run_session(config, collect_records=True)
-    case1 = [r for r in outcome.rounds.records() if r.classification is RoundCase.CASE1]
+    batch = outcome.rounds
+    case1 = [
+        (results, phase)
+        for share, results, phase in zip(
+            batch.share.tolist(), batch.results.tolist(), batch.phases.tolist()
+        )
+        if all(share)
+    ]
     assert case1
-    for record in case1:
+    for results, phase in case1:
         parity = 0
-        for bit in record.results:
+        for bit in results:
             parity ^= bit
-        assert parity == record.spec.phase
+        assert parity == phase
 
 
 def test_session_determinism():
@@ -515,7 +562,7 @@ def test_sessions_do_not_depend_on_the_chunk_size(monkeypatch, n_agents, epsilon
             outcomes.append(run_session(config, collect_records=True))
             assert max(row for rng in generators for row in rng.rows) <= chunk
         whole = outcomes[0]
-        assert len(whole.rounds.records()) == whole.stats.rounds_used > 7
+        assert len(whole.rounds) == whole.stats.rounds_used > 7
         # every field, the records and the classical log included
         assert all(outcome == whole for outcome in outcomes[1:])
 
@@ -631,8 +678,6 @@ def test_round_batches_do_not_depend_on_the_chunk_size(monkeypatch, kind):
         rng = RowCountingRng(derived_rng(41))
         result = CHUNK_PLAYS[kind](rng)
         assert max(rng.rows) <= chunk
-        if isinstance(result, RoundBatch):
-            result = result.records()
         played.append((result, rng.bit_generator.state))
     assert len(rng.rows) > 2  # the 7-row chunks took several draw calls
     assert played[1] == played[0]
@@ -826,11 +871,11 @@ def test_session_with_noise_keeps_parity_checks_clean():
 
 def test_round_statistics_match_classification_combinatorics():
     config = SessionConfig(n_agents=3, secret_bits=4, seed=17)
-    records = run_rounds(config, 20_000).records()
+    batch = run_rounds(config, 20_000)
     counts = {case: 0 for case in RoundCase}
-    for record in records:
-        counts[record.classification] += 1
-    n = len(records)
+    for share in batch.share.tolist():
+        counts[classify_round([S if chose else C for chose in share])] += 1
+    n = len(batch)
     p_case1 = 2.0 ** -4
     p_discard = 4 * 2.0 ** -4
     for observed, p in ((counts[RoundCase.CASE1], p_case1),
