@@ -68,8 +68,8 @@ class CollectiveAttackConfig:
         if not 0.0 <= self.probe_overlap <= 1.0:
             raise ValueError("probe_overlap must be in [0, 1]")
         total = abs(self.pattern_weight) ** 2 + abs(self.complement_weight) ** 2
-        if abs(total - 1.0) > ATOL:
-            raise ValueError("branch weights must satisfy |a_p|^2 + |a_c|^2 = 1")
+        if not abs(total - 1.0) <= ATOL:  # NaN and inf weights fail too
+            raise ValueError(f"branch weights must satisfy |a_p|^2 + |a_c|^2 = 1, got {total}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,12 @@ whether it survives and the parity of its signs, which starts at ``b``.
 
 Probabilities are ratios of branch norms and nothing is renormalised, so an
 honest round's probabilities are exactly 0, 1/2 or 1. A step costs O(R)
-array work where the dense engine pays O(2^q) per round.
+array work where the dense engine pays O(2^q) per round, and works out only
+what its rows' modes read: a measurement builds the Hadamard probability
+only if some row shares and the Z probability only if some row checks.
+Amplitudes are real unless a weight is complex. Honest rounds and the
+collective attack at real weights are real, and give the same probabilities
+to the last bit as those weights written as complex numbers.
 
 Every measurement compares one uniform draw per round with the outcome-1
 probability, as ``statevec``'s measurements do, so rounds fed the draws the
@@ -81,7 +86,11 @@ def to_state(kets: Kets, qubit_count: int) -> PureState:
 
 
 def _norms(amps: np.ndarray) -> np.ndarray:
-    return (amps.real * amps.real + amps.imag * amps.imag).sum(axis=-1)
+    """Squared norms over the leading (amplitude slot) axis."""
+    squares = amps.real * amps.real
+    if np.iscomplexobj(amps):
+        squares += amps.imag * amps.imag
+    return squares.sum(axis=0)
 
 
 class BranchPairs:
@@ -98,10 +107,12 @@ class BranchPairs:
     def __init__(self, bits, pattern, complement, phases) -> None:
         self.bits = np.array(bits, dtype=bool)  # a copy: flips write to it
         rounds, qubits = self.bits.shape
-        self.initial = np.array((pattern, complement), dtype=complex)
-        if self.initial.ndim != 2:
+        initial = np.array((pattern, complement))
+        if initial.ndim != 2:
             raise ValueError("need one pattern and one complement amplitude slot each")
-        self.norms = _norms(self.initial)[:, None]
+        # real weights keep every step in real arithmetic
+        self.initial = initial.astype(np.result_type(initial, np.float64))
+        self.norms = _norms(self.initial.T)[:, None]
         self.alive = np.ones((2, rounds), dtype=bool)
         self.signs = np.zeros((2, rounds), dtype=bool)  # parity of -1 factors
         self.signs[1] = phases
@@ -146,18 +157,32 @@ class BranchPairs:
         return outcome, p1
 
     def measure(self, column: int, share, draws):
-        """The owner's measurement: Hadamard-then-Z where ``share``, else Z."""
+        """The owner's measurement: Hadamard-then-Z where ``share``, else Z.
+
+        Only what the rows' modes read is worked out: the Hadamard
+        probability and the signs if some row shares, the Z probability and
+        the survivals if some row checks.
+        """
         if self.measured[column]:
             raise ValueError(f"particle {column + 1} was already measured")
         bit = self.bits[:, column]
-        p1 = np.where(share, self._hadamard_probability(), self._z_probability(bit))
+        shares = np.count_nonzero(share)
+        checks = len(bit) - shares
+        if not checks:
+            p1 = self._hadamard_probability()
+        elif shares:
+            p1 = np.where(share, self._hadamard_probability(), self._z_probability(bit))
+        else:
+            p1 = self._z_probability(bit)
         outcome = draws < p1
-        keep = outcome == bit
-        self.alive[0] &= keep | share
-        self.alive[1] &= ~keep | share
-        flipped = share & outcome
-        self.signs[0] ^= flipped & bit
-        self.signs[1] ^= flipped & ~bit
+        if checks:
+            keep = outcome == bit
+            self.alive[0] &= keep | share
+            self.alive[1] &= ~keep | share
+        if shares:
+            flipped = share & outcome
+            self.signs[0] ^= flipped & bit
+            self.signs[1] ^= flipped & ~bit
         self.results[:, column] = outcome
         self.measured[column] = True
         return outcome, p1
@@ -167,7 +192,7 @@ class BranchPairs:
         if not self.probe or not self.measured.all():
             raise ValueError("the probe is read last, and only when there is one")
         amps = self._amplitudes().sum(axis=0)  # both branches now share one ket
-        p1 = _norms(amps[:, 1:]) / _norms(amps)
+        p1 = _norms(amps[1:]) / _norms(amps)
         return draws < p1, p1
 
     def kets(self, row: int) -> Kets:
@@ -178,7 +203,7 @@ class BranchPairs:
         for branch, amps in enumerate(self._amplitudes()):
             bits = np.where(self.measured, self.results[row], self.bits[row] ^ bool(branch))
             ket = int(bits.astype(np.int64) @ (1 << np.arange(qubits - 1, -1, -1)))
-            for slot, amp in enumerate(amps[row].tolist()):
+            for slot, amp in enumerate(amps[:, row].tolist()):
                 key = ket * slots + slot
                 kets[key] = kets.get(key, 0j) + amp
         scale = 1.0 / sqrt(sum(abs(amp) ** 2 for amp in kets.values()))
@@ -190,13 +215,13 @@ class BranchPairs:
 
     def _hadamard_probability(self):
         if self.measured.sum() < len(self.measured) - 1:
-            return 0.5  # the branches stay orthogonal on the unmeasured rest
+            return np.full(len(self.bits), 0.5)  # orthogonal on the unmeasured rest
         # the last particle: both kets reduce to the probe and interfere
         pattern, complement = self._amplitudes()
         minus = _norms(pattern - complement)
         return minus / (minus + _norms(pattern + complement))
 
     def _amplitudes(self) -> np.ndarray:
-        """Both branches' current amplitudes, zero where a branch died."""
+        """Both branches' current amplitudes, branch x slot x round, zero where a branch died."""
         factors = np.where(self.signs, -1.0, 1.0) * self.alive
-        return self.initial[:, None, :] * factors[:, :, None]
+        return self.initial[:, :, None] * factors[:, None, :]

@@ -174,6 +174,131 @@ def test_honest_probabilities_are_exact():
         assert set(np.unique(p1)) <= {0.0, 0.5, 1.0}
 
 
+# --- real arithmetic, and only the work a step's rows read ------------------------
+
+
+def real_slots(rng, overlap):
+    """Random real pattern and complement amplitude slots of a two-branch state.
+
+    As ``random_pairs``, with real weights and real unit probe vectors of
+    overlap ``overlap``; ``None`` attaches no probe.
+    """
+    weights = rng.normal(size=2)
+    weights /= np.linalg.norm(weights)
+    if overlap is None:
+        return [weights[0]], [weights[1]]
+    first = rng.normal(size=2)
+    first /= np.linalg.norm(first)
+    orthogonal = np.array([-first[1], first[0]]) * rng.choice([-1.0, 1.0])
+    second = overlap * first + sqrt(1.0 - overlap * overlap) * orthogonal
+    return weights[0] * first, weights[1] * second
+
+
+def play_steps(pairs, share, draws, taps):
+    """Play every step on a batch; return each step's (outcomes, p1).
+
+    Per column: a flip where the row's draw is below 0.3, a Z tap if
+    ``taps`` gives the column a rate (rate 1 taps every row, a lower rate
+    the rows its schedule draw picks), then the owner's measurement in
+    ``share``'s mode; last the probe readout. Row i reads only ``draws[i]``.
+    """
+    returned = []
+    for column in range(pairs.bits.shape[1]):
+        flip, schedule, tap, measure = draws[:, 4 * column : 4 * column + 4].T
+        pairs.flip(column, flip < 0.3)
+        rate = taps.get(column)
+        if rate is not None:
+            returned.append(pairs.tap(column, tap, None if rate == 1.0 else schedule < rate))
+        returned.append(pairs.measure(column, share[:, column], measure))
+    if pairs.probe:
+        returned.append(pairs.read_probe(draws[:, -1]))
+    return returned
+
+
+def random_batch(seed):
+    """A seeded batch to play: bits, phases, real slots, mixed modes, draws and taps."""
+    rng = np.random.default_rng(seed)
+    overlap = (None, 0.0, 0.5, 1.0)[seed % 4]
+    rounds, qubits = 200, int(rng.integers(2, 6))
+    bits = rng.integers(0, 2, size=(rounds, qubits))
+    phases = rng.integers(0, 2, size=rounds)
+    pattern, complement = real_slots(rng, overlap)
+    share = rng.random((rounds, qubits)) < 0.5
+    draws = rng.random((rounds, 4 * qubits + 1))
+    taps = {int(rng.integers(qubits)): 1.0, int(rng.integers(qubits)): 0.5}
+    return bits, phases, pattern, complement, share, draws, taps
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_real_and_complex_weights_play_identical_rounds(seed):
+    """Real weights play in real arithmetic, and to the last bit as the
+    same weights written as complex numbers."""
+    bits, phases, pattern, complement, share, draws, taps = random_batch(seed)
+    real = branch.BranchPairs(bits, pattern, complement, phases)
+    twin = branch.BranchPairs(
+        bits, np.asarray(pattern, dtype=complex), np.asarray(complement, dtype=complex), phases
+    )
+    assert real.initial.dtype == np.float64 and twin.initial.dtype == np.complex128
+    played = play_steps(real, share, draws, taps)
+    twin_played = play_steps(twin, share, draws, taps)
+    for (outcome, p1), (twin_outcome, twin_p1) in zip(played, twin_played, strict=True):
+        assert np.array_equal(outcome, twin_outcome)
+        assert np.array_equal(p1, twin_p1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_mixed_batch_plays_as_its_rows_one_at_a_time(seed):
+    """Rows of mixed modes step exactly as each row does alone, where every
+    step has one mode."""
+    bits, phases, pattern, complement, share, draws, taps = random_batch(seed)
+    batch = branch.BranchPairs(bits, pattern, complement, phases)
+    played = play_steps(batch, share, draws, taps)
+    for row in range(len(bits)):
+        one = slice(row, row + 1)
+        alone = branch.BranchPairs(bits[one], pattern, complement, phases[one])
+        for (outcome, p1), (one_outcome, one_p1) in zip(
+            played, play_steps(alone, share[one], draws[one], taps), strict=True
+        ):
+            assert outcome[row] == one_outcome[0]
+            assert p1[row] == one_p1[0]
+
+
+def test_measure_returns_an_outcome_and_probability_per_row():
+    rng = derived_rng(12)
+    rounds, qubits = 50, 3
+    bits = rng.integers(0, 2, size=(rounds, qubits))
+    phases = rng.integers(0, 2, size=rounds)
+    mixed = rng.random((rounds, qubits)) < 0.5
+    for share in (np.ones_like(mixed), np.zeros_like(mixed), mixed):
+        pairs = branch.BranchPairs.ghz(bits, phases, CollectiveAttackConfig(probe_overlap=0.5))
+        for column in range(qubits):
+            outcome, p1 = pairs.measure(column, share[:, column], rng.random(rounds))
+            assert outcome.shape == p1.shape == (rounds,)
+
+
+@pytest.mark.parametrize(
+    "forced_modes, hadamard_calls, z_calls",
+    [([Mode.CHECK] * 4, 0, 4), ([Mode.SHARE] * 4, 4, 0), (None, 4, 4)],
+)
+def test_a_step_works_out_only_the_probabilities_its_rows_read(
+    monkeypatch, forced_modes, hadamard_calls, z_calls
+):
+    calls = {"_hadamard_probability": 0, "_z_probability": 0}
+    for name in calls:
+
+        def counted(self, *args, _name=name, _method=getattr(branch.BranchPairs, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(branch.BranchPairs, name, counted)
+    config = SessionConfig(
+        n_agents=3, seed=13, attack=collective_attack(CollectiveAttackConfig(0.5))
+    )
+    # one chunk of rows; unforced, every column mixes both modes
+    run_rounds(config, 500, forced_modes=forced_modes)
+    assert calls == {"_hadamard_probability": hadamard_calls, "_z_probability": z_calls}
+
+
 # --- exact outcome distributions, by enumeration ---------------------------------
 
 
