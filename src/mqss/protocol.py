@@ -16,6 +16,7 @@ import copy
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from math import sqrt
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
@@ -158,6 +159,8 @@ def effective_threshold(base_rate: float, checked: int) -> float:
     fluctuation at finite sample sizes; at zero noise this reduces to
     "any error aborts".
     """
+    if not 0.0 <= base_rate <= 1.0:
+        raise ValueError(f"base rate must be in [0, 1], got {base_rate}")
     if checked <= 0:
         return base_rate
     return base_rate + 3.0 * sqrt(base_rate * (1.0 - base_rate) / checked)
@@ -321,9 +324,9 @@ class _Chunk(NamedTuple):
     """A played chunk of rows: every row's modes, and what played of them."""
 
     share: np.ndarray  # R x q booleans: the participant chose Share
-    case1: np.ndarray  # R booleans: every participant chose Share
+    shares: np.ndarray  # R int64: how many participants chose Share
     batch: Optional[RoundBatch]  # every row, when every row played
-    keys: Optional[np.ndarray] = None  # else the case1 rows' raw key rows
+    keys: Optional[np.ndarray] = None  # else the all-Share rows' raw key rows
     flips: Optional[np.ndarray] = None  # and the noise flips, None at epsilon 0
 
 
@@ -351,11 +354,11 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
     its announced bit exactly where a noise flip hit it. On the dense
     engine (``round_engine``) each block plays round by round as it
     arrives, because an interceptor draws from the job's generator itself,
-    and every row plays. ``sink(chunk, owners, starts)`` receives each
-    played ``_Chunk``, whose rows from ``starts[i]`` on are job
-    ``owners[i]``'s.
+    and every row plays. ``sink(chunk, owners, lengths)`` receives each
+    played ``_Chunk``, whose rows run job ``owners[0]``'s ``lengths[0]``
+    rows, then ``owners[1]``'s ``lengths[1]`` and so on.
     """
-    dense = round_engine(config) == "dense"
+    dense, q = round_engine(config) == "dense", config.particle_count
     width = _draw_columns(config, forced)[2]
     pieces, rows = [], 0  # the chunk being packed: (owner, bits, phases, draws)
     modes = None  # the packed pieces' modes, as far as a round's end worked them out
@@ -365,9 +368,9 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
                 if dense:
                     rounds_played = _play_dense(config, bits, phases, rng, forced)
                     batch = RoundBatch(bits, phases, *rounds_played)
-                    chunk = _Chunk(batch.share, batch.share.all(axis=1), batch)
-                    shared[owner] += np.count_nonzero(chunk.case1)
-                    sink(chunk, [owner], [0])
+                    chunk = _Chunk(batch.share, _row_counts(batch.share), batch)
+                    shared[owner] += np.count_nonzero(chunk.shares == q)
+                    sink(chunk, [owner], [len(bits)])
                     continue
                 while True:  # one piece per chunk the block reaches; an empty block is one piece
                     take = min(len(bits), _CHUNK_ROWS - rows)
@@ -386,14 +389,14 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
 
 
 def _piece_modes(config: SessionConfig, pieces, modes, shared, forced):
-    """The packed pieces' (share, case1, pieces worked out): ``modes``, extended.
+    """The packed pieces' (share, shares, pieces worked out): ``modes``, extended.
 
     Only the pieces past ``modes`` are worked out, in one op from their mode
     draws (or ``forced``), and their all-Share rows are counted into
     ``shared`` by owner.
     """
     q = config.particle_count
-    share, case1, done = modes or (None, None, 0)
+    share, shares, done = modes or (None, None, 0)
     fresh = pieces[done:]
     if not fresh:
         return modes
@@ -401,17 +404,18 @@ def _piece_modes(config: SessionConfig, pieces, modes, shared, forced):
     if forced is None:
         draws = [piece[3][:, :q] for piece in fresh]
         new_share = (np.concatenate(draws) if len(draws) > 1 else draws[0]) < 0.5
-        new_case1 = _row_counts(new_share) == q
+        new_shares = _row_counts(new_share)
     else:
         new_share = np.broadcast_to(forced, (sum(lengths), q))
-        new_case1 = np.broadcast_to(forced.all(), sum(lengths))
+        new_shares = np.broadcast_to(np.count_nonzero(forced), sum(lengths))
+    new_case1 = new_shares == q
     if new_case1.any():
         owners = np.repeat([piece[0] for piece in fresh], lengths)
         shared += np.bincount(owners[new_case1], minlength=len(shared))
     if done:
         new_share = np.concatenate((share, new_share))
-        new_case1 = np.concatenate((case1, new_case1))
-    return new_share, new_case1, len(pieces)
+        new_shares = np.concatenate((shares, new_shares))
+    return new_share, new_shares, len(pieces)
 
 
 def _play_packed(config: SessionConfig, pieces, modes, shared, sink, forced, keys_only) -> None:
@@ -420,17 +424,19 @@ def _play_packed(config: SessionConfig, pieces, modes, shared, sink, forced, key
     The chunk's modes are ``modes``, which ``_piece_modes`` extends over any
     pieces packed since a round's end worked them out.
     """
-    share, case1, _ = _piece_modes(config, pieces, modes, shared, forced)
+    share, shares, _ = _piece_modes(config, pieces, modes, shared, forced)
     owners, *columns = map(list, zip(*pieces))
     # one piece plays as it is: a copy would cost a fresh chunk-sized allocation
     bits, phases, draws = (
         np.concatenate(arrays) if len(arrays) > 1 else arrays[0] for arrays in columns
     )
-    starts = np.cumsum([0] + [len(piece[1]) for piece in pieces[:-1]])
+    lengths = [len(piece[1]) for piece in pieces]
     if not keys_only:
         results, probe = _play_on_branches(config, bits, phases, draws, share, forced)
-        sink(_Chunk(share, case1, RoundBatch(bits, phases, share, results, probe)), owners, starts)
+        batch = RoundBatch(bits, phases, share, results, probe)
+        sink(_Chunk(share, shares, batch), owners, lengths)
         return
+    case1 = shares == config.particle_count
     results = np.zeros((0, config.particle_count), dtype=np.uint8)
     if case1.any():  # most chunks of a wide session hold no all-Share row
         results, _ = _play_on_branches(
@@ -441,7 +447,7 @@ def _play_packed(config: SessionConfig, pieces, modes, shared, sink, forced, key
         noise = [steps[0] for steps in _draw_columns(config, forced)[0]]
         flips = draws[:, noise] < config.epsilon
     keys = _key_rows(results, phases[case1])
-    sink(_Chunk(share, case1, None, keys, flips), owners, starts)
+    sink(_Chunk(share, shares, None, keys, flips), owners, lengths)
 
 
 def _draw_columns(config: SessionConfig, forced):
@@ -589,40 +595,43 @@ def verify_step5(batch: RoundBatch, base_threshold: float = 0.0) -> Step5Report:
     pattern/complement), the unit the noise-rate threshold is calibrated
     in; whole-round pass/fail counts are also reported.
     """
-    sums = _segment_sums(batch.share, batch.results != batch.bits, [0])[:, -4:]
+    share = batch.share
+    wrong = batch.results != batch.bits
+    sums = _segment_sums(share, _row_counts(share), wrong, [len(share)])[:, -4:]
     mismatches, positions, failures, checked = sums[0].tolist()
     if positions == 0:
         raise IndeterminateCheckError("no check-mode rounds available")
     (rate,), (threshold,), (passed,) = _step5_verdicts(sums, base_threshold)
-    return Step5Report(rate, mismatches, positions, failures, checked, threshold, passed)
+    return Step5Report(rate, mismatches, positions, failures, checked, threshold, bool(passed))
 
 
-def _segment_sums(share: np.ndarray, wrong: Optional[np.ndarray], starts) -> np.ndarray:
-    """Sums over segments of rows, one row of sums per start row.
+def _segment_sums(share: np.ndarray, shares, wrong: Optional[np.ndarray], lengths) -> np.ndarray:
+    """Sums over consecutive segments of rows, one row of sums per segment length.
 
-    ``share`` marks the participants who chose Share and ``wrong`` the
-    results off their announced pattern bits, read at checkers only; None
-    marks none. Played rows pass ``results != bits``, unplayed rows their
-    noise flips: a checker reads the one surviving branch, pattern or
-    complement, so a row's distance to the nearer of the two, min(F, k - F)
-    for F flips among k checkers, is the same either way.
+    ``share`` marks the participants who chose Share, ``shares`` counts them
+    per row, and ``wrong`` marks the results off their announced pattern
+    bits, read at checkers only; None marks none. Played rows pass
+    ``results != bits``, unplayed rows their noise flips: a checker reads the
+    one surviving branch, pattern or complement, so a row's distance to the
+    nearer of the two, min(F, k - F) for F flips among k checkers, is the
+    same either way.
 
-    A segment runs from its start to the next one's, the last to the end.
+    The segments run ``lengths[0]`` rows, then ``lengths[1]`` and so on.
     Per segment: the rounds per number of checkers, 0 to q, then the step-5
     sums (mismatches, checked positions, failed rounds, checked rounds).
     Sums add, so rounds played in pieces add up their pieces' sums.
     """
     rounds, q = share.shape
     if not rounds:
-        return np.zeros((len(starts), q + 5), dtype=np.int64)
-    checkers = ~share
-    checks = _row_counts(checkers)
-    direct = 0 if wrong is None else _row_counts(wrong & checkers)
+        return np.zeros((len(lengths), q + 5), dtype=np.int64)
+    checks = q - shares
+    direct = 0 if wrong is None else _row_counts(wrong > share)  # wrong at a checker
     checked = checks >= 2
     distance = np.minimum(direct, checks - direct) * checked
-    segment = np.repeat(np.arange(len(starts)), np.diff(starts, append=rounds))
-    per_checks = np.bincount(segment * (q + 1) + checks, minlength=len(starts) * (q + 1))
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    per_checks = np.bincount(segment * (q + 1) + checks, minlength=len(lengths) * (q + 1))
     step5 = np.column_stack((distance, checks * checked, distance > 0, checked))
+    starts = list(accumulate(lengths[:-1], initial=0))
     return np.hstack((per_checks.reshape(-1, q + 1), np.add.reduceat(step5, starts)))
 
 
@@ -636,7 +645,7 @@ def _row_counts(flags: np.ndarray) -> np.ndarray:
 
 
 def _step5_verdicts(sums: np.ndarray, base_threshold: float) -> tuple[list, list, list]:
-    """Each row's step-5 error rate, threshold and verdict: the one step-5 rule.
+    """Each row's step-5 error rate, threshold and verdict (an array): the one step-5 rule.
 
     A row of ``_segment_sums``' step-5 sums passes when its mismatches per
     checked position are within ``effective_threshold``, never with none checked.
@@ -645,7 +654,7 @@ def _step5_verdicts(sums: np.ndarray, base_threshold: float) -> tuple[list, list
     rates = mismatches / np.maximum(positions, 1)
     thresholds = [effective_threshold(base_threshold, count) for count in positions.tolist()]
     passed = (positions > 0) & (rates <= thresholds)
-    return rates.tolist(), thresholds, passed.tolist()
+    return rates.tolist(), thresholds, passed
 
 
 @dataclass(frozen=True)
@@ -668,11 +677,12 @@ def verify_step6(
 
     The dealer announces m random positions; everyone announces their bits
     there and each position must satisfy dealer = XOR of all agents. The
-    checked positions are burned from every key, whatever the verdict.
+    checked positions are burned from every key, whatever the verdict. One
+    attempt of the step-6 rule that a session's pass runs on all its attempts.
     """
     if secret_bits < 1:
         raise ValueError("secret must have at least 1 bit")
-    keys = np.asarray(raw_keys, dtype=np.uint8)  # ragged keys raise ValueError here
+    keys = _bits(raw_keys, "raw key")  # ragged keys raise ValueError here
     if keys.ndim != 2:
         raise ValueError("raw keys must all have the same length")
     available = keys.shape[1]
@@ -680,23 +690,30 @@ def verify_step6(
         raise InsufficientRawKeyError(
             f"need {2 * secret_bits} raw bits, have {available}"
         )
-    chosen = sorted(rng.choice(available, size=secret_bits, replace=False).tolist())
-    # a position fails when the dealer's bit differs from the agents' XOR
-    parity = np.bitwise_xor.reduce(keys, axis=0).tolist()
-    failures = sum(1 for position in chosen if parity[position])
-    error_rate = failures / secret_bits
-    threshold = effective_threshold(base_threshold, secret_bits)
-    burned = set(chosen)
-    kept = [position for position in range(available) if position not in burned]
-    rows = keys.tolist()  # the keys become Python ints once, here
-    return Step6Report(
-        check_positions=tuple(chosen),
-        error_rate=error_rate,
-        failures=failures,
-        threshold=threshold,
-        passed=error_rate <= threshold,
-        remaining_keys=tuple(tuple([row[position] for position in kept]) for row in rows),
+    chosen, failures, rates, threshold, passed, kept = _step6_verdicts(
+        keys.T, np.zeros(1, dtype=np.int64), [available], [rng], secret_bits, base_threshold
     )
+    return Step6Report(
+        tuple(chosen[0].tolist()), rates.item(), failures.item(), threshold, passed.item(),
+        tuple(map(tuple, keys[:, kept].tolist())),
+    )
+
+
+def _step6_verdicts(keys: np.ndarray, starts, lengths, rngs, m: int, base_threshold: float):
+    """The one step-6 rule: check positions, failures, rates, verdicts and the rows kept.
+
+    Attempt i draws on ``rngs[i]`` among its ``lengths[i]`` rows of ``keys`` (R x q, dealer
+    first) from ``starts[i]``. A row fails where its parity is 1, and burns if checked.
+    """
+    threshold = effective_threshold(base_threshold, m)
+    draws = [rng.choice(n, size=m, replace=False) for rng, n in zip(rngs, lengths)]
+    chosen = np.sort(np.array(draws, dtype=np.int64).reshape(-1, m), axis=1)
+    checked = chosen + starts[:, None]
+    failures = np.bitwise_xor.reduce(keys[checked], axis=2).sum(axis=1)
+    rates = failures / m
+    kept = np.ones(len(keys), dtype=bool)
+    kept[checked] = False
+    return chosen, failures, rates, threshold, rates <= threshold, kept
 
 
 @dataclass(frozen=True)
@@ -716,7 +733,8 @@ def finalize_and_share(
     """Cut shadows, publish the masked secret, and reconstruct it.
 
     The dealer's shadow masks the secret; XOR-ing the ciphertext with every
-    agent's shadow recovers it, and nothing less than all of them does.
+    agent's shadow recovers it, and nothing less than all of them does. One
+    attempt of the sharing rule that a session's pass runs on all its attempts.
     """
     _check_secret(secret, secret_bits)
     for key in raw_keys_after_check:
@@ -724,22 +742,40 @@ def finalize_and_share(
             raise InsufficientRawKeyError(
                 f"need {secret_bits} shadow bits, have {len(key)}"
             )
-    shadows = tuple(tuple(key[:secret_bits]) for key in raw_keys_after_check)
-    ciphertext = tuple(s ^ k for s, k in zip(secret, shadows[0]))
-    reconstructed = combine_shadows(ciphertext, shadows[1:])
-    return SharingResult(shadows, ciphertext, reconstructed)
+    keys = _bits([key[:secret_bits] for key in raw_keys_after_check], "raw key")
+    sharing = _share(keys.T, np.zeros(1, dtype=np.int64), np.array([secret], dtype=np.uint8))
+    shadows, *texts = (field[0].tolist() for field in sharing)
+    return SharingResult(tuple(map(tuple, shadows)), *map(tuple, texts))
+
+
+def _share(keys: np.ndarray, starts, secrets: np.ndarray):
+    """The one sharing rule: shadows (A x q x m), ciphertexts and reconstructions.
+
+    Attempt i's shadows are the m rows of ``keys`` from ``starts[i]`` on; ``secrets`` is uint8.
+    """
+    shadows = keys[starts[:, None] + np.arange(secrets.shape[1])].transpose(0, 2, 1)
+    ciphertext = secrets ^ shadows[:, 0]
+    return shadows, ciphertext, ciphertext ^ np.bitwise_xor.reduce(shadows[:, 1:], axis=1)
 
 
 def combine_shadows(
     ciphertext: Sequence[int], shadows: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
     """XOR a set of agent shadows into the ciphertext (a recovery attempt)."""
-    out = list(ciphertext)
     for shadow in shadows:
-        if len(shadow) != len(out):
-            raise ValueError(f"shadow has {len(shadow)} bits, ciphertext has {len(out)}")
-        out = [c ^ s for c, s in zip(out, shadow)]
-    return tuple(out)
+        if len(shadow) != len(ciphertext):
+            raise ValueError(f"shadow has {len(shadow)} bits, ciphertext has {len(ciphertext)}")
+    bits = _bits([ciphertext, *shadows], "ciphertext and shadow")
+    return tuple(np.bitwise_xor.reduce(bits, axis=0).tolist())
+
+
+def _bits(rows, what: str) -> np.ndarray:
+    """``rows`` as a uint8 array, refusing any value but 0 and 1."""
+    array = np.asarray(rows)
+    bad = array[(array != 0) & (array != 1)]
+    if bad.size:
+        raise ValueError(f"{what} bits must be 0 or 1, got {bad[0].item()}")
+    return array.astype(np.uint8)
 
 
 def _check_secret(secret: Sequence[int], secret_bits: int) -> None:
@@ -834,17 +870,21 @@ def run_sessions(
 
 def case_counts(batch: RoundBatch) -> dict[str, int]:
     """Rounds per case, keyed by ``RoundCase`` value; every case is present."""
-    per_checks = _segment_sums(batch.share, None, [0])[0, :-4]
+    per_checks = _segment_sums(batch.share, _row_counts(batch.share), None, [len(batch)])[0, :-4]
     tally = per_checks @ _case_matrix(batch.share.shape[1])
-    return {case.value: rounds for case, rounds in zip(RoundCase, tally.tolist())}
+    return {case.value: rounds for case, rounds in zip(RoundCase, tally.tolist()[1:])}
 
 
 @lru_cache(maxsize=None)
 def _case_matrix(q: int) -> np.ndarray:
-    """(q+1) x 4 ones and zeros: row k marks the case, in ``RoundCase`` order, of k checkers."""
+    """(q+1) x 5 ones and zeros: row k counts a round, then marks the case of k checkers.
+
+    The cases follow ``RoundCase`` order, as ``SessionStats``' fields do.
+    """
     cases = list(RoundCase)
-    matrix = np.zeros((q + 1, len(cases)), dtype=np.int64)
-    matrix[range(q + 1), [cases.index(case) for case in case_table(q)]] = 1
+    matrix = np.ones((q + 1, 1 + len(cases)), dtype=np.int64)
+    matrix[:, 1:] = 0
+    matrix[range(q + 1), [1 + cases.index(case) for case in case_table(q)]] = 1
     matrix.flags.writeable = False
     return matrix
 
@@ -854,8 +894,8 @@ class _Played:
 
     Per attempt: its ``_segment_sums`` (rounds per checker count and the
     step-5 sums), the raw key rows of its all-Share rounds, and every row
-    when records are asked for. The key rows are kept per chunk, each with
-    the attempt it is from, and sorted by attempt once the pass has played.
+    when records are asked for. The key rows are kept per chunk and, in a
+    pass of more than one attempt, sorted by attempt once the pass has played.
     """
 
     def __init__(self, attempts: int, q: int, collect_records: bool) -> None:
@@ -864,27 +904,31 @@ class _Played:
         self.key_owners: list[np.ndarray] = []
         self.rows = [[] for _ in range(attempts)] if collect_records else None
 
-    def add(self, chunk: _Chunk, owners: Sequence[int], starts) -> None:
-        """Tally a played chunk whose rows from ``starts[i]`` on are attempt ``owners[i]``'s."""
-        batch, case1 = chunk.batch, chunk.case1
+    def add(self, chunk: _Chunk, owners: Sequence[int], lengths: Sequence[int]) -> None:
+        """Tally a played chunk: ``lengths[i]`` rows of attempt ``owners[i]``, in turn."""
+        batch = chunk.batch
         if batch is None:
             wrong, keys = chunk.flips, chunk.keys
         else:
             wrong = batch.results != batch.bits
+            case1 = chunk.shares == chunk.share.shape[1]
             keys = _key_rows(batch.results[case1], batch.phases[case1])
-        sums = _segment_sums(chunk.share, wrong, starts)
+        sums = _segment_sums(chunk.share, chunk.shares, wrong, lengths)
         np.add.at(self.sums, owners, sums)
         # the key rows come in row order, sums[:, 0] of them per segment
         self.keys.append(keys)
-        self.key_owners.append(np.repeat(owners, sums[:, 0]))
+        if len(self.sums) > 1:  # one attempt's key rows need no sorting
+            self.key_owners.append(np.repeat(owners, sums[:, 0]))
         if self.rows is not None:
-            for owner, start, end in zip(owners, starts, [*starts[1:], len(batch)]):
-                self.rows[owner].append(batch.select(slice(start, end)))
+            for owner, end, length in zip(owners, accumulate(lengths), lengths):
+                self.rows[owner].append(batch.select(slice(end - length, end)))
 
-    def attempt_keys(self) -> tuple[np.ndarray, list[int]]:
-        """Every key row, attempt by attempt in row order, and where each attempt's rows end."""
-        order = np.argsort(np.concatenate(self.key_owners), kind="stable")
-        return np.concatenate(self.keys)[order], np.cumsum(self.sums[:, 0]).tolist()
+    def attempt_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every key row, attempt by attempt in row order, and where each attempt's rows start."""
+        keys, rows = np.concatenate(self.keys), self.sums[:, 0]
+        if self.key_owners:
+            keys = keys[np.argsort(np.concatenate(self.key_owners), kind="stable")]
+        return keys, np.cumsum(rows) - rows
 
 
 def _attempt_rounds(config: SessionConfig, rngs, shared):
@@ -941,9 +985,11 @@ def _finish_pass(
     """Steps 5 and 6 and the sharing of every attempt of a pass, in attempt order.
 
     Every attempt's case tally, rounds used and step-5 verdict come from
-    ``played.sums`` as arrays; only the attempts that pass step 5 go on, one
-    by one on their own generators, to step 6 and the sharing. An attempt's
-    outcome gains its fields as it clears each of them.
+    ``played.sums`` as arrays. The attempts that pass step 5 go on to one
+    ``_step6_verdicts`` over them all, each drawing its check positions on
+    its own generator; those that clear step 6 draw any secret there next
+    and go on to one ``_share``. An attempt's outcome gains its fields as it
+    clears each step.
     """
     q, m, epsilon = config.particle_count, config.secret_bits, config.epsilon
     per_checks = played.sums[:, : q + 1]
@@ -951,13 +997,27 @@ def _finish_pass(
     rates, _, passed = _step5_verdicts(step5_sums, epsilon)
     _, positions, failures, checked = step5_sums.T.tolist()
     # per attempt, SessionStats' fields up to step 6: rounds, cases, step 5
-    counts = np.column_stack((per_checks.sum(axis=1), per_checks @ _case_matrix(q))).tolist()
+    counts = (per_checks @ _case_matrix(q)).tolist()
     step5 = zip(rates, failures, checked)
-    all_keys, ends = played.attempt_keys()
-    secret = None if secret is None else tuple(int(bit) for bit in secret)
+    keys, starts = played.attempt_keys()
+    on = np.flatnonzero(passed)  # the attempts that go on to step 6
+    chosen, failures6, rates6, _, cleared, kept = _step6_verdicts(
+        keys, starts[on], played.sums[on, 0].tolist(), [rngs[i] for i in on], m, epsilon
+    )
+    step6 = zip(list(map(tuple, chosen.tolist())), rates6.tolist(), failures6.tolist(), cleared)
+    done = on[cleared]  # and complete: each draws any secret after its check positions
+    draws = [rngs[i].integers(0, 2, size=m) for i in done] if secret is None else None
+    secrets = np.array(draws or [secret] * len(done), dtype=np.uint8).reshape(-1, m)
+    # each attempt's shadows are its first m kept rows: m burned from every earlier one on
+    shadows, *texts = _share(keys[kept], (starts[on] - m * np.arange(len(on)))[cleared], secrets)
+    sharing = zip(
+        [tuple(map(tuple, attempt)) for attempt in shadows.tolist()],
+        *(list(map(tuple, text.tolist())) for text in (secrets, *texts)),
+    )
+    names = ("shadow_keys", "secret", "ciphertext", "reconstructed")
     outcomes = []
-    for index, (rng, count, step5_fields, checks, ok, start, end) in enumerate(
-        zip(rngs, counts, step5, positions, passed, [0, *ends], ends)
+    for index, (count, step5_fields, checks, ok, start) in enumerate(
+        zip(counts, step5, positions, passed, starts.tolist())
     ):
         head = (*count, *(step5_fields if checks else (None, None, None)))
         log = ClassicalLog()
@@ -965,19 +1025,14 @@ def _finish_pass(
         broadcast(log, "tp", {"announced_specs": head[0]})
         verdict, step6_fields, fields = Verdict.ABORTED_STEP5, (None, None), {}
         if ok:
-            keys = all_keys[start:end].T
-            step6 = verify_step6(keys, m, rng, epsilon)
-            broadcast(log, "dealer", {"check_positions": step6.check_positions})
-            verdict, step6_fields = Verdict.ABORTED_STEP6, (step6.error_rate, step6.failures)
-            fields["raw_keys"] = tuple(map(tuple, keys.tolist()))
-            if step6.passed:
-                secret_vec = secret
-                if secret is None:
-                    secret_vec = tuple(rng.integers(0, 2, size=m).tolist())
-                sharing = finalize_and_share(step6.remaining_keys, m, secret_vec)
-                broadcast(log, "dealer", {"ciphertext": sharing.ciphertext})
+            check_positions, *step6_fields, completed = next(step6)
+            broadcast(log, "dealer", {"check_positions": check_positions})
+            verdict = Verdict.ABORTED_STEP6
+            fields["raw_keys"] = tuple(map(tuple, keys[start : start + count[1]].T.tolist()))
+            if completed:
+                fields.update(zip(names, next(sharing)))
+                broadcast(log, "dealer", {"ciphertext": fields["ciphertext"]})
                 verdict = Verdict.COMPLETED
-                fields.update(secret=secret_vec, **vars(sharing))
         rounds = None if played.rows is None else RoundBatch.join(played.rows[index])
         stats = SessionStats(*head, *step6_fields, attempt)
         outcomes.append(SessionOutcome(verdict, stats, rounds=rounds, log=log, **fields))

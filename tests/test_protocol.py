@@ -1,6 +1,7 @@
 """Round classification, checks, sifting, and full-session behavior."""
 
 import itertools
+import re
 import sys
 from dataclasses import replace
 from math import sqrt
@@ -401,6 +402,26 @@ def test_verify_step6_refuses_a_secret_of_no_bits():
         verify_step6(raw, 0, derived_rng(1))
 
 
+def test_verify_step6_refuses_keys_that_are_not_bits():
+    # a 2 used to count as parity 0
+    raw = ((0, 1, 1, 0), (0, 0, 2, 1), (0, 1, 1, 1))
+    with pytest.raises(ValueError, match="raw key bits must be 0 or 1, got 2"):
+        verify_step6(raw, 2, derived_rng(1))
+
+
+@pytest.mark.parametrize("base", [1.5, -0.1, float("nan")])
+def test_a_base_rate_outside_zero_to_one_is_refused(base):
+    # it used to end in "math domain error" from the square root
+    message = re.escape(f"base rate must be in [0, 1], got {base}")
+    raw = ((0, 1, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1))
+    with pytest.raises(ValueError, match=message):
+        verify_step6(raw, 1, derived_rng(1), base)
+    with pytest.raises(ValueError, match=message):
+        verify_step5(make_batch([((C, C, C), (0, 0, 0))]), base)
+    with pytest.raises(ValueError, match=message):
+        effective_threshold(base, 0)
+
+
 # --- finalization ---------------------------------------------------------------
 
 
@@ -428,6 +449,23 @@ def test_finalize_refuses_a_malformed_secret(secret):
     keys = ((0, 1), (1, 1), (1, 0))
     with pytest.raises(ValueError, match="secret must be 2 bits, each 0 or 1"):
         finalize_and_share(keys, 2, secret)
+
+
+def test_finalize_refuses_keys_that_are_not_bits():
+    # it used to return shadow (2,) and ciphertext (3,)
+    with pytest.raises(ValueError, match="raw key bits must be 0 or 1, got 2"):
+        finalize_and_share(((2, 1), (0, 1), (2, 0)), 1, (1,))
+
+
+@pytest.mark.parametrize(
+    "ciphertext, shadows, bad",
+    [((1, 0), [(3, 0)], 3), ((1, 0), [(0, 1), (1, -1)], -1), ((2, 0), [], 2)],
+    ids=["shadow", "second-shadow", "ciphertext"],
+)
+def test_combine_shadows_refuses_values_that_are_not_bits(ciphertext, shadows, bad):
+    # (1, 0) with (3, 0) used to give (2, 0)
+    with pytest.raises(ValueError, match=f"ciphertext and shadow bits must be 0 or 1, got {bad}"):
+        combine_shadows(ciphertext, shadows)
 
 
 def test_combine_shadows_partial_subset_differs():
@@ -761,6 +799,106 @@ def test_a_sessions_step5_figures_are_verify_step5_of_its_rounds(epsilon, kind):
         verdicts.add(outcome.verdict)
     if kind == "x-flips" and epsilon == 0.0:
         assert Verdict.ABORTED_STEP5 in verdicts
+
+
+def step6_and_sharing_oracle(outcome, secret_bits, epsilon):
+    """An outcome's step 6 and sharing, re-derived bit by bit from its raw keys and log.
+
+    Returns (failures, rate, passed) and, for a passed check, the shadows,
+    ciphertext and reconstruction its secret gives.
+    """
+    raw = outcome.raw_keys
+    (positions,) = [
+        message["check_positions"] for _, message in outcome.log.entries
+        if "check_positions" in message
+    ]
+    assert list(positions) == sorted(set(positions)) and len(positions) == secret_bits
+    assert all(type(p) is int and 0 <= p < len(raw[0]) for p in positions)
+    failures = 0
+    for p in positions:
+        agents = 0
+        for key in raw[1:]:
+            agents ^= key[p]
+        failures += raw[0][p] != agents
+    rate = failures / secret_bits
+    passed = rate <= effective_threshold(epsilon, secret_bits)
+    if not passed:
+        return (failures, rate, passed), None
+    shadows = tuple(
+        tuple([bit for i, bit in enumerate(key) if i not in positions][:secret_bits])
+        for key in raw
+    )
+    ciphertext = tuple(s ^ d for s, d in zip(outcome.secret, shadows[0]))
+    reconstructed = []
+    for i, bit in enumerate(ciphertext):
+        for shadow in shadows[1:]:
+            bit ^= shadow[i]
+        reconstructed.append(bit)
+    return (failures, rate, passed), (shadows, ciphertext, tuple(reconstructed))
+
+
+def assert_python_ints(rows):
+    assert all(type(bit) is int for row in rows for bit in row)
+
+
+SHARING_CASES = {
+    "honest": (None, 3, 4),
+    "measure-resend": (CHUNK_ATTACKS["measure-resend"], 3, 4),
+    "collusion": (CHUNK_ATTACKS["collusion"], 2, 4),
+    "x-flips": (TRIAL_ATTACKS["dense"][0], 2, 2),
+}
+
+
+@pytest.mark.parametrize("given_secret", [False, True], ids=["drawn-secret", "given-secret"])
+@pytest.mark.parametrize("kind", sorted(SHARING_CASES))
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.2])
+def test_a_pass_step6_and_sharing_match_a_per_bit_oracle(epsilon, kind, given_secret):
+    attack, n_agents, m = SHARING_CASES[kind]
+    secret = (1, 0, 1, 1)[:m] if given_secret else None
+    config = SessionConfig(n_agents=n_agents, secret_bits=m, epsilon=epsilon, attack=attack)
+    reached, attempts = [], set()
+    for max_attempts in (1, 3):
+        outcomes = run_sessions(replace(config, max_attempts=max_attempts), range(40), secret)
+        if max_attempts == 1:
+            reached = [o.verdict is not Verdict.ABORTED_STEP5 for o in outcomes]
+        for outcome in outcomes:
+            attempts.add(outcome.stats.attempts)
+            stats = outcome.stats
+            if outcome.verdict is Verdict.ABORTED_STEP5:
+                assert outcome.raw_keys is None and stats.step6_failures is None
+                continue
+            assert_python_ints(outcome.raw_keys)
+            step6, sharing = step6_and_sharing_oracle(outcome, m, epsilon)
+            assert (stats.step6_failures, stats.step6_error_rate, sharing is not None) == step6
+            assert type(stats.step6_failures) is int and type(stats.step6_error_rate) is float
+            if sharing is None:
+                assert outcome.verdict is Verdict.ABORTED_STEP6
+                assert outcome.secret is outcome.shadow_keys is outcome.ciphertext is None
+                continue
+            assert outcome.verdict is Verdict.COMPLETED
+            assert (outcome.shadow_keys, outcome.ciphertext, outcome.reconstructed) == sharing
+            assert outcome.secret == (secret or outcome.secret) and len(outcome.secret) == m
+            for rows in (outcome.shadow_keys, [outcome.secret, outcome.ciphertext]):
+                assert_python_ints(rows)
+            assert type(outcome.reconstructed) is tuple
+            assert_python_ints([outcome.reconstructed])
+            assert outcome.log.entries[-1] == ("dealer", {"ciphertext": outcome.ciphertext})
+    if attack is not None and epsilon == 0.0:
+        assert attempts == {1, 2, 3}
+    if kind == "x-flips" and epsilon == 0.0:
+        # some attempts of the one pass stop at step 5 between ones that go on
+        first, last = reached.index(True), len(reached) - reached[::-1].index(True)
+        assert not all(reached[first:last])
+
+
+def test_a_pass_calls_neither_one_attempt_entry_point(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pass ran step 6 or the sharing one attempt at a time")
+
+    monkeypatch.setattr(protocol, "verify_step6", refuse)
+    monkeypatch.setattr(protocol, "finalize_and_share", refuse)
+    outcomes = run_sessions(SessionConfig(n_agents=2, secret_bits=2), range(20))
+    assert all(outcome.verdict is Verdict.COMPLETED for outcome in outcomes)
 
 
 def counted_rows(monkeypatch) -> list[int]:
