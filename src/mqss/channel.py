@@ -4,7 +4,10 @@ The quantum channel is strictly one-way: there is no operation that returns
 a qubit from a participant back to the server, which is what makes probe
 insertion attacks that rely on retrieving a photon structurally impossible
 in this model. Classical traffic goes over an authenticated broadcast log
-that anyone, including the adversary, can read, but nobody can rewrite.
+that anyone, including the adversary, can read. A ``ClassicalLog`` only
+grows, but it hands out its messages as they were appended, so a reader
+that edits one edits the log; a session's log (``SessionOutcome.log``) is
+rebuilt from the outcome on each read, so no reader can rewrite it.
 
 The protocol's round driver (``protocol._play_rows``, behind
 ``play_rounds``, ``run_rounds`` and sessions) applies the same noise and
@@ -16,7 +19,7 @@ its own, on the dense engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Optional
 
 from .statevec import PAULI_X, PureState, apply_gate
 
@@ -55,55 +58,30 @@ def transmit(
     return state
 
 
-class _Acks(NamedTuple):
-    """A run of per-round acknowledgements, kept as one log item."""
-
-    sender: str
-    rounds: range
-
-
 class ClassicalLog:
     """Append-only authenticated broadcast record.
 
-    Messages can be read by every party (eavesdropping is free) but never
-    modified or removed once appended. A run of per-round acks
-    (``acknowledge``) is stored as one item and read back as one
-    ``(sender, {"round": i, "ack": True})`` entry per round; length and
-    equality are those of that expanded view.
+    Messages can be read by every party (eavesdropping is free); ``broadcast``
+    appends them, and nothing removes or reorders one.
     """
 
     def __init__(self) -> None:
-        self._items: list = []  # (sender, message) entries and _Acks runs
+        self._entries: list[tuple[str, Any]] = []
 
     def __len__(self) -> int:
-        return sum(len(item.rounds) if isinstance(item, _Acks) else 1 for item in self._items)
+        return len(self._entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassicalLog):
             return NotImplemented
-        return self.entries == other.entries
+        return self._entries == other._entries
 
     @property
     def entries(self) -> tuple[tuple[str, Any], ...]:
-        entries: list[tuple[str, Any]] = []
-        for item in self._items:
-            if isinstance(item, _Acks):
-                entries.extend((item.sender, {"round": i, "ack": True}) for i in item.rounds)
-            else:
-                entries.append(item)
-        return tuple(entries)
+        return tuple(self._entries)
 
 
 def broadcast(log: ClassicalLog, sender: str, message: Any) -> ClassicalLog:
     """Append a message visible to all parties; returns the same log."""
-    log._items.append((sender, message))
-    return log
-
-
-def acknowledge(log: ClassicalLog, sender: str, rounds: int) -> ClassicalLog:
-    """Append ``sender``'s acks of rounds 0 .. ``rounds`` - 1 as one run.
-
-    Reads back as ``rounds`` broadcasts of ``{"round": i, "ack": True}``.
-    """
-    log._items.append(_Acks(sender, range(rounds)))
+    log._entries.append((sender, message))
     return log

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import branch
-from .channel import ClassicalLog, Interceptor, acknowledge, broadcast
+from .channel import ClassicalLog, Interceptor, broadcast
 from .ghz import GhzSpec, prepare, sample_patterns
 from .statevec import (
     MAX_QUBITS,
@@ -682,6 +682,7 @@ def verify_step6(
     """
     if secret_bits < 1:
         raise ValueError("secret must have at least 1 bit")
+    _check_parties(raw_keys)
     keys = _bits(raw_keys, "raw key")  # ragged keys raise ValueError here
     if keys.ndim != 2:
         raise ValueError("raw keys must all have the same length")
@@ -737,6 +738,7 @@ def finalize_and_share(
     attempt of the sharing rule that a session's pass runs on all its attempts.
     """
     _check_secret(secret, secret_bits)
+    _check_parties(raw_keys_after_check)
     for key in raw_keys_after_check:
         if len(key) < secret_bits:
             raise InsufficientRawKeyError(
@@ -778,6 +780,12 @@ def _bits(rows, what: str) -> np.ndarray:
     return array.astype(np.uint8)
 
 
+def _check_parties(raw_keys: Sequence) -> None:
+    """The one party rule: raw keys of the dealer and at least one agent."""
+    if len(raw_keys) < 2:
+        raise ValueError(f"need raw keys of the dealer and at least one agent, got {len(raw_keys)}")
+
+
 def _check_secret(secret: Sequence[int], secret_bits: int) -> None:
     """The one secret rule: exactly ``secret_bits`` bits, each 0 or 1."""
     if len(secret) != secret_bits or any(bit not in (0, 1) for bit in secret):
@@ -812,7 +820,20 @@ class SessionOutcome:
     ciphertext: Optional[tuple[int, ...]] = None
     reconstructed: Optional[tuple[int, ...]] = None
     rounds: Optional[RoundBatch] = None  # the attempt's rows, when records are asked for
-    log: Optional[ClassicalLog] = None  # what the attempt broadcast
+    check_positions: Optional[tuple[int, ...]] = None  # sorted; None when step 6 did not run
+
+    @property
+    def log(self) -> ClassicalLog:
+        """What the attempt broadcast, rebuilt from the outcome on each read."""
+        log, rounds = ClassicalLog(), self.stats.rounds_used
+        for index in range(rounds):
+            broadcast(log, "dealer", {"round": index, "ack": True})
+        broadcast(log, "tp", {"announced_specs": rounds})
+        if self.check_positions is not None:
+            broadcast(log, "dealer", {"check_positions": self.check_positions})
+        if self.ciphertext is not None:
+            broadcast(log, "dealer", {"ciphertext": self.ciphertext})
+        return log
 
 
 _MAX_BATCHES = 64
@@ -1020,20 +1041,15 @@ def _finish_pass(
         zip(counts, step5, positions, passed, starts.tolist())
     ):
         head = (*count, *(step5_fields if checks else (None, None, None)))
-        log = ClassicalLog()
-        acknowledge(log, "dealer", head[0])
-        broadcast(log, "tp", {"announced_specs": head[0]})
         verdict, step6_fields, fields = Verdict.ABORTED_STEP5, (None, None), {}
         if ok:
-            check_positions, *step6_fields, completed = next(step6)
-            broadcast(log, "dealer", {"check_positions": check_positions})
+            fields["check_positions"], *step6_fields, completed = next(step6)
             verdict = Verdict.ABORTED_STEP6
             fields["raw_keys"] = tuple(map(tuple, keys[start : start + count[1]].T.tolist()))
             if completed:
                 fields.update(zip(names, next(sharing)))
-                broadcast(log, "dealer", {"ciphertext": fields["ciphertext"]})
                 verdict = Verdict.COMPLETED
         rounds = None if played.rows is None else RoundBatch.join(played.rows[index])
         stats = SessionStats(*head, *step6_fields, attempt)
-        outcomes.append(SessionOutcome(verdict, stats, rounds=rounds, log=log, **fields))
+        outcomes.append(SessionOutcome(verdict, stats, rounds=rounds, **fields))
     return outcomes

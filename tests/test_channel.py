@@ -4,7 +4,7 @@ from math import sqrt
 
 import pytest
 
-from mqss.channel import ClassicalLog, QubitChannel, acknowledge, broadcast, transmit
+from mqss.channel import ClassicalLog, QubitChannel, broadcast, transmit
 from mqss.statevec import basis_state, fidelity
 
 from conftest import FixedRng
@@ -89,25 +89,3 @@ def test_log_entries_snapshot_is_immutable():
     snapshot = log.entries
     with pytest.raises((TypeError, AttributeError)):
         snapshot[0] = ("evil", "rewrite")
-
-
-def test_a_run_of_acks_reads_as_one_entry_per_round():
-    compact = ClassicalLog()
-    broadcast(compact, "tp", "start")
-    acknowledge(compact, "dealer", 4)
-    broadcast(compact, "tp", {"announced_specs": 4})
-    one_by_one = ClassicalLog()
-    broadcast(one_by_one, "tp", "start")
-    for index in range(4):
-        broadcast(one_by_one, "dealer", {"round": index, "ack": True})
-    broadcast(one_by_one, "tp", {"announced_specs": 4})
-    assert compact.entries == one_by_one.entries
-    assert compact.entries[1:5] == tuple(
-        ("dealer", {"round": index, "ack": True}) for index in range(4)
-    )
-    assert len(compact) == len(one_by_one) == 6
-    assert compact == one_by_one
-    broadcast(one_by_one, "dealer", "late")
-    assert compact != one_by_one
-    empty = acknowledge(ClassicalLog(), "dealer", 0)
-    assert empty == ClassicalLog() and len(empty) == 0

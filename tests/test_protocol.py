@@ -402,6 +402,12 @@ def test_verify_step6_refuses_a_secret_of_no_bits():
         verify_step6(raw, 0, derived_rng(1))
 
 
+def test_verify_step6_refuses_a_dealer_without_agents():
+    # it used to check the dealer's bits alone against an empty parity
+    with pytest.raises(ValueError, match="dealer and at least one agent, got 1"):
+        verify_step6(((0, 1),), 1, derived_rng(1))
+
+
 def test_verify_step6_refuses_keys_that_are_not_bits():
     # a 2 used to count as parity 0
     raw = ((0, 1, 1, 0), (0, 0, 2, 1), (0, 1, 1, 1))
@@ -449,6 +455,13 @@ def test_finalize_refuses_a_malformed_secret(secret):
     keys = ((0, 1), (1, 1), (1, 0))
     with pytest.raises(ValueError, match="secret must be 2 bits, each 0 or 1"):
         finalize_and_share(keys, 2, secret)
+
+
+@pytest.mark.parametrize("keys", [(), ((0, 1),)], ids=["no-parties", "dealer-only"])
+def test_finalize_refuses_fewer_than_two_parties(keys):
+    # no keys used to raise numpy's IndexError; the dealer's alone "reconstructed" the secret
+    with pytest.raises(ValueError, match=f"dealer and at least one agent, got {len(keys)}"):
+        finalize_and_share(keys, 1, (1,))
 
 
 def test_finalize_refuses_keys_that_are_not_bits():
@@ -546,6 +559,36 @@ def test_completed_session_log_holds_the_public_discussion():
         kept = tuple(bit for i, bit in enumerate(raw) if i not in positions)
         assert kept[: config.secret_bits] == shadow
     assert entries[rounds + 2] == ("dealer", {"ciphertext": outcome.ciphertext})
+
+
+@pytest.mark.parametrize(
+    "kind, verdict, tail",
+    [
+        ("dense", Verdict.ABORTED_STEP5, ()),
+        ("measure-resend", Verdict.ABORTED_STEP6, (("dealer", {"check_positions": (0, 3)}),)),
+        (
+            "honest",
+            Verdict.COMPLETED,
+            (("dealer", {"check_positions": (0, 4)}), ("dealer", {"ciphertext": (0, 1)})),
+        ),
+    ],
+)
+def test_each_verdicts_log_is_rebuilt_from_its_outcome(kind, verdict, tail):
+    attack, epsilon = TRIAL_ATTACKS[kind]
+    config = SessionConfig(
+        n_agents=2, secret_bits=2, epsilon=epsilon, seed=1, max_attempts=1, attack=attack
+    )
+    outcome = run_session(config)
+    assert outcome.verdict is verdict
+    acks = tuple(("dealer", {"round": index, "ack": True}) for index in range(32))
+    expected = (*acks, ("tp", {"announced_specs": 32}), *tail)
+    assert outcome.log.entries == expected
+    assert len(outcome.log) == len(outcome.log.entries)
+    assert (outcome.check_positions is None) == (verdict is Verdict.ABORTED_STEP5)
+    # a reader that edits the messages it was handed changes no later read
+    for _, message in outcome.log.entries:
+        message["check_positions"] = (1,)
+    assert outcome.log.entries == expected
 
 
 class RowCountingRng:
@@ -808,10 +851,11 @@ def step6_and_sharing_oracle(outcome, secret_bits, epsilon):
     ciphertext and reconstruction its secret gives.
     """
     raw = outcome.raw_keys
-    (positions,) = [
+    positions = outcome.check_positions
+    assert [
         message["check_positions"] for _, message in outcome.log.entries
         if "check_positions" in message
-    ]
+    ] == [positions]
     assert list(positions) == sorted(set(positions)) and len(positions) == secret_bits
     assert all(type(p) is int and 0 <= p < len(raw[0]) for p in positions)
     failures = 0
