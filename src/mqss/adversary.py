@@ -37,7 +37,7 @@ from .protocol import (  # noqa: F401 - perfbench's tracer wraps run_round here
 from .statevec import (
     ATOL,
     PureState,
-    child_seed,
+    child_seeds,
     derived_rng,
     measure_z,
 )
@@ -280,17 +280,18 @@ def run_collusion(
     """Measure collusion detection statistics over independent sessions.
 
     Each trial is one single-attempt session seeded by
-    ``child_seed(master, trial)``, and all of them run as one
-    ``run_sessions`` call, which plays their rounds together. The colluders
-    disclose their modes and results to the server out of band, which does
-    not change what the honest checks see. Returns the session abort
-    fraction and the pooled per-checked-bit failure rate.
+    ``child_seed(master, trial)``; ``child_seeds`` derives those seeds as
+    arrays, and all the sessions run as one ``run_sessions`` call, which
+    plays their rounds together. The colluders disclose their modes and
+    results to the server out of band, which does not change what the
+    honest checks see. Returns the session abort fraction and the pooled
+    per-checked-bit failure rate.
     """
     if trials < MIN_ESTIMATE_TRIALS:
         raise ValueError(f"need at least {MIN_ESTIMATE_TRIALS} trials for stable estimates")
     outcomes = run_sessions(
         replace(attacked(session, config), max_attempts=1),
-        [child_seed(session.seed, trial) for trial in range(trials)],
+        child_seeds(session.seed, trials),
     )
     aborted = sum(outcome.verdict is not Verdict.COMPLETED for outcome in outcomes)
     # sessions that reach step 6 check secret_bits positions each

@@ -55,7 +55,7 @@ from .protocol import (
     run_rounds,
     run_sessions,
 )
-from .statevec import child_seed
+from .statevec import child_seeds
 
 SEED_ENV_VAR = "MQSS_SEED"
 
@@ -386,7 +386,7 @@ def _run_sessions(config: ExperimentConfig, session: SessionConfig) -> dict:
     matches = 0
     step5_rates = []
     step6_rates = []
-    seeds = [child_seed(config.session.seed, trial) for trial in range(config.trials)]
+    seeds = child_seeds(config.session.seed, config.trials)
     outcomes = run_sessions(session, seeds, collect_records=collect)
     for outcome in outcomes:
         verdicts[outcome.verdict.value] += 1
@@ -422,11 +422,14 @@ def _run_sessions(config: ExperimentConfig, session: SessionConfig) -> dict:
 
 
 def _interval(successes: int, total: int) -> str:
+    """The rate with its Wilson score interval at z = 3, which stays inside [0, 1]."""
     if total == 0:
         return "n/a"
-    p = successes / total
-    sigma = sqrt(p * (1.0 - p) / total)
-    return f"{p:.6f} +-3sigma {3 * sigma:.6f} (n={total})"
+    p, z2 = successes / total, 9.0 / total
+    centre = (p + z2 / 2) / (1 + z2)
+    half = 3.0 * sqrt(p * (1.0 - p) / total + z2 * z2 / 36) / (1 + z2)
+    low, high = max(0.0, centre - half), min(1.0, centre + half)
+    return f"{p:.6f} [{low:.6f}, {high:.6f}] (Wilson z=3, n={total})"
 
 
 def render_report(report: RunReport) -> str:

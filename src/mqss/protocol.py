@@ -30,6 +30,7 @@ from .statevec import (
     PAULI_X,
     apply_gate,
     derived_rng,
+    derived_rngs,
     measure_after_hadamard,
     measure_z,
 )
@@ -864,11 +865,13 @@ def run_sessions(
 
     A session's outcome depends on its seed alone: attempt k draws from
     ``derived_rng(seed, k)`` exactly what the session run on its own draws,
-    in the same order. The sessions' rounds are played together, one
-    ``_play_rows`` job per attempt, so on the branch engine every attempt's
-    rows share chunks of at most ``_CHUNK_ROWS`` rows; then each attempt's
-    checks run on its own generator. Retries run as a further pass over the
-    sessions that aborted. A ``secret`` is checked before any round plays.
+    in the same order. A pass makes its generators with one ``derived_rngs``
+    call, which hashes many seeds as arrays into those same generators. The
+    sessions' rounds are played together, one ``_play_rows`` job per
+    attempt, so on the branch engine every attempt's rows share chunks of
+    at most ``_CHUNK_ROWS`` rows; then each attempt's checks run on its own
+    generator. Retries run as a further pass over the sessions that aborted.
+    A ``secret`` is checked before any round plays, and so is every seed.
     """
     if secret is not None:
         _check_secret(secret, config.secret_bits)
@@ -877,7 +880,7 @@ def run_sessions(
     for attempt in range(config.max_attempts):
         if not pending:
             break
-        rngs = [derived_rng(seeds[trial], attempt) for trial in pending]
+        rngs = derived_rngs([seeds[trial] for trial in pending], attempt)
         played = _Played(len(rngs), config.particle_count, collect_records)
         shared = np.zeros(len(rngs), dtype=np.int64)
         rounds = _attempt_rounds(config, rngs, shared)
@@ -1036,6 +1039,7 @@ def _finish_pass(
         *(list(map(tuple, text.tolist())) for text in (secrets, *texts)),
     )
     names = ("shadow_keys", "secret", "ciphertext", "reconstructed")
+    del chosen, kept, shadows, texts, secrets, draws, on, done  # the zips hold what is read
     outcomes = []
     for index, (count, step5_fields, checks, ok, start) in enumerate(
         zip(counts, step5, positions, passed, starts.tolist())

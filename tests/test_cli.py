@@ -1,6 +1,7 @@
 """CLI parsing, reporting, transcripts, and exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +375,21 @@ def test_collective_run_reports_leakage(capsys):
     assert code == EXIT_OK
     assert "detection_rate=0.000000" in out
     assert "mutual_information" in out
+
+
+@pytest.mark.parametrize("successes, total", [(0, 1000), (1000, 1000), (687, 1000), (3, 10)])
+def test_rates_print_their_wilson_interval_at_z_3(successes, total):
+    # the bounds are the rates r with (p - r)^2 = 9 r (1 - r) / n, as polynomial roots
+    p = successes / total
+    roots = np.roots([1 + 9 / total, -(2 * p + 9 / total), p * p]).real
+    printed = re.fullmatch(
+        rf"{p:.6f} \[(\S+), (\S+)\] \(Wilson z=3, n={total}\)",
+        cli_module._interval(successes, total),
+    )
+    assert printed is not None
+    assert [float(bound) for bound in printed.groups()] == pytest.approx(
+        [max(0.0, roots.min()), min(1.0, roots.max())], abs=1e-6
+    )
 
 
 def test_failed_honest_session_exits_one(capsys, monkeypatch):

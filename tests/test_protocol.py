@@ -9,7 +9,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from mqss import branch, protocol
+from mqss import branch, protocol, statevec
 from mqss.adversary import (
     CollectiveAttackConfig,
     CollusionConfig,
@@ -46,7 +46,7 @@ from mqss.protocol import (
     verify_step5,
     verify_step6,
 )
-from mqss.statevec import MAX_QUBITS, PAULI_X, apply_gate, derived_rng
+from mqss.statevec import MAX_QUBITS, PAULI_X, apply_gate, derived_rng, derived_rngs
 
 C, S = Mode.CHECK, Mode.SHARE
 
@@ -623,11 +623,12 @@ CHUNK_ATTACKS = {
 def test_sessions_do_not_depend_on_the_chunk_size(monkeypatch, n_agents, epsilon, kind):
     generators = []
 
-    def counting_rng(*key):
-        generators.append(RowCountingRng(derived_rng(*key)))
-        return generators[-1]
+    def counting_rngs(seeds, *stream):
+        made = [RowCountingRng(rng) for rng in derived_rngs(seeds, *stream)]
+        generators.extend(made)
+        return made
 
-    monkeypatch.setattr(protocol, "derived_rng", counting_rng)
+    monkeypatch.setattr(protocol, "derived_rngs", counting_rngs)
     for seed in (1, 2, 3):
         config = SessionConfig(
             n_agents=n_agents,
@@ -670,25 +671,28 @@ def test_many_sessions_match_the_same_sessions_one_at_a_time(monkeypatch, n_agen
     config = SessionConfig(
         n_agents=n_agents, secret_bits=2 if n_agents == 5 else 4, epsilon=epsilon, attack=attack
     )
-    seeds = [11, 3, 2**64 + 7, 3, 5]
+    # all 20 seeds make a pass past statevec's array-hash threshold; the first 5 do not
+    seeds = [11, 3, 2**64 + 7, 3, 5] * 4
     alone = [run_session(replace(config, seed=seed), collect_records=True) for seed in seeds]
     streams = []
 
-    def recording_rng(*key):
-        streams.append(key)
-        return derived_rng(*key)
+    def recording_rngs(seeds, *stream):
+        streams.extend((seed, *stream) for seed in seeds)
+        return derived_rngs(seeds, *stream)
 
-    monkeypatch.setattr(protocol, "derived_rng", recording_rng)
+    monkeypatch.setattr(protocol, "derived_rngs", recording_rngs)
     # 7-row chunks: sessions start and end inside chunks and straddle them
     monkeypatch.setattr(protocol, "_CHUNK_ROWS", 7)
-    together = run_sessions(config, seeds, collect_records=True)
-    # every field, the records and the classical log included
-    assert together == alone
-    # attempt k of a session draws from derived_rng(seed, k), k from 0
-    assert sorted(streams) == sorted(
-        (seed, attempt) for seed, outcome in zip(seeds, alone)
-        for attempt in range(outcome.stats.attempts)
-    )
+    for count in (5, len(seeds)):
+        streams.clear()
+        together = run_sessions(config, seeds[:count], collect_records=True)
+        # every field, the records and the classical log included
+        assert together == alone[:count]
+        # attempt k of a session draws from derived_rng(seed, k), k from 0
+        assert sorted(streams) == sorted(
+            (seed, attempt) for seed, outcome in zip(seeds[:count], alone)
+            for attempt in range(outcome.stats.attempts)
+        )
     assert alone[1] == alone[3] and alone[0] != alone[1]
     if kind in ("measure-resend", "collusion"):
         assert any(outcome.stats.attempts > 1 for outcome in alone)
@@ -696,6 +700,35 @@ def test_many_sessions_match_the_same_sessions_one_at_a_time(monkeypatch, n_agen
 
 def test_no_seeds_run_no_sessions():
     assert run_sessions(SessionConfig(), []) == []
+
+
+def test_a_pass_of_many_seeds_derives_its_generators_as_arrays(monkeypatch):
+    keys = []
+
+    def recording_rng(*key):
+        keys.append(key)
+        return derived_rng(*key)
+
+    monkeypatch.setattr(statevec, "derived_rng", recording_rng)
+    config = attacked(SessionConfig(n_agents=2, secret_bits=2), MeasureResendConfig(2))
+    run_sessions(config, list(range(64)))
+    assert keys == []
+    # a lone pass hashes one SeedSequence per attempt; seed 1 retries here
+    (outcome,) = run_sessions(config, [1])
+    assert outcome.stats.attempts > 1
+    assert keys == [(1, attempt) for attempt in range(outcome.stats.attempts)]
+
+
+@pytest.mark.parametrize("bad, error", [(-1, ValueError), (1.5, TypeError)])
+@pytest.mark.parametrize("count", [1, 20])
+def test_a_bad_seed_is_refused_before_any_round_plays(monkeypatch, count, bad, error):
+    played = []
+    monkeypatch.setattr(protocol, "_play_rows", lambda *args, **kwargs: played.append(args))
+    seeds = list(range(count))
+    seeds[count // 2] = bad
+    with pytest.raises(error):
+        run_sessions(SessionConfig(), seeds)
+    assert played == []
 
 
 NOOP_INTERCEPTOR = protocol.RoundAttack(interceptors={2: lambda state, particle, rng: state})
@@ -776,11 +809,11 @@ def test_a_malformed_secret_is_refused_before_any_round_plays(monkeypatch, confi
     config = replace(config, secret_bits=4, seed=0)
     streams = []
 
-    def recording_rng(*key):
-        streams.append(key)
-        return derived_rng(*key)
+    def recording_rngs(seeds, *stream):
+        streams.extend((seed, *stream) for seed in seeds)
+        return derived_rngs(seeds, *stream)
 
-    monkeypatch.setattr(protocol, "derived_rng", recording_rng)
+    monkeypatch.setattr(protocol, "derived_rngs", recording_rngs)
     with pytest.raises(ValueError, match="secret must be 4 bits, each 0 or 1"):
         run_session(config, secret=secret)
     assert streams == []

@@ -1,5 +1,6 @@
 """Unit tests for the dense state-vector engine."""
 
+import copy
 import itertools
 from math import sqrt
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mqss import statevec
 from mqss.statevec import (
     ATOL,
     HADAMARD,
@@ -18,6 +20,9 @@ from mqss.statevec import (
     attach_register,
     basis_state,
     child_seed,
+    child_seeds,
+    derived_rng,
+    derived_rngs,
     fidelity,
     measure_after_hadamard,
     measure_z,
@@ -326,3 +331,44 @@ def test_child_seeds_of_one_master_are_distinct():
     # 32-bit seeds gave three repeats among these trials
     seeds = {child_seed(7, trial) for trial in range(200_000)}
     assert len(seeds) == 200_000
+
+
+THRESHOLD = statevec._ARRAY_HASH_SEEDS
+# one to five 32-bit words each, at the word edges
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**96 + 5, 2**128 - 1, 2**160 + 3]
+
+
+@pytest.mark.parametrize("stream", [(0,), (2,), (3, 5)], ids=str)
+@pytest.mark.parametrize("count", [THRESHOLD - 1, THRESHOLD, 10 * THRESHOLD + 3])
+def test_derived_rngs_are_the_seed_sequence_generators(stream, count):
+    seeds = (EDGE_SEEDS * count)[:count]
+    alone = [derived_rng(seed, *stream) for seed in seeds]
+    together = derived_rngs(seeds, *stream)
+    assert [rng.bit_generator.state for rng in together] == [
+        rng.bit_generator.state for rng in alone
+    ]
+    for mine, theirs in zip(together, alone):
+        assert np.array_equal(mine.random(3), theirs.random(3))
+        assert np.array_equal(mine.integers(0, 2, size=5), theirs.integers(0, 2, size=5))
+
+
+@pytest.mark.parametrize("master", [0, 7, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("count", [1, THRESHOLD - 1, THRESHOLD, 3_000])
+def test_child_seeds_are_the_seed_sequence_seeds(master, count):
+    assert child_seeds(master, count) == [child_seed(master, trial) for trial in range(count)]
+
+
+def test_a_copied_array_hash_generator_draws_what_the_original_draws():
+    rng = derived_rngs(list(range(THRESHOLD + 4)), 1)[-1]
+    replay = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    assert np.array_equal(replay.random(6), rng.random(6))
+    assert replay.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad, error", [(-1, ValueError), (1.5, TypeError)])
+@pytest.mark.parametrize("count", [1, THRESHOLD + 4])
+def test_bad_seeds_are_refused_on_both_sides_of_the_threshold(count, bad, error):
+    with pytest.raises(error):
+        derived_rngs([*range(count - 1), bad], 0)
+    with pytest.raises(error):
+        child_seeds(bad, count)
