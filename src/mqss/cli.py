@@ -479,10 +479,10 @@ def render_report(report: RunReport) -> str:
     if report.leakage is not None:
         est = report.leakage
         lines.append(
-            "collective attack: detection_rate={:.6f} mutual_information={:.6f} "
-            "sifted_mutual_information={:.6f} (n={})".format(
-                est.detection_rate, est.mutual_information,
-                est.sifted_mutual_information, est.sample_count,
+            "collective attack: detection_rate={} mutual_information={:.6f} "
+            "sifted_mutual_information={:.6f}".format(
+                _interval(round(est.detection_rate * est.sample_count), est.sample_count),
+                est.mutual_information, est.sifted_mutual_information,
             )
         )
     if report.collusion is not None:

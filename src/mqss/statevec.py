@@ -225,11 +225,12 @@ def derived_rngs(seeds: Sequence[int], *stream: int) -> list[np.random.Generator
 
     Every seed's ``SeedSequence`` hash runs at once in uint32 arithmetic, and
     its four state words seed ``PCG64`` as ``default_rng`` would seed it.
-    The array hash reads non-negative ints only; ``SeedSequence`` also reads
-    integer strings and sequences.
+    Seeds must be non-negative ints on both paths: ``SeedSequence`` would
+    also read integer strings and sequences, which ``operator.index`` refuses
+    with the ``TypeError`` the array hash raises.
     """
     if len(seeds) < _ARRAY_HASH_SEEDS:
-        return [derived_rng(seed, *stream) for seed in seeds]
+        return [derived_rng(operator.index(seed), *stream) for seed in seeds]
     tail = _words(stream)
     state = _seed_state([_words([seed]) + tail for seed in seeds], 8).view("<u8").astype(np.uint64)
     np.random.bit_generator.ISeedSequence.register(_Generated)  # PCG64 takes only these

@@ -377,6 +377,23 @@ def test_collective_run_reports_leakage(capsys):
     assert "mutual_information" in out
 
 
+@pytest.mark.parametrize("overlap", ["1", "0.5"])
+def test_collective_detection_rate_prints_its_wilson_interval(capsys, overlap):
+    main(["--attack", "collective", "--probe-overlap", overlap, "--trials", "1000", "--seed", "3"])
+    printed = re.search(
+        r"detection_rate=(\S+) \[(\S+), (\S+)\] \(Wilson z=3, n=1000\) mutual_information=",
+        capsys.readouterr().out,
+    )
+    assert printed is not None
+    rate, low, high = map(float, printed.groups())
+    if overlap == "1":  # 0/n: the top end is 9/(n + 9)
+        assert (rate, low) == (0.0, 0.0) and high == pytest.approx(9 / 1009, abs=1e-6)
+    else:  # the bounds are the rates r with (p - r)^2 = 9 r (1 - r) / n
+        roots = np.roots([1 + 9 / 1000, -(2 * rate + 9 / 1000), rate * rate]).real
+        assert 0 < low < rate < high < 1
+        assert [low, high] == pytest.approx(sorted(roots), abs=1e-6)
+
+
 @pytest.mark.parametrize("successes, total", [(0, 1000), (1000, 1000), (687, 1000), (3, 10)])
 def test_rates_print_their_wilson_interval_at_z_3(successes, total):
     # the bounds are the rates r with (p - r)^2 = 9 r (1 - r) / n, as polynomial roots

@@ -19,6 +19,7 @@ from mqss.ghz import (
     prepare,
     residual_phase,
     sample_patterns,
+    skip_fair_bits,
 )
 from mqss.statevec import (
     ATOL,
@@ -156,6 +157,62 @@ def test_sample_patterns_one_draw_matches_bits_then_phases(count, q):
         assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
         assert rng.random() == oracle.random()
         assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+def assert_same_generator(mine, numpys):
+    """Equal states, but for the half numpy keeps after handing it out.
+
+    numpy leaves the last half word it handed out in ``uinteger`` when
+    ``has_uint32`` is 0; no draw reads it, and raw words never write it.
+    """
+    state, expected = mine.bit_generator.state, numpys.bit_generator.state
+    if not expected["has_uint32"]:
+        state["uinteger"] = expected["uinteger"]
+    assert state == expected
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
+@pytest.mark.parametrize("q", range(2, 25))
+def test_sample_patterns_reads_raw_words_as_the_integers_draws(q, held):
+    # counts 1 to 4 give both parities of count * (q + 1) whatever q is
+    for count, seed in itertools.product(range(1, 5), range(10)):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        if held:
+            assert rng.integers(0, 2) == oracle.integers(0, 2)
+        bits, phases = sample_patterns(rng, count, q)
+        draws = oracle.integers(0, 2, size=count * (q + 1))
+        assert bits.dtype == bool and phases.dtype == np.uint8
+        assert np.array_equal(bits, draws[: count * q].reshape(count, q))
+        assert np.array_equal(phases, draws[count * q :])
+        assert_same_generator(rng, oracle)
+        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+        assert rng.random() == oracle.random()
+    with pytest.raises(ValueError):
+        sample_patterns(rng, 1, 25)
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1001])
+def test_skipping_bits_leaves_the_generator_where_drawing_them_would(count, held):
+    for seed in range(20):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        if held:
+            rng.integers(0, 2), oracle.integers(0, 2)
+        skip_fair_bits(rng, count)
+        oracle.integers(0, 2, size=count)
+        assert_same_generator(rng, oracle)
+        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+
+
+def test_other_bit_generators_draw_their_bits_with_integers():
+    rng, oracle = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+    bits, phases = sample_patterns(rng, 9, 3)
+    assert np.array_equal(bits, oracle.integers(0, 2, size=(9, 3)))
+    assert np.array_equal(phases, oracle.integers(0, 2, size=9))
+    skip_fair_bits(rng, 11)
+    oracle.integers(0, 2, size=11)
+    assert rng.integers(0, 2, size=5).tolist() == oracle.integers(0, 2, size=5).tolist()
+    assert rng.random() == oracle.random()
 
 
 # --- full-Hadamard closed form ----------------------------------------------

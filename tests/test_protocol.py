@@ -767,6 +767,244 @@ def test_pattern_blocks_replay_the_batch_draws(monkeypatch, size):
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
+@pytest.mark.parametrize("size, q", [(8, 2), (21, 3), (30, 3), (29, 4)])
+def test_wide_pattern_blocks_are_the_integers_draws(monkeypatch, size, q, held):
+    # past 7 rows the generator jumps the bits and phases, and copies of it draw them
+    monkeypatch.setattr(protocol, "_CHUNK_ROWS", 7)
+    for seed in range(10):
+        rng, oracle = derived_rng(seed, size), derived_rng(seed, size)
+        if held:
+            assert rng.integers(0, 2) == oracle.integers(0, 2)
+        blocks = protocol._pattern_blocks(rng, size, q)
+        bits, phases = next(blocks)  # the first block moves rng past the whole batch
+        draws = oracle.integers(0, 2, size=size * (q + 1))
+        state, expected = rng.bit_generator.state, oracle.bit_generator.state
+        if not expected["has_uint32"]:  # advance drops the half numpy already handed out
+            state["uinteger"] = expected["uinteger"]
+        assert state == expected
+        blocks = [(bits, phases), *blocks]
+        bits = np.concatenate([block_bits for block_bits, _ in blocks])
+        assert np.array_equal(bits, draws[: size * q].reshape(size, q))
+        assert np.array_equal(np.concatenate([p for _, p in blocks]), draws[size * q :])
+        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+
+
+def numpy_lemire(next_half, top: int) -> int:
+    """numpy's buffered_bounded_lemire_uint32 on [0, top], in plain Python."""
+    rng_excl = top + 1
+    m = next_half() * rng_excl
+    leftover = m & 0xFFFFFFFF
+    if leftover < rng_excl:
+        threshold = (0xFFFFFFFF - top) % rng_excl
+        while leftover < threshold:
+            m = next_half() * rng_excl
+            leftover = m & 0xFFFFFFFF
+    return m >> 32
+
+
+def numpy_choice(next_half, n: int, m: int) -> list[int]:
+    """numpy's ``Generator.choice(n, m, replace=False)`` on its Floyd branch, in plain Python."""
+    picks = []
+    for j in range(n - m, n):
+        value = numpy_lemire(next_half, j)
+        picks.append(j if value in picks else value)
+    for i in range(m - 1, 0, -1):
+        k = numpy_lemire(next_half, i)
+        picks[i], picks[k] = picks[k], picks[i]
+    return picks
+
+
+class ScriptedGenerator:
+    """A ``PCG64`` generator stand-in whose raw words are given; it is its own bit generator.
+
+    Its ``choice`` and ``integers`` are numpy's, in plain Python, on the same half words.
+    """
+
+    def __init__(self, words):
+        self.bit_generator, self.at, self.choices = self, 0, 0
+        self.halves = [half for word in words for half in (word & 0xFFFFFFFF, word >> 32)]
+
+    @property
+    def state(self):
+        return {"has_uint32": self.at % 2, "uinteger": self.halves[self.at - 1], "at": self.at}
+
+    @state.setter
+    def state(self, state):
+        self.at = state["at"]
+
+    def random_raw(self, size):
+        assert self.at % 2 == 0
+        self.at += 2 * size
+        halves = self.halves[self.at - 2 * size : self.at]
+        words = [low | high << 32 for low, high in zip(halves[::2], halves[1::2])]
+        return np.array(words, dtype=np.uint64)
+
+    def advance(self, delta):
+        self.at += 2 * delta
+
+    def next_half(self):
+        self.at += 1
+        return self.halves[self.at - 1]
+
+    def choice(self, n, size, replace):
+        self.choices += 1
+        return numpy_choice(self.next_half, n, size)
+
+    def integers(self, low, high, size):
+        return [self.next_half() >> 31 for _ in range(size)]
+
+
+@pytest.mark.parametrize("n, m", [(6, 1), (40, 7), (10_000, 16), (2**31 + 12345, 3)])
+def test_the_plain_python_choice_is_numpys(n, m):
+    for seed in range(20):
+        scripted = ScriptedGenerator(np.random.PCG64(seed).random_raw(64).tolist())
+        oracle = np.random.default_rng(seed)
+        assert scripted.choice(n, m, False) == oracle.choice(n, m, replace=False).tolist()
+        assert scripted.integers(0, 2, 5) == oracle.integers(0, 2, size=5).tolist()
+
+
+def test_a_rejected_half_word_is_flagged_where_numpy_draws_again():
+    # on [0, 5] numpy rejects a half word u when (6 u) mod 2^32 < 2^32 mod 6 = 4: u = 0 or 2^31
+    cases = [(0, 5), (2**31, 5), (1, 5), (2**31 + 1, 5), (2**32 - 1, 5), (2, 2**31 + 1),
+             (2**31, 2**31 + 1), (7, 2**31 + 1), (0, 2), (0, 1), (5, 2**32 - 1)]
+    halves, tops = (np.array(column, dtype=np.uint64) for column in zip(*cases))
+    values, rejected = protocol._lemire(halves, tops)
+    for (half, top), value, rejects in zip(cases, values.tolist(), rejected.tolist()):
+        read = iter([half, 12345])
+        expected = numpy_lemire(read.__next__, top)
+        assert rejects == (next(read, None) is None)  # numpy read the second half too
+        if not rejects:
+            assert value == expected
+    assert np.flatnonzero(rejected).tolist() == [0, 1, 5, 6, 8]
+    # a scalar top applies to every half
+    assert protocol._lemire(halves[:5], 5)[1].tolist() == rejected[:5].tolist()
+
+
+def test_a_pass_draws_the_check_positions_and_secrets_of_choice_then_integers():
+    # 5,312 attempts: m from 1 to 16, passes on both sides of the cut, n from 2m past 10,000
+    draws = np.random.default_rng(22)
+    cut = protocol._ARRAY_CHECKS
+    for m, attempts in itertools.product(range(1, 17), (1, cut - 1, cut, 300)):
+        lengths = draws.integers(2 * m, 80, size=attempts)
+        lengths[::25] = draws.integers(9_000, 12_000, size=len(lengths[::25]))
+        lengths[-1] = 2 * m
+        seeds = draws.integers(2**63, size=attempts).tolist()
+        rngs, oracles = ([np.random.default_rng(seed) for seed in seeds] for _ in range(2))
+        for rng, oracle in zip(rngs[1::4], oracles[1::4]):  # these hold a half
+            rng.integers(0, 2), oracle.integers(0, 2)
+        keys = draws.integers(0, 2, size=(int(lengths.sum()), 3)).astype(np.uint8)
+        starts = np.cumsum(lengths) - lengths
+        picks, secrets = protocol._check_draws(rngs, lengths, m)
+        chosen, *_, kept = protocol._step6_verdicts(keys, starts, picks, 0.0)
+        expected = [oracle.choice(n, m, replace=False) for oracle, n in zip(oracles, lengths)]
+        assert chosen.tolist() == np.sort(expected, axis=1).tolist()
+        assert np.count_nonzero(~kept) == m * attempts
+        assert secrets.tolist() == [oracle.integers(0, 2, m).tolist() for oracle in oracles]
+
+
+@pytest.mark.parametrize("n", [2**31 + 12345, 3 * 2**30 + 5])
+def test_attempts_whose_draws_reject_a_half_word_draw_with_choice(n):
+    # half the draws on [0, 2^31 + 12345] reject their half word, a quarter on [0, 3 * 2^30 + 4]
+    rngs, oracles = ([np.random.default_rng(seed) for seed in range(40)] for _ in range(2))
+    for rng, oracle in zip(rngs[::3], oracles[::3]):  # these hold a half
+        rng.integers(0, 2), oracle.integers(0, 2)
+    picks, secrets = protocol._check_draws(rngs, [n] * 40, 2)
+    redone = []
+    for rng, oracle, pick, secret in zip(rngs, oracles, picks.tolist(), secrets.tolist()):
+        assert sorted(pick) == sorted(oracle.choice(n, size=2, replace=False).tolist())
+        assert secret == oracle.integers(0, 2, size=2).tolist()
+        redone.append(rng.bit_generator.state == oracle.bit_generator.state)
+    assert any(redone) and not all(redone)
+
+
+def test_a_rejected_shuffle_draw_sends_the_attempt_to_choice():
+    # m = 3 reads three Floyd draws, then the shuffle's on [0, 2] and [0, 1]: attempt k's
+    # 4th half is k, and numpy rejects only 0 on [0, 2] (3 k mod 2^32 < 2^32 mod 3 = 1)
+    tail = np.random.PCG64(8).random_raw(6).tolist()
+    words = [[0x7F4A7C159E3779B9, fourth << 32 | 0x12345678, *tail] for fourth in range(16)]
+    scripted = [ScriptedGenerator(row) for row in words]
+    picks, secrets = protocol._check_draws(scripted, [50] * len(words), 3)
+    for row, pick, secret, generator in zip(words, picks.tolist(), secrets.tolist(), scripted):
+        oracle = ScriptedGenerator(row)
+        assert sorted(pick) == sorted(oracle.choice(50, 3, False))
+        assert secret == oracle.integers(0, 2, 3)
+    assert [generator.choices for generator in scripted] == [1] + [0] * 15
+
+
+@pytest.mark.parametrize("n", [10_001, 12_000, 12_550, 12_600])
+def test_a_pass_follows_choice_onto_its_tail_shuffle(n):
+    # m = 250 takes numpy's tail shuffle where n // 50 < 250: n = 10,001 and 12,000
+    m, attempts = 250, protocol._ARRAY_CHECKS
+    rngs, oracles = ([np.random.default_rng([n, s]) for s in range(attempts)] for _ in range(2))
+    picks, secrets = protocol._check_draws(rngs, [n] * attempts, m)
+    for pick, secret, oracle in zip(picks, secrets, oracles):
+        assert np.array_equal(np.sort(pick), np.sort(oracle.choice(n, size=m, replace=False)))
+        assert np.array_equal(secret, oracle.integers(0, 2, size=m))
+
+
+def odd_draws(state, particle, rng):
+    """A dense interceptor taking a 32-bit draw on about half the rounds, so may hold a half."""
+    if rng.random() < 0.5:
+        rng.integers(0, 2)
+    return state
+
+
+@pytest.mark.parametrize("kind", [*sorted(CHUNK_ATTACKS), "odd-draws"])
+def test_a_pass_reads_generator_states_only_where_a_half_word_may_be_held(monkeypatch, kind):
+    attack = CHUNK_ATTACKS.get(kind, protocol.RoundAttack(interceptors={2: odd_draws}))
+    # a row's 4 pattern bits and phase are 5 draws: an odd batch or top-up would leave a half
+    config = SessionConfig(n_agents=3, secret_bits=3, epsilon=0.05, attack=attack)
+    seeds = list(range(40))
+    read = run_sessions(config, seeds)
+    held = []
+    fair_bits, check_draws = protocol.fair_bits, protocol._check_draws
+
+    def recording_bits(rng, count, read_state=True):
+        held.append((read_state, rng.bit_generator.state["has_uint32"]))
+        return fair_bits(rng, count, read_state)
+
+    def recording_draws(rngs, lengths, m, read_state=True):
+        held.extend((read_state, rng.bit_generator.state["has_uint32"]) for rng in rngs)
+        return check_draws(rngs, lengths, m, read_state)
+
+    monkeypatch.setattr(protocol, "fair_bits", recording_bits)
+    monkeypatch.setattr(protocol, "_check_draws", recording_draws)
+    assert run_sessions(config, seeds) == read
+    if kind == "odd-draws":  # the dense engine reads every state, and some hold a half
+        assert {reads for reads, _ in held} == {True} and any(half for _, half in held)
+        assert read == [run_session(replace(config, seed=seed)) for seed in seeds]
+    else:
+        assert len(held) > 2 * len(seeds) and held == [(False, 0)] * len(held)
+        monkeypatch.setattr(protocol, "_reads_state", lambda config: True)
+        assert run_sessions(config, seeds) == read
+
+
+def test_a_pass_that_reads_no_state_moves_a_redrawn_generator_back_before_its_block():
+    # on [0, 2^31 + 12345] half the draws reject their half word and go to choice
+    n, m = 2**31 + 12345, 2
+    rngs, oracles = ([np.random.default_rng(seed) for seed in range(20)] for _ in range(2))
+    picks, secrets = protocol._check_draws(rngs, [n] * 20, m, read_state=False)
+    redone = 0
+    for rng, oracle, pick, secret in zip(rngs, oracles, picks.tolist(), secrets.tolist()):
+        assert sorted(pick) == sorted(oracle.choice(n, size=m, replace=False).tolist())
+        assert secret == oracle.integers(0, 2, size=m).tolist()
+        redone += rng.bit_generator.state == oracle.bit_generator.state
+    assert 0 < redone < 20
+
+
+@pytest.mark.parametrize("count", [statevec._ARRAY_HASH_SEEDS - 1, statevec._ARRAY_HASH_SEEDS])
+def test_seeds_are_ints_on_both_sides_of_the_threshold(count):
+    config = SessionConfig(n_agents=2, secret_bits=2)
+    # SeedSequence alone would read "3" as 3
+    with pytest.raises(TypeError, match="'str' object cannot be interpreted as an integer"):
+        run_sessions(config, ["3"] * count)
+    big = [2**64 + 5, 2**64 - 1, 2**70 + 3]
+    outcomes = run_sessions(config, (big * count)[:count])
+    for seed, outcome in zip(big, outcomes):
+        assert outcome == run_session(replace(config, seed=seed))
+
+
 CHUNK_PLAYS = {
     "run_rounds": lambda rng: run_rounds(
         SessionConfig(epsilon=0.05, attack=CHUNK_ATTACKS["collusion"]), 50, rng
