@@ -5,7 +5,9 @@ n agents who are each limited to the Hadamard gate and Z-basis measurement.
 The package provides an exact engine that plays batches of the protocol's
 GHZ rounds as arrays, the dense state-vector engine it is tested against,
 the participant state machines, the adversary models used in the security
-analysis, and a CLI for running seeded Monte-Carlo experiments.
+analysis, and a CLI for running seeded Monte-Carlo experiments. Every
+seeded draw comes from a numpy generator; ``streams`` makes those
+generators and reproduces their draws as arrays, with the same numbers.
 """
 
 from .adversary import (

@@ -34,13 +34,8 @@ from .protocol import (  # noqa: F401 - perfbench's tracer wraps run_round here
     run_rounds,
     run_sessions,
 )
-from .statevec import (
-    ATOL,
-    PureState,
-    child_seeds,
-    derived_rng,
-    measure_z,
-)
+from .statevec import ATOL, PureState, measure_z
+from .streams import child_seeds, derived_rng
 
 
 # the fewest trials an estimator accepts: fewer give no stable estimate

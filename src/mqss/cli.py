@@ -55,7 +55,7 @@ from .protocol import (
     run_rounds,
     run_sessions,
 )
-from .statevec import child_seeds
+from .streams import child_seeds
 
 SEED_ENV_VAR = "MQSS_SEED"
 

@@ -8,8 +8,9 @@ dense engine prepares its honest states with ``prepare``; only the test
 suite uses the closed-form predictors, checking them against the
 gate-by-gate engine as an independent oracle.
 
-The server's draws come from ``sample_patterns`` as arrays, which is the
-form the batch engine and the session checks read; a ``GhzSpec`` is built
+The server's draws come from ``sample_patterns`` as arrays, read from raw
+generator words by ``streams.fair_bits``; arrays are the form the batch
+engine and the session checks read. A ``GhzSpec`` is built
 only where one state is described on its own (records, transcripts, the
 dense oracle).
 """
@@ -22,6 +23,7 @@ from math import sqrt
 import numpy as np
 
 from .statevec import MAX_QUBITS, PureState
+from .streams import fair_bits
 
 
 @dataclass(frozen=True)
@@ -117,70 +119,6 @@ def sample_patterns(rng, count: int, qubit_count: int) -> tuple[np.ndarray, np.n
     draws = fair_bits(rng, count * (qubit_count + 1))
     split = count * qubit_count
     return draws[:split].reshape(count, qubit_count), draws[split:].view(np.uint8)
-
-
-def fair_bits(rng, count: int, read_state: bool = True) -> np.ndarray:
-    """``rng.integers(0, 2, size=count)`` as booleans, read from raw ``PCG64`` words.
-
-    numpy draws each such number from one 32-bit half word u as
-    (2u) >> 32, bit 31 of u: Lemire's method never rejects on a range of 2.
-    ``PCG64`` hands out halves low first and holds the unused high half for
-    its next 32-bit draw, so one ``random_raw`` call gives the same halves.
-    A held half is read first, and the generator is left holding what numpy
-    leaves it holding; only a half numpy has already handed out may differ.
-    A caller that knows the generator holds no half passes
-    ``read_state=False``, which saves reading its state (about 2 us).
-    Other bit generators draw with ``integers``.
-    """
-    bit_generator = getattr(rng, "bit_generator", None)
-    if not isinstance(bit_generator, np.random.PCG64):
-        return rng.integers(0, 2, size=count).astype(bool)
-    if not count:
-        return np.zeros(0, dtype=bool)
-    state = bit_generator.state if read_state else {"has_uint32": 0}
-    held = state["has_uint32"]
-    fresh = count - held
-    halves = raw_halves(bit_generator.random_raw(-(-fresh // 2)))
-    if held:
-        halves = np.concatenate((np.array([state["uinteger"]], dtype=_HALF), halves))
-    if held or fresh % 2:  # the last half drawn is held, or the held one is spent
-        _hold(bit_generator, fresh % 2, int(halves[-1]))
-    return halves[:count].view(_SIGNED_HALF) < 0  # bit 31 is the sign
-
-
-def skip_fair_bits(rng, count: int) -> None:
-    """Move ``rng`` past ``fair_bits(rng, count)`` without drawing the bits.
-
-    ``PCG64.advance`` jumps the whole words, and an odd count draws one
-    more word to hold its high half, as numpy does. Other bit generators
-    draw the bits in blocks and drop them.
-    """
-    bit_generator = getattr(rng, "bit_generator", None)
-    if not isinstance(bit_generator, np.random.PCG64):
-        for start in range(0, count, 1 << 16):
-            rng.integers(0, 2, size=min(1 << 16, count - start))
-        return
-    if not count:
-        return
-    fresh = count - bit_generator.state["has_uint32"]
-    bit_generator.advance(fresh // 2)  # which also drops a held half
-    if fresh % 2:
-        _hold(bit_generator, 1, int(bit_generator.random_raw()) >> 32)
-
-
-def _hold(bit_generator, held: int, half: int) -> None:
-    """Set whether ``PCG64`` holds a half word for its next 32-bit draw, and which."""
-    state = bit_generator.state
-    state["has_uint32"], state["uinteger"] = held, half
-    bit_generator.state = state
-
-
-_WORD, _HALF, _SIGNED_HALF = np.dtype("<u8"), np.dtype("<u4"), np.dtype("<i4")
-
-
-def raw_halves(words: np.ndarray) -> np.ndarray:
-    """Raw 64-bit words (last axis) as their 32-bit halves, low half first, as uint32."""
-    return np.asarray(words, dtype=_WORD).view(_HALF)
 
 
 def prepare(spec: GhzSpec) -> PureState:

@@ -12,8 +12,8 @@ over m random raw positions then guards the key that encrypts the secret.
 
 from __future__ import annotations
 
-import copy
 import enum
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -24,16 +24,9 @@ import numpy as np
 
 from . import branch
 from .channel import ClassicalLog, Interceptor, broadcast
-from .ghz import GhzSpec, _hold, fair_bits, prepare, raw_halves, skip_fair_bits
-from .statevec import (
-    MAX_QUBITS,
-    PAULI_X,
-    apply_gate,
-    derived_rng,
-    derived_rngs,
-    measure_after_hadamard,
-    measure_z,
-)
+from .ghz import GhzSpec, prepare
+from .statevec import MAX_QUBITS, PAULI_X, apply_gate, measure_after_hadamard, measure_z
+from .streams import check_draws, derived_rng, derived_rngs, fair_bits, replay_fair_bits
 
 if TYPE_CHECKING:
     from .adversary import CollectiveAttackConfig
@@ -124,6 +117,8 @@ class SessionConfig:
     max_attempts: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("n_agents", "secret_bits", "seed", "max_attempts"):  # a float or str raises
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n_agents < 2:
             raise ValueError("need at least 2 agents")
         if self.n_agents + 1 > MAX_QUBITS:
@@ -707,7 +702,7 @@ def _step6_verdicts(keys: np.ndarray, starts: np.ndarray, picks: np.ndarray, bas
 
     Attempt i checks the rows ``starts[i] + picks[i]`` of ``keys`` (R x q, dealer first):
     its m positions among its own rows as ``rng.choice(n, size=m, replace=False)`` draws
-    them, which ``verify_step6`` calls and a pass's ``_check_draws`` reproduces. A row
+    them, which ``verify_step6`` calls and a pass's ``check_draws`` reproduces. A row
     fails where its parity is 1, and burns if checked.
     """
     threshold = effective_threshold(base_threshold, picks.shape[1])
@@ -718,77 +713,6 @@ def _step6_verdicts(keys: np.ndarray, starts: np.ndarray, picks: np.ndarray, bas
     kept = np.ones(len(keys), dtype=bool)
     kept[checked] = False
     return chosen, failures, rates, threshold, rates <= threshold, kept
-
-
-# A pass of fewer attempts calls numpy per attempt. Timed with timeit on a 2-core
-# host (numpy 2.4), one attempt's array steps took 36 us at m = 1 and 100 us at
-# m = 16, against 12 us for its ``choice`` and ``integers``; 16 attempts' took 56
-# and 135 us, against 190 us.
-_ARRAY_CHECKS = 16
-
-
-def _check_draws(rngs, lengths, m: int, read_state: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Each attempt's ``rng.choice(n, size=m, replace=False)``, then ``integers(0, 2, size=m)``.
-
-    Returns the picks (A x m, in no set order) and the secret bits (A x m uint8) of the
-    ``PCG64`` generators ``derived_rngs`` makes. numpy's ``choice`` runs Floyd's selection
-    unless n > 10,000 and m > n // 50: for j = n - m to n - 1 it draws on [0, j] and takes j
-    in place of a repeat, then shuffles its m picks, drawing on [0, i] for i = m - 1 down to
-    1; each draw is ``_lemire`` on the next 32-bit half word. The secret bits are bit 31 of
-    the next m halves. In a pass of ``_ARRAY_CHECKS`` attempts or more, every attempt reads
-    the 3m - 1 halves these take from one ``random_raw`` block, after any half its generator
-    holds, and the steps run as arrays over all attempts. An attempt where a draw rejects
-    its half, or on numpy's other branch (the tail shuffle, or past 2^32 rows), moves its
-    generator back before the block and makes numpy's calls. The others end past their
-    block, not where numpy's calls would leave them: nothing draws on them after step 6.
-    ``read_state`` is ``fair_bits``': False takes it that no generator holds a half.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if len(rngs) < _ARRAY_CHECKS:
-        return _numpy_checks(rngs, lengths, m)
-    generators = [rng.bit_generator for rng in rngs]
-    fresh = {"has_uint32": 0, "uinteger": 0}
-    states = [generator.state if read_state else fresh for generator in generators]
-    words = (3 * m) // 2  # 3m - 1 halves or more
-    raw = np.array([generator.random_raw(words) for generator in generators], np.uint64)
-    halves = np.empty((len(rngs), 1 + 2 * words), dtype=np.uint64)
-    halves[:, 0] = [state["uinteger"] for state in states]
-    halves[:, 1:] = raw_halves(raw)
-    first = 1 - np.array([state["has_uint32"] for state in states], dtype=np.int64)
-    draws = np.take_along_axis(halves, first[:, None] + np.arange(3 * m - 1), axis=1)
-    floyd = (lengths - m)[:, None] + np.arange(m)  # j = n - m .. n - 1
-    shuffle = np.broadcast_to(np.arange(m - 1, 0, -1), (len(rngs), m - 1))  # sorting undoes it
-    values, rejected = _lemire(draws[:, : 2 * m - 1], np.concatenate((floyd, shuffle), axis=1))
-    picks = values[:, :m]
-    for step in range(1, m):
-        repeat = (picks[:, :step] == picks[:, step, None]).any(axis=1)
-        picks[:, step] = np.where(repeat, floyd[:, step], picks[:, step])
-    secrets = (draws[:, 2 * m - 1 :] >> 31).astype(np.uint8)
-    other = ((lengths > 10_000) & (m > lengths // 50)) | (lengths > 1 << 32)  # not Floyd's
-    redo = np.flatnonzero(rejected.any(axis=1) | other)
-    for i in redo.tolist():
-        generators[i].advance(-words)  # which drops a held half
-        _hold(generators[i], states[i]["has_uint32"], states[i]["uinteger"])
-    picks[redo], secrets[redo] = _numpy_checks([rngs[i] for i in redo], lengths[redo], m)
-    return picks, secrets
-
-
-def _numpy_checks(rngs, lengths: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_check_draws`` by numpy's own calls: ``choice`` then ``integers`` on each generator."""
-    picks = [rng.choice(n, size=m, replace=False) for rng, n in zip(rngs, lengths.tolist())]
-    secrets = [rng.integers(0, 2, size=m) for rng in rngs]
-    return np.array(picks, np.int64).reshape(-1, m), np.array(secrets, np.uint8).reshape(-1, m)
-
-
-def _lemire(halves: np.ndarray, tops) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's 32-bit draw on [0, top] from each half word u, and where it rejects u.
-
-    Lemire's method gives (u (top + 1)) >> 32 unless the low word of that product is
-    below 2^32 mod (top + 1); numpy then draws again on the next half.
-    """
-    span = np.asarray(tops, dtype=np.uint64) + np.uint64(1)
-    product = halves * span
-    return (product >> 32).astype(np.int64), (product & 0xFFFFFFFF) < np.uint64(1 << 32) % span
 
 
 @dataclass(frozen=True)
@@ -1055,7 +979,7 @@ def _reads_state(config: SessionConfig) -> bool:
     """Whether a pass must read its generators' states to know if they hold a half word.
 
     A 32-bit draw leaves the high half of its word held for the next one, and
-    ``fair_bits`` and ``_check_draws`` must start there. On the branch engine an
+    ``fair_bits`` and ``check_draws`` must start there. On the branch engine an
     attempt's generator starts fresh from ``derived_rngs``, its pattern batches and
     top-ups draw even counts of bits (``batch_size`` and its quarter are even) and
     its rows draw only doubles, so it never holds one. On the dense engine an
@@ -1070,19 +994,16 @@ def _pattern_blocks(rng, size: int, q: int, read_state: bool = True):
     The same bits and phases ``sample_patterns`` draws, leaving ``rng`` in
     the same state: numpy's ``rng.integers(0, 2, size=size * (q + 1))``,
     read by ``fair_bits``, which takes ``read_state``. A batch of more rows
-    never holds all its bits or phases: copies of ``rng`` taken at the bits
-    and at the phases draw each block's share of them when the block is
-    asked for, while ``rng`` itself moves past both with ``skip_fair_bits``
-    (``PCG64.advance``), drawing none of them.
+    never holds all its bits or phases: ``replay_fair_bits`` copies of ``rng``
+    taken at the bits and at the phases draw each block's share of them when
+    the block is asked for, while ``rng`` itself moves past both, drawing
+    none of them.
     """
     if size <= _CHUNK_ROWS:
         draws = fair_bits(rng, size * (q + 1), read_state)
         yield draws[: size * q].reshape(size, q), draws[size * q :].view(np.uint8)
         return
-    bit_replay = np.random.Generator(copy.deepcopy(rng.bit_generator))
-    skip_fair_bits(rng, size * q)
-    phase_replay = np.random.Generator(copy.deepcopy(rng.bit_generator))
-    skip_fair_bits(rng, size)
+    bit_replay, phase_replay = replay_fair_bits(rng, size * q), replay_fair_bits(rng, size)
     for start in range(0, size, _CHUNK_ROWS):
         count = min(_CHUNK_ROWS, size - start)
         bits = fair_bits(bit_replay, count * q).reshape(count, q)
@@ -1101,7 +1022,7 @@ def _finish_pass(
     Every attempt's case tally, rounds used and step-5 verdict come from
     ``played.sums`` as arrays. The attempts that pass step 5 go on to one
     ``_step6_verdicts`` over them all, each drawing its check positions and
-    then any secret on its own generator (one ``_check_draws``); those that
+    then any secret on its own generator (one ``check_draws``); those that
     clear step 6 go on to one ``_share``. An attempt's outcome gains its
     fields as it clears each step.
     """
@@ -1115,7 +1036,7 @@ def _finish_pass(
     step5 = zip(rates, failures, checked)
     keys, starts = played.attempt_keys()
     on = np.flatnonzero(passed)  # the attempts that go on to step 6
-    picks, drawn = _check_draws([rngs[i] for i in on], played.sums[on, 0], m, _reads_state(config))
+    picks, drawn = check_draws([rngs[i] for i in on], played.sums[on, 0], m, _reads_state(config))
     chosen, failures6, rates6, _, cleared, kept = _step6_verdicts(keys, starts[on], picks, epsilon)
     step6 = zip(list(map(tuple, chosen.tolist())), rates6.tolist(), failures6.tolist(), cleared)
     done = on[cleared]  # and complete

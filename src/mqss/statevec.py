@@ -7,16 +7,13 @@ Conventions used throughout the package:
   as binary.
 - States are immutable snapshots; every operation returns a new ``PureState``.
 - All randomness is drawn from an explicitly passed generator (anything with
-  a ``random()`` method; normally ``numpy.random.Generator``), never from
-  hidden global state.
+  a ``random()`` method; normally one ``streams.derived_rng`` makes), never
+  from hidden global state.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate
 from math import sqrt
 from typing import Sequence
 
@@ -193,121 +190,3 @@ def fidelity(a: PureState, b: PureState) -> float:
         )
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
-
-def derived_rng(master_seed: int, *stream: int) -> np.random.Generator:
-    """Independent generator for (master seed, trial index, ...) streams.
-
-    ``default_rng(SeedSequence((master_seed, *stream)))``; ``derived_rngs`` makes many at once.
-    """
-    return np.random.default_rng(np.random.SeedSequence((master_seed, *stream)))
-
-
-def child_seed(master_seed: int, *stream: int) -> int:
-    """Deterministic 128-bit seed derived from (master seed, indices).
-
-    ``SeedSequence((master_seed, *stream))``'s first four state words, read
-    little-endian; ``child_seeds`` makes many at once. 32-bit seeds repeat
-    within a few hundred thousand trials.
-    """
-    low, high = np.random.SeedSequence((master_seed, *stream)).generate_state(2, np.uint64)
-    return int(high) << 64 | int(low)
-
-
-# numpy's SeedSequence constants (O'Neill's seed_seq_fe): pool hash, state hash, mixing
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-# fewer seeds hash a SeedSequence each: the array hash's fixed cost would slow a lone session
-_ARRAY_HASH_SEEDS = 16
-
-
-def derived_rngs(seeds: Sequence[int], *stream: int) -> list[np.random.Generator]:
-    """``[derived_rng(seed, *stream) for seed in seeds]``, hashed as arrays.
-
-    Every seed's ``SeedSequence`` hash runs at once in uint32 arithmetic, and
-    its four state words seed ``PCG64`` as ``default_rng`` would seed it.
-    Seeds must be non-negative ints on both paths: ``SeedSequence`` would
-    also read integer strings and sequences, which ``operator.index`` refuses
-    with the ``TypeError`` the array hash raises.
-    """
-    if len(seeds) < _ARRAY_HASH_SEEDS:
-        return [derived_rng(operator.index(seed), *stream) for seed in seeds]
-    tail = _words(stream)
-    state = _seed_state([_words([seed]) + tail for seed in seeds], 8).view("<u8").astype(np.uint64)
-    np.random.bit_generator.ISeedSequence.register(_Generated)  # PCG64 takes only these
-    return [np.random.Generator(np.random.PCG64(_Generated(row))) for row in state]
-
-
-def child_seeds(master_seed: int, count: int) -> list[int]:
-    """``[child_seed(master_seed, trial) for trial in range(count)]``, hashed as arrays."""
-    if count < _ARRAY_HASH_SEEDS:
-        return [child_seed(master_seed, trial) for trial in range(count)]
-    head = _words([master_seed])
-    data = _seed_state([head + _words([trial]) for trial in range(count)], 4).tobytes()
-    return [int.from_bytes(data[at : at + 16], "little") for at in range(0, len(data), 16)]
-
-
-def _words(values) -> bytes:
-    """Non-negative ints as ``SeedSequence`` reads them: little-endian 32-bit words, one or more."""
-    out = b""
-    for value in map(operator.index, values):  # a float raises TypeError, as in SeedSequence
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        out += value.to_bytes(4 * max(1, -(-value.bit_length() // 32)), "little")
-    return out
-
-
-def _seed_state(rows: list[bytes], n_words: int) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n_words)`` per row of ``_words``, N x n_words.
-
-    A row of at most 4 words hashes as itself zero-padded to 4; longer rows hash by length.
-    """
-    pools, groups = np.empty((len(rows), 4), dtype=np.uint32), {}
-    for index, row in enumerate(rows):
-        groups.setdefault(max(len(row), 16), []).append(index)
-    for size, indices in groups.items():  # mix_entropy: 4 hash steps per word, so size steps
-        data = b"".join(rows[index].ljust(size, b"\0") for index in indices)
-        words = np.frombuffer(data, "<u4").reshape(len(indices), -1).astype(np.uint32)
-        steps = _hash_steps(_INIT_A, _MULT_A, size)
-        pool = _hashmix(words[:, :4], steps[:4])
-        for source in range(4):  # every other pool word mixes in a hash of this one
-            others, step = [word for word in range(4) if word != source], 4 + 3 * source
-            hashed = _hashmix(pool[:, [source]], steps[step : step + 3])
-            pool[:, others] = _mix(pool[:, others], hashed)
-        for source in range(4, size // 4):  # each word past the pool mixes into all of it
-            pool = _mix(pool, _hashmix(words[:, [source]], steps[4 * source : 4 * source + 4]))
-        pools[indices] = pool
-    state = _hashmix(pools[:, np.arange(n_words) % 4], _hash_steps(_INIT_B, _MULT_B, n_words))
-    return np.ascontiguousarray(state, "<u4")
-
-
-@lru_cache(maxsize=None)
-def _hash_steps(init: int, mult: int, count: int) -> np.ndarray:
-    """count x 2 uint32: each hash step's xor constant and multiplier (the constant advanced)."""
-    constants = list(accumulate(range(count), lambda c, _: c * mult & 0xFFFFFFFF, initial=init))
-    steps = np.column_stack((constants[:-1], constants[1:])).astype(np.uint32)
-    steps.flags.writeable = False  # one cached array for every caller
-    return steps
-
-
-def _hashmix(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    values = (values ^ steps[:, 0]) * steps[:, 1]
-    return values ^ (values >> _SHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> _SHIFT)
-
-
-class _Generated:
-    """A seed sequence whose state is already generated: the four uint64 words of ``PCG64``.
-
-    ``derived_rngs`` registers it as an ``ISeedSequence`` on use: importing
-    ``numpy.random`` here would add its import time to every start-up.
-    """
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words

@@ -40,7 +40,8 @@ from mqss.protocol import (
     run_rounds,
     run_session,
 )
-from mqss.statevec import ATOL, HADAMARD, apply_gate, child_seed, fidelity
+from mqss.statevec import ATOL, HADAMARD, apply_gate, fidelity
+from mqss.streams import child_seed
 
 from conftest import state_from_terms
 from test_adversary import enumerated_parity_failure

@@ -35,9 +35,9 @@ from mqss.statevec import (
     apply_gate,
     attach_register,
     basis_state,
-    derived_rng,
     fidelity,
 )
+from mqss.streams import derived_rng
 
 S2 = 1.0 / sqrt(2.0)
 C, S = Mode.CHECK, Mode.SHARE

@@ -34,10 +34,10 @@ from mqss.statevec import (
     HADAMARD,
     PAULI_X,
     apply_gate,
-    derived_rng,
     measure_after_hadamard,
     measure_z,
 )
+from mqss.streams import derived_rng
 
 from conftest import FixedRng
 

@@ -19,7 +19,6 @@ from mqss.ghz import (
     prepare,
     residual_phase,
     sample_patterns,
-    skip_fair_bits,
 )
 from mqss.statevec import (
     ATOL,
@@ -30,6 +29,7 @@ from mqss.statevec import (
     fidelity,
     measure_z,
 )
+from mqss.streams import skip_fair_bits
 
 from conftest import FixedRng, state_from_terms
 

@@ -9,7 +9,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from mqss import branch, protocol, statevec
+from mqss import branch, protocol, streams
 from mqss.adversary import (
     CollectiveAttackConfig,
     CollusionConfig,
@@ -46,7 +46,8 @@ from mqss.protocol import (
     verify_step5,
     verify_step6,
 )
-from mqss.statevec import MAX_QUBITS, PAULI_X, apply_gate, derived_rng, derived_rngs
+from mqss.statevec import MAX_QUBITS, PAULI_X, apply_gate
+from mqss.streams import derived_rng, derived_rngs
 
 C, S = Mode.CHECK, Mode.SHARE
 
@@ -709,7 +710,7 @@ def test_a_pass_of_many_seeds_derives_its_generators_as_arrays(monkeypatch):
         keys.append(key)
         return derived_rng(*key)
 
-    monkeypatch.setattr(statevec, "derived_rng", recording_rng)
+    monkeypatch.setattr(streams, "derived_rng", recording_rng)
     config = attacked(SessionConfig(n_agents=2, secret_bits=2), MeasureResendConfig(2))
     run_sessions(config, list(range(64)))
     assert keys == []
@@ -825,14 +826,6 @@ class ScriptedGenerator:
         self.bit_generator, self.at, self.choices = self, 0, 0
         self.halves = [half for word in words for half in (word & 0xFFFFFFFF, word >> 32)]
 
-    @property
-    def state(self):
-        return {"has_uint32": self.at % 2, "uinteger": self.halves[self.at - 1], "at": self.at}
-
-    @state.setter
-    def state(self, state):
-        self.at = state["at"]
-
     def random_raw(self, size):
         assert self.at % 2 == 0
         self.at += 2 * size
@@ -869,7 +862,7 @@ def test_a_rejected_half_word_is_flagged_where_numpy_draws_again():
     cases = [(0, 5), (2**31, 5), (1, 5), (2**31 + 1, 5), (2**32 - 1, 5), (2, 2**31 + 1),
              (2**31, 2**31 + 1), (7, 2**31 + 1), (0, 2), (0, 1), (5, 2**32 - 1)]
     halves, tops = (np.array(column, dtype=np.uint64) for column in zip(*cases))
-    values, rejected = protocol._lemire(halves, tops)
+    values, rejected = streams._lemire(halves, tops)
     for (half, top), value, rejects in zip(cases, values.tolist(), rejected.tolist()):
         read = iter([half, 12345])
         expected = numpy_lemire(read.__next__, top)
@@ -878,24 +871,22 @@ def test_a_rejected_half_word_is_flagged_where_numpy_draws_again():
             assert value == expected
     assert np.flatnonzero(rejected).tolist() == [0, 1, 5, 6, 8]
     # a scalar top applies to every half
-    assert protocol._lemire(halves[:5], 5)[1].tolist() == rejected[:5].tolist()
+    assert streams._lemire(halves[:5], 5)[1].tolist() == rejected[:5].tolist()
 
 
 def test_a_pass_draws_the_check_positions_and_secrets_of_choice_then_integers():
     # 5,312 attempts: m from 1 to 16, passes on both sides of the cut, n from 2m past 10,000
     draws = np.random.default_rng(22)
-    cut = protocol._ARRAY_CHECKS
+    cut = streams._ARRAY_PASS
     for m, attempts in itertools.product(range(1, 17), (1, cut - 1, cut, 300)):
         lengths = draws.integers(2 * m, 80, size=attempts)
         lengths[::25] = draws.integers(9_000, 12_000, size=len(lengths[::25]))
         lengths[-1] = 2 * m
         seeds = draws.integers(2**63, size=attempts).tolist()
         rngs, oracles = ([np.random.default_rng(seed) for seed in seeds] for _ in range(2))
-        for rng, oracle in zip(rngs[1::4], oracles[1::4]):  # these hold a half
-            rng.integers(0, 2), oracle.integers(0, 2)
         keys = draws.integers(0, 2, size=(int(lengths.sum()), 3)).astype(np.uint8)
         starts = np.cumsum(lengths) - lengths
-        picks, secrets = protocol._check_draws(rngs, lengths, m)
+        picks, secrets = streams.check_draws(rngs, lengths, m, read_state=False)
         chosen, *_, kept = protocol._step6_verdicts(keys, starts, picks, 0.0)
         expected = [oracle.choice(n, m, replace=False) for oracle, n in zip(oracles, lengths)]
         assert chosen.tolist() == np.sort(expected, axis=1).tolist()
@@ -907,9 +898,7 @@ def test_a_pass_draws_the_check_positions_and_secrets_of_choice_then_integers():
 def test_attempts_whose_draws_reject_a_half_word_draw_with_choice(n):
     # half the draws on [0, 2^31 + 12345] reject their half word, a quarter on [0, 3 * 2^30 + 4]
     rngs, oracles = ([np.random.default_rng(seed) for seed in range(40)] for _ in range(2))
-    for rng, oracle in zip(rngs[::3], oracles[::3]):  # these hold a half
-        rng.integers(0, 2), oracle.integers(0, 2)
-    picks, secrets = protocol._check_draws(rngs, [n] * 40, 2)
+    picks, secrets = streams.check_draws(rngs, [n] * 40, 2, read_state=False)
     redone = []
     for rng, oracle, pick, secret in zip(rngs, oracles, picks.tolist(), secrets.tolist()):
         assert sorted(pick) == sorted(oracle.choice(n, size=2, replace=False).tolist())
@@ -924,7 +913,7 @@ def test_a_rejected_shuffle_draw_sends_the_attempt_to_choice():
     tail = np.random.PCG64(8).random_raw(6).tolist()
     words = [[0x7F4A7C159E3779B9, fourth << 32 | 0x12345678, *tail] for fourth in range(16)]
     scripted = [ScriptedGenerator(row) for row in words]
-    picks, secrets = protocol._check_draws(scripted, [50] * len(words), 3)
+    picks, secrets = streams.check_draws(scripted, [50] * len(words), 3, read_state=False)
     for row, pick, secret, generator in zip(words, picks.tolist(), secrets.tolist(), scripted):
         oracle = ScriptedGenerator(row)
         assert sorted(pick) == sorted(oracle.choice(50, 3, False))
@@ -935,9 +924,9 @@ def test_a_rejected_shuffle_draw_sends_the_attempt_to_choice():
 @pytest.mark.parametrize("n", [10_001, 12_000, 12_550, 12_600])
 def test_a_pass_follows_choice_onto_its_tail_shuffle(n):
     # m = 250 takes numpy's tail shuffle where n // 50 < 250: n = 10,001 and 12,000
-    m, attempts = 250, protocol._ARRAY_CHECKS
+    m, attempts = 250, streams._ARRAY_PASS
     rngs, oracles = ([np.random.default_rng([n, s]) for s in range(attempts)] for _ in range(2))
-    picks, secrets = protocol._check_draws(rngs, [n] * attempts, m)
+    picks, secrets = streams.check_draws(rngs, [n] * attempts, m, read_state=False)
     for pick, secret, oracle in zip(picks, secrets, oracles):
         assert np.array_equal(np.sort(pick), np.sort(oracle.choice(n, size=m, replace=False)))
         assert np.array_equal(secret, oracle.integers(0, 2, size=m))
@@ -958,18 +947,18 @@ def test_a_pass_reads_generator_states_only_where_a_half_word_may_be_held(monkey
     seeds = list(range(40))
     read = run_sessions(config, seeds)
     held = []
-    fair_bits, check_draws = protocol.fair_bits, protocol._check_draws
+    fair_bits, check_draws = protocol.fair_bits, protocol.check_draws
 
     def recording_bits(rng, count, read_state=True):
         held.append((read_state, rng.bit_generator.state["has_uint32"]))
         return fair_bits(rng, count, read_state)
 
-    def recording_draws(rngs, lengths, m, read_state=True):
+    def recording_draws(rngs, lengths, m, read_state):
         held.extend((read_state, rng.bit_generator.state["has_uint32"]) for rng in rngs)
         return check_draws(rngs, lengths, m, read_state)
 
     monkeypatch.setattr(protocol, "fair_bits", recording_bits)
-    monkeypatch.setattr(protocol, "_check_draws", recording_draws)
+    monkeypatch.setattr(protocol, "check_draws", recording_draws)
     assert run_sessions(config, seeds) == read
     if kind == "odd-draws":  # the dense engine reads every state, and some hold a half
         assert {reads for reads, _ in held} == {True} and any(half for _, half in held)
@@ -984,7 +973,7 @@ def test_a_pass_that_reads_no_state_moves_a_redrawn_generator_back_before_its_bl
     # on [0, 2^31 + 12345] half the draws reject their half word and go to choice
     n, m = 2**31 + 12345, 2
     rngs, oracles = ([np.random.default_rng(seed) for seed in range(20)] for _ in range(2))
-    picks, secrets = protocol._check_draws(rngs, [n] * 20, m, read_state=False)
+    picks, secrets = streams.check_draws(rngs, [n] * 20, m, read_state=False)
     redone = 0
     for rng, oracle, pick, secret in zip(rngs, oracles, picks.tolist(), secrets.tolist()):
         assert sorted(pick) == sorted(oracle.choice(n, size=m, replace=False).tolist())
@@ -993,7 +982,7 @@ def test_a_pass_that_reads_no_state_moves_a_redrawn_generator_back_before_its_bl
     assert 0 < redone < 20
 
 
-@pytest.mark.parametrize("count", [statevec._ARRAY_HASH_SEEDS - 1, statevec._ARRAY_HASH_SEEDS])
+@pytest.mark.parametrize("count", [streams._ARRAY_PASS - 1, streams._ARRAY_PASS])
 def test_seeds_are_ints_on_both_sides_of_the_threshold(count):
     config = SessionConfig(n_agents=2, secret_bits=2)
     # SeedSequence alone would read "3" as 3
@@ -1349,6 +1338,17 @@ def test_config_validation():
     SessionConfig(n_agents=MAX_QUBITS - 1)
     with pytest.raises(ValueError, match=f"at most {MAX_QUBITS - 1} agents"):
         SessionConfig(n_agents=MAX_QUBITS)
+
+
+@pytest.mark.parametrize("field", ["n_agents", "secret_bits", "seed", "max_attempts"])
+def test_config_counts_and_seeds_are_ints(field):
+    # a float was accepted and failed only once a session ran
+    for bad in (3.0, "3"):
+        with pytest.raises(TypeError):
+            SessionConfig(**{field: bad})
+    config = SessionConfig(**{"n_agents": 2, "secret_bits": 2, field: np.int64(3)})
+    assert getattr(config, field) == 3 and type(getattr(config, field)) is int
+    assert run_session(config) == run_session(replace(config, **{field: 3}))
 
 
 def _unchanged(state, particle, rng):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqss import statevec
+from mqss import streams
 from mqss.statevec import (
     ATOL,
     HADAMARD,
@@ -19,14 +19,11 @@ from mqss.statevec import (
     apply_gate,
     attach_register,
     basis_state,
-    child_seed,
-    child_seeds,
-    derived_rng,
-    derived_rngs,
     fidelity,
     measure_after_hadamard,
     measure_z,
 )
+from mqss.streams import child_seed, child_seeds, derived_rng, derived_rngs
 
 from conftest import FixedRng, state_from_terms
 
@@ -333,7 +330,7 @@ def test_child_seeds_of_one_master_are_distinct():
     assert len(seeds) == 200_000
 
 
-THRESHOLD = statevec._ARRAY_HASH_SEEDS
+THRESHOLD = streams._ARRAY_PASS
 # one to five 32-bit words each, at the word edges
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**96 + 5, 2**128 - 1, 2**160 + 3]
 
