@@ -17,7 +17,6 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from math import sqrt
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -26,7 +25,8 @@ from . import branch
 from .channel import ClassicalLog, Interceptor, broadcast
 from .ghz import GhzSpec, prepare
 from .statevec import MAX_QUBITS, PAULI_X, apply_gate, measure_after_hadamard, measure_z
-from .streams import check_draws, derived_rng, derived_rngs, fair_bits, replay_fair_bits
+from .streams import check_draws, derived_rng, derived_rngs, fair_bit_rows, fair_bits
+from .streams import replay_fair_bits
 
 if TYPE_CHECKING:
     from .adversary import CollectiveAttackConfig
@@ -148,18 +148,19 @@ class SessionConfig:
         return self.secret_bits << (self.n_agents + 2)
 
 
-def effective_threshold(base_rate: float, checked: int) -> float:
+def effective_threshold(base_rate: float, checked):
     """Abort bound: expected rate plus three binomial standard deviations.
 
     A bare comparison against the noise rate would abort on ordinary
     fluctuation at finite sample sizes; at zero noise this reduces to
-    "any error aborts".
+    "any error aborts". An array of counts gives an array of bounds, one count a float.
     """
     if not 0.0 <= base_rate <= 1.0:
         raise ValueError(f"base rate must be in [0, 1], got {base_rate}")
-    if checked <= 0:
-        return base_rate
-    return base_rate + 3.0 * sqrt(base_rate * (1.0 - base_rate) / checked)
+    # no count checked divides by 1 and drops the spread; one count stays off numpy's arrays
+    counts = np.maximum(checked, 1) if isinstance(checked, np.ndarray) else max(checked, 1)
+    bounds = base_rate + 3.0 * np.sqrt(base_rate * (1.0 - base_rate) / counts) * (checked > 0)
+    return bounds if isinstance(bounds, np.ndarray) else float(bounds)
 
 
 # --- round execution ---------------------------------------------------------
@@ -330,7 +331,8 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
     """Play every round's rows: the one driver all played rounds go through.
 
     ``rounds`` yields rounds of (owner, rng, blocks) jobs, where ``blocks``
-    yields the job's (bits, phases) blocks of rows in draw order.
+    yields the job's (bits, phases) blocks of rows in draw order, or is the
+    number of rows, the same in a round, whose patterns ``rng`` draws first.
     ``shared[owner]`` counts the all-Share rows drawn for an owner so far and
     is current whenever the next round is asked for, which is what a
     session's top-ups read. Jobs draw one after another, each from its own
@@ -341,25 +343,52 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
 
     On the branch engine a row's draws are taken as the row is packed into
     a chunk of at most ``_CHUNK_ROWS`` rows, and each chunk, whatever jobs
-    and rounds its rows come from, plays in one ``BranchPairs`` pass. Split
-    row-major draws are the same numbers as one call, so the chunk size
-    changes no round. A chunk's modes are worked out once: when it fills,
-    or for the rows it holds when a round ends. With ``keys_only`` the pass
-    plays only the all-Share rows; every other row is tallied from its
-    draws, since each of its checkers reads the one surviving branch, off
-    its announced bit exactly where a noise flip hit it. On the dense
-    engine (``round_engine``) each block plays round by round as it
-    arrives, because an interceptor draws from the job's generator itself,
-    and every row plays. ``sink(chunk, owners, lengths)`` receives each
-    played ``_Chunk``, whose rows run job ``owners[0]``'s ``lengths[0]``
-    rows, then ``owners[1]``'s ``lengths[1]`` and so on.
+    and rounds its rows come from, plays in one ``BranchPairs`` pass. The
+    next jobs of a round that draw their patterns and fit in the room left
+    draw as a group, one piece: ``fair_bit_rows`` draws all their pattern
+    bits, then each job its rows. A job that does not fit fills the chunk
+    and goes on in the next: split row-major draws are the same numbers as
+    one call, so the chunk size changes no round. A chunk's modes are
+    worked out once: when it fills, or for the rows it holds when a round
+    ends. With ``keys_only`` the pass plays only the all-Share rows; every
+    other row is tallied from its draws, since each of its checkers reads
+    the one surviving branch, off its announced bit exactly where a noise
+    flip hit it. On the dense engine (``round_engine``) each block plays
+    round by round as it arrives, because an interceptor draws from the
+    job's generator itself, and every row plays. ``sink(chunk, owners,
+    lengths)`` receives each played ``_Chunk``, whose rows run job
+    ``owners[0]``'s ``lengths[0]`` rows, then ``owners[1]``'s ``lengths[1]``
+    and so on.
     """
     dense, q = round_engine(config) == "dense", config.particle_count
     width = _draw_columns(config, forced)[2]
-    pieces, rows = [], 0  # the chunk being packed: (owner, bits, phases, draws)
+    pieces, rows = [], 0  # the chunk being packed: (owners, lengths, bits, phases, draws)
     modes = None  # the packed pieces' modes, as far as a round's end worked them out
+
+    def pack(*piece) -> None:
+        nonlocal pieces, rows, modes
+        pieces.append(piece)
+        rows += len(piece[2])
+        if rows == _CHUNK_ROWS:
+            _play_packed(config, pieces, modes, shared, sink, forced, keys_only)
+            pieces, rows, modes = [], 0, None
+
     for jobs in rounds:
-        for owner, rng, blocks in jobs:
+        at = 0
+        while at < len(jobs):
+            owner, rng, blocks = jobs[at]
+            fit = isinstance(blocks, int) and not dense and (_CHUNK_ROWS - rows) // blocks
+            if fit:  # every generator of the group draws its bits before its rows
+                owners, rngs, _ = zip(*jobs[at : at + fit])
+                at += len(owners)
+                drawn = fair_bit_rows(rngs, blocks * (q + 1))
+                draws = _join([rng.random(size=(blocks, width)) for rng in rngs])
+                bits, phases = drawn[:, : blocks * q].reshape(-1, q), drawn[:, blocks * q :]
+                pack(owners, [blocks] * len(owners), bits, phases.reshape(-1).view(np.uint8), draws)
+                continue
+            at += 1
+            if isinstance(blocks, int):
+                blocks = _pattern_blocks(rng, blocks, q, _reads_state(config))
             for bits, phases in blocks:
                 if dense:
                     rounds_played = _play_dense(config, bits, phases, rng, forced)
@@ -370,12 +399,8 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
                     continue
                 while True:  # one piece per chunk the block reaches; an empty block is one piece
                     take = min(len(bits), _CHUNK_ROWS - rows)
-                    draws = rng.random(size=(take, width))
-                    pieces.append((owner, bits[:take], phases[:take], draws))
-                    bits, phases, rows = bits[take:], phases[take:], rows + take
-                    if rows == _CHUNK_ROWS:
-                        _play_packed(config, pieces, modes, shared, sink, forced, keys_only)
-                        pieces, rows, modes = [], 0, None
+                    pack([owner], [take], bits[:take], phases[:take], rng.random((take, width)))
+                    bits, phases = bits[take:], phases[take:]
                     if not len(bits):
                         break
         if pieces:  # the held rows' all-Share rows count towards the next round's top-ups
@@ -384,49 +409,51 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
         _play_packed(config, pieces, modes, shared, sink, forced, keys_only)
 
 
+def _join(arrays: list) -> np.ndarray:
+    """The arrays joined along their first axis; one array is its own join, with no copy."""
+    return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+
+
 def _piece_modes(config: SessionConfig, pieces, modes, shared, forced):
-    """The packed pieces' (share, shares, pieces worked out): ``modes``, extended.
+    """``modes`` extended over the packed pieces: ((share, shares) per run, pieces done).
 
     Only the pieces past ``modes`` are worked out, in one op from their mode
     draws (or ``forced``), and their all-Share rows are counted into
-    ``shared`` by owner.
+    ``shared`` by owner: with one count when the pieces have one owner.
     """
     q = config.particle_count
-    share, shares, done = modes or (None, None, 0)
+    worked, done = modes or ([], 0)
     fresh = pieces[done:]
     if not fresh:
         return modes
-    lengths = [len(piece[1]) for piece in fresh]
+    owners = [owner for piece in fresh for owner in piece[0]]
+    lengths = [length for piece in fresh for length in piece[1]]
     if forced is None:
-        draws = [piece[3][:, :q] for piece in fresh]
-        new_share = (np.concatenate(draws) if len(draws) > 1 else draws[0]) < 0.5
-        new_shares = _row_counts(new_share)
+        share = _join([piece[4][:, :q] for piece in fresh]) < 0.5
+        shares = _row_counts(share)
     else:
-        new_share = np.broadcast_to(forced, (sum(lengths), q))
-        new_shares = np.broadcast_to(np.count_nonzero(forced), sum(lengths))
-    new_case1 = new_shares == q
-    if new_case1.any():
-        owners = np.repeat([piece[0] for piece in fresh], lengths)
-        shared += np.bincount(owners[new_case1], minlength=len(shared))
-    if done:
-        new_share = np.concatenate((share, new_share))
-        new_shares = np.concatenate((shares, new_shares))
-    return new_share, new_shares, len(pieces)
+        share = np.broadcast_to(forced, (sum(lengths), q))
+        shares = np.broadcast_to(np.count_nonzero(forced), sum(lengths))
+    case1 = shares == q
+    if len(set(owners)) == 1:
+        shared[owners[0]] += np.count_nonzero(case1)
+    elif case1.any():
+        shared += np.bincount(np.repeat(owners, lengths)[case1], minlength=len(shared))
+    return [*worked, (share, shares)], len(pieces)
 
 
 def _play_packed(config: SessionConfig, pieces, modes, shared, sink, forced, keys_only) -> None:
-    """Play (owner, bits, phases, draws) pieces as one chunk and sink it.
+    """Play (owners, lengths, bits, phases, draws) pieces as one chunk and sink it.
 
     The chunk's modes are ``modes``, which ``_piece_modes`` extends over any
     pieces packed since a round's end worked them out.
     """
-    share, shares, _ = _piece_modes(config, pieces, modes, shared, forced)
-    owners, *columns = map(list, zip(*pieces))
+    worked, _ = _piece_modes(config, pieces, modes, shared, forced)
+    owners = [owner for piece in pieces for owner in piece[0]]
+    lengths = [length for piece in pieces for length in piece[1]]
     # one piece plays as it is: a copy would cost a fresh chunk-sized allocation
-    bits, phases, draws = (
-        np.concatenate(arrays) if len(arrays) > 1 else arrays[0] for arrays in columns
-    )
-    lengths = [len(piece[1]) for piece in pieces]
+    share, shares = (_join(arrays) for arrays in zip(*worked))
+    bits, phases, draws = (_join(arrays) for arrays in list(zip(*pieces))[2:])
     if not keys_only:
         results, probe = _play_on_branches(config, bits, phases, draws, share, forced)
         batch = RoundBatch(bits, phases, share, results, probe)
@@ -648,9 +675,9 @@ def _step5_verdicts(sums: np.ndarray, base_threshold: float) -> tuple[list, list
     """
     mismatches, positions = sums[:, 0], sums[:, 1]
     rates = mismatches / np.maximum(positions, 1)
-    thresholds = [effective_threshold(base_threshold, count) for count in positions.tolist()]
+    thresholds = effective_threshold(base_threshold, positions)
     passed = (positions > 0) & (rates <= thresholds)
-    return rates.tolist(), thresholds, passed
+    return rates.tolist(), thresholds.tolist(), passed
 
 
 @dataclass(frozen=True)
@@ -959,7 +986,7 @@ def _attempt_rounds(config: SessionConfig, rngs, shared):
     round; each later round draws a smaller top-up for every attempt whose
     ``shared`` all-Share rows, its raw key bits, are still short of 2m.
     """
-    need, q, read_state = 2 * config.secret_bits, config.particle_count, _reads_state(config)
+    need = 2 * config.secret_bits
     for batches in range(_MAX_BATCHES + 1):
         short = np.flatnonzero(shared < need).tolist()
         if not short:
@@ -969,20 +996,17 @@ def _attempt_rounds(config: SessionConfig, rngs, shared):
                 f"{_MAX_BATCHES} batches of rounds gave {shared[short[0]]} of {need} raw key bits"
             )
         size = config.batch_size if not batches else max(config.batch_size // 4, 8)
-        yield [
-            (owner, rngs[owner], _pattern_blocks(rngs[owner], size, q, read_state))
-            for owner in short
-        ]
+        yield [(owner, rngs[owner], size) for owner in short]
 
 
 def _reads_state(config: SessionConfig) -> bool:
     """Whether a pass must read its generators' states to know if they hold a half word.
 
     A 32-bit draw leaves the high half of its word held for the next one, and
-    ``fair_bits`` and ``check_draws`` must start there. On the branch engine an
-    attempt's generator starts fresh from ``derived_rngs``, its pattern batches and
-    top-ups draw even counts of bits (``batch_size`` and its quarter are even) and
-    its rows draw only doubles, so it never holds one. On the dense engine an
+    ``fair_bits`` and ``check_draws`` must start there (``fair_bit_rows`` cannot). On the
+    branch engine an attempt's generator starts fresh from ``derived_rngs``, its pattern
+    batches and top-ups draw even counts of bits (``batch_size`` and its quarter are
+    even) and its rows draw only doubles, so it never holds one. On the dense engine an
     interceptor may draw anything.
     """
     return round_engine(config) == "dense"

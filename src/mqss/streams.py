@@ -183,6 +183,20 @@ def fair_bits(rng, count: int, read_state: bool = True) -> np.ndarray:
     return halves[:count].view(_SIGNED_HALF) < 0  # bit 31 is the sign
 
 
+def fair_bit_rows(rngs, count: int) -> np.ndarray:
+    """``[fair_bits(rng, count, read_state=False) for rng in rngs]`` as one A x count array.
+
+    For ``PCG64`` generators that hold no half word: one ``random_raw`` call each, all cut
+    in one array step. An odd count leaves each holding its last high half, as numpy does.
+    """
+    generators = [rng.bit_generator for rng in rngs]
+    raw = np.array([generator.random_raw(-(-count // 2)) for generator in generators], _WORD)
+    if count % 2:
+        for generator, word in zip(generators, raw[:, -1].tolist()):
+            _hold(generator, 1, word >> 32)
+    return raw_halves(raw)[:, :count].view(_SIGNED_HALF) < 0
+
+
 def skip_fair_bits(rng, count: int) -> None:
     """Move ``rng`` past ``fair_bits(rng, count)`` without drawing the bits.
 

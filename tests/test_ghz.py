@@ -29,7 +29,7 @@ from mqss.statevec import (
     fidelity,
     measure_z,
 )
-from mqss.streams import skip_fair_bits
+from mqss.streams import fair_bit_rows, skip_fair_bits
 
 from conftest import FixedRng, state_from_terms
 
@@ -202,6 +202,18 @@ def test_skipping_bits_leaves_the_generator_where_drawing_them_would(count, held
         oracle.integers(0, 2, size=count)
         assert_same_generator(rng, oracle)
         assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1001])
+def test_a_group_of_generators_draws_each_ones_integers(count):
+    rngs, oracles = ([np.random.default_rng([count, seed]) for seed in range(12)] for _ in range(2))
+    rows = fair_bit_rows(rngs, count)
+    assert rows.dtype == bool and rows.shape == (12, count)
+    for rng, oracle, row in zip(rngs, oracles, rows):
+        assert np.array_equal(row, oracle.integers(0, 2, size=count))
+        assert_same_generator(rng, oracle)
+        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+        assert rng.random() == oracle.random()
 
 
 def test_other_bit_generators_draw_their_bits_with_integers():

@@ -215,6 +215,17 @@ def test_effective_threshold_zero_noise_rejects_any_error():
     assert effective_threshold(0.0, 100) == 0.0
 
 
+@pytest.mark.parametrize("base", [0, 0.05, 0.2, 1])
+def test_an_array_of_counts_gives_each_counts_threshold(base):
+    counts = np.arange(10_001)
+    scalar = [effective_threshold(base, count) for count in counts.tolist()]
+    assert all(type(bound) is float for bound in scalar)
+    # the formula in plain Python floats, one count at a time
+    assert scalar == [base] + [base + 3.0 * sqrt(base * (1.0 - base) / c) for c in range(1, 10_001)]
+    bounds = effective_threshold(base, counts)
+    assert bounds.shape == counts.shape and bounds.tolist() == scalar
+
+
 def test_verify_step5_honest_perfect():
     spec = GhzSpec((1, 0, 1, 0), 0)
     batch = make_batch(
@@ -699,6 +710,65 @@ def test_many_sessions_match_the_same_sessions_one_at_a_time(monkeypatch, n_agen
         assert any(outcome.stats.attempts > 1 for outcome in alone)
 
 
+def chunk_rounds(chunks, config):
+    """Per played chunk, the rounds of its attempts its rows come from.
+
+    ``chunks`` holds each chunk's (owner, rows) segments in order; a segment's
+    round follows from where it starts among its owner's rows.
+    """
+    top_up, drawn, rounds = max(config.batch_size // 4, 8), {}, []
+    for segments in chunks:
+        rounds.append(set())
+        for owner, length in segments:
+            start = drawn.get(owner, 0)
+            drawn[owner] = start + length
+            over = start - config.batch_size
+            rounds[-1].add(0 if over < 0 else 1 + over // top_up)
+    return rounds
+
+
+@pytest.mark.parametrize("collect_records", [False, True], ids=["keys-only", "records"])
+@pytest.mark.parametrize("kind", sorted(TRIAL_ATTACKS))
+@pytest.mark.parametrize("n_agents, secret_bits", [(2, 3), (3, 4), (5, 2)])
+def test_attempts_drawn_as_groups_match_the_same_sessions_one_at_a_time(
+    monkeypatch, n_agents, secret_bits, kind, collect_records
+):
+    attack, epsilon = TRIAL_ATTACKS[kind]
+    config = SessionConfig(
+        n_agents=n_agents, secret_bits=secret_bits, epsilon=epsilon, attack=attack
+    )
+    seeds = range(100, 120)
+    alone = [
+        run_session(replace(config, seed=seed), collect_records=collect_records)
+        for seed in seeds
+    ]
+    passes, play_rows = [], protocol._play_rows
+
+    def recording_play_rows(config, rounds, sink, *args, **kwargs):
+        chunks = []
+        passes.append(chunks)
+
+        def recording_sink(chunk, owners, lengths):
+            chunks.append(list(zip(owners, lengths)))
+            sink(chunk, owners, lengths)
+
+        play_rows(config, rounds, recording_sink, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_play_rows", recording_play_rows)
+    # batches of 48, 128 and 256 rows and top-ups of a quarter: groups fill, split and carry over
+    for chunk in (4096, 1000, 100):
+        monkeypatch.setattr(protocol, "_CHUNK_ROWS", chunk)
+        passes.clear()
+        assert run_sessions(config, seeds, collect_records=collect_records) == alone
+        if kind == "dense":  # every job plays on its own
+            continue
+        owners = [{owner for owner, _ in segments} for chunks in passes for segments in chunks]
+        assert any(len(chunk_owners) > 1 for chunk_owners in owners)
+        # a top-up joins a chunk that an earlier round's rows left partial
+        rounds = [sources for chunks in passes for sources in chunk_rounds(chunks, config)]
+        assert any(len(sources) > 1 for sources in rounds)
+
+
 def test_no_seeds_run_no_sessions():
     assert run_sessions(SessionConfig(), []) == []
 
@@ -947,17 +1017,23 @@ def test_a_pass_reads_generator_states_only_where_a_half_word_may_be_held(monkey
     seeds = list(range(40))
     read = run_sessions(config, seeds)
     held = []
-    fair_bits, check_draws = protocol.fair_bits, protocol.check_draws
+    fair_bits, fair_bit_rows = protocol.fair_bits, protocol.fair_bit_rows
+    check_draws = protocol.check_draws
 
     def recording_bits(rng, count, read_state=True):
         held.append((read_state, rng.bit_generator.state["has_uint32"]))
         return fair_bits(rng, count, read_state)
+
+    def recording_rows(rngs, count):  # a group's draw reads no state
+        held.extend((False, rng.bit_generator.state["has_uint32"]) for rng in rngs)
+        return fair_bit_rows(rngs, count)
 
     def recording_draws(rngs, lengths, m, read_state):
         held.extend((read_state, rng.bit_generator.state["has_uint32"]) for rng in rngs)
         return check_draws(rngs, lengths, m, read_state)
 
     monkeypatch.setattr(protocol, "fair_bits", recording_bits)
+    monkeypatch.setattr(protocol, "fair_bit_rows", recording_rows)
     monkeypatch.setattr(protocol, "check_draws", recording_draws)
     assert run_sessions(config, seeds) == read
     if kind == "odd-draws":  # the dense engine reads every state, and some hold a half
@@ -967,19 +1043,6 @@ def test_a_pass_reads_generator_states_only_where_a_half_word_may_be_held(monkey
         assert len(held) > 2 * len(seeds) and held == [(False, 0)] * len(held)
         monkeypatch.setattr(protocol, "_reads_state", lambda config: True)
         assert run_sessions(config, seeds) == read
-
-
-def test_a_pass_that_reads_no_state_moves_a_redrawn_generator_back_before_its_block():
-    # on [0, 2^31 + 12345] half the draws reject their half word and go to choice
-    n, m = 2**31 + 12345, 2
-    rngs, oracles = ([np.random.default_rng(seed) for seed in range(20)] for _ in range(2))
-    picks, secrets = streams.check_draws(rngs, [n] * 20, m, read_state=False)
-    redone = 0
-    for rng, oracle, pick, secret in zip(rngs, oracles, picks.tolist(), secrets.tolist()):
-        assert sorted(pick) == sorted(oracle.choice(n, size=m, replace=False).tolist())
-        assert secret == oracle.integers(0, 2, size=m).tolist()
-        redone += rng.bit_generator.state == oracle.bit_generator.state
-    assert 0 < redone < 20
 
 
 @pytest.mark.parametrize("count", [streams._ARRAY_PASS - 1, streams._ARRAY_PASS])
