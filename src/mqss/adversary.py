@@ -16,6 +16,7 @@ running the real protocol machinery, never assumed from formulas.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from math import sqrt
 from typing import Optional, Union
@@ -74,6 +75,7 @@ class MeasureResendConfig:
     target: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "target", operator.index(self.target))  # a float raises
         if self.target < 1:
             raise ValueError("target agent index is 1-based")
 
@@ -86,7 +88,7 @@ class CollusionConfig:
     inner_attack: MeasureResendConfig
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colluders", frozenset(self.colluders))
+        object.__setattr__(self, "colluders", frozenset(map(operator.index, self.colluders)))
         if not self.colluders:
             raise ValueError("collusion needs at least one colluding agent")
         if self.inner_attack.target in self.colluders:

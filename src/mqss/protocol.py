@@ -95,6 +95,9 @@ class RoundAttack:
     interceptors: Mapping[int, Interceptor] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("z_taps", "interceptors"):  # a float position raises: it would never fire
+            keyed = {operator.index(at): value for at, value in getattr(self, name).items()}
+            object.__setattr__(self, name, keyed)
         if any(position < 1 for position in (*self.z_taps, *self.interceptors)):
             raise ValueError("tap and interceptor positions are 1-based")
         for rate in self.z_taps.values():
@@ -333,69 +336,79 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
     ``rounds`` yields rounds of (owner, rng, blocks) jobs, where ``blocks``
     yields the job's (bits, phases) blocks of rows in draw order, or is the
     number of rows, the same in a round, whose patterns ``rng`` draws first.
-    ``shared[owner]`` counts the all-Share rows drawn for an owner so far and
-    is current whenever the next round is asked for, which is what a
-    session's top-ups read. Jobs draw one after another, each from its own
-    ``rng``, and each round takes the same draws in the same order on
-    either engine: the mode draws, then per particle the noise draw, any
-    interceptor's, any tap's schedule and measurement draws and the owner's
-    measurement draw, and last the probe draw.
+    ``shared[owner]`` counts the all-Share rows drawn for an owner so far,
+    as they are drawn, so it is current whenever the next round is asked
+    for, which is what a session's top-ups read. Jobs draw one after
+    another, each from its own ``rng``, and each round takes the same draws
+    in the same order on either engine: the mode draws, then per particle
+    the noise draw, any interceptor's, any tap's schedule and measurement
+    draws and the owner's measurement draw, and last the probe draw.
 
     On the branch engine a row's draws are taken as the row is packed into
-    a chunk of at most ``_CHUNK_ROWS`` rows, and each chunk, whatever jobs
-    and rounds its rows come from, plays in one ``BranchPairs`` pass. The
-    next jobs of a round that draw their patterns and fit in the room left
-    draw as a group, one piece: ``fair_bit_rows`` draws all their pattern
-    bits, then each job its rows. A job that does not fit fills the chunk
-    and goes on in the next: split row-major draws are the same numbers as
-    one call, so the chunk size changes no round. A chunk's modes are
-    worked out once: when it fills, or for the rows it holds when a round
-    ends. With ``keys_only`` the pass plays only the all-Share rows; every
-    other row is tallied from its draws, since each of its checkers reads
-    the one surviving branch, off its announced bit exactly where a noise
-    flip hit it. On the dense engine (``round_engine``) each block plays
-    round by round as it arrives, because an interceptor draws from the
-    job's generator itself, and every row plays. ``sink(chunk, owners,
-    lengths)`` receives each played ``_Chunk``, whose rows run job
+    a chunk of at most ``_CHUNK_ROWS`` rows, its modes are worked out and
+    its all-Share rows counted then, and each chunk, whatever jobs and
+    rounds its rows come from, plays in one ``BranchPairs`` pass. Jobs of at
+    most ``_CHUNK_ROWS`` rows draw their pattern bits with ``fair_bit_rows``
+    in groups: the next jobs that fit in the room left, which draw their
+    rows after all the group's bits and join the chunk as one piece, or the
+    next job alone when none fits. A lone job, like each ``_pattern_blocks``
+    block of a wider one, fills the chunk and goes on in the next: split
+    row-major draws are the same numbers as one call, so the chunk size
+    changes no round. With ``keys_only`` the pass plays only the all-Share
+    rows; every other row is tallied from its draws, since each of its
+    checkers reads the one surviving branch, off its announced bit exactly
+    where a noise flip hit it. On the dense engine (``round_engine``) each
+    block plays round by round as it arrives, because an interceptor draws
+    from the job's generator itself, and every row plays. ``sink(chunk,
+    owners, lengths)`` receives each played ``_Chunk``, whose rows run job
     ``owners[0]``'s ``lengths[0]`` rows, then ``owners[1]``'s ``lengths[1]``
     and so on.
     """
     dense, q = round_engine(config) == "dense", config.particle_count
     width = _draw_columns(config, forced)[2]
-    pieces, rows = [], 0  # the chunk being packed: (owners, lengths, bits, phases, draws)
-    modes = None  # the packed pieces' modes, as far as a round's end worked them out
+    pieces, rows = [], 0  # the chunk being packed, as _play_packed's pieces
 
-    def pack(*piece) -> None:
-        nonlocal pieces, rows, modes
-        pieces.append(piece)
-        rows += len(piece[2])
+    def pack(owners, lengths, bits, phases, draws) -> None:
+        nonlocal pieces, rows
+        if forced is None:
+            share = draws[:, :q] < 0.5
+            shares = _row_counts(share)
+        else:  # every row takes the forced modes, so one count serves them all
+            share = np.broadcast_to(forced, (len(bits), q))
+            shares = np.broadcast_to(np.count_nonzero(forced), len(bits))
+        _count_shared(shares == q, owners, lengths, shared)
+        pieces.append((owners, lengths, bits, phases, draws, share, shares))
+        rows += len(bits)
         if rows == _CHUNK_ROWS:
-            _play_packed(config, pieces, modes, shared, sink, forced, keys_only)
-            pieces, rows, modes = [], 0, None
+            _play_packed(config, pieces, sink, forced, keys_only)
+            pieces, rows = [], 0
 
     for jobs in rounds:
         at = 0
         while at < len(jobs):
             owner, rng, blocks = jobs[at]
-            fit = isinstance(blocks, int) and not dense and (_CHUNK_ROWS - rows) // blocks
-            if fit:  # every generator of the group draws its bits before its rows
-                owners, rngs, _ = zip(*jobs[at : at + fit])
-                at += len(owners)
-                drawn = fair_bit_rows(rngs, blocks * (q + 1))
-                draws = _join([rng.random(size=(blocks, width)) for rng in rngs])
-                bits, phases = drawn[:, : blocks * q].reshape(-1, q), drawn[:, blocks * q :]
-                pack(owners, [blocks] * len(owners), bits, phases.reshape(-1).view(np.uint8), draws)
+            group = jobs[at : at + 1]
+            if isinstance(blocks, int) and (dense or blocks > _CHUNK_ROWS):
+                blocks = _pattern_blocks(rng, blocks, q)
+            elif isinstance(blocks, int):  # the next jobs that fit the room left, or this one alone
+                size = blocks
+                group = jobs[at : at + max((_CHUNK_ROWS - rows) // size, 1)]
+                owners, rngs, _ = zip(*group)
+                drawn = fair_bit_rows(rngs, size * (q + 1))
+                bits, phases = drawn[:, : size * q].reshape(-1, q), drawn[:, size * q :]
+                blocks = [(bits, phases.reshape(-1).view(np.uint8))]
+            at += len(group)
+            if len(group) > 1:  # every generator of the group draws its bits before its rows
+                draws = np.concatenate([rng.random(size=(size, width)) for rng in rngs])
+                pack(owners, [size] * len(owners), *blocks[0], draws)
                 continue
-            at += 1
-            if isinstance(blocks, int):
-                blocks = _pattern_blocks(rng, blocks, q, _reads_state(config))
             for bits, phases in blocks:
                 if dense:
                     rounds_played = _play_dense(config, bits, phases, rng, forced)
                     batch = RoundBatch(bits, phases, *rounds_played)
-                    chunk = _Chunk(batch.share, _row_counts(batch.share), batch)
-                    shared[owner] += np.count_nonzero(chunk.shares == q)
-                    sink(chunk, [owner], [len(bits)])
+                    shares = _row_counts(batch.share)
+                    _count_shared(shares == q, [owner], [len(bits)], shared)
+                    sink(_Chunk(batch.share, shares, batch), [owner], [len(bits)])
                     continue
                 while True:  # one piece per chunk the block reaches; an empty block is one piece
                     take = min(len(bits), _CHUNK_ROWS - rows)
@@ -403,10 +416,8 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
                     bits, phases = bits[take:], phases[take:]
                     if not len(bits):
                         break
-        if pieces:  # the held rows' all-Share rows count towards the next round's top-ups
-            modes = _piece_modes(config, pieces, modes, shared, forced)
     if pieces:
-        _play_packed(config, pieces, modes, shared, sink, forced, keys_only)
+        _play_packed(config, pieces, sink, forced, keys_only)
 
 
 def _join(arrays: list) -> np.ndarray:
@@ -414,46 +425,24 @@ def _join(arrays: list) -> np.ndarray:
     return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
 
 
-def _piece_modes(config: SessionConfig, pieces, modes, shared, forced):
-    """``modes`` extended over the packed pieces: ((share, shares) per run, pieces done).
+def _count_shared(case1: np.ndarray, owners, lengths, shared) -> None:
+    """Count the all-Share rows ``case1`` marks into ``shared`` by owner.
 
-    Only the pieces past ``modes`` are worked out, in one op from their mode
-    draws (or ``forced``), and their all-Share rows are counted into
-    ``shared`` by owner: with one count when the pieces have one owner.
+    The rows run ``owners[0]``'s ``lengths[0]`` rows, then ``owners[1]``'s
+    ``lengths[1]`` and so on: one owner takes one count.
     """
-    q = config.particle_count
-    worked, done = modes or ([], 0)
-    fresh = pieces[done:]
-    if not fresh:
-        return modes
-    owners = [owner for piece in fresh for owner in piece[0]]
-    lengths = [length for piece in fresh for length in piece[1]]
-    if forced is None:
-        share = _join([piece[4][:, :q] for piece in fresh]) < 0.5
-        shares = _row_counts(share)
-    else:
-        share = np.broadcast_to(forced, (sum(lengths), q))
-        shares = np.broadcast_to(np.count_nonzero(forced), sum(lengths))
-    case1 = shares == q
-    if len(set(owners)) == 1:
+    if len(owners) == 1:
         shared[owners[0]] += np.count_nonzero(case1)
     elif case1.any():
         shared += np.bincount(np.repeat(owners, lengths)[case1], minlength=len(shared))
-    return [*worked, (share, shares)], len(pieces)
 
 
-def _play_packed(config: SessionConfig, pieces, modes, shared, sink, forced, keys_only) -> None:
-    """Play (owners, lengths, bits, phases, draws) pieces as one chunk and sink it.
-
-    The chunk's modes are ``modes``, which ``_piece_modes`` extends over any
-    pieces packed since a round's end worked them out.
-    """
-    worked, _ = _piece_modes(config, pieces, modes, shared, forced)
+def _play_packed(config: SessionConfig, pieces, sink, forced, keys_only) -> None:
+    """Play (owners, lengths, bits, phases, draws, share, shares) pieces as one chunk; sink it."""
     owners = [owner for piece in pieces for owner in piece[0]]
     lengths = [length for piece in pieces for length in piece[1]]
     # one piece plays as it is: a copy would cost a fresh chunk-sized allocation
-    share, shares = (_join(arrays) for arrays in zip(*worked))
-    bits, phases, draws = (_join(arrays) for arrays in list(zip(*pieces))[2:])
+    bits, phases, draws, share, shares = (_join(arrays) for arrays in list(zip(*pieces))[2:])
     if not keys_only:
         results, probe = _play_on_branches(config, bits, phases, draws, share, forced)
         batch = RoundBatch(bits, phases, share, results, probe)
@@ -1000,31 +989,31 @@ def _attempt_rounds(config: SessionConfig, rngs, shared):
 
 
 def _reads_state(config: SessionConfig) -> bool:
-    """Whether a pass must read its generators' states to know if they hold a half word.
+    """Whether ``check_draws`` must read a pass's generator states for a held half word.
 
     A 32-bit draw leaves the high half of its word held for the next one, and
-    ``fair_bits`` and ``check_draws`` must start there (``fair_bit_rows`` cannot). On the
-    branch engine an attempt's generator starts fresh from ``derived_rngs``, its pattern
-    batches and top-ups draw even counts of bits (``batch_size`` and its quarter are
-    even) and its rows draw only doubles, so it never holds one. On the dense engine an
-    interceptor may draw anything.
+    step 6's draws must start there. On the branch engine an attempt's generator
+    starts fresh from ``derived_rngs``, ``fair_bit_rows`` draws its pattern batches
+    and top-ups as even counts of bits (``batch_size`` and its quarter are even), or
+    ``_pattern_blocks`` a batch wider than a chunk, and its rows draw only doubles,
+    so it never holds one. On the dense engine an interceptor may draw anything.
     """
     return round_engine(config) == "dense"
 
 
-def _pattern_blocks(rng, size: int, q: int, read_state: bool = True):
+def _pattern_blocks(rng, size: int, q: int):
     """A batch's pattern bits and phases, in blocks of at most ``_CHUNK_ROWS`` rows.
 
     The same bits and phases ``sample_patterns`` draws, leaving ``rng`` in
     the same state: numpy's ``rng.integers(0, 2, size=size * (q + 1))``,
-    read by ``fair_bits``, which takes ``read_state``. A batch of more rows
-    never holds all its bits or phases: ``replay_fair_bits`` copies of ``rng``
-    taken at the bits and at the phases draw each block's share of them when
-    the block is asked for, while ``rng`` itself moves past both, drawing
-    none of them.
+    read by ``fair_bits``, which starts at any half word ``rng`` holds. A
+    batch of more rows never holds all its bits or phases:
+    ``replay_fair_bits`` copies of ``rng`` taken at the bits and at the
+    phases draw each block's share of them when the block is asked for,
+    while ``rng`` itself moves past both, drawing none of them.
     """
     if size <= _CHUNK_ROWS:
-        draws = fair_bits(rng, size * (q + 1), read_state)
+        draws = fair_bits(rng, size * (q + 1))
         yield draws[: size * q].reshape(size, q), draws[size * q :].view(np.uint8)
         return
     bit_replay, phase_replay = replay_fair_bits(rng, size * q), replay_fair_bits(rng, size)

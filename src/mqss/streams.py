@@ -154,7 +154,7 @@ class _Generated:
 # --- fair bits -----------------------------------------------------------------
 
 
-def fair_bits(rng, count: int, read_state: bool = True) -> np.ndarray:
+def fair_bits(rng, count: int) -> np.ndarray:
     """``rng.integers(0, 2, size=count)`` as booleans, read from raw ``PCG64`` words.
 
     numpy draws each such number from one 32-bit half word u as
@@ -163,8 +163,6 @@ def fair_bits(rng, count: int, read_state: bool = True) -> np.ndarray:
     its next 32-bit draw, so one ``random_raw`` call gives the same halves.
     A held half is read first, and the generator is left holding what numpy
     leaves it holding; only a half numpy has already handed out may differ.
-    A caller that knows the generator holds no half passes
-    ``read_state=False``, which saves reading its state (about 2 us).
     Other bit generators draw with ``integers``.
     """
     bit_generator = getattr(rng, "bit_generator", None)
@@ -172,7 +170,7 @@ def fair_bits(rng, count: int, read_state: bool = True) -> np.ndarray:
         return rng.integers(0, 2, size=count).astype(bool)
     if not count:
         return np.zeros(0, dtype=bool)
-    state = bit_generator.state if read_state else {"has_uint32": 0}
+    state = bit_generator.state
     held = state["has_uint32"]
     fresh = count - held
     halves = raw_halves(bit_generator.random_raw(-(-fresh // 2)))
@@ -184,10 +182,11 @@ def fair_bits(rng, count: int, read_state: bool = True) -> np.ndarray:
 
 
 def fair_bit_rows(rngs, count: int) -> np.ndarray:
-    """``[fair_bits(rng, count, read_state=False) for rng in rngs]`` as one A x count array.
+    """``[fair_bits(rng, count) for rng in rngs]`` as one A x count array.
 
-    For ``PCG64`` generators that hold no half word: one ``random_raw`` call each, all cut
-    in one array step. An odd count leaves each holding its last high half, as numpy does.
+    For ``PCG64`` generators known to hold no half word, whose states it
+    does not read: one ``random_raw`` call each, all cut in one array step.
+    An odd count leaves each holding its last high half, as numpy does.
     """
     generators = [rng.bit_generator for rng in rngs]
     raw = np.array([generator.random_raw(-(-count // 2)) for generator in generators], _WORD)
@@ -250,8 +249,8 @@ def check_draws(rngs, lengths, m: int, read_state: bool) -> tuple[np.ndarray, np
     unless n > 10,000 and m > n // 50: for j = n - m to n - 1 it draws on [0, j] and takes j
     in place of a repeat, then shuffles its m picks, drawing on [0, i] for i = m - 1 down to
     1; each draw is ``_lemire`` on the next 32-bit half word. The secret bits are bit 31 of
-    the next m halves. ``read_state`` is ``fair_bits``': True where a generator may hold a
-    half word, and then every attempt makes numpy's calls, which read it. Otherwise, in a
+    the next m halves. ``read_state`` is True where a generator may hold a half word,
+    and then every attempt makes numpy's calls, which read it. Otherwise, in a
     pass of ``_ARRAY_PASS`` attempts or more, every attempt reads the 3m - 1 halves these
     take from one ``random_raw`` block, and the steps run as arrays over all attempts. An
     attempt where a draw rejects its half, or on numpy's other branch (the tail shuffle, or

@@ -22,6 +22,7 @@ from mqss.adversary import (
 from mqss.ghz import GhzSpec, prepare
 from mqss.protocol import (
     Mode,
+    RoundAttack,
     SessionConfig,
     Verdict,
     play_rounds,
@@ -390,3 +391,28 @@ def test_a_victim_past_the_last_agent_is_named_as_an_agent(config):
     # a victim among the agents is tapped at its particle, one past its index
     session = attacked(SessionConfig(n_agents=9), config)
     assert list(session.attack.z_taps) == [10]
+
+
+def keep_state(state, particle, rng):
+    return state
+
+
+def test_an_attack_position_that_is_not_an_integer_is_refused():
+    # a tap at 2.5 would never fire: the attack would be disarmed without a word
+    for build in (
+        lambda: MeasureResendConfig(1.5),
+        lambda: CollusionConfig(frozenset({1.5}), MeasureResendConfig(target=3)),
+        lambda: RoundAttack(z_taps={2.5: 1.0}),
+        lambda: RoundAttack(interceptors={2.5: keep_state}),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    two = np.int64(2)
+    positions = [
+        MeasureResendConfig(two).target,
+        *CollusionConfig({two}, MeasureResendConfig(target=3)).colluders,
+        *RoundAttack(z_taps={two: 1.0}).z_taps,
+        *RoundAttack(interceptors={two: keep_state}).interceptors,
+        *attacked(SessionConfig(n_agents=3), MeasureResendConfig(two - 1)).attack.z_taps,
+    ]
+    assert positions == [2] * 5 and {type(position) for position in positions} == {int}

@@ -769,6 +769,24 @@ def test_attempts_drawn_as_groups_match_the_same_sessions_one_at_a_time(
         assert any(len(sources) > 1 for sources in rounds)
 
 
+@pytest.mark.parametrize("collect_records", [False, True], ids=["keys-only", "records"])
+@pytest.mark.parametrize("kind", ["honest", "collusion"])
+def test_batches_at_the_chunk_boundary_match_the_same_sessions_alone(
+    monkeypatch, kind, collect_records
+):
+    config = SessionConfig(n_agents=2, secret_bits=2, epsilon=0.05, attack=CHUNK_ATTACKS[kind])
+    seeds = range(40)
+    alone = [
+        run_session(replace(config, seed=seed), collect_records=collect_records)
+        for seed in seeds
+    ]
+    # one row short of a batch, every batch is wider than a chunk and replays its patterns; at
+    # one batch a batch fills a chunk; one row more, every next batch straddles a chunk alone
+    for chunk in (config.batch_size - 1, config.batch_size, config.batch_size + 1):
+        monkeypatch.setattr(protocol, "_CHUNK_ROWS", chunk)
+        assert run_sessions(config, seeds, collect_records=collect_records) == alone
+
+
 def test_no_seeds_run_no_sessions():
     assert run_sessions(SessionConfig(), []) == []
 
@@ -1020,9 +1038,9 @@ def test_a_pass_reads_generator_states_only_where_a_half_word_may_be_held(monkey
     fair_bits, fair_bit_rows = protocol.fair_bits, protocol.fair_bit_rows
     check_draws = protocol.check_draws
 
-    def recording_bits(rng, count, read_state=True):
-        held.append((read_state, rng.bit_generator.state["has_uint32"]))
-        return fair_bits(rng, count, read_state)
+    def recording_bits(rng, count):  # reads the state
+        held.append((True, rng.bit_generator.state["has_uint32"]))
+        return fair_bits(rng, count)
 
     def recording_rows(rngs, count):  # a group's draw reads no state
         held.extend((False, rng.bit_generator.state["has_uint32"]) for rng in rngs)
