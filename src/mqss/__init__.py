@@ -28,6 +28,7 @@ from .protocol import (
     RoundRecord,
     SessionConfig,
     SessionOutcome,
+    Sessions,
     Verdict,
     run_rounds,
     run_session,
@@ -51,6 +52,7 @@ __all__ = [
     "RoundRecord",
     "SessionConfig",
     "SessionOutcome",
+    "Sessions",
     "Verdict",
     "attacked",
     "broadcast",

@@ -282,19 +282,20 @@ def run_collusion(
     plays their rounds together. The colluders disclose their modes and
     results to the server out of band, which does not change what the
     honest checks see. Returns the session abort fraction and the pooled
-    per-checked-bit failure rate.
+    per-checked-bit failure rate, read from the sessions' verdict and
+    ``step6_failures`` columns: no ``SessionOutcome`` is built.
     """
     if trials < MIN_ESTIMATE_TRIALS:
         raise ValueError(f"need at least {MIN_ESTIMATE_TRIALS} trials for stable estimates")
-    outcomes = run_sessions(
+    sessions = run_sessions(
         replace(attacked(session, config), max_attempts=1),
         child_seeds(session.seed, trials),
     )
-    aborted = sum(outcome.verdict is not Verdict.COMPLETED for outcome in outcomes)
+    aborted = trials - int(np.count_nonzero(sessions.ended(Verdict.COMPLETED)))
     # sessions that reach step 6 check secret_bits positions each
-    failures = [o.stats.step6_failures for o in outcomes if o.stats.step6_failures is not None]
+    failures = sessions.stat("step6_failures")
     checked_bits = len(failures) * session.secret_bits
-    per_bit = sum(failures) / checked_bits if checked_bits else 0.0
+    per_bit = int(failures.sum()) / checked_bits if checked_bits else 0.0
     return CollusionReport(
         detection_rate_overall=aborted / trials,
         per_bit_rate=per_bit,

@@ -379,39 +379,26 @@ def _mean(rates: list[float]) -> Optional[float]:
 
 
 def _run_sessions(config: ExperimentConfig, session: SessionConfig) -> dict:
-    """The ``RunReport`` fields of ``config.trials`` seeded sessions."""
-    collect = config.transcript is not None
-    verdicts = {verdict.value: 0 for verdict in Verdict}
-    tally = np.zeros(len(RoundCase), dtype=np.int64)
-    matches = 0
-    step5_rates = []
-    step6_rates = []
+    """The ``RunReport`` fields of ``config.trials`` seeded sessions, read from their columns."""
     seeds = child_seeds(config.session.seed, config.trials)
-    outcomes = run_sessions(session, seeds, collect_records=collect)
-    for outcome in outcomes:
-        verdicts[outcome.verdict.value] += 1
-        stats = outcome.stats
-        tally += (stats.case1_rounds, stats.case2_rounds, stats.case3_rounds,
-                  stats.discarded_rounds)
-        if outcome.verdict is Verdict.COMPLETED:
-            matches += outcome.reconstructed == outcome.secret
-        if outcome.stats.step5_error_rate is not None:
-            step5_rates.append(outcome.stats.step5_error_rate)
-        if outcome.stats.step6_error_rate is not None:
-            step6_rates.append(outcome.stats.step6_error_rate)
-    if collect:
-        grouped = [(trial, outcome.rounds) for trial, outcome in enumerate(outcomes)]
-        write_transcript(config.transcript, grouped)
-    counts = {case.value: int(rounds) for case, rounds in zip(RoundCase, tally)}
+    sessions = run_sessions(session, seeds, collect_records=config.transcript is not None)
+    if config.transcript is not None:
+        write_transcript(config.transcript, enumerate(outcome.rounds for outcome in sessions))
+    verdicts = {v.value: int(np.count_nonzero(sessions.ended(v))) for v in Verdict}
+    completed = sessions.ended(Verdict.COMPLETED)
+    matches = np.count_nonzero((sessions.reconstructed == sessions.secret).all(axis=1) & completed)
+    # SessionStats' fields 1 to 4 are the rounds per case, in RoundCase order
+    tally = sessions.stats[:, 1:5].sum(axis=0).astype(np.int64).tolist()
+    counts = {case.value: rounds for case, rounds in zip(RoundCase, tally)}
     rounds_total = sum(counts.values())
     return dict(
         trials=config.trials,
         verdict_counts=verdicts,
-        reconstruction_matches=matches,
+        reconstruction_matches=int(matches),
         case_counts=counts,
         rounds_total=rounds_total,
-        step5_error_rate=_mean(step5_rates),
-        step6_error_rate=_mean(step6_rates),
+        step5_error_rate=_mean(sessions.stat("step5_error_rate").tolist()),
+        step6_error_rate=_mean(sessions.stat("step6_error_rate").tolist()),
         raw_bits_per_round=(
             counts[RoundCase.CASE1.value] / rounds_total if rounds_total else None
         ),

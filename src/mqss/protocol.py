@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from math import isnan
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -74,6 +76,21 @@ class RoundRecord:
     probe_outcome: Optional[int] = None
 
 
+class _Frozen(dict):
+    """A dict that refuses changes and hashes, so that a config holding one can key a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("an attack's positions are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):  # pickle and copy rebuild it whole, never item by item
+        return _Frozen, (dict(self),)
+
+
 @dataclass(frozen=True)
 class RoundAttack:
     """What an adversary does to a session's rounds, as data both engines read.
@@ -87,7 +104,7 @@ class RoundAttack:
     dense state, applied after channel noise and before a Z tap; a round
     with any of them runs on the dense engine. Taps and interceptors are
     keyed by particle position (1 = dealer, 1+i = agent i); the session
-    config refuses a position past its last particle.
+    config refuses a position past its last particle. Both are read-only and hash.
     """
 
     collective: Optional["CollectiveAttackConfig"] = None
@@ -96,8 +113,8 @@ class RoundAttack:
 
     def __post_init__(self) -> None:
         for name in ("z_taps", "interceptors"):  # a float position raises: it would never fire
-            keyed = {operator.index(at): value for at, value in getattr(self, name).items()}
-            object.__setattr__(self, name, keyed)
+            keyed = ((operator.index(at), value) for at, value in getattr(self, name).items())
+            object.__setattr__(self, name, _Frozen(keyed))
         if any(position < 1 for position in (*self.z_taps, *self.interceptors)):
             raise ValueError("tap and interceptor positions are 1-based")
         for rate in self.z_taps.values():
@@ -613,8 +630,8 @@ def verify_step5(batch: RoundBatch, base_threshold: float = 0.0) -> Step5Report:
     mismatches, positions, failures, checked = sums[0].tolist()
     if positions == 0:
         raise IndeterminateCheckError("no check-mode rounds available")
-    (rate,), (threshold,), (passed,) = _step5_verdicts(sums, base_threshold)
-    return Step5Report(rate, mismatches, positions, failures, checked, threshold, bool(passed))
+    rate, threshold, passed = (column.item() for column in _step5_verdicts(sums, base_threshold))
+    return Step5Report(rate, mismatches, positions, failures, checked, threshold, passed)
 
 
 def _segment_sums(share: np.ndarray, shares, wrong: Optional[np.ndarray], lengths) -> np.ndarray:
@@ -656,8 +673,8 @@ def _row_counts(flags: np.ndarray) -> np.ndarray:
     return (flags.view(np.uint8) @ np.ones(flags.shape[1], dtype=np.uint8)).astype(np.int64)
 
 
-def _step5_verdicts(sums: np.ndarray, base_threshold: float) -> tuple[list, list, list]:
-    """Each row's step-5 error rate, threshold and verdict (an array): the one step-5 rule.
+def _step5_verdicts(sums: np.ndarray, base_threshold: float) -> tuple[np.ndarray, ...]:
+    """Each row's step-5 error rate, threshold and verdict, as arrays: the one step-5 rule.
 
     A row of ``_segment_sums``' step-5 sums passes when its mismatches per
     checked position are within ``effective_threshold``, never with none checked.
@@ -666,7 +683,7 @@ def _step5_verdicts(sums: np.ndarray, base_threshold: float) -> tuple[list, list
     rates = mismatches / np.maximum(positions, 1)
     thresholds = effective_threshold(base_threshold, positions)
     passed = (positions > 0) & (rates <= thresholds)
-    return rates.tolist(), thresholds.tolist(), passed
+    return rates, thresholds, passed
 
 
 @dataclass(frozen=True)
@@ -850,6 +867,78 @@ class SessionOutcome:
         return log
 
 
+_VERDICTS = tuple(Verdict)  # a verdict code indexes this
+_SHARING = ("secret", "ciphertext", "reconstructed")
+_STAT_NAMES = tuple(stat.name for stat in fields(SessionStats))
+_STAT_TYPES = (int,) * 5 + (float, int, int, float, int, int)  # of each field, in that order
+
+
+@dataclass(eq=False)
+class Sessions(Sequence):
+    """A run's sessions as columns: row i holds session i's final attempt.
+
+    ``sessions[i]`` builds that attempt's ``SessionOutcome`` as it is read,
+    and a ``Sessions`` equals any sequence of the same outcomes in order. A
+    row is read only where its verdict says the step ran: the key rows and
+    check positions past step 5, the sharing columns once completed.
+    """
+
+    verdicts: np.ndarray  # A int8 codes, indices into tuple(Verdict)
+    stats: np.ndarray  # A x 11 float64: SessionStats' fields in order, NaN for None
+    keys: np.ndarray  # raw key rows (dealer first), one pass's attempts after another's
+    key_starts: np.ndarray  # A: where each attempt's case1_rounds key rows start
+    check_positions: np.ndarray  # A x m: step 6's sorted raw-key positions
+    shadow_keys: np.ndarray  # A x q x m, dealer first
+    secret: np.ndarray  # A x m, as are the next two
+    ciphertext: np.ndarray
+    reconstructed: np.ndarray
+    rounds: Optional[list] = None  # per session its played RoundBatch pieces, with records
+
+    def __len__(self) -> int:
+        return len(self.verdicts)
+
+    def __getitem__(self, index) -> SessionOutcome:
+        trial = range(len(self))[operator.index(index)]  # past either end raises IndexError
+        verdict, row = _VERDICTS[self.verdicts[trial]], self.stats[trial].tolist()
+        stats = SessionStats(*[None if isnan(v) else kind(v) for v, kind in zip(row, _STAT_TYPES)])
+        steps = {}
+        if verdict is not Verdict.ABORTED_STEP5:
+            start = self.key_starts[trial]
+            keys = self.keys[start : start + stats.case1_rounds]
+            steps["raw_keys"] = tuple(map(tuple, keys.T.tolist()))
+            steps["check_positions"] = tuple(self.check_positions[trial].tolist())
+        if verdict is Verdict.COMPLETED:
+            steps["shadow_keys"] = tuple(map(tuple, self.shadow_keys[trial].tolist()))
+            for name in _SHARING:
+                steps[name] = tuple(getattr(self, name)[trial].tolist())
+        rounds = None if self.rounds is None else RoundBatch.join(self.rounds[trial])
+        return SessionOutcome(verdict, stats, rounds=rounds, **steps)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def ended(self, verdict: Verdict) -> np.ndarray:
+        """Which sessions' final attempts ended with ``verdict``, as booleans."""
+        return self.verdicts == _VERDICTS.index(verdict)
+
+    def stat(self, name: str) -> np.ndarray:
+        """The ``SessionStats`` field ``name`` of each session where it is not None, in order."""
+        column = self.stats[:, _STAT_NAMES.index(name)]
+        return column[~np.isnan(column)]
+
+    def _overwrite(self, trials: np.ndarray, retried: "Sessions") -> None:
+        """Write a retry pass's sessions over rows ``trials``, in order."""
+        for name in ("verdicts", "stats", "check_positions", "shadow_keys", *_SHARING):
+            getattr(self, name)[trials] = getattr(retried, name)
+        self.key_starts[trials] = retried.key_starts + len(self.keys)
+        self.keys = np.concatenate((self.keys, retried.keys))
+        if self.rounds is not None:
+            for trial, rows in zip(trials.tolist(), retried.rounds):
+                self.rounds[trial] = rows
+
+
 _MAX_BATCHES = 64
 
 
@@ -873,7 +962,7 @@ def run_sessions(
     seeds: Sequence[int],
     secret: Optional[Sequence[int]] = None,
     collect_records: bool = False,
-) -> list[SessionOutcome]:
+) -> Sessions:
     """Run one session per seed, each ``config`` with that seed, in seed order.
 
     A session's outcome depends on its seed alone: attempt k draws from
@@ -883,26 +972,28 @@ def run_sessions(
     sessions' rounds are played together, one ``_play_rows`` job per
     attempt, so on the branch engine every attempt's rows share chunks of
     at most ``_CHUNK_ROWS`` rows; then each attempt's checks run on its own
-    generator. Retries run as a further pass over the sessions that aborted.
-    A ``secret`` is checked before any round plays, and so is every seed.
+    generator. Each pass returns its attempts as ``Sessions`` columns, and a
+    retry pass over the sessions that aborted writes over their rows. A
+    ``secret`` is checked before any round plays, and so is every seed.
     """
     if secret is not None:
         _check_secret(secret, config.secret_bits)
-    outcomes: list[SessionOutcome] = [None] * len(seeds)
-    pending = range(len(seeds))
+    sessions, pending = None, np.arange(len(seeds))
     for attempt in range(config.max_attempts):
-        if not pending:
-            break
-        rngs = derived_rngs([seeds[trial] for trial in pending], attempt)
+        rngs = derived_rngs([seeds[trial] for trial in pending.tolist()], attempt)
         played = _Played(len(rngs), config.particle_count, collect_records)
         shared = np.zeros(len(rngs), dtype=np.int64)
         rounds = _attempt_rounds(config, rngs, shared)
         _play_rows(config, rounds, played.add, shared, keys_only=not collect_records)
         finished = _finish_pass(config, played, rngs, secret, attempt + 1)
-        for trial, outcome in zip(pending, finished):
-            outcomes[trial] = outcome
-        pending = [trial for trial in pending if outcomes[trial].verdict is not Verdict.COMPLETED]
-    return outcomes
+        if sessions is None:
+            sessions = finished
+        else:
+            sessions._overwrite(pending, finished)
+        pending = pending[~finished.ended(Verdict.COMPLETED)]
+        if not len(pending):
+            break
+    return sessions
 
 
 def case_counts(batch: RoundBatch) -> dict[str, int]:
@@ -937,7 +1028,7 @@ class _Played:
 
     def __init__(self, attempts: int, q: int, collect_records: bool) -> None:
         self.sums = np.zeros((attempts, q + 5), dtype=np.int64)
-        self.keys: list[np.ndarray] = []
+        self.keys = [np.zeros((0, q), dtype=np.uint8)]  # a pass of no attempts plays no chunk
         self.key_owners: list[np.ndarray] = []
         self.rows = [[] for _ in range(attempts)] if collect_records else None
 
@@ -1029,29 +1120,22 @@ def _finish_pass(
     rngs,
     secret: Optional[Sequence[int]],
     attempt: int,
-) -> list[SessionOutcome]:
-    """Steps 5 and 6 and the sharing of every attempt of a pass, in attempt order.
+) -> Sessions:
+    """Steps 5 and 6 and the sharing of every attempt of a pass, as the pass's columns.
 
     Every attempt's case tally, rounds used and step-5 verdict come from
     ``played.sums`` as arrays. The attempts that pass step 5 go on to one
     ``_step6_verdicts`` over them all, each drawing its check positions and
     then any secret on its own generator (one ``check_draws``); those that
-    clear step 6 go on to one ``_share``. An attempt's outcome gains its
-    fields as it clears each step.
+    clear step 6 go on to one ``_share``.
     """
     q, m, epsilon = config.particle_count, config.secret_bits, config.epsilon
-    per_checks = played.sums[:, : q + 1]
     step5_sums = played.sums[:, q + 1 :]
     rates, _, passed = _step5_verdicts(step5_sums, epsilon)
-    _, positions, failures, checked = step5_sums.T.tolist()
-    # per attempt, SessionStats' fields up to step 6: rounds, cases, step 5
-    counts = (per_checks @ _case_matrix(q)).tolist()
-    step5 = zip(rates, failures, checked)
     keys, starts = played.attempt_keys()
     on = np.flatnonzero(passed)  # the attempts that go on to step 6
     picks, drawn = check_draws([rngs[i] for i in on], played.sums[on, 0], m, _reads_state(config))
-    chosen, failures6, rates6, _, cleared, kept = _step6_verdicts(keys, starts[on], picks, epsilon)
-    step6 = zip(list(map(tuple, chosen.tolist())), rates6.tolist(), failures6.tolist(), cleared)
+    chosen, failures, rates6, _, cleared, kept = _step6_verdicts(keys, starts[on], picks, epsilon)
     done = on[cleared]  # and complete
     if secret is None:
         secrets = drawn[cleared]
@@ -1059,26 +1143,21 @@ def _finish_pass(
         secrets = np.tile(np.asarray(secret, dtype=np.uint8), (len(done), 1))
     # each attempt's shadows are its first m kept rows: m burned from every earlier one on
     shadows, *texts = _share(keys[kept], (starts[on] - m * np.arange(len(on)))[cleared], secrets)
-    sharing = zip(
-        [tuple(map(tuple, attempt)) for attempt in shadows.tolist()],
-        *(list(map(tuple, text.tolist())) for text in (secrets, *texts)),
+    # SessionStats' fields: rounds and the 4 cases; step 5's rate, failed and checked
+    # rounds; step 6's rate and failures; the attempt
+    stats = np.full((len(rngs), len(_STAT_TYPES)), np.nan)
+    stats[:, :5] = played.sums[:, : q + 1] @ _case_matrix(q)
+    checks = step5_sums[:, 1] > 0  # step 5's fields are None where it checked nothing
+    stats[checks, 5], stats[checks, 6:8] = rates[checks], step5_sums[checks, 2:]
+    stats[on, 8], stats[on, 9], stats[:, 10] = rates6, failures, attempt
+    verdicts = (1 + passed).astype(np.int8)  # ABORTED_STEP5, or ABORTED_STEP6 past step 5
+    verdicts[done] = 0  # COMPLETED
+    check_positions = np.zeros((len(rngs), m), dtype=np.int64)
+    check_positions[on] = chosen
+    shadow_keys = np.zeros((len(rngs), q, m), dtype=np.uint8)
+    shadow_keys[done] = shadows
+    sharing = np.zeros((len(_SHARING), len(rngs), m), dtype=np.uint8)
+    sharing[:, done] = secrets, *texts
+    return Sessions(
+        verdicts, stats, keys, starts, check_positions, shadow_keys, *sharing, played.rows
     )
-    names = ("shadow_keys", "secret", "ciphertext", "reconstructed")
-    del picks, drawn, chosen, kept, shadows, texts, secrets, on, done  # the zips hold what is read
-    outcomes = []
-    for index, (count, step5_fields, checks, ok, start) in enumerate(
-        zip(counts, step5, positions, passed, starts.tolist())
-    ):
-        head = (*count, *(step5_fields if checks else (None, None, None)))
-        verdict, step6_fields, fields = Verdict.ABORTED_STEP5, (None, None), {}
-        if ok:
-            fields["check_positions"], *step6_fields, completed = next(step6)
-            verdict = Verdict.ABORTED_STEP6
-            fields["raw_keys"] = tuple(map(tuple, keys[start : start + count[1]].T.tolist()))
-            if completed:
-                fields.update(zip(names, next(sharing)))
-                verdict = Verdict.COMPLETED
-        rounds = None if played.rows is None else RoundBatch.join(played.rows[index])
-        stats = SessionStats(*head, *step6_fields, attempt)
-        outcomes.append(SessionOutcome(verdict, stats, rounds=rounds, **fields))
-    return outcomes

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+
+from mqss import protocol
 
 from mqss.statevec import PureState
 
@@ -27,3 +31,17 @@ def state_from_terms(qubit_count, terms, scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """How many ``SessionOutcome`` and ``SessionStats`` objects ``protocol`` builds, by name."""
+    counts = Counter()
+    for name in ("SessionOutcome", "SessionStats"):
+
+        def counting(*args, _made=getattr(protocol, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _made(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, name, counting)
+    return counts

@@ -1,6 +1,6 @@
 """Attack models: state-level guarantees and Monte-Carlo detection laws."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 from math import log2, sqrt
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from mqss.adversary import (
     CollectiveAttackConfig,
     CollusionConfig,
+    CollusionReport,
     MeasureResendConfig,
     attacked,
     collective_attack,
@@ -38,7 +39,7 @@ from mqss.statevec import (
     basis_state,
     fidelity,
 )
-from mqss.streams import derived_rng
+from mqss.streams import child_seeds, derived_rng
 
 S2 = 1.0 / sqrt(2.0)
 C, S = Mode.CHECK, Mode.SHARE
@@ -333,6 +334,22 @@ def test_collusion_disabled_never_detects():
     report = run_collusion(None, session, trials=1_000)
     assert report.detection_rate_overall == 0.0
     assert report.per_bit_rate == 0.0
+
+
+def test_run_collusion_reads_columns_and_builds_no_session_outcome(built):
+    config = CollusionConfig(frozenset({1}), MeasureResendConfig(target=2))
+    session = SessionConfig(n_agents=2, secret_bits=4, seed=1)
+    report = run_collusion(config, session, trials=1_000)
+    assert built == {}
+    # the figures the CLI pins for these sessions, each of its own type
+    assert report == CollusionReport(0.687, 0.25825, 1_000, 4_000)
+    assert [type(value) for value in astuple(report)] == [float, float, int, int]
+    outcomes = run_sessions(
+        replace(attacked(session, config), max_attempts=1), child_seeds(1, 1_000)
+    )
+    failures = [o.stats.step6_failures for o in outcomes if o.stats.step6_failures is not None]
+    aborted = sum(outcome.verdict is not Verdict.COMPLETED for outcome in outcomes)
+    assert (aborted / 1_000, sum(failures) / (4 * len(failures))) == astuple(report)[:2]
 
 
 def test_collusion_validates_victim_and_trials():

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,21 +412,32 @@ def test_rates_print_their_wilson_interval_at_z_3(successes, total):
 
 def test_failed_honest_session_exits_one(capsys, monkeypatch):
     import mqss.cli as cli_module
-    from mqss.protocol import SessionStats, SessionOutcome, Verdict
+    from mqss.protocol import RoundAttack, run_sessions
+    from mqss.statevec import PAULI_X, apply_gate
 
-    stats = SessionStats(
-        rounds_used=10, case1_rounds=1, case2_rounds=1, case3_rounds=6,
-        discarded_rounds=2, step5_error_rate=0.4, step5_round_failures=3,
-        step5_checked_rounds=7, step6_error_rate=None, step6_failures=None,
-        attempts=3,
-    )
-    aborted = SessionOutcome(verdict=Verdict.ABORTED_STEP5, stats=stats)
-    monkeypatch.setattr(cli_module, "run_sessions",
-                        lambda config, seeds, **kwargs: [aborted] * len(seeds))
+    def flip(state, particle, rng):  # every check round then misses its pattern there
+        return apply_gate(state, particle, PAULI_X)
+
+    def failing(config, seeds, **kwargs):  # the honest sessions, made to fail step 5
+        config = replace(config, attack=RoundAttack(interceptors={2: flip}))
+        return run_sessions(config, seeds, **kwargs)
+
+    monkeypatch.setattr(cli_module, "run_sessions", failing)
     code = cli_module.main(["--secret-bits", "2"])
     out = capsys.readouterr().out
     assert code == 1
     assert "aborted_step5=1" in out
+
+
+def test_a_run_without_a_transcript_builds_no_session_outcome(built, capsys, tmp_path):
+    run = ["--attack", "measure-resend", "--victim", "2", "--trials", "6", "--secret-bits", "2"]
+    assert main(run) == EXIT_OK
+    report = capsys.readouterr().out
+    assert built == {}
+    # a transcript reads each session's rounds from its outcome
+    assert main(run + ["--transcript", str(tmp_path / "run.jsonl")]) == EXIT_OK
+    assert built == {"SessionOutcome": 6, "SessionStats": 6}
+    assert report.splitlines()[:-1] == capsys.readouterr().out.splitlines()[:-1]
 
 
 def test_measure_resend_sessions_abort_but_exit_zero(capsys):

@@ -1,9 +1,12 @@
 """Round classification, checks, sifting, and full-session behavior."""
 
+import copy
+import hashlib
 import itertools
+import pickle
 import re
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from math import sqrt
 
 import numpy as np
@@ -30,6 +33,7 @@ from mqss.protocol import (
     RoundBatch,
     RoundCase,
     SessionConfig,
+    SessionStats,
     Verdict,
     case_counts,
     case_table,
@@ -1284,6 +1288,109 @@ def test_a_pass_calls_neither_one_attempt_entry_point(monkeypatch):
     monkeypatch.setattr(protocol, "finalize_and_share", refuse)
     outcomes = run_sessions(SessionConfig(n_agents=2, secret_bits=2), range(20))
     assert all(outcome.verdict is Verdict.COMPLETED for outcome in outcomes)
+
+
+# sha256 of every field of run_sessions(config, range(50)) at n = 3, m = 4, epsilon
+# 0.05 and max_attempts = 3, so that retries write over earlier attempts' rows
+OUTCOME_DIGESTS = {
+    ("honest", False): "e1149c931b28faeb20f353490405ab2698f228b830210ab4b7ae3ab00d8824c0",
+    ("honest", True): "7151c18567d070531cf604809a80c93e7bd7fa55c852ab46e1884392b458b361",
+    ("measure-resend", False): "772d6392e5f8b3b7ad51ab3b28445cbf132659c12683c897e135f1da2945bfc0",
+    ("measure-resend", True): "bd8c93d69faabe8d476f3285ca4242293448fe000b831746ea674514267f9d21",
+    ("collusion", False): "ce4f57542c1575f6bde2cecd2cf4b1961094da850f1d766c378dbc23228147cb",
+    ("collusion", True): "b2632d52ef312af7aa5aef071831f90ee67568521ee1d7c50134d50b04b9eaf5",
+    ("collective", False): "40e3084f68427cec2e3f6afc122c8e27ed6086a81c2920178f4f71cc8c7b7156",
+    ("collective", True): "b1d71ebbb8b0ff595fc04240b4eed2b2bc2115ed69c1b37af314fe2dcf62ceaa",
+}
+
+
+def outcomes_digest(outcomes) -> str:
+    """sha256 of ``repr`` of every field of every outcome, in order.
+
+    ``repr`` names each value's type, so an int that turns into a float or an
+    ``np.int64`` changes the digest. A ``RoundBatch`` enters as its arrays'
+    dtypes, shapes and bytes, since an array's ``repr`` elides its middle.
+    """
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        for value in (getattr(outcome, field.name) for field in fields(outcome)):
+            if isinstance(value, RoundBatch):
+                value = [
+                    None if array is None else (array.dtype.str, array.shape, array.tobytes())
+                    for array in (value.bits, value.phases, value.share, value.results, value.probe)
+                ]
+            digest.update(repr(value).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("collect_records", [False, True], ids=["keys-only", "records"])
+@pytest.mark.parametrize("kind", sorted(CHUNK_ATTACKS))
+def test_session_outcomes_keep_their_pinned_digests(kind, collect_records):
+    config = SessionConfig(
+        n_agents=3, secret_bits=4, epsilon=0.05, attack=CHUNK_ATTACKS[kind], max_attempts=3
+    )
+    outcomes = run_sessions(config, range(50), collect_records=collect_records)
+    assert outcomes_digest(outcomes) == OUTCOME_DIGESTS[kind, collect_records]
+    if kind != "honest":
+        assert any(outcome.stats.attempts > 1 for outcome in outcomes)
+
+
+COLUMN_CASES = {**CHUNK_ATTACKS, "x-flips": TRIAL_ATTACKS["dense"][0]}
+
+
+@pytest.mark.parametrize("collect_records", [False, True], ids=["keys-only", "records"])
+@pytest.mark.parametrize("kind", sorted(COLUMN_CASES))
+def test_every_column_of_sessions_is_the_matching_field_of_its_outcomes(kind, collect_records):
+    # retries write over a trial's row: an attempt may stop at any step after one went on
+    config = SessionConfig(n_agents=2, secret_bits=3, attack=COLUMN_CASES[kind])
+    sessions = run_sessions(config, range(30), collect_records=collect_records)
+    outcomes = [sessions[trial] for trial in range(30)]
+    assert len(sessions) == 30 and sessions == outcomes and outcomes == sessions
+    assert list(sessions) == outcomes and sessions[-1] == outcomes[-1]
+    assert sessions[0] is not sessions[0]  # a view, built on each read
+    with pytest.raises(IndexError):
+        sessions[30]
+    for trial, outcome in enumerate(outcomes):
+        assert sessions.ended(outcome.verdict)[trial]
+        row = [None if np.isnan(value) else value for value in sessions.stats[trial].tolist()]
+        assert row == list(astuple(outcome.stats))
+        if outcome.raw_keys is not None:
+            start = sessions.key_starts[trial]
+            keys = sessions.keys[start : start + outcome.stats.case1_rounds]
+            assert keys.T.tolist() == list(map(list, outcome.raw_keys))
+        for name in ("check_positions", "shadow_keys", "secret", "ciphertext", "reconstructed"):
+            if getattr(outcome, name) is not None:
+                assert np.array_equal(getattr(sessions, name)[trial], getattr(outcome, name))
+        if collect_records:
+            assert RoundBatch.join(sessions.rounds[trial]) == outcome.rounds
+    assert sessions.rounds is None or collect_records
+    for name in (field.name for field in fields(SessionStats)):
+        present = [getattr(o.stats, name) for o in outcomes if getattr(o.stats, name) is not None]
+        assert sessions.stat(name).tolist() == present
+    verdicts = {outcome.verdict for outcome in outcomes}
+    assert Verdict.COMPLETED in verdicts and (kind == "honest" or len(verdicts) == 2)
+    assert max(outcome.stats.attempts for outcome in outcomes) == (1 if kind == "honest" else 3)
+
+
+def test_a_single_session_builds_one_outcome_and_a_pass_builds_none(built):
+    sessions = run_sessions(SessionConfig(n_agents=2, secret_bits=2), range(20))
+    assert built == {}
+    assert sessions[3] == run_session(SessionConfig(n_agents=2, secret_bits=2, seed=3))
+    assert built == {"SessionOutcome": 2, "SessionStats": 2}
+
+
+def test_every_session_config_hashes_and_keys_a_dict():
+    config = attacked(SessionConfig(), MeasureResendConfig(2))
+    same = attacked(SessionConfig(), MeasureResendConfig(2))
+    assert config == same and hash(config) == hash(same)
+    dense = SessionConfig(attack=RoundAttack(interceptors={2: random_flips}))
+    keyed = {config: "tapped", dense: "dense", SessionConfig(): "honest"}
+    assert keyed[same] == "tapped" and keyed[replace(dense)] == "dense"
+    assert config.attack.z_taps == {3: 1.0} and list(config.attack.z_taps) == [3]
+    with pytest.raises(TypeError, match="read-only"):
+        config.attack.z_taps[4] = 0.5
+    assert pickle.loads(pickle.dumps(config)) == config == copy.deepcopy(config)
+    assert hash(copy.deepcopy(config)) == hash(config)
 
 
 def counted_rows(monkeypatch) -> list[int]:
