@@ -459,23 +459,30 @@ def _play_packed(config: SessionConfig, pieces, sink, forced, keys_only) -> None
     owners = [owner for piece in pieces for owner in piece[0]]
     lengths = [length for piece in pieces for length in piece[1]]
     # one piece plays as it is: a copy would cost a fresh chunk-sized allocation
-    bits, phases, draws, share, shares = (_join(arrays) for arrays in list(zip(*pieces))[2:])
+    bits, phases, draws, share, shares = list(zip(*pieces))[2:]  # the pieces' arrays
+    share, shares = _join(share), _join(shares)
     if not keys_only:
+        bits, phases, draws = _join(bits), _join(phases), _join(draws)
         results, probe = _play_on_branches(config, bits, phases, draws, share, forced)
         batch = RoundBatch(bits, phases, share, results, probe)
         sink(_Chunk(share, shares, batch), owners, lengths)
         return
-    case1 = shares == config.particle_count
-    results = np.zeros((0, config.particle_count), dtype=np.uint8)
-    if case1.any():  # most chunks of a wide session hold no all-Share row
-        results, _ = _play_on_branches(
-            config, bits[case1], phases[case1], draws[case1], share[case1], forced
-        )
+    q = config.particle_count
+    # each piece gives up only its all-Share rows, so no chunk of draws is joined
+    case1 = [piece[6] == q for piece in pieces]
+    bits, phases, case1_draws = (
+        _join([array[rows] for array, rows in zip(arrays, case1)])
+        for arrays in (bits, phases, draws)
+    )
+    results = np.zeros((0, q), dtype=np.uint8)
+    if len(bits):  # most chunks of a wide session hold no all-Share row
+        every_share = np.ones((len(bits), q), dtype=bool)
+        results, _ = _play_on_branches(config, bits, phases, case1_draws, every_share, forced)
     flips = None
     if config.epsilon > 0.0:
         noise = [steps[0] for steps in _draw_columns(config, forced)[0]]
-        flips = draws[:, noise] < config.epsilon
-    keys = _key_rows(results, phases[case1])
+        flips = _join([piece_draws[:, noise] < config.epsilon for piece_draws in draws])
+    keys = _key_rows(results, phases)
     sink(_Chunk(share, shares, None, keys, flips), owners, lengths)
 
 

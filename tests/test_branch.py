@@ -1,9 +1,15 @@
 """The exact branch engine against the dense state-vector oracle."""
 
 import copy
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from mqss.adversary import (
     MeasureResendConfig,
     collective_attack,
     collusion_attack,
+    estimate_leakage,
     measure_resend_attack,
     measure_resend_interceptor,
     prepare_attacked_state,
@@ -174,7 +181,7 @@ def test_honest_probabilities_are_exact():
         assert set(np.unique(p1)) <= {0.0, 0.5, 1.0}
 
 
-# --- real arithmetic, and only the work a step's rows read ------------------------
+# --- real arithmetic, and the tables a batch steps on ---------------------------
 
 
 def real_slots(rng, overlap):
@@ -276,27 +283,30 @@ def test_measure_returns_an_outcome_and_probability_per_row():
             assert outcome.shape == p1.shape == (rounds,)
 
 
-@pytest.mark.parametrize(
-    "forced_modes, hadamard_calls, z_calls",
-    [([Mode.CHECK] * 4, 0, 4), ([Mode.SHARE] * 4, 4, 0), (None, 4, 4)],
-)
-def test_a_step_works_out_only_the_probabilities_its_rows_read(
-    monkeypatch, forced_modes, hadamard_calls, z_calls
-):
-    calls = {"_hadamard_probability": 0, "_z_probability": 0}
-    for name in calls:
+def test_a_table_set_is_built_once_per_starting_pair_and_plays_without_warnings():
+    branch._tables.cache_clear()
+    collective = CollectiveAttackConfig(0.5)
+    # overlap 1 too, where the branches' probe amplitudes can cancel
+    attacks = (None, collective_attack(collective), collective_attack(CollectiveAttackConfig()))
+    modes = ([Mode.SHARE] * 4, [Mode.CHECK] * 4, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for attack, forced_modes in itertools.product(attacks, modes):
+            # two chunks of rows each
+            run_rounds(SessionConfig(attack=attack, epsilon=0.05), 5_000, forced_modes=forced_modes)
+        run_rounds(SessionConfig(attack=ROUND_ATTACKS["collusion"](3)), 5_000)
+        estimate_leakage(collective, SessionConfig(seed=3), 4_000)
+    # honest and tapped rounds start alike, and so do both collective-0.5 plays
+    assert branch._tables.cache_info().misses == 3
 
-        def counted(self, *args, _name=name, _method=getattr(branch.BranchPairs, name)):
-            calls[_name] += 1
-            return _method(self, *args)
 
-        monkeypatch.setattr(branch.BranchPairs, name, counted)
-    config = SessionConfig(
-        n_agents=3, seed=13, attack=collective_attack(CollectiveAttackConfig(0.5))
+def test_importing_the_package_builds_no_tables():
+    env = {**os.environ, "PYTHONPATH": str(Path(branch.__file__).parents[1])}
+    script = "import mqss; print(mqss.branch._tables.cache_info().misses)"
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    # one chunk of rows; unforced, every column mixes both modes
-    run_rounds(config, 500, forced_modes=forced_modes)
-    assert calls == {"_hadamard_probability": hadamard_calls, "_z_probability": z_calls}
+    assert run.stdout.strip() == "0"
 
 
 # --- exact outcome distributions, by enumeration ---------------------------------
@@ -510,6 +520,45 @@ def test_seeded_rounds_identical_on_both_engines(n_agents, epsilon, kind):
     assert len(exact) == len(dense) == 2_000
     # the batch took exactly the draws the round-by-round walk took
     assert exact_rng.bit_generator.state == dense_rng.bit_generator.state
+
+
+PINNED_ATTACKS = {
+    "honest": None,
+    "measure-resend": ROUND_ATTACKS["measure-resend"](3),
+    "collusion": ROUND_ATTACKS["collusion"](3),
+    **{
+        f"collective-{overlap}": collective_attack(CollectiveAttackConfig(overlap))
+        for overlap in (0.0, 0.5, 1.0)
+    },
+    "collective-complex": collective_attack(CollectiveAttackConfig(0.5, 0.6, 0.8j)),
+}
+
+PLAYED_DIGESTS = {
+    "collective-0.0": "ab0632c0284bd803c8229f9bc0e52d01ebf0b40d48bda481c2aafce292308d85",
+    "collective-0.5": "1c1ec569e6b72bd81ba6a3f319a5a62f2d39308092620058bdbcbd76600757ea",
+    "collective-1.0": "1408a683d0941d92d016bf875cb713c5d01e9b628d9927f63658e84efacdb4ff",
+    "collective-complex": "6268624fa1c4721a188b017f6fe736a002a4e60885d7639d9d95235f152b7430",
+    "collusion": "90615a4700cfe8d77b38402f9a977cadfa0d918c7ed67a25e16999b02ebf994c",
+    "honest": "208f41d80385da0ed434e6f0ab6987f5286801b6d3344bcdfa519af94951ed9b",
+    "measure-resend": "38e094bbcc266a3f73b94b91ce97c4a67c71c3addf9732e05507e3ee23bd0152",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_ATTACKS))
+def test_played_rounds_keep_their_pinned_digests(kind):
+    """sha256 of every array of the rounds ``run_rounds`` plays, over two
+    chunks of rows, at both noise levels and in all three mode settings."""
+    digest = hashlib.sha256()
+    for epsilon in (0.0, 0.05):
+        config = SessionConfig(
+            n_agents=3, epsilon=epsilon, seed=41, attack=PINNED_ATTACKS[kind]
+        )
+        for forced_modes in ([Mode.SHARE] * 4, [Mode.CHECK] * 4, None):
+            batch = run_rounds(config, 5_000, forced_modes=forced_modes)
+            for array in (batch.bits, batch.phases, batch.share, batch.results, batch.probe):
+                if array is not None:
+                    digest.update(array.dtype.str.encode() + np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == PLAYED_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(ROUND_ATTACKS))
