@@ -283,6 +283,33 @@ def test_measure_returns_an_outcome_and_probability_per_row():
             assert outcome.shape == p1.shape == (rounds,)
 
 
+@pytest.mark.parametrize(
+    "forced_modes, hadamard_calls, z_calls",
+    [([Mode.CHECK] * 4, 0, 4), ([Mode.SHARE] * 4, 4, 0), (None, 4, 4)],
+)
+def test_a_step_works_out_only_the_probabilities_its_rows_read(
+    monkeypatch, forced_modes, hadamard_calls, z_calls
+):
+    calls = {"hadamard": 0, "z": 0}
+    index = branch.BranchPairs._index
+
+    def counted(self, column, share=None):
+        rows = index(self, column, share)
+        if share is not None:
+            # a measurement reads Hadamard entries at odd table indices, Z entries at even ones
+            calls["hadamard"] += bool(np.any(rows & 1))
+            calls["z"] += bool(np.any(~rows & 1))
+        return rows
+
+    monkeypatch.setattr(branch.BranchPairs, "_index", counted)
+    config = SessionConfig(
+        n_agents=3, seed=13, attack=collective_attack(CollectiveAttackConfig(0.5))
+    )
+    # one chunk of rows; unforced, every column mixes both modes
+    run_rounds(config, 500, forced_modes=forced_modes)
+    assert calls == {"hadamard": hadamard_calls, "z": z_calls}
+
+
 def test_a_table_set_is_built_once_per_starting_pair_and_plays_without_warnings():
     branch._tables.cache_clear()
     collective = CollectiveAttackConfig(0.5)
