@@ -11,9 +11,10 @@ rebuilt from the outcome on each read, so no reader can rewrite it.
 
 The protocol's round driver (``protocol._play_rows``, behind
 ``play_rounds``, ``run_rounds`` and sessions) applies the same noise and
-interceptors in its own round walk, on the engine ``protocol.round_engine``
-picks for the config; ``QubitChannel`` and ``transmit`` model one link on
-its own, on the dense engine.
+interceptors to whole chunks of rows, on the kernel ``protocol.round_engine``
+picks for the config; a chunk with an interceptor plays every row on the
+dense engine. ``QubitChannel`` and ``transmit`` model one link on its own,
+on the dense engine.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from typing import Any, Callable, Optional
 
 from .statevec import PAULI_X, PureState, apply_gate
 
-# An interceptor sees the joint state in transit and may transform it.
+# An interceptor sees the joint state in transit and may transform it. In a
+# protocol round it spends one draw column whether or not it draws, and its
+# generator's ``random()`` returns that draw once; a second draw raises.
 Interceptor = Callable[[PureState, int, Any], PureState]
 
 

@@ -100,11 +100,13 @@ class RoundAttack:
     participants measure. ``z_taps`` Z-measures a transmission in transit at
     the given rate: rate 1 taps every round, and a lower rate first spends
     one draw on its schedule, then takes its measurement draw whether or
-    not it fires. ``interceptors`` are arbitrary callables on the
-    dense state, applied after channel noise and before a Z tap; a round
-    with any of them runs on the dense engine. Taps and interceptors are
-    keyed by particle position (1 = dealer, 1+i = agent i); the session
-    config refuses a position past its last particle. Both are read-only and hash.
+    not it fires. ``interceptors`` are arbitrary callables on the dense
+    state, applied after channel noise and before a Z tap. Each spends one
+    draw of its round whether or not it draws, and may take that one draw
+    from the generator it is handed; a config with any of them plays on the
+    dense engine. Taps and interceptors are keyed by particle position
+    (1 = dealer, 1+i = agent i); the session config refuses a position past
+    its last particle. Both are read-only and hash.
     """
 
     collective: Optional["CollectiveAttackConfig"] = None
@@ -191,7 +193,7 @@ def round_engine(config: SessionConfig) -> str:
 
     An interceptor may do anything to the state vector, so only the dense
     engine can run it; everything else the protocol and the modelled
-    attacks do keeps a round on the exact branch engine. ``_play_rows`` is
+    attacks do keeps a round on the exact branch engine. ``_play_packed`` is
     its one caller here; a user can ask it before a run.
     """
     attack = config.attack
@@ -356,32 +358,24 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
     ``shared[owner]`` counts the all-Share rows drawn for an owner so far,
     as they are drawn, so it is current whenever the next round is asked
     for, which is what a session's top-ups read. Jobs draw one after
-    another, each from its own ``rng``, and each round takes the same draws
-    in the same order on either engine: the mode draws, then per particle
-    the noise draw, any interceptor's, any tap's schedule and measurement
-    draws and the owner's measurement draw, and last the probe draw.
+    another, each from its own ``rng``, and each round takes one row of
+    ``rng.random`` draws in ``_draw_columns``' order.
 
-    On the branch engine a row's draws are taken as the row is packed into
-    a chunk of at most ``_CHUNK_ROWS`` rows, its modes are worked out and
-    its all-Share rows counted then, and each chunk, whatever jobs and
-    rounds its rows come from, plays in one ``BranchPairs`` pass. Jobs of at
-    most ``_CHUNK_ROWS`` rows draw their pattern bits with ``fair_bit_rows``
-    in groups: the next jobs that fit in the room left, which draw their
-    rows after all the group's bits and join the chunk as one piece, or the
-    next job alone when none fits. A lone job, like each ``_pattern_blocks``
+    A row's draws are taken as the row is packed into a chunk of at most
+    ``_CHUNK_ROWS`` rows, its modes are worked out and its all-Share rows
+    counted then, and each chunk, whatever jobs and rounds its rows come
+    from, plays in one ``_play_packed`` call. Jobs of at most
+    ``_CHUNK_ROWS`` rows draw their pattern bits with ``fair_bit_rows`` in
+    groups: the next jobs that fit in the room left, which draw their rows
+    after all the group's bits and join the chunk as one piece, or the next
+    job alone when none fits. A lone job, like each ``_pattern_blocks``
     block of a wider one, fills the chunk and goes on in the next: split
     row-major draws are the same numbers as one call, so the chunk size
-    changes no round. With ``keys_only`` the pass plays only the all-Share
-    rows; every other row is tallied from its draws, since each of its
-    checkers reads the one surviving branch, off its announced bit exactly
-    where a noise flip hit it. On the dense engine (``round_engine``) each
-    block plays round by round as it arrives, because an interceptor draws
-    from the job's generator itself, and every row plays. ``sink(chunk,
-    owners, lengths)`` receives each played ``_Chunk``, whose rows run job
-    ``owners[0]``'s ``lengths[0]`` rows, then ``owners[1]``'s ``lengths[1]``
-    and so on.
+    changes no round. ``sink(chunk, owners, lengths)`` receives each played
+    ``_Chunk``, whose rows run job ``owners[0]``'s ``lengths[0]`` rows, then
+    ``owners[1]``'s ``lengths[1]`` and so on.
     """
-    dense, q = round_engine(config) == "dense", config.particle_count
+    q = config.particle_count
     width = _draw_columns(config, forced)[2]
     pieces, rows = [], 0  # the chunk being packed, as _play_packed's pieces
 
@@ -393,7 +387,11 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
         else:  # every row takes the forced modes, so one count serves them all
             share = np.broadcast_to(forced, (len(bits), q))
             shares = np.broadcast_to(np.count_nonzero(forced), len(bits))
-        _count_shared(shares == q, owners, lengths, shared)
+        case1 = shares == q  # counted by owner: a piece of one owner takes one count
+        if len(owners) == 1:
+            shared[owners[0]] += np.count_nonzero(case1)
+        elif case1.any():
+            shared[:] += np.bincount(np.repeat(owners, lengths)[case1], minlength=len(shared))
         pieces.append((owners, lengths, bits, phases, draws, share, shares))
         rows += len(bits)
         if rows == _CHUNK_ROWS:
@@ -405,7 +403,7 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
         while at < len(jobs):
             owner, rng, blocks = jobs[at]
             group = jobs[at : at + 1]
-            if isinstance(blocks, int) and (dense or blocks > _CHUNK_ROWS):
+            if isinstance(blocks, int) and blocks > _CHUNK_ROWS:
                 blocks = _pattern_blocks(rng, blocks, q)
             elif isinstance(blocks, int):  # the next jobs that fit the room left, or this one alone
                 size = blocks
@@ -420,13 +418,6 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
                 pack(owners, [size] * len(owners), *blocks[0], draws)
                 continue
             for bits, phases in blocks:
-                if dense:
-                    rounds_played = _play_dense(config, bits, phases, rng, forced)
-                    batch = RoundBatch(bits, phases, *rounds_played)
-                    shares = _row_counts(batch.share)
-                    _count_shared(shares == q, [owner], [len(bits)], shared)
-                    sink(_Chunk(batch.share, shares, batch), [owner], [len(bits)])
-                    continue
                 while True:  # one piece per chunk the block reaches; an empty block is one piece
                     take = min(len(bits), _CHUNK_ROWS - rows)
                     pack([owner], [take], bits[:take], phases[:take], rng.random((take, width)))
@@ -442,28 +433,25 @@ def _join(arrays: list) -> np.ndarray:
     return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
 
 
-def _count_shared(case1: np.ndarray, owners, lengths, shared) -> None:
-    """Count the all-Share rows ``case1`` marks into ``shared`` by owner.
-
-    The rows run ``owners[0]``'s ``lengths[0]`` rows, then ``owners[1]``'s
-    ``lengths[1]`` and so on: one owner takes one count.
-    """
-    if len(owners) == 1:
-        shared[owners[0]] += np.count_nonzero(case1)
-    elif case1.any():
-        shared += np.bincount(np.repeat(owners, lengths)[case1], minlength=len(shared))
-
-
 def _play_packed(config: SessionConfig, pieces, sink, forced, keys_only) -> None:
-    """Play (owners, lengths, bits, phases, draws, share, shares) pieces as one chunk; sink it."""
+    """Play (owners, lengths, bits, phases, draws, share, shares) pieces as one chunk; sink it.
+
+    The one place a kernel is chosen, by ``round_engine``. With ``keys_only``
+    a branch chunk plays only its all-Share rows; every other row is tallied
+    from its draws, since each of its checkers reads the one surviving
+    branch, off its announced bit exactly where a noise flip hit it. An
+    interceptor may break that, so a dense chunk plays every row.
+    """
     owners = [owner for piece in pieces for owner in piece[0]]
     lengths = [length for piece in pieces for length in piece[1]]
     # one piece plays as it is: a copy would cost a fresh chunk-sized allocation
     bits, phases, draws, share, shares = list(zip(*pieces))[2:]  # the pieces' arrays
     share, shares = _join(share), _join(shares)
-    if not keys_only:
+    dense = round_engine(config) == "dense"
+    if dense or not keys_only:
         bits, phases, draws = _join(bits), _join(phases), _join(draws)
-        results, probe = _play_on_branches(config, bits, phases, draws, share, forced)
+        kernel = _play_dense if dense else _play_on_branches
+        results, probe = kernel(config, bits, phases, draws, share, forced)
         batch = RoundBatch(bits, phases, share, results, probe)
         sink(_Chunk(share, shares, batch), owners, lengths)
         return
@@ -489,25 +477,29 @@ def _play_packed(config: SessionConfig, pieces, sink, forced, keys_only) -> None
 def _draw_columns(config: SessionConfig, forced):
     """Where a round's draws sit in its row of ``rng.random`` draws.
 
-    Per particle, in the order the walk takes them: the noise, tap schedule
-    and tap columns (None where the round takes no such draw) and the
-    measurement column; then the probe column, and the row's width. Unforced
-    rounds start with one mode column per particle.
+    Per particle, in the order a round takes them: the noise, interceptor,
+    tap schedule and tap columns (None where the round takes no such draw),
+    the tap's rate and the measurement column; then the probe column, and
+    the row's width. Unforced rounds start with one mode column per particle.
+    An interceptor's column sits where a rate-1 tap's would, and it is spent
+    whether or not the interceptor draws.
     """
     attack = config.attack or _NO_ATTACK
     q = config.particle_count
     steps = []
     width = q if forced is None else 0
     for particle in range(1, q + 1):
-        noise = schedule = tap = None
+        noise = hook = schedule = tap = None
         rate = attack.z_taps.get(particle)
         if config.epsilon > 0.0:
             noise, width = width, width + 1
+        if particle in attack.interceptors:
+            hook, width = width, width + 1
         if rate is not None and rate < 1.0:
             schedule, width = width, width + 1
         if rate is not None:
             tap, width = width, width + 1
-        steps.append((noise, schedule, rate, tap, width))
+        steps.append((noise, hook, schedule, rate, tap, width))
         width += 1
     return steps, width, width + (attack.collective is not None)
 
@@ -520,7 +512,7 @@ def _play_on_branches(config: SessionConfig, bits, phases, draws, share, forced)
     attack = config.attack or _NO_ATTACK
     steps, probe_column, _ = _draw_columns(config, forced)
     pairs = branch.BranchPairs.ghz(bits, phases, attack.collective)
-    for column, (noise, schedule, rate, tap, measure) in enumerate(steps):
+    for column, (noise, _, schedule, rate, tap, measure) in enumerate(steps):
         if noise is not None:
             pairs.flip(column, draws[:, noise] < config.epsilon)
         if tap is not None:
@@ -533,39 +525,47 @@ def _play_on_branches(config: SessionConfig, bits, phases, draws, share, forced)
     return pairs.results, probe
 
 
-def _play_dense(config: SessionConfig, bits, phases, rng, forced):
-    # one round after another: an interceptor draws from rng itself
+class _OneDraw:
+    """A generator whose ``random()`` returns one given draw, and raises on a second."""
+
+    def __init__(self, draw: float) -> None:
+        self._draws = [draw]
+
+    def random(self) -> float:
+        if not self._draws:
+            raise RuntimeError("a round's draw column holds one draw, and it was taken")
+        return self._draws.pop()
+
+
+def _play_dense(config: SessionConfig, bits, phases, draws, share, forced):
+    """Play rows round by round on the dense engine: ``_play_on_branches``' contract.
+
+    Every step of row i, an interceptor too, is handed its column of ``draws[i]`` as a ``_OneDraw``.
+    """
     q = config.particle_count
     attack = config.attack or _NO_ATTACK
-    epsilon, taps, interceptors = config.epsilon, attack.z_taps, attack.interceptors
-    rounds = len(bits)
-    share = np.zeros((rounds, q), dtype=bool)
-    results = np.zeros((rounds, q), dtype=np.uint8)
-    probe = None if attack.collective is None else np.zeros(rounds, dtype=np.uint8)
-    for row, (pattern, phase) in enumerate(zip(bits.tolist(), phases.tolist())):
+    steps, probe_column, _ = _draw_columns(config, forced)
+    results = np.zeros((len(bits), q), dtype=np.uint8)
+    probe = None if attack.collective is None else np.zeros(len(bits), dtype=np.uint8)
+    rows = zip(bits.tolist(), phases.tolist(), draws.tolist(), share.tolist())
+    for row, (pattern, phase, drawn, chose) in enumerate(rows):
         spec = GhzSpec(tuple(pattern), phase)
         if attack.collective is None:
             state = prepare(spec)
         else:
             state = branch.to_state(branch.probe_kets(spec, attack.collective), q + 1)
-        share[row] = rng.random(size=q) < 0.5 if forced is None else forced
-        for particle in range(1, q + 1):
-            if epsilon > 0.0 and rng.random() < epsilon:
+        for particle, (noise, hook, schedule, rate, tap, column) in enumerate(steps, 1):
+            if noise is not None and drawn[noise] < config.epsilon:
                 state = apply_gate(state, particle, PAULI_X)
-            hook = interceptors.get(particle)
             if hook is not None:
-                state = hook(state, particle, rng)
-            rate = taps.get(particle)
-            if rate is not None:
-                if rate >= 1.0 or rng.random() < rate:
-                    _, state, _ = measure_z(state, particle, rng)
-                else:
-                    rng.random()  # an idle tap still takes its measurement draw
-            measure = measure_after_hadamard if share[row, particle - 1] else measure_z
-            results[row, particle - 1], state, _ = measure(state, particle, rng)
+                state = attack.interceptors[particle](state, particle, _OneDraw(drawn[hook]))
+            if tap is not None and (schedule is None or drawn[schedule] < rate):
+                _, state, _ = measure_z(state, particle, _OneDraw(drawn[tap]))
+            measure = measure_after_hadamard if chose[particle - 1] else measure_z
+            results[row, particle - 1], state, _ = measure(state, particle, _OneDraw(drawn[column]))
         if probe is not None:
-            probe[row], _, _ = measure_z(state, q + 1, rng)
-    return share, results, probe
+            probe[row] = measure_z(state, q + 1, _OneDraw(drawn[probe_column]))[0]
+    return results, probe
 
 
 def classify_round(modes: Sequence[Mode]) -> RoundCase:
@@ -1086,19 +1086,6 @@ def _attempt_rounds(config: SessionConfig, rngs, shared):
         yield [(owner, rngs[owner], size) for owner in short]
 
 
-def _reads_state(config: SessionConfig) -> bool:
-    """Whether ``check_draws`` must read a pass's generator states for a held half word.
-
-    A 32-bit draw leaves the high half of its word held for the next one, and
-    step 6's draws must start there. On the branch engine an attempt's generator
-    starts fresh from ``derived_rngs``, ``fair_bit_rows`` draws its pattern batches
-    and top-ups as even counts of bits (``batch_size`` and its quarter are even), or
-    ``_pattern_blocks`` a batch wider than a chunk, and its rows draw only doubles,
-    so it never holds one. On the dense engine an interceptor may draw anything.
-    """
-    return round_engine(config) == "dense"
-
-
 def _pattern_blocks(rng, size: int, q: int):
     """A batch's pattern bits and phases, in blocks of at most ``_CHUNK_ROWS`` rows.
 
@@ -1141,7 +1128,7 @@ def _finish_pass(
     rates, _, passed = _step5_verdicts(step5_sums, epsilon)
     keys, starts = played.attempt_keys()
     on = np.flatnonzero(passed)  # the attempts that go on to step 6
-    picks, drawn = check_draws([rngs[i] for i in on], played.sums[on, 0], m, _reads_state(config))
+    picks, drawn = check_draws([rngs[i] for i in on], played.sums[on, 0], m)
     chosen, failures, rates6, _, cleared, kept = _step6_verdicts(keys, starts[on], picks, epsilon)
     done = on[cleared]  # and complete
     if secret is None:

@@ -241,7 +241,7 @@ def raw_halves(words: np.ndarray) -> np.ndarray:
 # --- step 6's check positions and secrets --------------------------------------
 
 
-def check_draws(rngs, lengths, m: int, read_state: bool) -> tuple[np.ndarray, np.ndarray]:
+def check_draws(rngs, lengths, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Each attempt's ``rng.choice(n, size=m, replace=False)``, then ``integers(0, 2, size=m)``.
 
     Returns the picks (A x m, in no set order) and the secret bits (A x m uint8) of the
@@ -249,17 +249,17 @@ def check_draws(rngs, lengths, m: int, read_state: bool) -> tuple[np.ndarray, np
     unless n > 10,000 and m > n // 50: for j = n - m to n - 1 it draws on [0, j] and takes j
     in place of a repeat, then shuffles its m picks, drawing on [0, i] for i = m - 1 down to
     1; each draw is ``_lemire`` on the next 32-bit half word. The secret bits are bit 31 of
-    the next m halves. ``read_state`` is True where a generator may hold a half word,
-    and then every attempt makes numpy's calls, which read it. Otherwise, in a
-    pass of ``_ARRAY_PASS`` attempts or more, every attempt reads the 3m - 1 halves these
+    the next m halves. No generator may hold a half word, and none of a pass does: its
+    rows draw only doubles, and its batches (even row counts) draw even counts of bits. In
+    a pass of ``_ARRAY_PASS`` attempts or more, every attempt reads the 3m - 1 halves these
     take from one ``random_raw`` block, and the steps run as arrays over all attempts. An
     attempt where a draw rejects its half, or on numpy's other branch (the tail shuffle, or
-    past 2^32 rows), moves its generator back before the block and makes numpy's calls. The
-    others end past their block, not where numpy's calls would leave them: nothing draws on
-    them after step 6.
+    past 2^32 rows), moves its generator back before the block and makes numpy's calls, as
+    every attempt of a smaller pass does. The others end past their block, not where
+    numpy's calls would leave them: nothing draws on them after step 6.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    if read_state or len(rngs) < _ARRAY_PASS:
+    if len(rngs) < _ARRAY_PASS:
         return _numpy_checks(rngs, lengths, m)
     generators = [rng.bit_generator for rng in rngs]
     words = (3 * m) // 2  # 3m - 1 halves or more

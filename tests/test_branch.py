@@ -507,14 +507,16 @@ def test_every_mode_vector_and_flip_pattern_is_walked():
 # --- seeded runs: field-for-field identical records --------------------------------
 
 
-def _unchanged(state, particle, rng):
-    return state
+def on_dense_kernel(monkeypatch):
+    """Swap the dense kernel in for the branch kernel; returns the rows it plays, per call."""
+    rows, play_dense = [], protocol._play_dense
 
+    def dense(config, bits, *rest):
+        rows.append(len(bits))
+        return play_dense(config, bits, *rest)
 
-def on_dense_engine(config):
-    """The same config, routed to the dense engine by a no-op interceptor."""
-    attack = config.attack or RoundAttack()
-    return replace(config, attack=replace(attack, interceptors={1: _unchanged}))
+    monkeypatch.setattr(protocol, "_play_on_branches", dense)
+    return rows
 
 
 ROUND_ATTACKS = {
@@ -530,19 +532,19 @@ ROUND_ATTACKS = {
 @pytest.mark.parametrize("kind", sorted(ROUND_ATTACKS))
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
 @pytest.mark.parametrize("n_agents", [2, 3, 5, 8])
-def test_seeded_rounds_identical_on_both_engines(n_agents, epsilon, kind):
+def test_seeded_rounds_identical_on_both_engines(monkeypatch, n_agents, epsilon, kind):
     config = SessionConfig(
         n_agents=n_agents,
         epsilon=epsilon,
         seed=1000 + n_agents,
         attack=ROUND_ATTACKS[kind](n_agents),
     )
-    dense_config = on_dense_engine(config)
     assert round_engine(config) == "branch"
-    assert round_engine(dense_config) == "dense"
     exact_rng, dense_rng = derived_rng(config.seed), derived_rng(config.seed)
     exact = run_rounds(config, 2_000, exact_rng)
-    dense = run_rounds(dense_config, 2_000, dense_rng)
+    dense_rows = on_dense_kernel(monkeypatch)
+    dense = run_rounds(config, 2_000, dense_rng)
+    assert sum(dense_rows) == 2_000  # every row played on the dense engine
     assert exact == dense
     assert len(exact) == len(dense) == 2_000
     # the batch took exactly the draws the round-by-round walk took
@@ -618,7 +620,7 @@ def test_an_empty_batch_draws_nothing(kind):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
 @pytest.mark.parametrize("kind", ["honest", "measure-resend", "collusion"])
-def test_whole_sessions_identical_on_both_engines(kind, epsilon, seed):
+def test_whole_sessions_identical_on_both_engines(monkeypatch, kind, epsilon, seed):
     config = SessionConfig(
         n_agents=3,
         secret_bits=8,
@@ -627,7 +629,10 @@ def test_whole_sessions_identical_on_both_engines(kind, epsilon, seed):
         attack=ROUND_ATTACKS[kind](3),
     )
     exact = run_session(config, collect_records=True)
-    dense = run_session(on_dense_engine(config), collect_records=True)
+    dense_rows = on_dense_kernel(monkeypatch)
+    dense = run_session(config, collect_records=True)
+    # the final attempt's rows, and any earlier attempt's, played on the dense engine
+    assert sum(dense_rows) >= exact.stats.rounds_used
     assert len(exact.rounds) and exact.log.entries
     # every field, the records and the classical log included
     assert dense == exact

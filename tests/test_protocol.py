@@ -764,8 +764,6 @@ def test_attempts_drawn_as_groups_match_the_same_sessions_one_at_a_time(
         monkeypatch.setattr(protocol, "_CHUNK_ROWS", chunk)
         passes.clear()
         assert run_sessions(config, seeds, collect_records=collect_records) == alone
-        if kind == "dense":  # every job plays on its own
-            continue
         owners = [{owner for owner, _ in segments} for chunks in passes for segments in chunks]
         assert any(len(chunk_owners) > 1 for chunk_owners in owners)
         # a top-up joins a chunk that an earlier round's rows left partial
@@ -978,7 +976,7 @@ def test_a_pass_draws_the_check_positions_and_secrets_of_choice_then_integers():
         rngs, oracles = ([np.random.default_rng(seed) for seed in seeds] for _ in range(2))
         keys = draws.integers(0, 2, size=(int(lengths.sum()), 3)).astype(np.uint8)
         starts = np.cumsum(lengths) - lengths
-        picks, secrets = streams.check_draws(rngs, lengths, m, read_state=False)
+        picks, secrets = streams.check_draws(rngs, lengths, m)
         chosen, *_, kept = protocol._step6_verdicts(keys, starts, picks, 0.0)
         expected = [oracle.choice(n, m, replace=False) for oracle, n in zip(oracles, lengths)]
         assert chosen.tolist() == np.sort(expected, axis=1).tolist()
@@ -990,7 +988,7 @@ def test_a_pass_draws_the_check_positions_and_secrets_of_choice_then_integers():
 def test_attempts_whose_draws_reject_a_half_word_draw_with_choice(n):
     # half the draws on [0, 2^31 + 12345] reject their half word, a quarter on [0, 3 * 2^30 + 4]
     rngs, oracles = ([np.random.default_rng(seed) for seed in range(40)] for _ in range(2))
-    picks, secrets = streams.check_draws(rngs, [n] * 40, 2, read_state=False)
+    picks, secrets = streams.check_draws(rngs, [n] * 40, 2)
     redone = []
     for rng, oracle, pick, secret in zip(rngs, oracles, picks.tolist(), secrets.tolist()):
         assert sorted(pick) == sorted(oracle.choice(n, size=2, replace=False).tolist())
@@ -1005,7 +1003,7 @@ def test_a_rejected_shuffle_draw_sends_the_attempt_to_choice():
     tail = np.random.PCG64(8).random_raw(6).tolist()
     words = [[0x7F4A7C159E3779B9, fourth << 32 | 0x12345678, *tail] for fourth in range(16)]
     scripted = [ScriptedGenerator(row) for row in words]
-    picks, secrets = streams.check_draws(scripted, [50] * len(words), 3, read_state=False)
+    picks, secrets = streams.check_draws(scripted, [50] * len(words), 3)
     for row, pick, secret, generator in zip(words, picks.tolist(), secrets.tolist(), scripted):
         oracle = ScriptedGenerator(row)
         assert sorted(pick) == sorted(oracle.choice(50, 3, False))
@@ -1018,24 +1016,16 @@ def test_a_pass_follows_choice_onto_its_tail_shuffle(n):
     # m = 250 takes numpy's tail shuffle where n // 50 < 250: n = 10,001 and 12,000
     m, attempts = 250, streams._ARRAY_PASS
     rngs, oracles = ([np.random.default_rng([n, s]) for s in range(attempts)] for _ in range(2))
-    picks, secrets = streams.check_draws(rngs, [n] * attempts, m, read_state=False)
+    picks, secrets = streams.check_draws(rngs, [n] * attempts, m)
     for pick, secret, oracle in zip(picks, secrets, oracles):
         assert np.array_equal(np.sort(pick), np.sort(oracle.choice(n, size=m, replace=False)))
         assert np.array_equal(secret, oracle.integers(0, 2, size=m))
 
 
-def odd_draws(state, particle, rng):
-    """A dense interceptor taking a 32-bit draw on about half the rounds, so may hold a half."""
-    if rng.random() < 0.5:
-        rng.integers(0, 2)
-    return state
-
-
-@pytest.mark.parametrize("kind", [*sorted(CHUNK_ATTACKS), "odd-draws"])
+@pytest.mark.parametrize("kind", sorted(CHUNK_ATTACKS))
 def test_a_pass_reads_generator_states_only_where_a_half_word_may_be_held(monkeypatch, kind):
-    attack = CHUNK_ATTACKS.get(kind, protocol.RoundAttack(interceptors={2: odd_draws}))
     # a row's 4 pattern bits and phase are 5 draws: an odd batch or top-up would leave a half
-    config = SessionConfig(n_agents=3, secret_bits=3, epsilon=0.05, attack=attack)
+    config = SessionConfig(n_agents=3, secret_bits=3, epsilon=0.05, attack=CHUNK_ATTACKS[kind])
     seeds = list(range(40))
     read = run_sessions(config, seeds)
     held = []
@@ -1050,21 +1040,56 @@ def test_a_pass_reads_generator_states_only_where_a_half_word_may_be_held(monkey
         held.extend((False, rng.bit_generator.state["has_uint32"]) for rng in rngs)
         return fair_bit_rows(rngs, count)
 
-    def recording_draws(rngs, lengths, m, read_state):
-        held.extend((read_state, rng.bit_generator.state["has_uint32"]) for rng in rngs)
-        return check_draws(rngs, lengths, m, read_state)
+    def recording_draws(rngs, lengths, m):  # reads no state
+        held.extend((False, rng.bit_generator.state["has_uint32"]) for rng in rngs)
+        return check_draws(rngs, lengths, m)
 
     monkeypatch.setattr(protocol, "fair_bits", recording_bits)
     monkeypatch.setattr(protocol, "fair_bit_rows", recording_rows)
     monkeypatch.setattr(protocol, "check_draws", recording_draws)
     assert run_sessions(config, seeds) == read
-    if kind == "odd-draws":  # the dense engine reads every state, and some hold a half
-        assert {reads for reads, _ in held} == {True} and any(half for _, half in held)
-        assert read == [run_session(replace(config, seed=seed)) for seed in seeds]
-    else:
-        assert len(held) > 2 * len(seeds) and held == [(False, 0)] * len(held)
-        monkeypatch.setattr(protocol, "_reads_state", lambda config: True)
-        assert run_sessions(config, seeds) == read
+    assert len(held) > 2 * len(seeds) and held == [(False, 0)] * len(held)
+
+
+def test_an_interceptor_that_takes_a_second_draw_raises():
+    def twice(state, particle, rng):
+        rng.random()
+        rng.random()
+        return state
+
+    config = SessionConfig(n_agents=2, secret_bits=2, attack=RoundAttack(interceptors={2: twice}))
+    with pytest.raises(RuntimeError, match="holds one draw"):
+        run_rounds(config, 10, derived_rng(52))
+    with pytest.raises(RuntimeError, match="holds one draw"):
+        run_sessions(config, range(20))
+    # and a draw of any other kind is not there to take
+    odd = RoundAttack(interceptors={2: lambda state, particle, rng: rng.integers(0, 2) and state})
+    with pytest.raises(AttributeError):
+        run_rounds(replace(config, attack=odd), 10, derived_rng(52))
+
+
+def test_an_interceptor_spends_its_draw_column_whether_or_not_it_draws():
+    def drawing(state, particle, rng):
+        seen.append(rng.random())
+        return state
+
+    seen, played, ends = [], [], []
+    for hook in (_unchanged, drawing):
+        rng = derived_rng(53)
+        config = SessionConfig(n_agents=2, epsilon=0.05, attack=RoundAttack(interceptors={2: hook}))
+        played.append(run_rounds(config, 300, rng))
+        ends.append(rng.bit_generator.state)
+    assert played[0] == played[1] and ends[0] == ends[1]
+    # a row: 3 mode draws, then per particle its noise and measurement draws, and particle
+    # 2's interceptor draw between them, where a rate-1 tap's sits
+    rng = derived_rng(53)
+    sample_patterns(rng, 300, 3)
+    assert seen == rng.random((300, 10))[:, 6].tolist()
+    rng = derived_rng(53)
+    tap = RoundAttack(z_taps={2: 1.0})
+    tapped = run_rounds(SessionConfig(n_agents=2, epsilon=0.05, attack=tap), 300, rng)
+    assert rng.bit_generator.state == ends[0]
+    assert np.array_equal(tapped.share, played[0].share)
 
 
 @pytest.mark.parametrize("count", [streams._ARRAY_PASS - 1, streams._ARRAY_PASS])
