@@ -7,7 +7,8 @@ GHZ rounds as arrays, the dense state-vector engine it is tested against,
 the participant state machines, the adversary models used in the security
 analysis, and a CLI for running seeded Monte-Carlo experiments. Every
 seeded draw comes from a numpy generator; ``streams`` makes those
-generators and reproduces their draws as arrays, with the same numbers.
+generators and holds the package's own rules for drawing from them as
+arrays, the same numbers for one session or many.
 """
 
 from .adversary import (

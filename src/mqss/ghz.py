@@ -8,9 +8,9 @@ dense engine prepares its honest states with ``prepare``; only the test
 suite uses the closed-form predictors, checking them against the
 gate-by-gate engine as an independent oracle.
 
-The server's draws come from ``sample_patterns`` as arrays, read from raw
-generator words by ``streams.fair_bits``; arrays are the form the batch
-engine and the session checks read. A ``GhzSpec`` is built
+The server's draws come from ``sample_patterns`` as arrays, the bits of raw
+generator words by ``streams.pattern_blocks``' rule; arrays are the form
+the batch engine and the session checks read. A ``GhzSpec`` is built
 only where one state is described on its own (records, transcripts, the
 dense oracle).
 """
@@ -23,7 +23,7 @@ from math import sqrt
 import numpy as np
 
 from .statevec import MAX_QUBITS, PureState
-from .streams import fair_bits
+from .streams import pattern_blocks
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,14 @@ def sample_patterns(rng, count: int, qubit_count: int) -> tuple[np.ndarray, np.n
     """Uniformly random patterns and phase bits of the states the server prepares.
 
     Returns a count x q boolean array of pattern bits and a uint8 array of
-    phase bits, drawn in that order: the numbers of the default int64
-    ``rng.integers(0, 2, size=count * (q + 1))``, read by ``fair_bits``.
-    Such draws take one 32-bit half word each from the generator, whose
-    unused half carries over between calls, so the numbers and the
-    generator state after them are those of drawing the bits and then the
-    phases.
+    phase bits. The pattern bits are the bits of whole ``random_raw`` words,
+    64 to a word, low bit first; the phase bits follow on fresh words.
     """
     if qubit_count < 2:
         raise ValueError("a GHZ spec needs at least 2 particles")
     if qubit_count > MAX_QUBITS:
         raise ValueError(f"at most {MAX_QUBITS} particles supported")
-    draws = fair_bits(rng, count * (qubit_count + 1))
-    split = count * qubit_count
-    return draws[:split].reshape(count, qubit_count), draws[split:].view(np.uint8)
+    return next(pattern_blocks([rng], count, qubit_count, count))
 
 
 def prepare(spec: GhzSpec) -> PureState:

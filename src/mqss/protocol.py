@@ -27,8 +27,7 @@ from . import branch
 from .channel import ClassicalLog, Interceptor, broadcast
 from .ghz import GhzSpec, prepare
 from .statevec import MAX_QUBITS, PAULI_X, apply_gate, measure_after_hadamard, measure_z
-from .streams import check_draws, derived_rng, derived_rngs, fair_bit_rows, fair_bits
-from .streams import replay_fair_bits
+from .streams import check_draws, derived_rng, derived_rngs, pattern_blocks
 
 if TYPE_CHECKING:
     from .adversary import CollectiveAttackConfig
@@ -364,16 +363,15 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
     A row's draws are taken as the row is packed into a chunk of at most
     ``_CHUNK_ROWS`` rows, its modes are worked out and its all-Share rows
     counted then, and each chunk, whatever jobs and rounds its rows come
-    from, plays in one ``_play_packed`` call. Jobs of at most
-    ``_CHUNK_ROWS`` rows draw their pattern bits with ``fair_bit_rows`` in
-    groups: the next jobs that fit in the room left, which draw their rows
-    after all the group's bits and join the chunk as one piece, or the next
-    job alone when none fits. A lone job, like each ``_pattern_blocks``
-    block of a wider one, fills the chunk and goes on in the next: split
-    row-major draws are the same numbers as one call, so the chunk size
-    changes no round. ``sink(chunk, owners, lengths)`` receives each played
-    ``_Chunk``, whose rows run job ``owners[0]``'s ``lengths[0]`` rows, then
-    ``owners[1]``'s ``lengths[1]`` and so on.
+    from, plays in one ``_play_packed`` call. Jobs draw their pattern bits
+    with one ``pattern_blocks`` call per group: the next jobs that fit in
+    the room left, which draw their rows after all the group's bits and
+    join the chunk as one piece, or the next job alone when none fits. A
+    lone job, like each block of a wider one, fills the chunk and goes on in
+    the next: split row-major draws are the same numbers as one call, so the
+    chunk size changes no round. ``sink(chunk, owners, lengths)`` receives
+    each played ``_Chunk``, whose rows run job ``owners[0]``'s
+    ``lengths[0]`` rows, then ``owners[1]``'s ``lengths[1]`` and so on.
     """
     q = config.particle_count
     width = _draw_columns(config, forced)[2]
@@ -403,19 +401,16 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
         while at < len(jobs):
             owner, rng, blocks = jobs[at]
             group = jobs[at : at + 1]
-            if isinstance(blocks, int) and blocks > _CHUNK_ROWS:
-                blocks = _pattern_blocks(rng, blocks, q)
-            elif isinstance(blocks, int):  # the next jobs that fit the room left, or this one alone
+            if isinstance(blocks, int):  # the next jobs that fit the room left, or this one alone
                 size = blocks
                 group = jobs[at : at + max((_CHUNK_ROWS - rows) // size, 1)]
                 owners, rngs, _ = zip(*group)
-                drawn = fair_bit_rows(rngs, size * (q + 1))
-                bits, phases = drawn[:, : size * q].reshape(-1, q), drawn[:, size * q :]
-                blocks = [(bits, phases.reshape(-1).view(np.uint8))]
+                blocks = pattern_blocks(rngs, size, q, _CHUNK_ROWS)
             at += len(group)
             if len(group) > 1:  # every generator of the group draws its bits before its rows
+                bits, phases = next(blocks)
                 draws = np.concatenate([rng.random(size=(size, width)) for rng in rngs])
-                pack(owners, [size] * len(owners), *blocks[0], draws)
+                pack(owners, [size] * len(owners), bits, phases, draws)
                 continue
             for bits, phases in blocks:
                 while True:  # one piece per chunk the block reaches; an empty block is one piece
@@ -711,10 +706,11 @@ def verify_step6(
 ) -> Step6Report:
     """Sacrificial parity check over randomly chosen raw key positions.
 
-    The dealer announces m random positions; everyone announces their bits
-    there and each position must satisfy dealer = XOR of all agents. The
-    checked positions are burned from every key, whatever the verdict. One
-    attempt of the step-6 rule that a session's pass runs on all its attempts.
+    The dealer announces m random positions, drawn by ``check_draws`` with
+    one ``rng.random(2m)`` call; everyone announces their bits there and
+    each position must satisfy dealer = XOR of all agents. The checked
+    positions are burned from every key, whatever the verdict. One attempt
+    of the step-6 rule that a session's pass runs on all its attempts.
     """
     if secret_bits < 1:
         raise ValueError("secret must have at least 1 bit")
@@ -727,9 +723,9 @@ def verify_step6(
         raise InsufficientRawKeyError(
             f"need {2 * secret_bits} raw bits, have {available}"
         )
-    picks = rng.choice(available, size=secret_bits, replace=False)
+    picks, _ = check_draws([rng], [available], secret_bits)
     chosen, failures, rates, threshold, passed, kept = _step6_verdicts(
-        keys.T, np.zeros(1, dtype=np.int64), picks[None], base_threshold
+        keys.T, np.zeros(1, dtype=np.int64), picks, base_threshold
     )
     return Step6Report(
         tuple(chosen[0].tolist()), rates.item(), failures.item(), threshold, passed.item(),
@@ -741,9 +737,9 @@ def _step6_verdicts(keys: np.ndarray, starts: np.ndarray, picks: np.ndarray, bas
     """The one step-6 rule: sorted check positions, failures, rates, verdicts and rows kept.
 
     Attempt i checks the rows ``starts[i] + picks[i]`` of ``keys`` (R x q, dealer first):
-    its m positions among its own rows as ``rng.choice(n, size=m, replace=False)`` draws
-    them, which ``verify_step6`` calls and a pass's ``check_draws`` reproduces. A row
-    fails where its parity is 1, and burns if checked.
+    its m positions among its own rows, as ``check_draws`` draws them for ``verify_step6``
+    and for every attempt of a pass alike. A row fails where its parity is 1, and burns
+    if checked.
     """
     threshold = effective_threshold(base_threshold, picks.shape[1])
     chosen = np.sort(picks, axis=1)
@@ -974,14 +970,16 @@ def run_sessions(
 
     A session's outcome depends on its seed alone: attempt k draws from
     ``derived_rng(seed, k)`` exactly what the session run on its own draws,
-    in the same order. A pass makes its generators with one ``derived_rngs``
-    call, which hashes many seeds as arrays into those same generators. The
-    sessions' rounds are played together, one ``_play_rows`` job per
-    attempt, so on the branch engine every attempt's rows share chunks of
-    at most ``_CHUNK_ROWS`` rows; then each attempt's checks run on its own
-    generator. Each pass returns its attempts as ``Sessions`` columns, and a
-    retry pass over the sessions that aborted writes over their rows. A
-    ``secret`` is checked before any round plays, and so is every seed.
+    in the same order, since ``streams``' pattern and step-6 rules draw the
+    same numbers for one attempt or many. A pass makes its generators with
+    one ``derived_rngs`` call, which hashes many seeds as arrays into those
+    same generators. The sessions' rounds are played together, one
+    ``_play_rows`` job per attempt, so on the branch engine every attempt's
+    rows share chunks of at most ``_CHUNK_ROWS`` rows; then each attempt's
+    checks run on its own generator. Each pass returns its attempts as
+    ``Sessions`` columns, and a retry pass over the sessions that aborted
+    writes over their rows. A ``secret`` is checked before any round plays,
+    and so is every seed.
     """
     if secret is not None:
         _check_secret(secret, config.secret_bits)
@@ -1087,25 +1085,8 @@ def _attempt_rounds(config: SessionConfig, rngs, shared):
 
 
 def _pattern_blocks(rng, size: int, q: int):
-    """A batch's pattern bits and phases, in blocks of at most ``_CHUNK_ROWS`` rows.
-
-    The same bits and phases ``sample_patterns`` draws, leaving ``rng`` in
-    the same state: numpy's ``rng.integers(0, 2, size=size * (q + 1))``,
-    read by ``fair_bits``, which starts at any half word ``rng`` holds. A
-    batch of more rows never holds all its bits or phases:
-    ``replay_fair_bits`` copies of ``rng`` taken at the bits and at the
-    phases draw each block's share of them when the block is asked for,
-    while ``rng`` itself moves past both, drawing none of them.
-    """
-    if size <= _CHUNK_ROWS:
-        draws = fair_bits(rng, size * (q + 1))
-        yield draws[: size * q].reshape(size, q), draws[size * q :].view(np.uint8)
-        return
-    bit_replay, phase_replay = replay_fair_bits(rng, size * q), replay_fair_bits(rng, size)
-    for start in range(0, size, _CHUNK_ROWS):
-        count = min(_CHUNK_ROWS, size - start)
-        bits = fair_bits(bit_replay, count * q).reshape(count, q)
-        yield bits, fair_bits(phase_replay, count).view(np.uint8)
+    """A batch's ``sample_patterns`` bits and phases, in blocks of ``_CHUNK_ROWS`` rows."""
+    return pattern_blocks([rng], size, q, _CHUNK_ROWS)
 
 
 def _finish_pass(
@@ -1120,7 +1101,7 @@ def _finish_pass(
     Every attempt's case tally, rounds used and step-5 verdict come from
     ``played.sums`` as arrays. The attempts that pass step 5 go on to one
     ``_step6_verdicts`` over them all, each drawing its check positions and
-    then any secret on its own generator (one ``check_draws``); those that
+    secret bits on its own generator (one ``check_draws``); those that
     clear step 6 go on to one ``_share``.
     """
     q, m, epsilon = config.particle_count, config.secret_bits, config.epsilon

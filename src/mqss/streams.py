@@ -1,13 +1,11 @@
-"""numpy's random draws as this package makes them, reproduced as arrays.
+"""The package's random draws: its generators, and the two array rules it draws by.
 
-Every random number in a session comes from a ``numpy.random.Generator``
-on ``PCG64``, seeded through ``SeedSequence``. A pass over many sessions
-makes the same numbers as arrays: it hashes many seeds at once, reads fair
-bits, check positions and secret bits from raw ``PCG64`` words, and moves
-generators past draws without making them. This module is the one place
-that knows those internals. Each function returns what the numpy call it
-names returns, and leaves the generator where that call leaves it, except
-where its docstring says otherwise.
+Every random number comes from a ``numpy.random.Generator`` on ``PCG64``,
+seeded through ``SeedSequence``; a pass of many sessions hashes its seeds as
+arrays. The pattern bits (``pattern_blocks``) and step 6's check positions
+and secrets (``check_draws``) follow the package's own rules on those
+generators, each with one code path for a lone attempt, a group of attempts
+and a batch wider than a chunk. This module is the one place that knows them.
 
 numpy 2 loads ``numpy.random`` on first use, and this module touches it only
 when a generator is made or read: a module-level import would add its import
@@ -24,10 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-# A pass of fewer seeds or attempts calls numpy once per item. Below it the seed hash's
-# fixed cost would slow a lone session; and timed with timeit on a 2-core host (numpy 2.4),
-# one attempt's array check draws took 36 us at m = 1 and 100 us at m = 16, against 12 us
-# for its ``choice`` and ``integers``, while 16 attempts' took 56 and 135 us, against 190 us.
+# A pass of fewer seeds hashes them one at a time, by ``SeedSequence``: with timeit on a 2-core
+# host (numpy 2.4), the array hash made 1 generator in 92 us against 14 us one at a time, 8 in
+# 134 against 112 us, and 16 in 169 against 228 us.
 _ARRAY_PASS = 16
 
 
@@ -151,149 +148,72 @@ class _Generated:
         return self.words
 
 
-# --- fair bits -----------------------------------------------------------------
+# --- pattern bits --------------------------------------------------------------
 
 
-def fair_bits(rng, count: int) -> np.ndarray:
-    """``rng.integers(0, 2, size=count)`` as booleans, read from raw ``PCG64`` words.
+def pattern_blocks(rngs, rows: int, q: int, block: int):
+    """Each generator's batch of ``rows`` patterns and phases, in blocks of at most ``block`` rows.
 
-    numpy draws each such number from one 32-bit half word u as
-    (2u) >> 32, bit 31 of u: Lemire's method never rejects on a range of 2.
-    ``PCG64`` hands out halves low first and holds the unused high half for
-    its next 32-bit draw, so one ``random_raw`` call gives the same halves.
-    A held half is read first, and the generator is left holding what numpy
-    leaves it holding; only a half numpy has already handed out may differ.
-    Other bit generators draw with ``integers``.
+    A generator's pattern bits, then its phase bits, are the bits of whole
+    ``random_raw`` words, 64 to a word, low bit first, and each of the two
+    starts on a fresh word. A batch that fits a block comes as one block of
+    every generator's rows in turn, (A rows) x q booleans and A rows uint8
+    phases, from one ``random_raw`` call each. A wider batch, of one
+    generator, is never held whole: the generator skips its words, and each
+    block reads the words that hold its bits from a copy taken at the start.
     """
-    bit_generator = getattr(rng, "bit_generator", None)
-    if not isinstance(bit_generator, np.random.PCG64):
-        return rng.integers(0, 2, size=count).astype(bool)
-    if not count:
-        return np.zeros(0, dtype=bool)
-    state = bit_generator.state
-    held = state["has_uint32"]
-    fresh = count - held
-    halves = raw_halves(bit_generator.random_raw(-(-fresh // 2)))
-    if held:
-        halves = np.concatenate((np.array([state["uinteger"]], dtype=_HALF), halves))
-    if held or fresh % 2:  # the last half drawn is held, or the held one is spent
-        _hold(bit_generator, fresh % 2, int(halves[-1]))
-    return halves[:count].view(_SIGNED_HALF) < 0  # bit 31 is the sign
-
-
-def fair_bit_rows(rngs, count: int) -> np.ndarray:
-    """``[fair_bits(rng, count) for rng in rngs]`` as one A x count array.
-
-    For ``PCG64`` generators known to hold no half word, whose states it
-    does not read: one ``random_raw`` call each, all cut in one array step.
-    An odd count leaves each holding its last high half, as numpy does.
-    """
-    generators = [rng.bit_generator for rng in rngs]
-    raw = np.array([generator.random_raw(-(-count // 2)) for generator in generators], _WORD)
-    if count % 2:
-        for generator, word in zip(generators, raw[:, -1].tolist()):
-            _hold(generator, 1, word >> 32)
-    return raw_halves(raw)[:, :count].view(_SIGNED_HALF) < 0
-
-
-def skip_fair_bits(rng, count: int) -> None:
-    """Move ``rng`` past ``fair_bits(rng, count)`` without drawing the bits.
-
-    ``PCG64.advance`` jumps the whole words, and an odd count draws one
-    more word to hold its high half, as numpy does. Other bit generators
-    draw the bits in blocks and drop them.
-    """
-    bit_generator = getattr(rng, "bit_generator", None)
-    if not isinstance(bit_generator, np.random.PCG64):
-        for start in range(0, count, 1 << 16):
-            rng.integers(0, 2, size=min(1 << 16, count - start))
+    pattern_words, phase_words = -(-rows * q // 64), -(-rows // 64)
+    if rows <= block:
+        raw = np.array([rng.bit_generator.random_raw(pattern_words + phase_words) for rng in rngs])
+        bits = _bits(raw[:, :pattern_words], rows * q).reshape(-1, q)
+        yield bits, _bits(raw[:, pattern_words:], rows).reshape(-1).view(np.uint8)
         return
-    if not count:
-        return
-    fresh = count - bit_generator.state["has_uint32"]
-    bit_generator.advance(fresh // 2)  # which also drops a held half
-    if fresh % 2:
-        _hold(bit_generator, 1, int(bit_generator.random_raw()) >> 32)
+    (rng,) = rngs
+    origin, phases_at = copy.deepcopy(rng.bit_generator), 64 * pattern_words
+    rng.bit_generator.advance(pattern_words + phase_words)
+    for start in range(0, rows, block):
+        end = min(start + block, rows)
+        bits = _window(origin, start * q, end * q).reshape(-1, q)
+        yield bits, _window(origin, phases_at + start, phases_at + end).view(np.uint8)
 
 
-def replay_fair_bits(rng, count: int) -> np.random.Generator:
-    """A copy of ``rng`` that draws its next ``count`` fair bits, while ``rng`` skips them."""
-    replay = np.random.Generator(copy.deepcopy(rng.bit_generator))
-    skip_fair_bits(rng, count)
-    return replay
+def _window(origin, begin: int, end: int) -> np.ndarray:
+    """Bits ``begin`` to ``end`` of the words ``origin`` draws next, read from a copy of it."""
+    source, first = copy.deepcopy(origin), begin // 64
+    source.advance(first)
+    return _bits(source.random_raw(-(-end // 64) - first))[begin - 64 * first : end - 64 * first]
 
 
-def _hold(bit_generator, held: int, half: int) -> None:
-    """Set whether ``PCG64`` holds a half word for its next 32-bit draw, and which."""
-    state = bit_generator.state
-    state["has_uint32"], state["uinteger"] = held, half
-    bit_generator.state = state
-
-
-_WORD, _HALF, _SIGNED_HALF = np.dtype("<u8"), np.dtype("<u4"), np.dtype("<i4")
-
-
-def raw_halves(words: np.ndarray) -> np.ndarray:
-    """Raw 64-bit words (last axis) as their 32-bit halves, low half first, as uint32."""
-    return np.asarray(words, dtype=_WORD).view(_HALF)
+def _bits(words: np.ndarray, count=None) -> np.ndarray:
+    """The first ``count`` bits (all by default) of 64-bit words (last axis), low bit first."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=count, bitorder="little").view(bool)
 
 
 # --- step 6's check positions and secrets --------------------------------------
 
 
 def check_draws(rngs, lengths, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each attempt's ``rng.choice(n, size=m, replace=False)``, then ``integers(0, 2, size=m)``.
+    """Each attempt's m check positions among its n = ``lengths[i]`` rows, and m secret bits.
 
-    Returns the picks (A x m, in no set order) and the secret bits (A x m uint8) of the
-    ``PCG64`` generators ``derived_rngs`` makes. numpy's ``choice`` runs Floyd's selection
-    unless n > 10,000 and m > n // 50: for j = n - m to n - 1 it draws on [0, j] and takes j
-    in place of a repeat, then shuffles its m picks, drawing on [0, i] for i = m - 1 down to
-    1; each draw is ``_lemire`` on the next 32-bit half word. The secret bits are bit 31 of
-    the next m halves. No generator may hold a half word, and none of a pass does: its
-    rows draw only doubles, and its batches (even row counts) draw even counts of bits. In
-    a pass of ``_ARRAY_PASS`` attempts or more, every attempt reads the 3m - 1 halves these
-    take from one ``random_raw`` block, and the steps run as arrays over all attempts. An
-    attempt where a draw rejects its half, or on numpy's other branch (the tail shuffle, or
-    past 2^32 rows), moves its generator back before the block and makes numpy's calls, as
-    every attempt of a smaller pass does. The others end past their block, not where
-    numpy's calls would leave them: nothing draws on them after step 6.
+    Each generator makes one ``random(2m)`` call. Its first m doubles u pick
+    the positions by Floyd's selection, uniform over m-subsets of range(n)
+    but for the doubles' grain: for j = n - m to n - 1 it takes
+    t = floor(u (j + 1)), or j where t is already picked. The next m give the
+    secret bits, as u < 0.5. Returns picks (A x m int64) and secrets (A x m uint8).
+
+    The grain: u is k / 2^53 for a uniform integer k < 2^53. Each t in [0, j]
+    takes floor(2^53 / (j + 1)) values of k or one more, and rounding the
+    product moves at most one k across each integer, so each t's chance is
+    within 2^-52 of 1 / (j + 1), and the m positions' law is within m n 2^-53
+    of uniform in total variation. While j + 1 < 2^53 the product never
+    reaches j + 1: u <= 1 - 2^-53 puts it at least (j + 1) 2^-53 below, more
+    than half the spacing of doubles there, so it rounds below and t <= j.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if len(rngs) < _ARRAY_PASS:
-        return _numpy_checks(rngs, lengths, m)
-    generators = [rng.bit_generator for rng in rngs]
-    words = (3 * m) // 2  # 3m - 1 halves or more
-    raw = np.array([generator.random_raw(words) for generator in generators], np.uint64)
-    draws = raw_halves(raw)[:, : 3 * m - 1]
-    floyd = (lengths - m)[:, None] + np.arange(m)  # j = n - m .. n - 1
-    shuffle = np.broadcast_to(np.arange(m - 1, 0, -1), (len(rngs), m - 1))  # sorting undoes it
-    values, rejected = _lemire(draws[:, : 2 * m - 1], np.concatenate((floyd, shuffle), axis=1))
-    picks = values[:, :m]
+    draws = np.array([rng.random(2 * m) for rng in rngs]).reshape(len(rngs), 2 * m)
+    tops = np.asarray(lengths, dtype=np.int64)[:, None] - m + np.arange(m)  # j = n - m .. n - 1
+    picks = (draws[:, :m] * (tops + 1)).astype(np.int64)
     for step in range(1, m):
         repeat = (picks[:, :step] == picks[:, step, None]).any(axis=1)
-        picks[:, step] = np.where(repeat, floyd[:, step], picks[:, step])
-    secrets = (draws[:, 2 * m - 1 :] >> 31).astype(np.uint8)
-    other = ((lengths > 10_000) & (m > lengths // 50)) | (lengths > 1 << 32)  # not Floyd's
-    redo = np.flatnonzero(rejected.any(axis=1) | other)
-    for i in redo.tolist():
-        generators[i].advance(-words)  # back to its start: advance leaves no half held
-    picks[redo], secrets[redo] = _numpy_checks([rngs[i] for i in redo], lengths[redo], m)
-    return picks, secrets
-
-
-def _numpy_checks(rngs, lengths: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``check_draws`` by numpy's own calls: ``choice`` then ``integers`` on each generator."""
-    picks = [rng.choice(n, size=m, replace=False) for rng, n in zip(rngs, lengths.tolist())]
-    secrets = [rng.integers(0, 2, size=m) for rng in rngs]
-    return np.array(picks, np.int64).reshape(-1, m), np.array(secrets, np.uint8).reshape(-1, m)
-
-
-def _lemire(halves: np.ndarray, tops) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's 32-bit draw on [0, top] from each half word u, and where it rejects u.
-
-    Lemire's method gives (u (top + 1)) >> 32 unless the low word of that product is
-    below 2^32 mod (top + 1); numpy then draws again on the next half.
-    """
-    span = np.asarray(tops, dtype=np.uint64) + np.uint64(1)
-    product = halves * span
-    return (product >> 32).astype(np.int64), (product & 0xFFFFFFFF) < np.uint64(1 << 32) % span
+        picks[:, step] = np.where(repeat, tops[:, step], picks[:, step])
+    return picks, (draws[:, m:] < 0.5).view(np.uint8)

@@ -20,6 +20,11 @@ class FixedRng:
         return self._draws[0]
 
 
+def raw_word_bits(words, start: int, count: int) -> list[int]:
+    """Bits ``start`` to ``start + count`` of 64-bit words, low bit first, in plain Python."""
+    return [words[at // 64] >> (at % 64) & 1 for at in range(start, start + count)]
+
+
 def state_from_terms(qubit_count, terms, scale=1.0):
     """Build a PureState from {bitstring: coefficient} ket terms."""
     amps = np.zeros(1 << qubit_count, dtype=complex)

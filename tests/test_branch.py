@@ -563,13 +563,13 @@ PINNED_ATTACKS = {
 }
 
 PLAYED_DIGESTS = {
-    "collective-0.0": "ab0632c0284bd803c8229f9bc0e52d01ebf0b40d48bda481c2aafce292308d85",
-    "collective-0.5": "1c1ec569e6b72bd81ba6a3f319a5a62f2d39308092620058bdbcbd76600757ea",
-    "collective-1.0": "1408a683d0941d92d016bf875cb713c5d01e9b628d9927f63658e84efacdb4ff",
-    "collective-complex": "6268624fa1c4721a188b017f6fe736a002a4e60885d7639d9d95235f152b7430",
-    "collusion": "90615a4700cfe8d77b38402f9a977cadfa0d918c7ed67a25e16999b02ebf994c",
-    "honest": "208f41d80385da0ed434e6f0ab6987f5286801b6d3344bcdfa519af94951ed9b",
-    "measure-resend": "38e094bbcc266a3f73b94b91ce97c4a67c71c3addf9732e05507e3ee23bd0152",
+    "collective-0.0": "4fa8c9275d6e22108de2229220bd707b1baa095d0457a64410dda025d6685900",
+    "collective-0.5": "e4acefbe23265044e493981fe5156660a02e60510dc20ce4a3b0d13492f31539",
+    "collective-1.0": "3a60c5cd4d799b32b5b59bd85d4b7cd0d0aedf95dbe58d0d21a6341870965acb",
+    "collective-complex": "4d3fcaca8dc4ae404a8e4c1f47a5380960aae642c5f78e0f359cfb310257b3e6",
+    "collusion": "285faacf7ffccaa744573225f2a7154903a027afed2daa0f5a802f38a8f60db4",
+    "honest": "83f2f44a5a0bfc3be4a214aff6989b0121c1df35cad4549cbc937d462c05b7fd",
+    "measure-resend": "c74357fa4f289ab51bcec54dea047a1d00fe1f8559f904c7b7ec039abe6777b7",
 }
 
 

@@ -29,9 +29,9 @@ from mqss.statevec import (
     fidelity,
     measure_z,
 )
-from mqss.streams import fair_bit_rows, skip_fair_bits
+from mqss.streams import pattern_blocks
 
-from conftest import FixedRng, state_from_terms
+from conftest import FixedRng, raw_word_bits, state_from_terms
 
 S2 = 1.0 / sqrt(2.0)
 QUARTER = 1.0 / (2.0 * sqrt(2.0))
@@ -135,96 +135,45 @@ def test_spec_validation():
 
 
 def test_sample_patterns_draws_all_patterns_then_all_phases():
-    bits, phases = sample_patterns(np.random.default_rng(3), 40, 5)
-    rng = np.random.default_rng(3)
+    rng, oracle = np.random.default_rng(3), np.random.PCG64(3)
+    bits, phases = sample_patterns(rng, 40, 5)
     assert bits.dtype == bool and phases.dtype == np.uint8
-    assert bits.tolist() == rng.integers(0, 2, size=(40, 5)).astype(bool).tolist()
-    assert phases.tolist() == rng.integers(0, 2, size=40).tolist()
+    # 200 pattern bits fill 4 words, and the 40 phases start on a fifth
+    words = oracle.random_raw(5).tolist()
+    assert bits.reshape(-1).tolist() == raw_word_bits(words, 0, 200)
+    assert phases.tolist() == raw_word_bits(words, 256, 40)
     with pytest.raises(ValueError):
         sample_patterns(rng, 3, 1)
-
-
-@pytest.mark.parametrize("count, q", [(1, 3), (3, 3), (5, 5), (7, 9), (64, 3), (0, 4)])
-def test_sample_patterns_one_draw_matches_bits_then_phases(count, q):
-    # odd count * q leaves half of a 64-bit output for the phases' first draw
-    for seed in range(100):
-        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        if seed % 2:  # start with a half word already buffered
-            rng.integers(0, 2, size=1), oracle.integers(0, 2, size=1)
-        bits, phases = sample_patterns(rng, count, q)
-        assert np.array_equal(bits, oracle.integers(0, 2, size=(count, q)).astype(bool))
-        assert np.array_equal(phases, oracle.integers(0, 2, size=count))
-        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
-        assert rng.random() == oracle.random()
-        assert rng.bit_generator.state == oracle.bit_generator.state
-
-
-def assert_same_generator(mine, numpys):
-    """Equal states, but for the half numpy keeps after handing it out.
-
-    numpy leaves the last half word it handed out in ``uinteger`` when
-    ``has_uint32`` is 0; no draw reads it, and raw words never write it.
-    """
-    state, expected = mine.bit_generator.state, numpys.bit_generator.state
-    if not expected["has_uint32"]:
-        state["uinteger"] = expected["uinteger"]
-    assert state == expected
-
-
-@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
-@pytest.mark.parametrize("q", range(2, 25))
-def test_sample_patterns_reads_raw_words_as_the_integers_draws(q, held):
-    # counts 1 to 4 give both parities of count * (q + 1) whatever q is
-    for count, seed in itertools.product(range(1, 5), range(10)):
-        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        if held:
-            assert rng.integers(0, 2) == oracle.integers(0, 2)
-        bits, phases = sample_patterns(rng, count, q)
-        draws = oracle.integers(0, 2, size=count * (q + 1))
-        assert bits.dtype == bool and phases.dtype == np.uint8
-        assert np.array_equal(bits, draws[: count * q].reshape(count, q))
-        assert np.array_equal(phases, draws[count * q :])
-        assert_same_generator(rng, oracle)
-        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
-        assert rng.random() == oracle.random()
     with pytest.raises(ValueError):
         sample_patterns(rng, 1, 25)
 
 
-@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
-@pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1001])
-def test_skipping_bits_leaves_the_generator_where_drawing_them_would(count, held):
-    for seed in range(20):
-        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        if held:
-            rng.integers(0, 2), oracle.integers(0, 2)
-        skip_fair_bits(rng, count)
-        oracle.integers(0, 2, size=count)
-        assert_same_generator(rng, oracle)
-        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+@pytest.mark.parametrize(
+    "count, q", [(1, 3), (3, 3), (5, 5), (7, 9), (64, 3), (0, 4), (1, 2), (4, 24)]
+)
+def test_sample_patterns_one_draw_matches_bits_then_phases(count, q):
+    # the pattern bits take ceil(count q / 64) words, and the phases the next ceil(count / 64)
+    pattern_words, phase_words = -(-count * q // 64), -(-count // 64)
+    for seed in range(100):
+        rng, oracle = np.random.default_rng(seed), np.random.PCG64(seed)
+        bits, phases = sample_patterns(rng, count, q)
+        words = oracle.random_raw(pattern_words + phase_words).tolist()
+        assert bits.shape == (count, q)
+        assert bits.reshape(-1).tolist() == raw_word_bits(words, 0, count * q)
+        assert phases.tolist() == raw_word_bits(words, 64 * pattern_words, count)
+        assert rng.bit_generator.random_raw() == oracle.random_raw()
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1001])
-def test_a_group_of_generators_draws_each_ones_integers(count):
+def test_a_group_of_generators_draws_each_ones_patterns(count):
     rngs, oracles = ([np.random.default_rng([count, seed]) for seed in range(12)] for _ in range(2))
-    rows = fair_bit_rows(rngs, count)
-    assert rows.dtype == bool and rows.shape == (12, count)
-    for rng, oracle, row in zip(rngs, oracles, rows):
-        assert np.array_equal(row, oracle.integers(0, 2, size=count))
-        assert_same_generator(rng, oracle)
-        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+    (bits, phases), = pattern_blocks(rngs, count, 3, count)
+    assert bits.shape == (12 * count, 3) and phases.shape == (12 * count,)
+    for index, (rng, oracle) in enumerate(zip(rngs, oracles)):
+        rows = slice(index * count, (index + 1) * count)
+        own_bits, own_phases = sample_patterns(oracle, count, 3)
+        assert np.array_equal(bits[rows], own_bits) and np.array_equal(phases[rows], own_phases)
         assert rng.random() == oracle.random()
-
-
-def test_other_bit_generators_draw_their_bits_with_integers():
-    rng, oracle = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
-    bits, phases = sample_patterns(rng, 9, 3)
-    assert np.array_equal(bits, oracle.integers(0, 2, size=(9, 3)))
-    assert np.array_equal(phases, oracle.integers(0, 2, size=9))
-    skip_fair_bits(rng, 11)
-    oracle.integers(0, 2, size=11)
-    assert rng.integers(0, 2, size=5).tolist() == oracle.integers(0, 2, size=5).tolist()
-    assert rng.random() == oracle.random()
 
 
 # --- full-Hadamard closed form ----------------------------------------------

@@ -13,9 +13,7 @@ import mqss
 
 PACKAGE = Path(mqss.__file__).parent
 # a numpy generator's internals, which only ``streams`` reads or drives
-GENERATOR_INTERNALS = {
-    "bit_generator", "random_raw", "advance", "SeedSequence", "PCG64", "has_uint32"
-}
+GENERATOR_INTERNALS = {"bit_generator", "random_raw", "advance", "SeedSequence", "PCG64"}
 
 
 def parsed_modules() -> dict[str, ast.Module]:
@@ -42,7 +40,7 @@ def test_only_streams_names_a_generators_internals():
                 names = [node.id]
             elif isinstance(node, ast.Attribute):
                 names = [node.attr]
-            elif isinstance(node, ast.Constant):  # as in state["has_uint32"]
+            elif isinstance(node, ast.Constant):  # as in getattr(rng, "bit_generator")
                 names = [node.value]
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [part for alias in node.names for part in alias.name.split(".")]
@@ -50,6 +48,17 @@ def test_only_streams_names_a_generators_internals():
                 continue
             named.update((module, name) for name in names if name in GENERATOR_INTERNALS)
     assert {module for module, _ in named} == {"streams"}
+
+
+def test_no_module_reads_or_writes_a_generators_state():
+    # the package draws by its own array rules, so nothing needs numpy's stream position
+    touched = [
+        (module, node.lineno)
+        for module, tree in parsed_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "state"
+    ]
+    assert touched == []
 
 
 @pytest.mark.skipif(

@@ -6,6 +6,7 @@ import itertools
 import pickle
 import re
 import sys
+from collections import Counter
 from dataclasses import astuple, fields, replace
 from math import sqrt
 
@@ -52,6 +53,8 @@ from mqss.protocol import (
 )
 from mqss.statevec import MAX_QUBITS, PAULI_X, apply_gate
 from mqss.streams import derived_rng, derived_rngs
+
+from conftest import raw_word_bits
 
 C, S = Mode.CHECK, Mode.SHARE
 
@@ -340,20 +343,26 @@ def test_batches_are_equal_when_their_rows_are():
     assert batch != batch.results.tolist()
 
 
-class PresetChoiceRng:
-    def __init__(self, picks):
-        self.picks = picks
+class PresetDoublesRng:
+    """A generator whose ``random`` calls each return the same preset doubles."""
 
-    def choice(self, n, size, replace):
-        assert size == len(self.picks) and not replace
-        return np.asarray(self.picks)
+    def __init__(self, doubles):
+        self.doubles = doubles
+
+    def random(self, size):
+        assert size == len(self.doubles)
+        return np.asarray(self.doubles, dtype=float)
+
+
+# Floyd's selection of 2 of range(4) takes floor(0.5 * 3) = 1, then floor(0.9 * 4) = 3
+CHECK_1_AND_3 = PresetDoublesRng([0.5, 0.9, 0.25, 0.75])
 
 
 def test_verify_step6_honest_keys_pass():
     raw = ((0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 1, 0), (1, 1, 1, 1))
     for j in range(4):
         assert raw[0][j] == raw[1][j] ^ raw[2][j] ^ raw[3][j]
-    report = verify_step6(raw, 2, PresetChoiceRng([1, 3]))
+    report = verify_step6(raw, 2, CHECK_1_AND_3)
     assert report.check_positions == (1, 3)
     assert report.error_rate == 0.0
     assert report.passed
@@ -363,16 +372,25 @@ def test_verify_step6_honest_keys_pass():
 def test_verify_step6_flipped_bit_fails_at_checked_position():
     raw = [[0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 1, 1]]
     raw[2][3] ^= 1  # break parity at position 3
-    report = verify_step6(tuple(map(tuple, raw)), 2, PresetChoiceRng([1, 3]))
+    report = verify_step6(tuple(map(tuple, raw)), 2, CHECK_1_AND_3)
     assert report.failures == 1
     assert report.error_rate == pytest.approx(0.5)
     assert not report.passed
 
 
+def floyd_oracle(doubles, n: int, m: int) -> list[int]:
+    """Floyd's selection of m of range(n) from m doubles, one pick at a time in plain Python."""
+    picks = []
+    for u, j in zip(doubles, range(n - m, n)):
+        t = int(u * (j + 1))
+        picks.append(j if t in picks else t)
+    return picks
+
+
 def step6_oracle(raw_keys, secret_bits, rng, base_threshold):
     """Step 6 one position and one bit at a time."""
-    chosen = rng.choice(len(raw_keys[0]), size=secret_bits, replace=False)
-    positions = sorted(int(p) for p in chosen)
+    doubles = rng.random(2 * secret_bits).tolist()
+    positions = sorted(floyd_oracle(doubles, len(raw_keys[0]), secret_bits))
     failures = 0
     for p in positions:
         agents = 0
@@ -409,7 +427,7 @@ def test_verify_step6_matches_a_per_bit_oracle(seed):
 def test_verify_step6_needs_twice_the_secret_length():
     raw = ((0, 1), (0, 1), (0, 0), (0, 0))
     with pytest.raises(InsufficientRawKeyError):
-        verify_step6(raw, 2, PresetChoiceRng([0, 1]))
+        verify_step6(raw, 2, PresetDoublesRng([0.0] * 4))
 
 
 def test_verify_step6_refuses_a_secret_of_no_bits():
@@ -581,11 +599,11 @@ def test_completed_session_log_holds_the_public_discussion():
     "kind, verdict, tail",
     [
         ("dense", Verdict.ABORTED_STEP5, ()),
-        ("measure-resend", Verdict.ABORTED_STEP6, (("dealer", {"check_positions": (0, 3)}),)),
+        ("measure-resend", Verdict.ABORTED_STEP6, (("dealer", {"check_positions": (0, 4)}),)),
         (
             "honest",
             Verdict.COMPLETED,
-            (("dealer", {"check_positions": (0, 4)}), ("dealer", {"ciphertext": (0, 1)})),
+            (("dealer", {"check_positions": (1, 4)}), ("dealer", {"ciphertext": (1, 0)})),
         ),
     ],
 )
@@ -858,197 +876,85 @@ def test_pattern_blocks_replay_the_batch_draws(monkeypatch, size):
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
-@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
 @pytest.mark.parametrize("size, q", [(8, 2), (21, 3), (30, 3), (29, 4)])
-def test_wide_pattern_blocks_are_the_integers_draws(monkeypatch, size, q, held):
-    # past 7 rows the generator jumps the bits and phases, and copies of it draw them
+def test_wide_pattern_blocks_are_the_raw_word_bits(monkeypatch, size, q):
+    # past 7 rows the generator skips the batch's words, and each block reads its own from a copy
     monkeypatch.setattr(protocol, "_CHUNK_ROWS", 7)
+    pattern_words, phase_words = -(-size * q // 64), -(-size // 64)
     for seed in range(10):
         rng, oracle = derived_rng(seed, size), derived_rng(seed, size)
-        if held:
-            assert rng.integers(0, 2) == oracle.integers(0, 2)
         blocks = protocol._pattern_blocks(rng, size, q)
-        bits, phases = next(blocks)  # the first block moves rng past the whole batch
-        draws = oracle.integers(0, 2, size=size * (q + 1))
-        state, expected = rng.bit_generator.state, oracle.bit_generator.state
-        if not expected["has_uint32"]:  # advance drops the half numpy already handed out
-            state["uinteger"] = expected["uinteger"]
-        assert state == expected
-        blocks = [(bits, phases), *blocks]
-        bits = np.concatenate([block_bits for block_bits, _ in blocks])
-        assert np.array_equal(bits, draws[: size * q].reshape(size, q))
-        assert np.array_equal(np.concatenate([p for _, p in blocks]), draws[size * q :])
-        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+        first = next(blocks)  # the first block moves rng past the whole batch
+        words = oracle.bit_generator.random_raw(pattern_words + phase_words).tolist()
+        # and the later blocks do not read rng, which draws on
+        assert rng.bit_generator.random_raw() == oracle.bit_generator.random_raw()
+        blocks = [first, *blocks]
+        assert [len(bits) for bits, _ in blocks] == [min(7, size - at) for at in range(0, size, 7)]
+        bits = np.concatenate([bits for bits, _ in blocks])
+        assert bits.reshape(-1).tolist() == raw_word_bits(words, 0, size * q)
+        phases = np.concatenate([phases for _, phases in blocks])
+        assert phases.tolist() == raw_word_bits(words, 64 * pattern_words, size)
 
 
-def numpy_lemire(next_half, top: int) -> int:
-    """numpy's buffered_bounded_lemire_uint32 on [0, top], in plain Python."""
-    rng_excl = top + 1
-    m = next_half() * rng_excl
-    leftover = m & 0xFFFFFFFF
-    if leftover < rng_excl:
-        threshold = (0xFFFFFFFF - top) % rng_excl
-        while leftover < threshold:
-            m = next_half() * rng_excl
-            leftover = m & 0xFFFFFFFF
-    return m >> 32
-
-
-def numpy_choice(next_half, n: int, m: int) -> list[int]:
-    """numpy's ``Generator.choice(n, m, replace=False)`` on its Floyd branch, in plain Python."""
-    picks = []
-    for j in range(n - m, n):
-        value = numpy_lemire(next_half, j)
-        picks.append(j if value in picks else value)
-    for i in range(m - 1, 0, -1):
-        k = numpy_lemire(next_half, i)
-        picks[i], picks[k] = picks[k], picks[i]
-    return picks
-
-
-class ScriptedGenerator:
-    """A ``PCG64`` generator stand-in whose raw words are given; it is its own bit generator.
-
-    Its ``choice`` and ``integers`` are numpy's, in plain Python, on the same half words.
-    """
-
-    def __init__(self, words):
-        self.bit_generator, self.at, self.choices = self, 0, 0
-        self.halves = [half for word in words for half in (word & 0xFFFFFFFF, word >> 32)]
-
-    def random_raw(self, size):
-        assert self.at % 2 == 0
-        self.at += 2 * size
-        halves = self.halves[self.at - 2 * size : self.at]
-        words = [low | high << 32 for low, high in zip(halves[::2], halves[1::2])]
-        return np.array(words, dtype=np.uint64)
-
-    def advance(self, delta):
-        self.at += 2 * delta
-
-    def next_half(self):
-        self.at += 1
-        return self.halves[self.at - 1]
-
-    def choice(self, n, size, replace):
-        self.choices += 1
-        return numpy_choice(self.next_half, n, size)
-
-    def integers(self, low, high, size):
-        return [self.next_half() >> 31 for _ in range(size)]
-
-
-@pytest.mark.parametrize("n, m", [(6, 1), (40, 7), (10_000, 16), (2**31 + 12345, 3)])
-def test_the_plain_python_choice_is_numpys(n, m):
-    for seed in range(20):
-        scripted = ScriptedGenerator(np.random.PCG64(seed).random_raw(64).tolist())
-        oracle = np.random.default_rng(seed)
-        assert scripted.choice(n, m, False) == oracle.choice(n, m, replace=False).tolist()
-        assert scripted.integers(0, 2, 5) == oracle.integers(0, 2, size=5).tolist()
-
-
-def test_a_rejected_half_word_is_flagged_where_numpy_draws_again():
-    # on [0, 5] numpy rejects a half word u when (6 u) mod 2^32 < 2^32 mod 6 = 4: u = 0 or 2^31
-    cases = [(0, 5), (2**31, 5), (1, 5), (2**31 + 1, 5), (2**32 - 1, 5), (2, 2**31 + 1),
-             (2**31, 2**31 + 1), (7, 2**31 + 1), (0, 2), (0, 1), (5, 2**32 - 1)]
-    halves, tops = (np.array(column, dtype=np.uint64) for column in zip(*cases))
-    values, rejected = streams._lemire(halves, tops)
-    for (half, top), value, rejects in zip(cases, values.tolist(), rejected.tolist()):
-        read = iter([half, 12345])
-        expected = numpy_lemire(read.__next__, top)
-        assert rejects == (next(read, None) is None)  # numpy read the second half too
-        if not rejects:
-            assert value == expected
-    assert np.flatnonzero(rejected).tolist() == [0, 1, 5, 6, 8]
-    # a scalar top applies to every half
-    assert streams._lemire(halves[:5], 5)[1].tolist() == rejected[:5].tolist()
-
-
-def test_a_pass_draws_the_check_positions_and_secrets_of_choice_then_integers():
-    # 5,312 attempts: m from 1 to 16, passes on both sides of the cut, n from 2m past 10,000
+def test_a_pass_draws_the_check_positions_of_floyds_selection_then_secret_bits():
+    # 5,312 attempts: m from 1 to 16, passes of 1 to 300 attempts, n from 2m past 10,000
     draws = np.random.default_rng(22)
-    cut = streams._ARRAY_PASS
-    for m, attempts in itertools.product(range(1, 17), (1, cut - 1, cut, 300)):
+    for m, attempts in itertools.product(range(1, 17), (1, 15, 16, 300)):
         lengths = draws.integers(2 * m, 80, size=attempts)
         lengths[::25] = draws.integers(9_000, 12_000, size=len(lengths[::25]))
         lengths[-1] = 2 * m
         seeds = draws.integers(2**63, size=attempts).tolist()
         rngs, oracles = ([np.random.default_rng(seed) for seed in seeds] for _ in range(2))
-        keys = draws.integers(0, 2, size=(int(lengths.sum()), 3)).astype(np.uint8)
-        starts = np.cumsum(lengths) - lengths
         picks, secrets = streams.check_draws(rngs, lengths, m)
-        chosen, *_, kept = protocol._step6_verdicts(keys, starts, picks, 0.0)
-        expected = [oracle.choice(n, m, replace=False) for oracle, n in zip(oracles, lengths)]
-        assert chosen.tolist() == np.sort(expected, axis=1).tolist()
-        assert np.count_nonzero(~kept) == m * attempts
-        assert secrets.tolist() == [oracle.integers(0, 2, m).tolist() for oracle in oracles]
+        for pick, secret, oracle, n in zip(picks.tolist(), secrets.tolist(), oracles, lengths):
+            doubles = oracle.random(2 * m).tolist()
+            assert pick == floyd_oracle(doubles, int(n), m)
+            assert secret == [int(u < 0.5) for u in doubles[m:]]
+        # one random(2m) call each
+        assert [rng.random() for rng in rngs] == [oracle.random() for oracle in oracles]
 
 
-@pytest.mark.parametrize("n", [2**31 + 12345, 3 * 2**30 + 5])
-def test_attempts_whose_draws_reject_a_half_word_draw_with_choice(n):
-    # half the draws on [0, 2^31 + 12345] reject their half word, a quarter on [0, 3 * 2^30 + 4]
-    rngs, oracles = ([np.random.default_rng(seed) for seed in range(40)] for _ in range(2))
-    picks, secrets = streams.check_draws(rngs, [n] * 40, 2)
-    redone = []
-    for rng, oracle, pick, secret in zip(rngs, oracles, picks.tolist(), secrets.tolist()):
-        assert sorted(pick) == sorted(oracle.choice(n, size=2, replace=False).tolist())
-        assert secret == oracle.integers(0, 2, size=2).tolist()
-        redone.append(rng.bit_generator.state == oracle.bit_generator.state)
-    assert any(redone) and not all(redone)
+@pytest.mark.parametrize("n, m", [(2, 1), (4, 2), (9, 4), (40, 16)])
+def test_verify_step6_and_a_pass_pick_floyds_positions_from_the_same_doubles(n, m):
+    # doubles of 0 repeat t = 0, and the largest double below 1 takes t = j every time
+    cases = [[0.0] * m, [1 - 2**-53] * m, *np.random.default_rng(n).random((30, m)).tolist()]
+    keys = tuple((0,) * n for _ in range(3))
+    for first, last in itertools.product(cases, cases[:3]):
+        doubles = first + last
+        expected = floyd_oracle(doubles, n, m)
+        assert sorted(set(expected)) == sorted(expected) and 0 <= min(expected) <= max(expected) < n
+        assert verify_step6(keys, m, PresetDoublesRng(doubles)).check_positions == tuple(
+            sorted(expected)
+        )
+        picks, secrets = streams.check_draws([PresetDoublesRng(doubles)] * 2, [n, n], m)
+        assert picks.tolist() == [expected] * 2
+        assert secrets.tolist() == [[int(u < 0.5) for u in last]] * 2
 
 
-def test_a_rejected_shuffle_draw_sends_the_attempt_to_choice():
-    # m = 3 reads three Floyd draws, then the shuffle's on [0, 2] and [0, 1]: attempt k's
-    # 4th half is k, and numpy rejects only 0 on [0, 2] (3 k mod 2^32 < 2^32 mod 3 = 1)
-    tail = np.random.PCG64(8).random_raw(6).tolist()
-    words = [[0x7F4A7C159E3779B9, fourth << 32 | 0x12345678, *tail] for fourth in range(16)]
-    scripted = [ScriptedGenerator(row) for row in words]
-    picks, secrets = streams.check_draws(scripted, [50] * len(words), 3)
-    for row, pick, secret, generator in zip(words, picks.tolist(), secrets.tolist(), scripted):
-        oracle = ScriptedGenerator(row)
-        assert sorted(pick) == sorted(oracle.choice(50, 3, False))
-        assert secret == oracle.integers(0, 2, 3)
-    assert [generator.choices for generator in scripted] == [1] + [0] * 15
+# chi-squared quantiles at 1 - 10^-4 by degrees of freedom (scipy.stats.chi2.isf(1e-4, df))
+CHI2_QUANTILES = {4: 23.5127, 5: 25.7448, 19: 50.7955, 34: 73.4812, 69: 121.4404}
 
 
-@pytest.mark.parametrize("n", [10_001, 12_000, 12_550, 12_600])
-def test_a_pass_follows_choice_onto_its_tail_shuffle(n):
-    # m = 250 takes numpy's tail shuffle where n // 50 < 250: n = 10,001 and 12,000
-    m, attempts = 250, streams._ARRAY_PASS
-    rngs, oracles = ([np.random.default_rng([n, s]) for s in range(attempts)] for _ in range(2))
-    picks, secrets = streams.check_draws(rngs, [n] * attempts, m)
-    for pick, secret, oracle in zip(picks, secrets, oracles):
-        assert np.array_equal(np.sort(pick), np.sort(oracle.choice(n, size=m, replace=False)))
-        assert np.array_equal(secret, oracle.integers(0, 2, size=m))
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n, m", [(5, 1), (4, 2), (6, 3), (7, 3), (8, 4)])
+def test_check_positions_are_uniform_over_m_subsets(n, m, seed):
+    # a uniform sampler fails each case with chance 10^-4, so all 15 with chance below 0.0015
+    subsets = list(itertools.combinations(range(n), m))
+    attempts = 200 * len(subsets)
+    rng = np.random.default_rng([n, m, seed])
+    picks, _ = streams.check_draws([rng] * attempts, [n] * attempts, m)
+    counts = Counter(map(tuple, np.sort(picks, axis=1).tolist()))
+    assert set(counts) <= set(subsets)
+    chi2 = sum((counts[subset] - 200) ** 2 / 200 for subset in subsets)
+    assert chi2 < CHI2_QUANTILES[len(subsets) - 1]
 
 
-@pytest.mark.parametrize("kind", sorted(CHUNK_ATTACKS))
-def test_a_pass_reads_generator_states_only_where_a_half_word_may_be_held(monkeypatch, kind):
-    # a row's 4 pattern bits and phase are 5 draws: an odd batch or top-up would leave a half
-    config = SessionConfig(n_agents=3, secret_bits=3, epsilon=0.05, attack=CHUNK_ATTACKS[kind])
-    seeds = list(range(40))
-    read = run_sessions(config, seeds)
-    held = []
-    fair_bits, fair_bit_rows = protocol.fair_bits, protocol.fair_bit_rows
-    check_draws = protocol.check_draws
-
-    def recording_bits(rng, count):  # reads the state
-        held.append((True, rng.bit_generator.state["has_uint32"]))
-        return fair_bits(rng, count)
-
-    def recording_rows(rngs, count):  # a group's draw reads no state
-        held.extend((False, rng.bit_generator.state["has_uint32"]) for rng in rngs)
-        return fair_bit_rows(rngs, count)
-
-    def recording_draws(rngs, lengths, m):  # reads no state
-        held.extend((False, rng.bit_generator.state["has_uint32"]) for rng in rngs)
-        return check_draws(rngs, lengths, m)
-
-    monkeypatch.setattr(protocol, "fair_bits", recording_bits)
-    monkeypatch.setattr(protocol, "fair_bit_rows", recording_rows)
-    monkeypatch.setattr(protocol, "check_draws", recording_draws)
-    assert run_sessions(config, seeds) == read
-    assert len(held) > 2 * len(seeds) and held == [(False, 0)] * len(held)
+@pytest.mark.parametrize("n", [8, 2**32 - 1, 2**32, 2**32 + 1, 2**53 - 1])
+def test_the_largest_double_picks_inside_the_range(n):
+    # u = 1 - 2^-53 puts u (j + 1) more than half a double's spacing below j + 1: t = j
+    picks, secrets = streams.check_draws([PresetDoublesRng([1 - 2**-53] * 8)], [n], 4)
+    assert picks.tolist() == [[n - 4, n - 3, n - 2, n - 1]]
+    assert secrets.tolist() == [[0, 0, 0, 0]]
 
 
 def test_an_interceptor_that_takes_a_second_draw_raises():
@@ -1318,14 +1224,14 @@ def test_a_pass_calls_neither_one_attempt_entry_point(monkeypatch):
 # sha256 of every field of run_sessions(config, range(50)) at n = 3, m = 4, epsilon
 # 0.05 and max_attempts = 3, so that retries write over earlier attempts' rows
 OUTCOME_DIGESTS = {
-    ("honest", False): "e1149c931b28faeb20f353490405ab2698f228b830210ab4b7ae3ab00d8824c0",
-    ("honest", True): "7151c18567d070531cf604809a80c93e7bd7fa55c852ab46e1884392b458b361",
-    ("measure-resend", False): "772d6392e5f8b3b7ad51ab3b28445cbf132659c12683c897e135f1da2945bfc0",
-    ("measure-resend", True): "bd8c93d69faabe8d476f3285ca4242293448fe000b831746ea674514267f9d21",
-    ("collusion", False): "ce4f57542c1575f6bde2cecd2cf4b1961094da850f1d766c378dbc23228147cb",
-    ("collusion", True): "b2632d52ef312af7aa5aef071831f90ee67568521ee1d7c50134d50b04b9eaf5",
-    ("collective", False): "40e3084f68427cec2e3f6afc122c8e27ed6086a81c2920178f4f71cc8c7b7156",
-    ("collective", True): "b1d71ebbb8b0ff595fc04240b4eed2b2bc2115ed69c1b37af314fe2dcf62ceaa",
+    ("honest", False): "fa4f72d2486c237612d4e189f275647454ca0a39a6973b366fcace4fa8387394",
+    ("honest", True): "06742a176a123af175b780bf48e792b9fc3f7d30cd99dd381ee056ed5bd17b60",
+    ("measure-resend", False): "1425c739b86e4982848b5b19a59abe633a841f5183cc89a0210205dbf63d8158",
+    ("measure-resend", True): "cc9bb244aa436eda8f9f5b0cd764dda499c6b5c4827e5bfd84de6866d57d0f01",
+    ("collusion", False): "d2075d94e29e5f0c1bc97eb65820cd83acb79f34ace8876689c5ed529dfc807d",
+    ("collusion", True): "103708a4eed1360b2974d252dfff29440cf8a17e38011d558164c04c92e80b73",
+    ("collective", False): "8f3a2d2f9d145d84d54262a5c80fb5c432f2228d7c70333889d5bd7ed6661291",
+    ("collective", True): "48f0be273f5a75e25d3246dd4e43fdb7b71d5f943724bb1c030e0c6655018b6d",
 }
 
 
