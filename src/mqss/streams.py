@@ -161,6 +161,8 @@ def pattern_blocks(rngs, rows: int, q: int, block: int):
     phases, from one ``random_raw`` call each. A wider batch, of one
     generator, is never held whole: the generator skips its words, and each
     block reads the words that hold its bits from a copy taken at the start.
+    Skipping draws the words unread, as ``random_raw`` does on the narrow
+    path, so a 32-bit half that numpy holds for its next draw is kept on both.
     """
     pattern_words, phase_words = -(-rows * q // 64), -(-rows // 64)
     if rows <= block:
@@ -170,7 +172,7 @@ def pattern_blocks(rngs, rows: int, q: int, block: int):
         return
     (rng,) = rngs
     origin, phases_at = copy.deepcopy(rng.bit_generator), 64 * pattern_words
-    rng.bit_generator.advance(pattern_words + phase_words)
+    rng.bit_generator.random_raw(pattern_words + phase_words, output=False)
     for start in range(0, rows, block):
         end = min(start + block, rows)
         bits = _window(origin, start * q, end * q).reshape(-1, q)

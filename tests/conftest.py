@@ -25,6 +25,18 @@ def raw_word_bits(words, start: int, count: int) -> list[int]:
     return [words[at // 64] >> (at % 64) & 1 for at in range(start, start + count)]
 
 
+def integers_draw_bits(rng, rows: int, q: int) -> tuple[list[int], list[int]]:
+    """The pattern bits and phases of ``rows`` x ``q`` from ``rng``'s ``integers`` draws of words.
+
+    numpy's ``integers`` over the whole uint64 range hands out raw words, one
+    per value, and leaves alone a 32-bit half it holds for a narrower draw.
+    The pattern bits fill whole words, and the phases start on a fresh one.
+    """
+    pattern_words, phase_words = -(-rows * q // 64), -(-rows // 64)
+    words = rng.integers(0, 2**64, size=pattern_words + phase_words, dtype=np.uint64).tolist()
+    return raw_word_bits(words, 0, rows * q), raw_word_bits(words, 64 * pattern_words, rows)
+
+
 def state_from_terms(qubit_count, terms, scale=1.0):
     """Build a PureState from {bitstring: coefficient} ket terms."""
     amps = np.zeros(1 << qubit_count, dtype=complex)

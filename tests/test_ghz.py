@@ -31,7 +31,7 @@ from mqss.statevec import (
 )
 from mqss.streams import pattern_blocks
 
-from conftest import FixedRng, raw_word_bits, state_from_terms
+from conftest import FixedRng, integers_draw_bits, raw_word_bits, state_from_terms
 
 S2 = 1.0 / sqrt(2.0)
 QUARTER = 1.0 / (2.0 * sqrt(2.0))
@@ -164,15 +164,61 @@ def test_sample_patterns_one_draw_matches_bits_then_phases(count, q):
         assert rng.bit_generator.random_raw() == oracle.random_raw()
 
 
+def hold_a_half(*rngs):
+    """Leave each generator holding the 32-bit half that numpy keeps after a one-bit draw."""
+    assert len({rng.integers(0, 2) for rng in rngs}) == 1
+    assert all(rng.bit_generator.state["has_uint32"] for rng in rngs)
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
+@pytest.mark.parametrize("q", range(2, 25))
+def test_sample_patterns_reads_raw_words_as_the_integers_draws(q, held):
+    # counts 1 to 4 give one or two pattern words, the last one whole or in part
+    for count, seed in itertools.product(range(1, 5), range(10)):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        if held:
+            hold_a_half(rng, oracle)
+        bits, phases = sample_patterns(rng, count, q)
+        expected_bits, expected_phases = integers_draw_bits(oracle, count, q)
+        assert bits.dtype == bool and phases.dtype == np.uint8
+        assert bits.shape == (count, q)
+        assert bits.reshape(-1).tolist() == expected_bits and phases.tolist() == expected_phases
+        assert rng.bit_generator.state == oracle.bit_generator.state  # a held half is kept
+        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+        assert rng.random() == oracle.random()
+    with pytest.raises(ValueError):
+        sample_patterns(rng, 1, 25)
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1001])
-def test_a_group_of_generators_draws_each_ones_patterns(count):
+def test_skipping_bits_leaves_the_generator_where_drawing_them_would(count, held):
+    # in blocks of 1 row, a batch of 2 rows or more skips its words and reads them from copies
+    for seed in range(20):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        if held:
+            hold_a_half(rng, oracle)
+        blocks = pattern_blocks([rng], count, 3, 1)
+        first = next(blocks)
+        bits, phases = sample_patterns(oracle, count, 3)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        blocks = [first, *blocks]  # the later blocks leave rng alone
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert np.array_equal(np.concatenate([block_bits for block_bits, _ in blocks]), bits)
+        assert np.array_equal(np.concatenate([block_phases for _, block_phases in blocks]), phases)
+        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1001])
+def test_a_group_of_generators_draws_each_ones_integers(count):
     rngs, oracles = ([np.random.default_rng([count, seed]) for seed in range(12)] for _ in range(2))
     (bits, phases), = pattern_blocks(rngs, count, 3, count)
     assert bits.shape == (12 * count, 3) and phases.shape == (12 * count,)
     for index, (rng, oracle) in enumerate(zip(rngs, oracles)):
         rows = slice(index * count, (index + 1) * count)
-        own_bits, own_phases = sample_patterns(oracle, count, 3)
-        assert np.array_equal(bits[rows], own_bits) and np.array_equal(phases[rows], own_phases)
+        own_bits, own_phases = integers_draw_bits(oracle, count, 3)
+        assert bits[rows].reshape(-1).tolist() == own_bits
+        assert phases[rows].tolist() == own_phases
         assert rng.random() == oracle.random()
 
 

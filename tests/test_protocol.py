@@ -54,7 +54,7 @@ from mqss.protocol import (
 from mqss.statevec import MAX_QUBITS, PAULI_X, apply_gate
 from mqss.streams import derived_rng, derived_rngs
 
-from conftest import raw_word_bits
+from conftest import integers_draw_bits
 
 C, S = Mode.CHECK, Mode.SHARE
 
@@ -876,24 +876,26 @@ def test_pattern_blocks_replay_the_batch_draws(monkeypatch, size):
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
 @pytest.mark.parametrize("size, q", [(8, 2), (21, 3), (30, 3), (29, 4)])
-def test_wide_pattern_blocks_are_the_raw_word_bits(monkeypatch, size, q):
+def test_wide_pattern_blocks_are_the_integers_draws(monkeypatch, size, q, held):
     # past 7 rows the generator skips the batch's words, and each block reads its own from a copy
     monkeypatch.setattr(protocol, "_CHUNK_ROWS", 7)
-    pattern_words, phase_words = -(-size * q // 64), -(-size // 64)
     for seed in range(10):
         rng, oracle = derived_rng(seed, size), derived_rng(seed, size)
+        if held:
+            assert rng.integers(0, 2) == oracle.integers(0, 2)
         blocks = protocol._pattern_blocks(rng, size, q)
         first = next(blocks)  # the first block moves rng past the whole batch
-        words = oracle.bit_generator.random_raw(pattern_words + phase_words).tolist()
-        # and the later blocks do not read rng, which draws on
-        assert rng.bit_generator.random_raw() == oracle.bit_generator.random_raw()
-        blocks = [first, *blocks]
+        expected_bits, expected_phases = integers_draw_bits(oracle, size, q)
+        assert rng.bit_generator.state == oracle.bit_generator.state  # a held half is kept
+        blocks = [first, *blocks]  # and the later blocks do not read rng
+        assert rng.bit_generator.state == oracle.bit_generator.state
         assert [len(bits) for bits, _ in blocks] == [min(7, size - at) for at in range(0, size, 7)]
         bits = np.concatenate([bits for bits, _ in blocks])
-        assert bits.reshape(-1).tolist() == raw_word_bits(words, 0, size * q)
-        phases = np.concatenate([phases for _, phases in blocks])
-        assert phases.tolist() == raw_word_bits(words, 64 * pattern_words, size)
+        assert bits.reshape(-1).tolist() == expected_bits
+        assert np.concatenate([phases for _, phases in blocks]).tolist() == expected_phases
+        assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
 
 
 def test_a_pass_draws_the_check_positions_of_floyds_selection_then_secret_bits():
@@ -955,6 +957,30 @@ def test_the_largest_double_picks_inside_the_range(n):
     picks, secrets = streams.check_draws([PresetDoublesRng([1 - 2**-53] * 8)], [n], 4)
     assert picks.tolist() == [[n - 4, n - 3, n - 2, n - 1]]
     assert secrets.tolist() == [[0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_ATTACKS))
+def test_a_pass_reads_generator_states_only_where_a_half_word_may_be_held(monkeypatch, kind):
+    # no module reads a generator's state (test_package), so no generator of a pass may hold
+    # a half word where its pattern bits or step-6 doubles are drawn, and none does
+    config = SessionConfig(n_agents=3, secret_bits=3, epsilon=0.05, attack=CHUNK_ATTACKS[kind])
+    seeds = list(range(40))
+    read = run_sessions(config, seeds)
+    held = []
+    pattern_blocks, check_draws = protocol.pattern_blocks, protocol.check_draws
+
+    def recording_blocks(rngs, rows, q, block):
+        held.extend(rng.bit_generator.state["has_uint32"] for rng in rngs)
+        return pattern_blocks(rngs, rows, q, block)
+
+    def recording_draws(rngs, lengths, m):
+        held.extend(rng.bit_generator.state["has_uint32"] for rng in rngs)
+        return check_draws(rngs, lengths, m)
+
+    monkeypatch.setattr(protocol, "pattern_blocks", recording_blocks)
+    monkeypatch.setattr(protocol, "check_draws", recording_draws)
+    assert run_sessions(config, seeds) == read
+    assert len(held) > 2 * len(seeds) and held == [0] * len(held)
 
 
 def test_an_interceptor_that_takes_a_second_draw_raises():
