@@ -105,14 +105,16 @@ def sample_patterns(rng, count: int, qubit_count: int) -> tuple[np.ndarray, np.n
     """Uniformly random patterns and phase bits of the states the server prepares.
 
     Returns a count x q boolean array of pattern bits and a uint8 array of
-    phase bits. The pattern bits are the bits of whole ``random_raw`` words,
-    64 to a word, low bit first; the phase bits follow on fresh words.
+    phase bits, drawn by ``pattern_blocks``' rule: per block of rows, the
+    pattern bits are the bits of whole ``random_raw`` words, 64 to a word,
+    low bit first, and the phase bits follow on fresh words.
     """
     if qubit_count < 2:
         raise ValueError("a GHZ spec needs at least 2 particles")
     if qubit_count > MAX_QUBITS:
         raise ValueError(f"at most {MAX_QUBITS} particles supported")
-    return next(pattern_blocks([rng], count, qubit_count, count))
+    bits, phases = zip(*pattern_blocks([rng], count, qubit_count))
+    return np.concatenate(bits), np.concatenate(phases)
 
 
 def prepare(spec: GhzSpec) -> PureState:

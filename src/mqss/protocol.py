@@ -27,7 +27,7 @@ from . import branch
 from .channel import ClassicalLog, Interceptor, broadcast
 from .ghz import GhzSpec, prepare
 from .statevec import MAX_QUBITS, PAULI_X, apply_gate, measure_after_hadamard, measure_z
-from .streams import check_draws, derived_rng, derived_rngs, pattern_blocks
+from .streams import BLOCK_ROWS, check_draws, derived_rng, derived_rngs, pattern_blocks
 
 if TYPE_CHECKING:
     from .adversary import CollectiveAttackConfig
@@ -314,12 +314,13 @@ def run_rounds(
 ) -> RoundBatch:
     """Round statistics mode: execute rounds with no sifting or key steps.
 
-    The server draws the rounds' states as ``sample_patterns`` does, and
-    the rounds play as ``play_rounds`` plays them.
+    The server draws the rounds' states block by block, by ``pattern_blocks``'
+    rule, each block before its rows' draws, and the rounds play as
+    ``play_rounds`` plays them.
     """
     if rng is None:
         rng = derived_rng(config.seed, 0)
-    blocks = _pattern_blocks(rng, n_rounds, config.particle_count)
+    blocks = pattern_blocks([rng], n_rounds, config.particle_count)
     return _play_batch(config, rng, blocks, forced_modes)
 
 
@@ -365,13 +366,14 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
     counted then, and each chunk, whatever jobs and rounds its rows come
     from, plays in one ``_play_packed`` call. Jobs draw their pattern bits
     with one ``pattern_blocks`` call per group: the next jobs that fit in
-    the room left, which draw their rows after all the group's bits and
-    join the chunk as one piece, or the next job alone when none fits. A
-    lone job, like each block of a wider one, fills the chunk and goes on in
-    the next: split row-major draws are the same numbers as one call, so the
-    chunk size changes no round. ``sink(chunk, owners, lengths)`` receives
-    each played ``_Chunk``, whose rows run job ``owners[0]``'s
-    ``lengths[0]`` rows, then ``owners[1]``'s ``lengths[1]`` and so on.
+    the room left and in one block, which draw their rows after all the
+    group's bits and join the chunk as one piece, or the next job alone when
+    none fits. A lone job draws each block's rows before its next block;
+    they fill the chunk and go on in the next: split row-major draws are the
+    same numbers as one call, so the chunk size changes no round.
+    ``sink(chunk, owners, lengths)`` receives each played ``_Chunk``, whose
+    rows run job ``owners[0]``'s ``lengths[0]`` rows, then ``owners[1]``'s
+    ``lengths[1]`` and so on.
     """
     q = config.particle_count
     width = _draw_columns(config, forced)[2]
@@ -401,11 +403,11 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
         while at < len(jobs):
             owner, rng, blocks = jobs[at]
             group = jobs[at : at + 1]
-            if isinstance(blocks, int):  # the next jobs that fit the room left, or this one alone
+            if isinstance(blocks, int):  # the next jobs that fit the room left and a block, or one
                 size = blocks
-                group = jobs[at : at + max((_CHUNK_ROWS - rows) // size, 1)]
+                group = jobs[at : at + max(min(_CHUNK_ROWS - rows, BLOCK_ROWS) // size, 1)]
                 owners, rngs, _ = zip(*group)
-                blocks = pattern_blocks(rngs, size, q, _CHUNK_ROWS)
+                blocks = pattern_blocks(rngs, size, q)
             at += len(group)
             if len(group) > 1:  # every generator of the group draws its bits before its rows
                 bits, phases = next(blocks)
@@ -972,8 +974,8 @@ def run_sessions(
     ``derived_rng(seed, k)`` exactly what the session run on its own draws,
     in the same order, since ``streams``' pattern and step-6 rules draw the
     same numbers for one attempt or many. A pass makes its generators with
-    one ``derived_rngs`` call, which hashes many seeds as arrays into those
-    same generators. The sessions' rounds are played together, one
+    one ``derived_rngs`` call, which derives every seed's generator as
+    arrays, as it derives a lone one. The sessions' rounds are played together, one
     ``_play_rows`` job per attempt, so on the branch engine every attempt's
     rows share chunks of at most ``_CHUNK_ROWS`` rows; then each attempt's
     checks run on its own generator. Each pass returns its attempts as
@@ -1082,11 +1084,6 @@ def _attempt_rounds(config: SessionConfig, rngs, shared):
             )
         size = config.batch_size if not batches else max(config.batch_size // 4, 8)
         yield [(owner, rngs[owner], size) for owner in short]
-
-
-def _pattern_blocks(rng, size: int, q: int):
-    """A batch's ``sample_patterns`` bits and phases, in blocks of ``_CHUNK_ROWS`` rows."""
-    return pattern_blocks([rng], size, q, _CHUNK_ROWS)
 
 
 def _finish_pass(

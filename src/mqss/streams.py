@@ -1,145 +1,98 @@
 """The package's random draws: its generators, and the two array rules it draws by.
 
 Every random number comes from a ``numpy.random.Generator`` on ``PCG64``,
-seeded through ``SeedSequence``; a pass of many sessions hashes its seeds as
-arrays. The pattern bits (``pattern_blocks``) and step 6's check positions
+seeded by one keyed mix of the seed and stream values for one seed or a
+thousand. The pattern bits (``pattern_blocks``) and step 6's check positions
 and secrets (``check_draws``) follow the package's own rules on those
-generators, each with one code path for a lone attempt, a group of attempts
-and a batch wider than a chunk. This module is the one place that knows them.
-
-numpy 2 loads ``numpy.random`` on first use, and this module touches it only
-when a generator is made or read: a module-level import would add its import
-time to every start-up.
+generators, for a lone attempt and a group alike. This module is the one
+place that knows them. It touches ``numpy.random``, which numpy 2 loads on
+first use, only when a generator is made or read, to keep it out of start-up.
 """
 
 from __future__ import annotations
 
-import copy
 import operator
-from functools import lru_cache
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-# A pass of fewer seeds hashes them one at a time, by ``SeedSequence``: with timeit on a 2-core
-# host (numpy 2.4), the array hash made 1 generator in 92 us against 14 us one at a time, 8 in
-# 134 against 112 us, and 16 in 169 against 228 us.
-_ARRAY_PASS = 16
+# rows drawn at a time: a block's pattern words, then its phase words, then its rows' doubles
+BLOCK_ROWS = 1 << 12
 
 
 # --- generators and seeds ------------------------------------------------------
 
 
 def derived_rng(master_seed: int, *stream: int) -> np.random.Generator:
-    """Independent generator for (master seed, trial index, ...) streams.
-
-    ``default_rng(SeedSequence((master_seed, *stream)))``; ``derived_rngs`` makes many at once.
-    """
-    return np.random.default_rng(np.random.SeedSequence((master_seed, *stream)))
-
-
-def child_seed(master_seed: int, *stream: int) -> int:
-    """Deterministic 128-bit seed derived from (master seed, indices).
-
-    ``SeedSequence((master_seed, *stream))``'s first four state words, read
-    little-endian; ``child_seeds`` makes many at once. 32-bit seeds repeat
-    within a few hundred thousand trials.
-    """
-    low, high = np.random.SeedSequence((master_seed, *stream)).generate_state(2, np.uint64)
-    return int(high) << 64 | int(low)
-
-
-# numpy's SeedSequence constants (O'Neill's seed_seq_fe): pool hash, state hash, mixing
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+    """Independent generator for (master seed, trial, ...) streams: ``derived_rngs`` of one."""
+    return derived_rngs([master_seed], *stream)[0]
 
 
 def derived_rngs(seeds: Sequence[int], *stream: int) -> list[np.random.Generator]:
-    """``[derived_rng(seed, *stream) for seed in seeds]``, hashed as arrays.
-
-    Every seed's ``SeedSequence`` hash runs at once in uint32 arithmetic, and
-    its four state words seed ``PCG64`` as ``default_rng`` would seed it.
-    Seeds must be non-negative ints on both paths: ``SeedSequence`` would
-    also read integer strings and sequences, which ``operator.index`` refuses
-    with the ``TypeError`` the array hash raises.
-    """
-    if len(seeds) < _ARRAY_PASS:
-        return [derived_rng(operator.index(seed), *stream) for seed in seeds]
-    tail = _words(stream)
-    state = _seed_state([_words([seed]) + tail for seed in seeds], 8).view("<u8").astype(np.uint64)
+    """One ``PCG64`` generator per seed, seeded with the four words ``_state_words`` derives."""
     np.random.bit_generator.ISeedSequence.register(_Generated)  # PCG64 takes only these
-    return [np.random.Generator(np.random.PCG64(_Generated(row))) for row in state]
+    words = _state_words(seeds, *stream)
+    return [np.random.Generator(np.random.PCG64(_Generated(row))) for row in words]
+
+
+def child_seed(master_seed: int, *stream: int) -> int:
+    """128-bit seed of (master seed, indices), two state words low first; 32-bit seeds repeat."""
+    low, high = _state_words([master_seed], *stream)[0, :2].tolist()
+    return high << 64 | low
 
 
 def child_seeds(master_seed: int, count: int) -> list[int]:
-    """``[child_seed(master_seed, trial) for trial in range(count)]``, hashed as arrays."""
-    if count < _ARRAY_PASS:
-        return [child_seed(master_seed, trial) for trial in range(count)]
-    head = _words([master_seed])
-    data = _seed_state([head + _words([trial]) for trial in range(count)], 4).tobytes()
+    """``[child_seed(master_seed, trial) for trial in range(count)]``, derived as arrays."""
+    words = _state_words([master_seed], np.arange(count, dtype=np.uint64))
+    data = words[:, :2].astype("<u8").tobytes()
     return [int.from_bytes(data[at : at + 16], "little") for at in range(0, len(data), 16)]
 
 
-def _words(values) -> bytes:
-    """Non-negative ints as ``SeedSequence`` reads them: little-endian 32-bit words, one or more."""
-    out = b""
-    for value in map(operator.index, values):  # a float raises TypeError, as in SeedSequence
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        out += value.to_bytes(4 * max(1, -(-value.bit_length() // 32)), "little")
-    return out
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its Weyl increment and its finalizer's constants
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MULTIPLIERS = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFTS = np.uint64(30), np.uint64(27), np.uint64(31)
+_OUTPUTS = _GAMMA * np.arange(1, 5, dtype=np.uint64)  # four outputs' counters
 
 
-def _seed_state(rows: list[bytes], n_words: int) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n_words)`` per row of ``_words``, N x n_words.
+def _state_words(seeds: Sequence[int], *stream) -> np.ndarray:
+    """Each seed's four ``PCG64`` state words, N x 4 uint64, by a keyed counter-based mix.
 
-    A row of at most 4 words hashes as itself zero-padded to 4; longer rows hash by length.
+    From state 0, a fold absorbs the seed's 64-bit limb count, its limbs low first (0 has
+    one) and the stream values, each word by ``state = mix((state ^ word) + GAMMA)``, mix
+    being SplitMix64's finalizer. The words are SplitMix64's first four outputs from the
+    folded state, ``mix(state + k GAMMA)`` for k = 1 to 4. The count first makes the words
+    absorbed name (seed, stream) uniquely. Seeds are non-negative ints; a stream value is an
+    int below 2^64 or a uint64 array of one per seed.
     """
-    pools, groups = np.empty((len(rows), 4), dtype=np.uint32), {}
-    for index, row in enumerate(rows):
-        groups.setdefault(max(len(row), 16), []).append(index)
-    for size, indices in groups.items():  # mix_entropy: 4 hash steps per word, so size steps
-        data = b"".join(rows[index].ljust(size, b"\0") for index in indices)
-        words = np.frombuffer(data, "<u4").reshape(len(indices), -1).astype(np.uint32)
-        steps = _hash_steps(_INIT_A, _MULT_A, size)
-        pool = _hashmix(words[:, :4], steps[:4])
-        for source in range(4):  # every other pool word mixes in a hash of this one
-            others, step = [word for word in range(4) if word != source], 4 + 3 * source
-            hashed = _hashmix(pool[:, [source]], steps[step : step + 3])
-            pool[:, others] = _mix(pool[:, others], hashed)
-        for source in range(4, size // 4):  # each word past the pool mixes into all of it
-            pool = _mix(pool, _hashmix(words[:, [source]], steps[4 * source : 4 * source + 4]))
-        pools[indices] = pool
-    state = _hashmix(pools[:, np.arange(n_words) % 4], _hash_steps(_INIT_B, _MULT_B, n_words))
-    return np.ascontiguousarray(state, "<u4")
+    values = list(map(operator.index, seeds))  # a float or a string raises TypeError
+    if values and min(values) < 0:
+        raise ValueError("expected non-negative integer")
+    counts = [max(1, -(-value.bit_length() // 64)) for value in values]
+    width, counts = max(counts, default=1), np.array(counts, dtype=np.uint64)
+    data = b"".join(value.to_bytes(8 * width, "little") for value in values)
+    limbs = np.frombuffer(data, "<u8").reshape(-1, width).astype(np.uint64)
+    state = _absorb(_absorb(0, counts), limbs[:, 0])
+    for at in range(1, width):  # a seed of fewer limbs keeps its state past them
+        state = np.where(counts > at, _absorb(state, limbs[:, at]), state)
+    for value in stream:
+        state = _absorb(state, value)
+    return _mix(state[:, None] + _OUTPUTS)
 
 
-@lru_cache(maxsize=None)
-def _hash_steps(init: int, mult: int, count: int) -> np.ndarray:
-    """count x 2 uint32: each hash step's xor constant and multiplier (the constant advanced)."""
-    constants = list(accumulate(range(count), lambda c, _: c * mult & 0xFFFFFFFF, initial=init))
-    steps = np.column_stack((constants[:-1], constants[1:])).astype(np.uint32)
-    steps.flags.writeable = False  # one cached array for every caller
-    return steps
+def _absorb(state, word) -> np.ndarray:
+    return _mix((state ^ word) + _GAMMA)
 
 
-def _hashmix(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    values = (values ^ steps[:, 0]) * steps[:, 1]
-    return values ^ (values >> _SHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> _SHIFT)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on a uint64 array, wrapping as unsigned 64-bit arithmetic does."""
+    z = (z ^ (z >> _SHIFTS[0])) * _MULTIPLIERS[0]
+    z = (z ^ (z >> _SHIFTS[1])) * _MULTIPLIERS[1]
+    return z ^ (z >> _SHIFTS[2])
 
 
 class _Generated:
-    """A seed sequence whose state is already generated: the four uint64 words of ``PCG64``.
-
-    ``derived_rngs`` registers it as an ``ISeedSequence`` on use, so that
-    importing this module does not import ``numpy.random``.
-    """
+    """Given ``PCG64`` words as a seed sequence; registered on use, keeping numpy.random lazy."""
 
     def __init__(self, words: np.ndarray) -> None:
         self.words = words
@@ -151,43 +104,29 @@ class _Generated:
 # --- pattern bits --------------------------------------------------------------
 
 
-def pattern_blocks(rngs, rows: int, q: int, block: int):
-    """Each generator's batch of ``rows`` patterns and phases, in blocks of at most ``block`` rows.
+def pattern_blocks(rngs, rows: int, q: int):
+    """Each generator's batch of ``rows`` patterns and phases, in blocks of ``BLOCK_ROWS`` rows.
 
-    A generator's pattern bits, then its phase bits, are the bits of whole
-    ``random_raw`` words, 64 to a word, low bit first, and each of the two
-    starts on a fresh word. A batch that fits a block comes as one block of
-    every generator's rows in turn, (A rows) x q booleans and A rows uint8
-    phases, from one ``random_raw`` call each. A wider batch, of one
-    generator, is never held whole: the generator skips its words, and each
-    block reads the words that hold its bits from a copy taken at the start.
-    Skipping draws the words unread, as ``random_raw`` does on the narrow
-    path, so a 32-bit half that numpy holds for its next draw is kept on both.
+    A block's pattern bits, then its phase bits, are the bits of whole
+    ``random_raw`` words, 64 to a word, low bit first, each of the two from a
+    fresh word; a 32-bit half numpy holds is left alone. A block is drawn when
+    asked for, after the rows of the one before, and holds every generator's
+    rows in turn: (A rows) x q booleans and A rows uint8 phases, from one
+    ``random_raw`` call each. An empty batch is one empty block. ``MT19937``,
+    whose raw words are 32-bit, is refused.
     """
-    pattern_words, phase_words = -(-rows * q // 64), -(-rows // 64)
-    if rows <= block:
+    if any(isinstance(rng.bit_generator, np.random.MT19937) for rng in rngs):
+        raise ValueError("MT19937 hands out 32-bit raw words; pattern bits need 64-bit words")
+    for start in range(0, max(rows, 1), BLOCK_ROWS):
+        size = min(rows - start, BLOCK_ROWS)
+        pattern_words, phase_words = -(-size * q // 64), -(-size // 64)
         raw = np.array([rng.bit_generator.random_raw(pattern_words + phase_words) for rng in rngs])
-        bits = _bits(raw[:, :pattern_words], rows * q).reshape(-1, q)
-        yield bits, _bits(raw[:, pattern_words:], rows).reshape(-1).view(np.uint8)
-        return
-    (rng,) = rngs
-    origin, phases_at = copy.deepcopy(rng.bit_generator), 64 * pattern_words
-    rng.bit_generator.random_raw(pattern_words + phase_words, output=False)
-    for start in range(0, rows, block):
-        end = min(start + block, rows)
-        bits = _window(origin, start * q, end * q).reshape(-1, q)
-        yield bits, _window(origin, phases_at + start, phases_at + end).view(np.uint8)
+        bits = _bits(raw[:, :pattern_words], size * q).reshape(-1, q)
+        yield bits, _bits(raw[:, pattern_words:], size).reshape(-1).view(np.uint8)
 
 
-def _window(origin, begin: int, end: int) -> np.ndarray:
-    """Bits ``begin`` to ``end`` of the words ``origin`` draws next, read from a copy of it."""
-    source, first = copy.deepcopy(origin), begin // 64
-    source.advance(first)
-    return _bits(source.random_raw(-(-end // 64) - first))[begin - 64 * first : end - 64 * first]
-
-
-def _bits(words: np.ndarray, count=None) -> np.ndarray:
-    """The first ``count`` bits (all by default) of 64-bit words (last axis), low bit first."""
+def _bits(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of 64-bit words (last axis), low bit first."""
     octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
     return np.unpackbits(octets, axis=-1, count=count, bitorder="little").view(bool)
 

@@ -563,13 +563,13 @@ PINNED_ATTACKS = {
 }
 
 PLAYED_DIGESTS = {
-    "collective-0.0": "4fa8c9275d6e22108de2229220bd707b1baa095d0457a64410dda025d6685900",
-    "collective-0.5": "e4acefbe23265044e493981fe5156660a02e60510dc20ce4a3b0d13492f31539",
-    "collective-1.0": "3a60c5cd4d799b32b5b59bd85d4b7cd0d0aedf95dbe58d0d21a6341870965acb",
-    "collective-complex": "4d3fcaca8dc4ae404a8e4c1f47a5380960aae642c5f78e0f359cfb310257b3e6",
-    "collusion": "285faacf7ffccaa744573225f2a7154903a027afed2daa0f5a802f38a8f60db4",
-    "honest": "83f2f44a5a0bfc3be4a214aff6989b0121c1df35cad4549cbc937d462c05b7fd",
-    "measure-resend": "c74357fa4f289ab51bcec54dea047a1d00fe1f8559f904c7b7ec039abe6777b7",
+    "collective-0.0": "4dd5dfa810b57fe580221fa63b224752f8be3c5fe64c3eb23ace3232a4479a68",
+    "collective-0.5": "be80cd610bc22254a2d5f62bfaf427f7c7830edc1f9bf44b3fbbe80bd90749ed",
+    "collective-1.0": "19e92e6a0556a86f299f518960ff93cdd5802f7c92b1b2ea3911274de2ab449a",
+    "collective-complex": "64a58a2eb8ae84d2e95096b41dd3cc183a043f9b1aed10502ab77bebe8057537",
+    "collusion": "dffdac738a2711f5b43b77386faf63f20ed94b9082067da6b2b74b3f8add8bda",
+    "honest": "8d49b60a575489cb566e64b3be2fff37ceb9222c3ba512c1d7be4c35ae1398de",
+    "measure-resend": "61af4fbf5547fcb3242d0748ef22b82cc3964b8e502f004d19758ad6ab6e3ee0",
 }
 
 

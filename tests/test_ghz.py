@@ -29,6 +29,7 @@ from mqss.statevec import (
     fidelity,
     measure_z,
 )
+from mqss import streams
 from mqss.streams import pattern_blocks
 
 from conftest import FixedRng, integers_draw_bits, raw_word_bits, state_from_terms
@@ -192,27 +193,39 @@ def test_sample_patterns_reads_raw_words_as_the_integers_draws(q, held):
 
 @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1001])
-def test_skipping_bits_leaves_the_generator_where_drawing_them_would(count, held):
-    # in blocks of 1 row, a batch of 2 rows or more skips its words and reads them from copies
+def test_skipping_bits_leaves_the_generator_where_drawing_them_would(monkeypatch, count, held):
+    # in blocks of 1 row, each block draws its own words when it is asked for
+    monkeypatch.setattr(streams, "BLOCK_ROWS", 1)
     for seed in range(20):
-        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, oracle, whole = (np.random.default_rng(seed) for _ in range(3))
         if held:
-            hold_a_half(rng, oracle)
-        blocks = pattern_blocks([rng], count, 3, 1)
-        first = next(blocks)
-        bits, phases = sample_patterns(oracle, count, 3)
-        assert rng.bit_generator.state == oracle.bit_generator.state
-        blocks = [first, *blocks]  # the later blocks leave rng alone
-        assert rng.bit_generator.state == oracle.bit_generator.state
+            hold_a_half(rng, oracle, whole)
+        blocks = []
+        for block_bits, block_phases in pattern_blocks([rng], count, 3):
+            expected_bits, expected_phases = integers_draw_bits(oracle, len(block_bits), 3)
+            assert rng.bit_generator.state == oracle.bit_generator.state  # a held half is kept
+            assert block_bits.reshape(-1).tolist() == expected_bits
+            assert block_phases.tolist() == expected_phases
+            blocks.append((block_bits, block_phases))
+        assert len(blocks) == max(count, 1)
+        bits, phases = sample_patterns(whole, count, 3)  # the same blocks, one after another
         assert np.array_equal(np.concatenate([block_bits for block_bits, _ in blocks]), bits)
         assert np.array_equal(np.concatenate([block_phases for _, block_phases in blocks]), phases)
+        assert whole.bit_generator.state == rng.bit_generator.state
         assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
+
+
+def test_sample_patterns_refuses_32_bit_raw_words():
+    # MT19937's raw words are 32-bit: half of every word's 64 bits would read 0
+    with pytest.raises(ValueError, match="MT19937"):
+        sample_patterns(np.random.Generator(np.random.MT19937(5)), 3, 3)
+    assert sample_patterns(np.random.Generator(np.random.Philox(5)), 3, 3)[0].shape == (3, 3)
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1001])
 def test_a_group_of_generators_draws_each_ones_integers(count):
     rngs, oracles = ([np.random.default_rng([count, seed]) for seed in range(12)] for _ in range(2))
-    (bits, phases), = pattern_blocks(rngs, count, 3, count)
+    (bits, phases), = pattern_blocks(rngs, count, 3)
     assert bits.shape == (12 * count, 3) and phases.shape == (12 * count,)
     for index, (rng, oracle) in enumerate(zip(rngs, oracles)):
         rows = slice(index * count, (index + 1) * count)

@@ -330,14 +330,68 @@ def test_child_seeds_of_one_master_are_distinct():
     assert len(seeds) == 200_000
 
 
-THRESHOLD = streams._ARRAY_PASS
-# one to five 32-bit words each, at the word edges
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**96 + 5, 2**128 - 1, 2**160 + 3]
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+# one to three 64-bit limbs each, at the limb edges
+EDGE_SEEDS = [0, 1, 2**32, 2**64 - 1, 2**64, 2**64 + 7, 2**96, 2**128 - 1, 2**128 + 1, 2**160 + 3]
+
+
+def splitmix64_finalizer(z):
+    """SplitMix64's output function, in plain Python ints."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+    return z ^ z >> 31
+
+
+def splitmix64(state, count):
+    """SplitMix64's first ``count`` outputs from ``state``: the state steps by GAMMA, then mixes."""
+    return [splitmix64_finalizer(state + step * GAMMA & MASK64) for step in range(1, count + 1)]
+
+
+def folded_words(seed, *stream):
+    """A generator's four state words, in plain Python ints: SplitMix64 from a fold of its words."""
+    limbs = [seed >> 64 * at & MASK64 for at in range(max(1, -(-seed.bit_length() // 64)))]
+    state = 0
+    for word in [len(limbs), *limbs, *stream]:
+        state = splitmix64_finalizer((state ^ word) + GAMMA & MASK64)
+    return splitmix64(state, 4)
+
+
+def pcg64_state(words):
+    """numpy's PCG64 state seeded with four words: words 0 and 1 the state, 2 and 3 the stream."""
+    mask, multiplier = (1 << 128) - 1, 0x2360ED051FC65DA44385DF649FCCF645
+    increment = (words[2] << 64 | words[3]) << 1 & mask | 1
+    state = (increment + (words[0] << 64 | words[1])) & mask
+    return {"state": state * multiplier + increment & mask, "inc": increment}
+
+
+def test_the_mixer_is_splitmix64():
+    assert splitmix64(0, 2) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    states = [0, 1, GAMMA, MASK64, *np.random.default_rng(5).integers(0, 2**64, 500, np.uint64)]
+    states = [int(state) for state in states]
+    mixed = streams._mix(np.array(states, dtype=np.uint64))
+    assert mixed.tolist() == [splitmix64_finalizer(state) for state in states]
+
+
+@pytest.mark.parametrize("stream", [(), (0,), (2,), (3, 5), (2**64 - 1, 0, 7)], ids=str)
+def test_generators_are_seeded_by_a_plain_int_fold(stream):
+    for seed in EDGE_SEEDS:
+        words = folded_words(seed, *stream)
+        assert streams._state_words([seed], *stream).tolist() == [words]
+        assert child_seed(seed, *stream) == words[1] << 64 | words[0]
+        state = derived_rng(seed, *stream).bit_generator.state
+        assert state["bit_generator"] == "PCG64" and state["state"] == pcg64_state(words)
+    # the limb count comes first, so a seed's high limb is not read as a stream value
+    assert folded_words(2**64 + 5, 3) != folded_words(5, 1, 3)
+    assert child_seed(2**64 + 5, 3) != child_seed(5, 1, 3)
+    trials = [folded_words(9, trial) for trial in range(300)]
+    assert child_seeds(9, 300) == [high << 64 | low for low, high, *_ in trials]
 
 
 @pytest.mark.parametrize("stream", [(0,), (2,), (3, 5)], ids=str)
-@pytest.mark.parametrize("count", [THRESHOLD - 1, THRESHOLD, 10 * THRESHOLD + 3])
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 163, 1000])
 def test_derived_rngs_are_the_seed_sequence_generators(stream, count):
+    # one seed at a time or a thousand, the generators are the same
     seeds = (EDGE_SEEDS * count)[:count]
     alone = [derived_rng(seed, *stream) for seed in seeds]
     together = derived_rngs(seeds, *stream)
@@ -350,20 +404,20 @@ def test_derived_rngs_are_the_seed_sequence_generators(stream, count):
 
 
 @pytest.mark.parametrize("master", [0, 7, 2**63 + 5, 2**64 - 1])
-@pytest.mark.parametrize("count", [1, THRESHOLD - 1, THRESHOLD, 3_000])
+@pytest.mark.parametrize("count", [1, 15, 16, 3_000])
 def test_child_seeds_are_the_seed_sequence_seeds(master, count):
     assert child_seeds(master, count) == [child_seed(master, trial) for trial in range(count)]
 
 
 def test_a_copied_array_hash_generator_draws_what_the_original_draws():
-    rng = derived_rngs(list(range(THRESHOLD + 4)), 1)[-1]
+    rng = derived_rngs(list(range(20)), 1)[-1]
     replay = np.random.Generator(copy.deepcopy(rng.bit_generator))
     assert np.array_equal(replay.random(6), rng.random(6))
     assert replay.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("bad, error", [(-1, ValueError), (1.5, TypeError)])
-@pytest.mark.parametrize("count", [1, THRESHOLD + 4])
+@pytest.mark.parametrize("count", [1, 20])
 def test_bad_seeds_are_refused_on_both_sides_of_the_threshold(count, bad, error):
     with pytest.raises(error):
         derived_rngs([*range(count - 1), bad], 0)
