@@ -23,7 +23,7 @@ from math import sqrt
 import numpy as np
 
 from .statevec import MAX_QUBITS, PureState
-from .streams import pattern_blocks
+from .streams import pattern_blocks, refuse_32_bit_words
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,7 @@ def sample_patterns(rng, count: int, qubit_count: int) -> tuple[np.ndarray, np.n
         raise ValueError("a GHZ spec needs at least 2 particles")
     if qubit_count > MAX_QUBITS:
         raise ValueError(f"at most {MAX_QUBITS} particles supported")
+    refuse_32_bit_words(rng)
     bits, phases = zip(*pattern_blocks([rng], count, qubit_count))
     return np.concatenate(bits), np.concatenate(phases)
 

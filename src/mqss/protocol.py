@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from . import branch
+from . import branch, streams
 from .channel import ClassicalLog, Interceptor, broadcast
 from .ghz import GhzSpec, prepare
 from .statevec import MAX_QUBITS, PAULI_X, apply_gate, measure_after_hadamard, measure_z
@@ -178,10 +178,10 @@ def effective_threshold(base_rate: float, checked):
     """
     if not 0.0 <= base_rate <= 1.0:
         raise ValueError(f"base rate must be in [0, 1], got {base_rate}")
-    # no count checked divides by 1 and drops the spread; one count stays off numpy's arrays
-    counts = np.maximum(checked, 1) if isinstance(checked, np.ndarray) else max(checked, 1)
-    bounds = base_rate + 3.0 * np.sqrt(base_rate * (1.0 - base_rate) / counts) * (checked > 0)
-    return bounds if isinstance(bounds, np.ndarray) else float(bounds)
+    counts = np.asarray(checked)  # no count checked divides by 1 and drops the spread
+    spread = np.sqrt(base_rate * (1.0 - base_rate) / np.maximum(counts, 1)) * (counts > 0)
+    bounds = base_rate + 3.0 * spread
+    return bounds if counts.ndim else float(bounds)
 
 
 # --- round execution ---------------------------------------------------------
@@ -192,11 +192,62 @@ def round_engine(config: SessionConfig) -> str:
 
     An interceptor may do anything to the state vector, so only the dense
     engine can run it; everything else the protocol and the modelled
-    attacks do keeps a round on the exact branch engine. ``_play_packed`` is
-    its one caller here; a user can ask it before a run.
+    attacks do keeps a round on the exact branch engine. A session shape's
+    plan asks it once; a user can ask it before a run.
     """
     attack = config.attack
     return "dense" if attack is not None and attack.interceptors else "branch"
+
+
+class _Plan(NamedTuple):
+    """What rounds of one session shape play and are checked by: all but the seed.
+
+    ``steps`` holds, per particle in the order a round takes them, the
+    columns of its row of ``width`` draws: noise, interceptor (where a
+    rate-1 tap's would sit), tap schedule and tap (None where the round
+    takes no such draw), the tap's rate, and the measurement. Unforced rows
+    start with one mode column per particle; a probe's column is the last.
+    """
+
+    forced: Optional[np.ndarray]  # every round's Share choices; None where rounds draw them
+    steps: tuple
+    width: int
+    dense: bool  # the kernel, by ``round_engine``
+    tally: np.ndarray  # ``_tally_matrix``
+    step6_threshold: float
+
+
+def _plan(config: SessionConfig, forced_modes: Optional[Sequence[Mode]] = None) -> _Plan:
+    """The plan of ``config``'s shape: its fields but seed and max_attempts, and forced modes."""
+    forced = None if forced_modes is None else tuple(mode is Mode.SHARE for mode in forced_modes)
+    return _shape_plan(config.n_agents, config.secret_bits, config.epsilon, config.attack, forced)
+
+
+@lru_cache(maxsize=64)  # bounded: each new interceptor callable is a new shape
+def _shape_plan(n_agents, secret_bits, epsilon, attack, forced) -> _Plan:
+    shape = SessionConfig(n_agents, secret_bits, epsilon, attack=attack)
+    attack, q = attack or _NO_ATTACK, shape.particle_count
+    if forced is not None and len(forced) != q:
+        raise ValueError(f"expected {q} forced modes, got {len(forced)}")
+    steps, width = [], q if forced is None else 0
+    for particle in range(1, q + 1):
+        noise = hook = schedule = tap = None
+        rate = attack.z_taps.get(particle)
+        if epsilon > 0.0:
+            noise, width = width, width + 1
+        if particle in attack.interceptors:
+            hook, width = width, width + 1
+        if rate is not None and rate < 1.0:
+            schedule, width = width, width + 1
+        if rate is not None:
+            tap, width = width, width + 1
+        steps.append((noise, hook, schedule, rate, tap, width))
+        width += 1
+    return _Plan(
+        None if forced is None else np.frombuffer(bytes(forced), dtype=bool),  # read-only
+        tuple(steps), width + (attack.collective is not None),
+        round_engine(shape) == "dense", _tally_matrix(q), effective_threshold(epsilon, secret_bits),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,26 +367,19 @@ def run_rounds(
 
     The server draws the rounds' states block by block, by ``pattern_blocks``'
     rule, each block before its rows' draws, and the rounds play as
-    ``play_rounds`` plays them.
+    ``play_rounds`` plays them. A generator on ``MT19937`` is refused.
     """
     if rng is None:
         rng = derived_rng(config.seed, 0)
+    streams.refuse_32_bit_words(rng)
     blocks = pattern_blocks([rng], n_rounds, config.particle_count)
     return _play_batch(config, rng, blocks, forced_modes)
 
 
 def _play_batch(config: SessionConfig, rng, blocks, forced_modes) -> RoundBatch:
     """The (bits, phases) ``blocks`` of rows played on ``rng``, as one batch."""
-    q = config.particle_count
-    forced = None
-    if forced_modes is not None:
-        if len(forced_modes) != q:
-            raise ValueError(f"expected {q} forced modes, got {len(forced_modes)}")
-        forced = np.array([mode is Mode.SHARE for mode in forced_modes])
-    chunks = []
-    shared = np.zeros(1, dtype=np.int64)
-    job = (0, rng, blocks)
-    _play_rows(config, [[job]], lambda chunk, *_: chunks.append(chunk), shared, forced)
+    plan, chunks, shared = _plan(config, forced_modes), [], np.zeros(1, dtype=np.int64)
+    _play_rows(config, [[(0, rng, blocks)]], lambda chunk, *_: chunks.append(chunk), shared, plan)
     return RoundBatch.join([chunk.batch for chunk in chunks])
 
 
@@ -349,44 +393,34 @@ class _Chunk(NamedTuple):
     flips: Optional[np.ndarray] = None  # and the noise flips, None at epsilon 0
 
 
-def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_only=False) -> None:
-    """Play every round's rows: the one driver all played rounds go through.
+def _play_rows(config: SessionConfig, rounds, sink, shared, plan: _Plan, keys_only=False) -> None:
+    """Play every round's rows by ``plan``: the one driver all played rounds go through.
 
     ``rounds`` yields rounds of (owner, rng, blocks) jobs, where ``blocks``
-    yields the job's (bits, phases) blocks of rows in draw order, or is the
-    number of rows, the same in a round, whose patterns ``rng`` draws first.
-    ``shared[owner]`` counts the all-Share rows drawn for an owner so far,
-    as they are drawn, so it is current whenever the next round is asked
-    for, which is what a session's top-ups read. Jobs draw one after
-    another, each from its own ``rng``, and each round takes one row of
-    ``rng.random`` draws in ``_draw_columns``' order.
-
-    A row's draws are taken as the row is packed into a chunk of at most
-    ``_CHUNK_ROWS`` rows, its modes are worked out and its all-Share rows
-    counted then, and each chunk, whatever jobs and rounds its rows come
-    from, plays in one ``_play_packed`` call. Jobs draw their pattern bits
-    with one ``pattern_blocks`` call per group: the next jobs that fit in
-    the room left and in one block, which draw their rows after all the
-    group's bits and join the chunk as one piece, or the next job alone when
-    none fits. A lone job draws each block's rows before its next block;
-    they fill the chunk and go on in the next: split row-major draws are the
-    same numbers as one call, so the chunk size changes no round.
-    ``sink(chunk, owners, lengths)`` receives each played ``_Chunk``, whose
-    rows run job ``owners[0]``'s ``lengths[0]`` rows, then ``owners[1]``'s
-    ``lengths[1]`` and so on.
+    yields the job's (bits, phases) blocks in draw order, or is the number
+    of rows, the same in a round, whose patterns ``rng`` draws first. A
+    round's row of ``rng.random`` draws is taken as it is packed into a
+    chunk of at most ``_CHUNK_ROWS`` rows, and its all-Share rows are counted
+    into ``shared[owner]`` then, for a session's top-ups. Each chunk plays
+    in one ``_play_packed`` call. Jobs draw their pattern bits with one
+    ``pattern_blocks`` call per group: the next jobs that fit the room left
+    and one block, which draw their rows after all the group's bits, or the
+    next job alone, whose blocks' rows fill the chunk and go on in the next.
+    Split row-major draws are the same numbers as one call, so the chunk
+    size changes no round. ``sink(chunk, owners, lengths)`` receives each
+    played ``_Chunk``: ``lengths[0]`` rows of job ``owners[0]``, and so on.
     """
-    q = config.particle_count
-    width = _draw_columns(config, forced)[2]
+    q, width = config.particle_count, plan.width
     pieces, rows = [], 0  # the chunk being packed, as _play_packed's pieces
 
     def pack(owners, lengths, bits, phases, draws) -> None:
         nonlocal pieces, rows
-        if forced is None:
+        if plan.forced is None:
             share = draws[:, :q] < 0.5
             shares = _row_counts(share)
         else:  # every row takes the forced modes, so one count serves them all
-            share = np.broadcast_to(forced, (len(bits), q))
-            shares = np.broadcast_to(np.count_nonzero(forced), len(bits))
+            share = np.broadcast_to(plan.forced, (len(bits), q))
+            shares = np.broadcast_to(np.count_nonzero(plan.forced), len(bits))
         case1 = shares == q  # counted by owner: a piece of one owner takes one count
         if len(owners) == 1:
             shared[owners[0]] += np.count_nonzero(case1)
@@ -395,7 +429,7 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
         pieces.append((owners, lengths, bits, phases, draws, share, shares))
         rows += len(bits)
         if rows == _CHUNK_ROWS:
-            _play_packed(config, pieces, sink, forced, keys_only)
+            _play_packed(config, pieces, sink, plan, keys_only)
             pieces, rows = [], 0
 
     for jobs in rounds:
@@ -422,7 +456,7 @@ def _play_rows(config: SessionConfig, rounds, sink, shared, forced=None, keys_on
                     if not len(bits):
                         break
     if pieces:
-        _play_packed(config, pieces, sink, forced, keys_only)
+        _play_packed(config, pieces, sink, plan, keys_only)
 
 
 def _join(arrays: list) -> np.ndarray:
@@ -430,11 +464,11 @@ def _join(arrays: list) -> np.ndarray:
     return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
 
 
-def _play_packed(config: SessionConfig, pieces, sink, forced, keys_only) -> None:
+def _play_packed(config: SessionConfig, pieces, sink, plan: _Plan, keys_only) -> None:
     """Play (owners, lengths, bits, phases, draws, share, shares) pieces as one chunk; sink it.
 
-    The one place a kernel is chosen, by ``round_engine``. With ``keys_only``
-    a branch chunk plays only its all-Share rows; every other row is tallied
+    The one place a kernel is chosen, by the plan. With ``keys_only`` a
+    branch chunk plays only its all-Share rows; every other row is tallied
     from its draws, since each of its checkers reads the one surviving
     branch, off its announced bit exactly where a noise flip hit it. An
     interceptor may break that, so a dense chunk plays every row.
@@ -444,17 +478,16 @@ def _play_packed(config: SessionConfig, pieces, sink, forced, keys_only) -> None
     # one piece plays as it is: a copy would cost a fresh chunk-sized allocation
     bits, phases, draws, share, shares = list(zip(*pieces))[2:]  # the pieces' arrays
     share, shares = _join(share), _join(shares)
-    dense = round_engine(config) == "dense"
-    if dense or not keys_only:
+    if plan.dense or not keys_only:
         bits, phases, draws = _join(bits), _join(phases), _join(draws)
-        kernel = _play_dense if dense else _play_on_branches
-        results, probe = kernel(config, bits, phases, draws, share, forced)
+        kernel = _play_dense if plan.dense else _play_on_branches
+        results, probe = kernel(config, bits, phases, draws, share, plan)
         batch = RoundBatch(bits, phases, share, results, probe)
         sink(_Chunk(share, shares, batch), owners, lengths)
         return
     q = config.particle_count
     # each piece gives up only its all-Share rows, so no chunk of draws is joined
-    case1 = [piece[6] == q for piece in pieces]
+    case1 = [(piece[6] == q).nonzero()[0] for piece in pieces]
     bits, phases, case1_draws = (
         _join([array[rows] for array, rows in zip(arrays, case1)])
         for arrays in (bits, phases, draws)
@@ -462,63 +495,30 @@ def _play_packed(config: SessionConfig, pieces, sink, forced, keys_only) -> None
     results = np.zeros((0, q), dtype=np.uint8)
     if len(bits):  # most chunks of a wide session hold no all-Share row
         every_share = np.ones((len(bits), q), dtype=bool)
-        results, _ = _play_on_branches(config, bits, phases, case1_draws, every_share, forced)
+        results, _ = _play_on_branches(config, bits, phases, case1_draws, every_share, plan)
     flips = None
     if config.epsilon > 0.0:
-        noise = [steps[0] for steps in _draw_columns(config, forced)[0]]
+        noise = [step[0] for step in plan.steps]
         flips = _join([piece_draws[:, noise] < config.epsilon for piece_draws in draws])
     keys = _key_rows(results, phases)
     sink(_Chunk(share, shares, None, keys, flips), owners, lengths)
 
 
-def _draw_columns(config: SessionConfig, forced):
-    """Where a round's draws sit in its row of ``rng.random`` draws.
-
-    Per particle, in the order a round takes them: the noise, interceptor,
-    tap schedule and tap columns (None where the round takes no such draw),
-    the tap's rate and the measurement column; then the probe column, and
-    the row's width. Unforced rounds start with one mode column per particle.
-    An interceptor's column sits where a rate-1 tap's would, and it is spent
-    whether or not the interceptor draws.
-    """
-    attack = config.attack or _NO_ATTACK
-    q = config.particle_count
-    steps = []
-    width = q if forced is None else 0
-    for particle in range(1, q + 1):
-        noise = hook = schedule = tap = None
-        rate = attack.z_taps.get(particle)
-        if config.epsilon > 0.0:
-            noise, width = width, width + 1
-        if particle in attack.interceptors:
-            hook, width = width, width + 1
-        if rate is not None and rate < 1.0:
-            schedule, width = width, width + 1
-        if rate is not None:
-            tap, width = width, width + 1
-        steps.append((noise, hook, schedule, rate, tap, width))
-        width += 1
-    return steps, width, width + (attack.collective is not None)
-
-
-def _play_on_branches(config: SessionConfig, bits, phases, draws, share, forced):
+def _play_on_branches(config: SessionConfig, bits, phases, draws, share, plan: _Plan):
     """Play rows on the branch engine: row i's modes are ``share[i]``, its draws ``draws[i]``.
 
     Returns the results and, under the collective attack, the probe readouts.
     """
-    attack = config.attack or _NO_ATTACK
-    steps, probe_column, _ = _draw_columns(config, forced)
-    pairs = branch.BranchPairs.ghz(bits, phases, attack.collective)
-    for column, (noise, _, schedule, rate, tap, measure) in enumerate(steps):
+    collective = (config.attack or _NO_ATTACK).collective
+    pairs = branch.BranchPairs.ghz(bits, phases, collective)
+    for column, (noise, _, schedule, rate, tap, measure) in enumerate(plan.steps):
         if noise is not None:
             pairs.flip(column, draws[:, noise] < config.epsilon)
         if tap is not None:
             fired = None if schedule is None else draws[:, schedule] < rate
             pairs.tap(column, draws[:, tap], fired)
         pairs.measure(column, share[:, column], draws[:, measure])
-    probe = None
-    if attack.collective is not None:
-        probe = pairs.read_probe(draws[:, probe_column])[0].astype(np.uint8)
+    probe = None if collective is None else pairs.read_probe(draws[:, -1])[0].astype(np.uint8)
     return pairs.results, probe
 
 
@@ -534,14 +534,13 @@ class _OneDraw:
         return self._draws.pop()
 
 
-def _play_dense(config: SessionConfig, bits, phases, draws, share, forced):
+def _play_dense(config: SessionConfig, bits, phases, draws, share, plan: _Plan):
     """Play rows round by round on the dense engine: ``_play_on_branches``' contract.
 
     Every step of row i, an interceptor too, is handed its column of ``draws[i]`` as a ``_OneDraw``.
     """
     q = config.particle_count
     attack = config.attack or _NO_ATTACK
-    steps, probe_column, _ = _draw_columns(config, forced)
     results = np.zeros((len(bits), q), dtype=np.uint8)
     probe = None if attack.collective is None else np.zeros(len(bits), dtype=np.uint8)
     rows = zip(bits.tolist(), phases.tolist(), draws.tolist(), share.tolist())
@@ -551,7 +550,7 @@ def _play_dense(config: SessionConfig, bits, phases, draws, share, forced):
             state = prepare(spec)
         else:
             state = branch.to_state(branch.probe_kets(spec, attack.collective), q + 1)
-        for particle, (noise, hook, schedule, rate, tap, column) in enumerate(steps, 1):
+        for particle, (noise, hook, schedule, rate, tap, column) in enumerate(plan.steps, 1):
             if noise is not None and drawn[noise] < config.epsilon:
                 state = apply_gate(state, particle, PAULI_X)
             if hook is not None:
@@ -561,7 +560,7 @@ def _play_dense(config: SessionConfig, bits, phases, draws, share, forced):
             measure = measure_after_hadamard if chose[particle - 1] else measure_z
             results[row, particle - 1], state, _ = measure(state, particle, _OneDraw(drawn[column]))
         if probe is not None:
-            probe[row] = measure_z(state, q + 1, _OneDraw(drawn[probe_column]))[0]
+            probe[row] = measure_z(state, q + 1, _OneDraw(drawn[-1]))[0]
     return results, probe
 
 
@@ -628,62 +627,56 @@ def verify_step5(batch: RoundBatch, base_threshold: float = 0.0) -> Step5Report:
     pattern/complement), the unit the noise-rate threshold is calibrated
     in; whole-round pass/fail counts are also reported.
     """
-    share = batch.share
-    wrong = batch.results != batch.bits
-    sums = _segment_sums(share, _row_counts(share), wrong, [len(share)])[:, -4:]
-    mismatches, positions, failures, checked = sums[0].tolist()
+    share, q = batch.share, batch.share.shape[1]
+    sums = _segment_sums(share, _row_counts(share), batch.results != batch.bits, [len(share)])
+    tally = sums @ _tally_matrix(q)
+    mismatches, failures, checked, positions = tally[0, 5:].tolist()
     if positions == 0:
         raise IndeterminateCheckError("no check-mode rounds available")
-    rate, threshold, passed = (column.item() for column in _step5_verdicts(sums, base_threshold))
+    verdicts = _step5_verdicts(tally[:, 5], tally[:, 8], base_threshold)
+    rate, threshold, passed = (column.item() for column in verdicts)
     return Step5Report(rate, mismatches, positions, failures, checked, threshold, passed)
 
 
 def _segment_sums(share: np.ndarray, shares, wrong: Optional[np.ndarray], lengths) -> np.ndarray:
-    """Sums over consecutive segments of rows, one row of sums per segment length.
+    """Each segment's rounds per number of checkers, then step 5's mismatches and failed rounds.
 
-    ``share`` marks the participants who chose Share, ``shares`` counts them
-    per row, and ``wrong`` marks the results off their announced pattern
-    bits, read at checkers only; None marks none. Played rows pass
-    ``results != bits``, unplayed rows their noise flips: a checker reads the
-    one surviving branch, pattern or complement, so a row's distance to the
-    nearer of the two, min(F, k - F) for F flips among k checkers, is the
-    same either way.
-
-    The segments run ``lengths[0]`` rows, then ``lengths[1]`` and so on.
-    Per segment: the rounds per number of checkers, 0 to q, then the step-5
-    sums (mismatches, checked positions, failed rounds, checked rounds).
-    Sums add, so rounds played in pieces add up their pieces' sums.
+    Segments run ``lengths[0]`` rows, then ``lengths[1]`` and so on. ``share``
+    marks Share choices, ``shares`` counts them, and ``wrong`` (None for none)
+    the results off their pattern bits, read at checkers: played rows pass
+    ``results != bits``, unplayed rows their noise flips, as a row's distance
+    to the nearer of pattern and complement, min(F, k - F) for F flips among
+    k checkers, is the same. Sums add up; ``_tally_matrix`` makes them tallies.
     """
-    rounds, q = share.shape
-    if not rounds:
-        return np.zeros((len(lengths), q + 5), dtype=np.int64)
+    q = share.shape[1]
     checks = q - shares
-    direct = 0 if wrong is None else _row_counts(wrong > share)  # wrong at a checker
-    checked = checks >= 2
-    distance = np.minimum(direct, checks - direct) * checked
-    segment = np.repeat(np.arange(len(lengths)), lengths)
+    segment = np.arange(len(lengths)).repeat(lengths)
+    sums = np.zeros((len(lengths), q + 3), dtype=np.int64)
     per_checks = np.bincount(segment * (q + 1) + checks, minlength=len(lengths) * (q + 1))
-    step5 = np.column_stack((distance, checks * checked, distance > 0, checked))
-    starts = list(accumulate(lengths[:-1], initial=0))
-    return np.hstack((per_checks.reshape(-1, q + 1), np.add.reduceat(step5, starts)))
+    sums[:, : q + 1] = per_checks.reshape(-1, q + 1)
+    if wrong is not None:  # only these two sums need each row's distance
+        direct = _row_counts(wrong > share)  # wrong at a checker
+        distance = np.minimum(direct, checks - direct) * (checks >= 2)
+        sums[:, q + 1] = np.bincount(segment, distance, len(lengths))
+        sums[:, q + 2] = np.bincount(segment, distance > 0, len(lengths))
+    return sums
 
 
 def _row_counts(flags: np.ndarray) -> np.ndarray:
     """The set flags in each row of an R x q boolean matrix, as int64.
 
-    A uint8 matrix-vector product: numpy reduces along a short row axis
-    about twice as slowly.
+    A float32 matrix-vector product, exact for these counts: numpy reduces
+    along a short row axis, or multiplies uint8, about twice as slowly.
     """
-    return (flags.view(np.uint8) @ np.ones(flags.shape[1], dtype=np.uint8)).astype(np.int64)
+    return (flags.view(np.uint8) @ np.ones(flags.shape[1], dtype=np.float32)).astype(np.int64)
 
 
-def _step5_verdicts(sums: np.ndarray, base_threshold: float) -> tuple[np.ndarray, ...]:
-    """Each row's step-5 error rate, threshold and verdict, as arrays: the one step-5 rule.
+def _step5_verdicts(mismatches, positions, base_threshold: float) -> tuple[np.ndarray, ...]:
+    """Each tally's step-5 error rate, threshold and verdict, as arrays: the one step-5 rule.
 
-    A row of ``_segment_sums``' step-5 sums passes when its mismatches per
-    checked position are within ``effective_threshold``, never with none checked.
+    A tally passes when its mismatches per checked position are within
+    ``effective_threshold``, never with none checked.
     """
-    mismatches, positions = sums[:, 0], sums[:, 1]
     rates = mismatches / np.maximum(positions, 1)
     thresholds = effective_threshold(base_threshold, positions)
     passed = (positions > 0) & (rates <= thresholds)
@@ -726,31 +719,30 @@ def verify_step6(
             f"need {2 * secret_bits} raw bits, have {available}"
         )
     picks, _ = check_draws([rng], [available], secret_bits)
-    chosen, failures, rates, threshold, passed, kept = _step6_verdicts(
-        keys.T, np.zeros(1, dtype=np.int64), picks, base_threshold
-    )
+    threshold = effective_threshold(base_threshold, secret_bits)
+    starts = np.zeros(1, dtype=np.int64)
+    chosen, failures, rates, passed, kept = _step6_verdicts(keys.T, starts, picks, threshold)
     return Step6Report(
         tuple(chosen[0].tolist()), rates.item(), failures.item(), threshold, passed.item(),
         tuple(map(tuple, keys[:, kept].tolist())),
     )
 
 
-def _step6_verdicts(keys: np.ndarray, starts: np.ndarray, picks: np.ndarray, base_threshold: float):
+def _step6_verdicts(keys: np.ndarray, starts: np.ndarray, picks: np.ndarray, threshold: float):
     """The one step-6 rule: sorted check positions, failures, rates, verdicts and rows kept.
 
     Attempt i checks the rows ``starts[i] + picks[i]`` of ``keys`` (R x q, dealer first):
     its m positions among its own rows, as ``check_draws`` draws them for ``verify_step6``
     and for every attempt of a pass alike. A row fails where its parity is 1, and burns
-    if checked.
+    if checked; the bound is ``effective_threshold`` of the noise rate and m.
     """
-    threshold = effective_threshold(base_threshold, picks.shape[1])
     chosen = np.sort(picks, axis=1)
     checked = chosen + starts[:, None]
     failures = np.bitwise_xor.reduce(keys[checked], axis=2).sum(axis=1)
     rates = failures / picks.shape[1]
     kept = np.ones(len(keys), dtype=bool)
     kept[checked] = False
-    return chosen, failures, rates, threshold, rates <= threshold, kept
+    return chosen, failures, rates, rates <= threshold, kept
 
 
 @dataclass(frozen=True)
@@ -933,8 +925,8 @@ class Sessions(Sequence):
         column = self.stats[:, _STAT_NAMES.index(name)]
         return column[~np.isnan(column)]
 
-    def _overwrite(self, trials: np.ndarray, retried: "Sessions") -> None:
-        """Write a retry pass's sessions over rows ``trials``, in order."""
+    def _overwrite(self, trials: np.ndarray, retried: "Sessions") -> "Sessions":
+        """Write a retry pass's sessions over rows ``trials``, in order; returns self."""
         for name in ("verdicts", "stats", "check_positions", "shadow_keys", *_SHARING):
             getattr(self, name)[trials] = getattr(retried, name)
         self.key_starts[trials] = retried.key_starts + len(self.keys)
@@ -942,6 +934,7 @@ class Sessions(Sequence):
         if self.rounds is not None:
             for trial, rows in zip(trials.tolist(), retried.rounds):
                 self.rounds[trial] = rows
+        return self
 
 
 _MAX_BATCHES = 64
@@ -971,32 +964,25 @@ def run_sessions(
     """Run one session per seed, each ``config`` with that seed, in seed order.
 
     A session's outcome depends on its seed alone: attempt k draws from
-    ``derived_rng(seed, k)`` exactly what the session run on its own draws,
-    in the same order, since ``streams``' pattern and step-6 rules draw the
-    same numbers for one attempt or many. A pass makes its generators with
-    one ``derived_rngs`` call, which derives every seed's generator as
-    arrays, as it derives a lone one. The sessions' rounds are played together, one
-    ``_play_rows`` job per attempt, so on the branch engine every attempt's
-    rows share chunks of at most ``_CHUNK_ROWS`` rows; then each attempt's
-    checks run on its own generator. Each pass returns its attempts as
-    ``Sessions`` columns, and a retry pass over the sessions that aborted
-    writes over their rows. A ``secret`` is checked before any round plays,
-    and so is every seed.
+    ``derived_rng(seed, k)`` what the session run on its own draws, in the
+    same order. A pass derives its generators with one ``derived_rngs``
+    call, plays every attempt's rows together as ``_play_rows`` jobs, and
+    checks each attempt on its own generator, all by the shape's one plan.
+    Each pass returns its attempts as ``Sessions`` columns; a retry pass over
+    the aborted sessions writes over their rows. A ``secret`` is checked
+    before any round plays, and so is every seed.
     """
     if secret is not None:
         _check_secret(secret, config.secret_bits)
-    sessions, pending = None, np.arange(len(seeds))
+    sessions, pending, plan = None, np.arange(len(seeds)), _plan(config)
     for attempt in range(config.max_attempts):
         rngs = derived_rngs([seeds[trial] for trial in pending.tolist()], attempt)
         played = _Played(len(rngs), config.particle_count, collect_records)
         shared = np.zeros(len(rngs), dtype=np.int64)
         rounds = _attempt_rounds(config, rngs, shared)
-        _play_rows(config, rounds, played.add, shared, keys_only=not collect_records)
-        finished = _finish_pass(config, played, rngs, secret, attempt + 1)
-        if sessions is None:
-            sessions = finished
-        else:
-            sessions._overwrite(pending, finished)
+        _play_rows(config, rounds, played.add, shared, plan, keys_only=not collect_records)
+        finished = _finish_pass(config, plan, played, rngs, secret, attempt + 1)
+        sessions = finished if sessions is None else sessions._overwrite(pending, finished)
         pending = pending[~finished.ended(Verdict.COMPLETED)]
         if not len(pending):
             break
@@ -1005,21 +991,25 @@ def run_sessions(
 
 def case_counts(batch: RoundBatch) -> dict[str, int]:
     """Rounds per case, keyed by ``RoundCase`` value; every case is present."""
-    per_checks = _segment_sums(batch.share, _row_counts(batch.share), None, [len(batch)])[0, :-4]
-    tally = per_checks @ _case_matrix(batch.share.shape[1])
-    return {case.value: rounds for case, rounds in zip(RoundCase, tally.tolist()[1:])}
+    sums = _segment_sums(batch.share, _row_counts(batch.share), None, [len(batch)])
+    tally = sums[0] @ _tally_matrix(batch.share.shape[1])
+    return {case.value: rounds for case, rounds in zip(RoundCase, tally.tolist()[1:5])}
 
 
 @lru_cache(maxsize=None)
-def _case_matrix(q: int) -> np.ndarray:
-    """(q+1) x 5 ones and zeros: row k counts a round, then marks the case of k checkers.
+def _tally_matrix(q: int) -> np.ndarray:
+    """(q+3) x 9 integers that turn ``_segment_sums``' rows into tallies, by a product.
 
-    The cases follow ``RoundCase`` order, as ``SessionStats``' fields do.
+    A tally is ``SessionStats``' first 8 fields, step 5's mismatches in place
+    of its rate, then its checked positions. Row k < q+1 adds a round of k
+    checkers: a round, one of its case, and for k >= 2 a checked round of k
+    positions. The last two rows pass mismatches and failed rounds on.
     """
-    cases = list(RoundCase)
-    matrix = np.ones((q + 1, 1 + len(cases)), dtype=np.int64)
-    matrix[:, 1:] = 0
-    matrix[range(q + 1), [1 + cases.index(case) for case in case_table(q)]] = 1
+    cases, checks = list(RoundCase), np.arange(q + 1)
+    matrix = np.zeros((q + 3, 9), dtype=np.int64)
+    matrix[checks, [1 + cases.index(case) for case in case_table(q)]] = 1
+    matrix[checks, 0], matrix[checks, 7], matrix[checks, 8] = 1, checks >= 2, checks * (checks >= 2)
+    matrix[q + 1, 5] = matrix[q + 2, 6] = 1
     matrix.flags.writeable = False
     return matrix
 
@@ -1027,14 +1017,14 @@ def _case_matrix(q: int) -> np.ndarray:
 class _Played:
     """What a pass keeps of each attempt's played rows.
 
-    Per attempt: its ``_segment_sums`` (rounds per checker count and the
-    step-5 sums), the raw key rows of its all-Share rounds, and every row
-    when records are asked for. The key rows are kept per chunk and, in a
-    pass of more than one attempt, sorted by attempt once the pass has played.
+    Per attempt: its ``_segment_sums``, the raw key rows of its all-Share
+    rounds, and every row when records are asked for. The key rows are kept
+    per chunk and, in a pass of more than one attempt, sorted by attempt
+    once the pass has played.
     """
 
     def __init__(self, attempts: int, q: int, collect_records: bool) -> None:
-        self.sums = np.zeros((attempts, q + 5), dtype=np.int64)
+        self.sums = np.zeros((attempts, q + 3), dtype=np.int64)
         self.keys = [np.zeros((0, q), dtype=np.uint8)]  # a pass of no attempts plays no chunk
         self.key_owners: list[np.ndarray] = []
         self.rows = [[] for _ in range(attempts)] if collect_records else None
@@ -1063,7 +1053,7 @@ class _Played:
         keys, rows = np.concatenate(self.keys), self.sums[:, 0]
         if self.key_owners:
             keys = keys[np.argsort(np.concatenate(self.key_owners), kind="stable")]
-        return keys, np.cumsum(rows) - rows
+        return keys, rows.cumsum() - rows
 
 
 def _attempt_rounds(config: SessionConfig, rngs, shared):
@@ -1075,7 +1065,7 @@ def _attempt_rounds(config: SessionConfig, rngs, shared):
     """
     need = 2 * config.secret_bits
     for batches in range(_MAX_BATCHES + 1):
-        short = np.flatnonzero(shared < need).tolist()
+        short = (shared < need).nonzero()[0].tolist()
         if not short:
             return
         if batches == _MAX_BATCHES:
@@ -1088,6 +1078,7 @@ def _attempt_rounds(config: SessionConfig, rngs, shared):
 
 def _finish_pass(
     config: SessionConfig,
+    plan: _Plan,
     played: _Played,
     rngs,
     secret: Optional[Sequence[int]],
@@ -1095,33 +1086,28 @@ def _finish_pass(
 ) -> Sessions:
     """Steps 5 and 6 and the sharing of every attempt of a pass, as the pass's columns.
 
-    Every attempt's case tally, rounds used and step-5 verdict come from
-    ``played.sums`` as arrays. The attempts that pass step 5 go on to one
-    ``_step6_verdicts`` over them all, each drawing its check positions and
-    secret bits on its own generator (one ``check_draws``); those that
-    clear step 6 go on to one ``_share``.
+    Tallies and step-5 verdicts come from ``played.sums`` by the plan's tally
+    matrix; the attempts that pass go on to one ``_step6_verdicts``, each
+    drawing on its own generator, and those that clear it to one ``_share``.
     """
-    q, m, epsilon = config.particle_count, config.secret_bits, config.epsilon
-    step5_sums = played.sums[:, q + 1 :]
-    rates, _, passed = _step5_verdicts(step5_sums, epsilon)
+    q, m = config.particle_count, config.secret_bits
+    tally = played.sums @ plan.tally
+    rates, _, passed = _step5_verdicts(tally[:, 5], tally[:, 8], config.epsilon)
     keys, starts = played.attempt_keys()
-    on = np.flatnonzero(passed)  # the attempts that go on to step 6
-    picks, drawn = check_draws([rngs[i] for i in on], played.sums[on, 0], m)
-    chosen, failures, rates6, _, cleared, kept = _step6_verdicts(keys, starts[on], picks, epsilon)
+    on = passed.nonzero()[0]  # the attempts that go on to step 6
+    picks, drawn = check_draws([rngs[i] for i in on.tolist()], tally[on, 1], m)
+    chosen, failures, rates6, cleared, kept = _step6_verdicts(
+        keys, starts[on], picks, plan.step6_threshold
+    )
     done = on[cleared]  # and complete
-    if secret is None:
-        secrets = drawn[cleared]
-    else:
-        secrets = np.tile(np.asarray(secret, dtype=np.uint8), (len(done), 1))
+    secrets = drawn[cleared] if secret is None else np.full((len(done), m), secret, np.uint8)
     # each attempt's shadows are its first m kept rows: m burned from every earlier one on
     shadows, *texts = _share(keys[kept], (starts[on] - m * np.arange(len(on)))[cleared], secrets)
-    # SessionStats' fields: rounds and the 4 cases; step 5's rate, failed and checked
-    # rounds; step 6's rate and failures; the attempt
+    # SessionStats' fields: the tally with step 5's rate; step 6's rate and failures; the attempt
     stats = np.full((len(rngs), len(_STAT_TYPES)), np.nan)
-    stats[:, :5] = played.sums[:, : q + 1] @ _case_matrix(q)
-    checks = step5_sums[:, 1] > 0  # step 5's fields are None where it checked nothing
-    stats[checks, 5], stats[checks, 6:8] = rates[checks], step5_sums[checks, 2:]
-    stats[on, 8], stats[on, 9], stats[:, 10] = rates6, failures, attempt
+    stats[:, :8], stats[:, 5], stats[:, 10] = tally[:, :8], rates, attempt
+    stats[tally[:, 8] == 0, 5:8] = np.nan  # step 5's fields are None where it checked nothing
+    stats[on, 8], stats[on, 9] = rates6, failures
     verdicts = (1 + passed).astype(np.int8)  # ABORTED_STEP5, or ABORTED_STEP6 past step 5
     verdicts[done] = 0  # COMPLETED
     check_positions = np.zeros((len(rngs), m), dtype=np.int64)

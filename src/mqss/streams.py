@@ -12,6 +12,7 @@ first use, only when a generator is made or read, to keep it out of start-up.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -68,11 +69,14 @@ def _state_words(seeds: Sequence[int], *stream) -> np.ndarray:
     values = list(map(operator.index, seeds))  # a float or a string raises TypeError
     if values and min(values) < 0:
         raise ValueError("expected non-negative integer")
+    for value in stream:
+        if not isinstance(value, np.ndarray) and not 0 <= operator.index(value) < 1 << 64:
+            raise ValueError(f"a stream value must be in [0, 2**64), got {value}")
     counts = [max(1, -(-value.bit_length() // 64)) for value in values]
-    width, counts = max(counts, default=1), np.array(counts, dtype=np.uint64)
+    width, counts = max(counts, default=1), np.array(counts, dtype=np.intp)
     data = b"".join(value.to_bytes(8 * width, "little") for value in values)
     limbs = np.frombuffer(data, "<u8").reshape(-1, width).astype(np.uint64)
-    state = _absorb(_absorb(0, counts), limbs[:, 0])
+    state = _absorb(_counted(width)[counts], limbs[:, 0])
     for at in range(1, width):  # a seed of fewer limbs keeps its state past them
         state = np.where(counts > at, _absorb(state, limbs[:, at]), state)
     for value in stream:
@@ -82,6 +86,14 @@ def _state_words(seeds: Sequence[int], *stream) -> np.ndarray:
 
 def _absorb(state, word) -> np.ndarray:
     return _mix((state ^ word) + _GAMMA)
+
+
+@lru_cache(maxsize=8)
+def _counted(width: int) -> np.ndarray:
+    """The state once limb count k is absorbed from state 0, at index k, for k up to ``width``."""
+    table = _absorb(0, np.arange(width + 1, dtype=np.uint64))
+    table.flags.writeable = False
+    return table
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -112,23 +124,23 @@ def pattern_blocks(rngs, rows: int, q: int):
     fresh word; a 32-bit half numpy holds is left alone. A block is drawn when
     asked for, after the rows of the one before, and holds every generator's
     rows in turn: (A rows) x q booleans and A rows uint8 phases, from one
-    ``random_raw`` call each. An empty batch is one empty block. ``MT19937``,
-    whose raw words are 32-bit, is refused.
+    ``random_raw`` call each. An empty batch is one empty block. A caller's
+    generator is checked by ``refuse_32_bit_words`` as it comes in.
     """
-    if any(isinstance(rng.bit_generator, np.random.MT19937) for rng in rngs):
-        raise ValueError("MT19937 hands out 32-bit raw words; pattern bits need 64-bit words")
     for start in range(0, max(rows, 1), BLOCK_ROWS):
         size = min(rows - start, BLOCK_ROWS)
         pattern_words, phase_words = -(-size * q // 64), -(-size // 64)
         raw = np.array([rng.bit_generator.random_raw(pattern_words + phase_words) for rng in rngs])
-        bits = _bits(raw[:, :pattern_words], size * q).reshape(-1, q)
-        yield bits, _bits(raw[:, pattern_words:], size).reshape(-1).view(np.uint8)
+        octets = np.ascontiguousarray(raw, dtype="<u8").view(np.uint8)
+        drawn = np.unpackbits(octets, axis=-1, bitorder="little").view(bool)
+        phases = drawn[:, 64 * pattern_words :][:, :size].reshape(-1).view(np.uint8)
+        yield drawn[:, : size * q].reshape(-1, q), phases
 
 
-def _bits(words: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` bits of 64-bit words (last axis), low bit first."""
-    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=-1, count=count, bitorder="little").view(bool)
+def refuse_32_bit_words(rng) -> None:
+    """Refuse ``MT19937``, whose raw words are 32-bit: pattern bits need 64-bit words."""
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("MT19937 hands out 32-bit raw words; pattern bits need 64-bit words")
 
 
 # --- step 6's check positions and secrets --------------------------------------

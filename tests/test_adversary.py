@@ -210,6 +210,12 @@ def test_leakage_requires_enough_trials():
         estimate_leakage(CollectiveAttackConfig(), SessionConfig(), trials=10)
 
 
+def test_leakage_refuses_a_generator_of_32_bit_raw_words():
+    rng = np.random.Generator(np.random.MT19937(5))
+    with pytest.raises(ValueError, match="MT19937"):
+        estimate_leakage(CollectiveAttackConfig(0.5), SessionConfig(), 4_000, rng)
+
+
 def test_mutual_information_of_independent_table_is_small():
     counts = np.array([[250, 250], [250, 250]])
     assert mutual_information_bits(counts) < 0.01

@@ -1,11 +1,13 @@
 """Round classification, checks, sifting, and full-session behavior."""
 
 import copy
+import gc
 import hashlib
 import itertools
 import pickle
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple, fields, replace
 from math import sqrt
@@ -1458,6 +1460,29 @@ def test_a_pass_short_of_raw_key_after_its_last_batch_raises(monkeypatch, batche
     message = f"^{batches} batches of rounds gave [01] of 2 raw key bits$"
     with pytest.raises(BatchLimitError, match=message):
         run_sessions(replace(TOPPED_UP, max_attempts=1), range(200))
+
+
+def test_run_rounds_refuses_a_generator_of_32_bit_raw_words():
+    with pytest.raises(ValueError, match="MT19937"):
+        run_rounds(SessionConfig(), 10, np.random.Generator(np.random.MT19937(5)))
+    assert len(run_rounds(SessionConfig(), 10, np.random.Generator(np.random.Philox(5)))) == 10
+
+
+def test_lone_sessions_keep_one_plan_and_leave_no_memory_behind():
+    protocol._shape_plan.cache_clear()
+    config = SessionConfig(n_agents=3, secret_bits=1)
+    run_session(config)  # the shape's plan and engine tables are built on first use
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for seed in range(1, 1_001):
+            run_session(replace(config, seed=seed))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert protocol._shape_plan.cache_info().currsize == 1
+    assert retained < 64 * 1024
 
 
 @pytest.mark.parametrize(

@@ -423,3 +423,25 @@ def test_bad_seeds_are_refused_on_both_sides_of_the_threshold(count, bad, error)
         derived_rngs([*range(count - 1), bad], 0)
     with pytest.raises(error):
         child_seeds(bad, count)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_a_stream_value_outside_64_bits_is_refused_by_name(bad):
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        derived_rng(1, bad)
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        child_seed(1, bad)
+
+
+def test_a_uint64_array_of_stream_values_reads_each_seed_its_own():
+    values = np.array([0, 7, 2**63, 2**64 - 1], dtype=np.uint64)
+    words = streams._state_words([3] * len(values), values)
+    assert words.tolist() == [folded_words(3, value) for value in values.tolist()]
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_the_first_absorb_is_a_lookup_of_the_limb_count(width):
+    table = streams._counted(width)
+    assert len(table) == width + 1 and not table.flags.writeable
+    for count in range(width + 1):
+        assert table[count] == streams._absorb(0, np.array([count], dtype=np.uint64))[0]
