@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 from pathlib import Path
 from typing import Optional, Sequence
@@ -271,43 +272,80 @@ def record_from_json(line: str) -> tuple[int, RoundRecord]:
 def write_transcript(path: Path, grouped) -> None:
     """Write each (trial, ``RoundBatch``) pair's rows, one JSON line per round.
 
-    Row i of a batch is its round i. A line is what ``json.dumps(record,
-    sort_keys=True, separators=(",", ":"))`` makes of the round's record,
-    rendered from the batch's arrays.
+    Row i of a batch is its round i, and a trial is a non-negative integer.
+    A line is what ``json.dumps(record, sort_keys=True, separators=(",",
+    ":"))`` makes of the round's record.
     """
-    step = 1 << 12  # rows rendered at a time, which bounds the byte matrix
+    held, size, shape = [], 0, None
     with open(path, "wb") as handle:
         for trial, batch in grouped:
-            for first in range(0, len(batch), step):
-                rows = batch.select(slice(first, first + step))
-                handle.write(_transcript_lines(trial, rows, first))
+            for first in range(0, len(batch), _CHUNK_ROWS):
+                rows = batch.select(slice(first, first + _CHUNK_ROWS))
+                shape, held_shape = (rows.share.shape[1], rows.probe is None), shape
+                if size + len(rows) > _CHUNK_ROWS or held and shape != held_shape:
+                    handle.write(_transcript_lines(held))
+                    held, size = [], 0
+                held.append((trial, first, rows))
+                size += len(rows)
+        if held:
+            handle.write(_transcript_lines(held))
 
 
-def _transcript_lines(trial: int, rows: RoundBatch, first: int) -> bytes:
-    """The lines of ``rows``, numbered from ``first``.
+_CHUNK_ROWS = 1 << 12  # rows rendered at a time, all of one shape, which bounds the byte matrix
 
-    The lines are laid out as one byte matrix, a line per row, whose
-    variable-width fields (the classification and the round index) are
-    padded with NUL bytes; dropping the NULs leaves the lines.
+
+def _transcript_lines(held) -> bytes:
+    """The lines of (trial, first round index, rows) pieces, laid out as one byte matrix.
+
+    Each row is the template's constant bytes, its fields written over NULs.
+    Dropping the NULs left in the classification, round index and trial fields
+    leaves the lines.
     """
+    trials, firsts, pieces = zip(*held)
+    rows, lengths = RoundBatch.join(pieces), [len(piece) for piece in pieces]
     count, q = rows.share.shape
-    cases = np.array([case.value for case in case_table(q)], dtype="S")
-    parts = (
-        b'{"classification":"', cases[q - np.count_nonzero(rows.share, axis=1)],
-        b'","modes":[', _listed(_MODE_CELLS, rows.share.view(np.uint8)),
-        b'],"probe":', b"null" if rows.probe is None else _digits(rows.probe),
-        b',"results":[', _listed(_RESULT_CELLS, rows.results),
-        b'],"round_index":', np.arange(first, first + count).astype(f"S{len(str(first + count))}"),
-        b',"spec":{"b":', _digits(rows.phases),
-        b',"x":"', _digits(rows.bits),
-        f'"}},"trial":{trial}}}\n'.encode(),
-    )
-    lines = np.hstack([
-        np.broadcast_to(np.frombuffer(part, np.uint8), (count, len(part)))
-        if isinstance(part, bytes) else part.view(np.uint8).reshape(count, -1)
-        for part in parts
-    ])
+    widths = len(str(max(map(sum, zip(firsts, lengths))) - 1)), len(str(max(trials)))
+    template, columns, cases = _layout(q, rows.probe is not None, *widths)
+    case, modes, probe, results, index, phase, pattern, trial = columns
+    lines = np.empty((count, len(template)), dtype=np.uint8)
+    lines[:] = template
+    # a float32 product counts each row's Share choices several times faster than a sum
+    shares = rows.share.view(np.uint8) @ np.ones(q, dtype=np.float32)
+    lines[:, case] = cases.take(shares.astype(np.intp), axis=0)
+    lines[:, modes] = _listed(_MODE_CELLS, rows.share.view(np.uint8))
+    lines[:, results] = _listed(_RESULT_CELLS, rows.results)
+    for field, bits in ((probe, rows.probe), (phase, rows.phases), (pattern, rows.bits)):
+        if bits is not None:  # each 0/1 value as its digit's byte
+            digits = lines[:, field]
+            np.add(bits.reshape(digits.shape), np.uint8(ord("0")), out=digits, casting="unsafe")
+    offsets = np.subtract(firsts, np.cumsum(lengths) - lengths)  # round index less chunk row
+    _put_number(lines[:, index], np.arange(count) + np.repeat(offsets, lengths))
+    _put_number(lines[:, trial], np.repeat(trials, lengths))
     return lines.tobytes().replace(b"\0", b"")
+
+
+@lru_cache(maxsize=None)
+def _layout(q: int, probed: bool, index_width: int, trial_width: int):
+    """A line's template, its fields' columns, and row k the NUL-padded case of k Share choices.
+
+    The template holds NUL in the fields: the classification, modes, probe
+    (empty unless ``probed``), results, round index, phase, pattern and trial.
+    """
+    cases = np.array([case.value for case in reversed(case_table(q))], dtype="S")
+    fields = (
+        (b'{"classification":"', cases.itemsize), (b'","modes":[', 8 * q - 1),
+        (b'],"probe":' + (b"" if probed else b"null"), int(probed)),
+        (b',"results":[', 2 * q - 1), (b'],"round_index":', index_width),
+        (b',"spec":{"b":', 1), (b',"x":"', q), (b'"},"trial":', trial_width),
+    )
+    template, columns = bytearray(), []
+    for text, width in fields:
+        template += text
+        columns.append(slice(len(template), len(template) + width))
+        template += bytes(width)
+    template += b"}\n"
+    cases = np.frombuffer(cases.tobytes(), np.uint8).reshape(q + 1, -1)  # read-only, as cached
+    return np.frombuffer(bytes(template), np.uint8), columns, cases
 
 
 # a list's items as fixed-width cells, each with its trailing comma: a Check
@@ -318,12 +356,29 @@ _RESULT_CELLS = np.frombuffer(b"0,1,", dtype=np.uint16)
 
 def _listed(cells: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Each row of ``codes`` as the comma-separated bytes of its cells."""
-    return cells[codes].view(np.uint8).reshape(len(codes), -1)[:, :-1]
+    return cells.take(codes).view(np.uint8).reshape(len(codes), -1)[:, :-1]
 
 
-def _digits(bits: np.ndarray) -> np.ndarray:
-    """0/1 values as the bytes of their digits."""
-    return bits.astype(np.uint8) + ord("0")
+@lru_cache(maxsize=None)
+def _digit_table() -> np.ndarray:
+    """The four digit bytes of each v < 10,000, in three sections of 10,000 rows.
+
+    Row v pads them with NUL, row 10,000 + v with 0, and row 20,000 + v with NUL, 0 left blank.
+    """
+    numbers, places = np.arange(10_000)[:, None], np.array([1000, 100, 10, 1])
+    digits = numbers // places % 10 + ord("0")
+    sections = (digits * (numbers >= places * (places > 1)), digits, digits * (numbers >= places))
+    table = np.concatenate(sections).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+def _put_number(field: np.ndarray, numbers: np.ndarray, section: int = 0) -> None:
+    """Write each number's digits into its row of ``field``, NUL-padded, from ``_digit_table``."""
+    if field.shape[1] > 4:  # the places before the last four, blank past the first digit
+        _put_number(field[:, :-4], numbers // 10_000, 20_000)
+        numbers, section = numbers % 10_000, np.where(numbers >= 10_000, 10_000, section)
+    field[:, -4:] = _digit_table().take(numbers + section, axis=0)[:, -field.shape[1] :]
 
 
 def read_transcript(path: Path) -> list[tuple[int, RoundRecord]]:
@@ -383,7 +438,8 @@ def _run_sessions(config: ExperimentConfig, session: SessionConfig) -> dict:
     seeds = child_seeds(config.session.seed, config.trials)
     sessions = run_sessions(session, seeds, collect_records=config.transcript is not None)
     if config.transcript is not None:
-        write_transcript(config.transcript, enumerate(outcome.rounds for outcome in sessions))
+        rounds = [RoundBatch.join(pieces) for pieces in sessions.rounds]  # built without outcomes
+        write_transcript(config.transcript, list(enumerate(rounds)))  # a list the bench can recount
     verdicts = {v.value: int(np.count_nonzero(sessions.ended(v))) for v in Verdict}
     completed = sessions.ended(Verdict.COMPLETED)
     matches = np.count_nonzero((sessions.reconstructed == sessions.secret).all(axis=1) & completed)

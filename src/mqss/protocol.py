@@ -652,14 +652,23 @@ def _segment_sums(share: np.ndarray, shares, wrong: Optional[np.ndarray], length
     checks = q - shares
     segment = np.arange(len(lengths)).repeat(lengths)
     sums = np.zeros((len(lengths), q + 3), dtype=np.int64)
-    per_checks = np.bincount(segment * (q + 1) + checks, minlength=len(lengths) * (q + 1))
-    sums[:, : q + 1] = per_checks.reshape(-1, q + 1)
-    if wrong is not None:  # only these two sums need each row's distance
-        direct = _row_counts(wrong > share)  # wrong at a checker
-        distance = np.minimum(direct, checks - direct) * (checks >= 2)
-        sums[:, q + 1] = np.bincount(segment, distance, len(lengths))
-        sums[:, q + 2] = np.bincount(segment, distance > 0, len(lengths))
+    cells = segment * (q + 1) + checks
+    sums[:, : q + 1] = np.bincount(cells, minlength=len(lengths) * (q + 1)).reshape(-1, q + 1)
+    if wrong is not None:  # a row adds the two sums of its checkers and wrong checkers
+        cells = cells * (q + 1) + _row_counts(wrong > share)
+        per_cell = np.bincount(cells, minlength=len(lengths) * (q + 1) ** 2)
+        sums[:, q + 1 :] = per_cell.reshape(len(lengths), -1) @ _distances(q)
     return sums
+
+
+@lru_cache(maxsize=None)
+def _distances(q: int) -> np.ndarray:
+    """Row k (q + 1) + f: the mismatches and failed rounds of a round of k checkers, f wrong."""
+    checks, wrong = np.divmod(np.arange((q + 1) ** 2), q + 1)
+    distance = np.minimum(wrong, checks - wrong)  # 0 below two checkers; no round has f > k
+    table = np.stack([distance, distance > 0], axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def _row_counts(flags: np.ndarray) -> np.ndarray:

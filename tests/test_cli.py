@@ -34,7 +34,9 @@ from mqss.protocol import (
     SessionConfig,
     classify_round,
     run_rounds,
+    run_sessions,
 )
+from mqss.streams import child_seeds
 
 
 # --- parsing ------------------------------------------------------------------
@@ -241,6 +243,11 @@ def test_record_json_matches_a_sorted_key_dump(tmp_path):
         (trial, run_rounds(config, rounds)) for trial, (config, rounds) in enumerate(configs)
     ]
     grouped.append((7, run_rounds(SessionConfig(seed=16), 30)))  # a trial after an empty one
+    # 113 short batches share chunks, in which trials 9, 10, 99, 100 and 101 and
+    # the round indices of trials 10 and 100 cross from 9 to 10 and 99 to 100
+    for trial in range(8, 121):
+        rows = 120 if trial in (10, 100) else 1 + trial % 40
+        grouped.append((trial, run_rounds(SessionConfig(seed=trial), rows)))
     lines = []
     for trial, batch in grouped:
         probes = [None] * len(batch) if batch.probe is None else batch.probe.tolist()
@@ -261,9 +268,19 @@ def test_record_json_matches_a_sorted_key_dump(tmp_path):
     path = tmp_path / "t.jsonl"
     write_transcript(path, grouped)
     assert path.read_text() == "".join(lines)
-    assert len(lines) == 11_480
+    assert len(lines) == 14_113
     assert sum(line.startswith('{"classification":"case1"') for line in lines) > 0
     assert sum('"probe":1' in line for line in lines) > 0
+
+
+def test_a_recorded_run_writes_each_sessions_rounds_as_its_outcome_holds_them(tmp_path):
+    argv = ["--agents", "2", "--secret-bits", "4", "--epsilon", "0.05", "--trials", "12",
+            "--seed", "6"]
+    assert main(argv + ["--transcript", str(tmp_path / "run.jsonl")]) == EXIT_OK
+    sessions = run_sessions(parse_config(argv).session, child_seeds(6, 12), collect_records=True)
+    assert max(len(pieces) for pieces in sessions.rounds) > 1  # some sessions topped up
+    write_transcript(tmp_path / "outcomes.jsonl", enumerate(outcome.rounds for outcome in sessions))
+    assert (tmp_path / "run.jsonl").read_bytes() == (tmp_path / "outcomes.jsonl").read_bytes()
 
 
 def test_rounds_only_plays_the_collective_attack(monkeypatch):
@@ -434,9 +451,9 @@ def test_a_run_without_a_transcript_builds_no_session_outcome(built, capsys, tmp
     assert main(run) == EXIT_OK
     report = capsys.readouterr().out
     assert built == {}
-    # a transcript reads each session's rounds from its outcome
+    # a transcript reads each session's rounds from the sessions' columns too
     assert main(run + ["--transcript", str(tmp_path / "run.jsonl")]) == EXIT_OK
-    assert built == {"SessionOutcome": 6, "SessionStats": 6}
+    assert built == {}
     assert report.splitlines()[:-1] == capsys.readouterr().out.splitlines()[:-1]
 
 

@@ -261,6 +261,34 @@ def test_verify_step5_without_check_rounds_is_indeterminate():
         verify_step5(make_batch([([S] * 4, [0, 0, 0, 0])]))
 
 
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_segment_sums_match_a_per_row_loop(q):
+    rng = np.random.default_rng(q)
+    lengths = [1, 37, 4, 120, 9]
+    share = rng.random((sum(lengths), q)) < 0.5
+    wrong = rng.random(share.shape) < 0.3
+    share[:40:2] = True  # no checker
+    share[1:40:2] = np.eye(q, dtype=bool)[rng.integers(q, size=20)] ^ True  # one checker
+    wrong[1:40:2] = True  # whose result is wrong
+    wrong[-30:] = True  # every checker wrong: the complement, at distance 0
+    sums = protocol._segment_sums(share, share.sum(axis=1), wrong, lengths)
+    expected, rows = [], iter(zip(share.tolist(), wrong.tolist()))
+    for length in lengths:
+        segment = [0] * (q + 3)
+        for chose, flipped in itertools.islice(rows, length):
+            checks = chose.count(False)
+            flips = sum(flip and not shared for shared, flip in zip(chose, flipped))
+            distance = min(flips, checks - flips) if checks >= 2 else 0
+            segment[checks] += 1
+            segment[q + 1] += distance
+            segment[q + 2] += distance > 0
+        expected.append(segment)
+    assert sums.tolist() == expected
+    assert sums[:, q + 1].sum() > 0 and sums[:, 1].sum() > 0
+    no_flags = protocol._segment_sums(share, share.sum(axis=1), None, lengths)
+    assert no_flags.tolist() == [segment[: q + 1] + [0, 0] for segment in expected]
+
+
 def per_round_oracle(specs, share, results):
     """Case tally, step-5 figures and raw keys, one round at a time."""
     q = len(specs[0].bits)
