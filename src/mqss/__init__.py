@@ -20,7 +20,6 @@ from .adversary import (
     estimate_leakage,
     run_collusion,
 )
-from .channel import ClassicalLog, QubitChannel, broadcast, transmit
 from .ghz import GhzSpec, HadamardPattern, prepare
 from .protocol import (
     Mode,
@@ -38,7 +37,6 @@ from .protocol import (
 from .statevec import PureState, fidelity
 
 __all__ = [
-    "ClassicalLog",
     "CollectiveAttackConfig",
     "CollusionConfig",
     "GhzSpec",
@@ -47,7 +45,6 @@ __all__ = [
     "MeasureResendConfig",
     "Mode",
     "PureState",
-    "QubitChannel",
     "RoundBatch",
     "RoundCase",
     "RoundRecord",
@@ -56,7 +53,6 @@ __all__ = [
     "Sessions",
     "Verdict",
     "attacked",
-    "broadcast",
     "estimate_leakage",
     "fidelity",
     "prepare",
@@ -64,6 +60,5 @@ __all__ = [
     "run_rounds",
     "run_session",
     "run_sessions",
-    "transmit",
 ]
 __version__ = "0.1.0"

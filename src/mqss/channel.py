@@ -1,13 +1,10 @@
-"""Qubit transmission with noise and interception, plus the broadcast log.
+"""Qubit transmission with noise and interception.
 
 The quantum channel is strictly one-way: there is no operation that returns
 a qubit from a participant back to the server, which is what makes probe
 insertion attacks that rely on retrieving a photon structurally impossible
-in this model. Classical traffic goes over an authenticated broadcast log
-that anyone, including the adversary, can read. A ``ClassicalLog`` only
-grows, but it hands out its messages as they were appended, so a reader
-that edits one edits the log; a session's log (``SessionOutcome.log``) is
-rebuilt from the outcome on each read, so no reader can rewrite it.
+in this model. The classical channel is a session's public log
+(``SessionOutcome.log``).
 
 The protocol's round driver (``protocol._play_rows``, behind
 ``play_rounds``, ``run_rounds`` and sessions) applies the same noise and
@@ -60,31 +57,3 @@ def transmit(
         state = channel.interceptor(state, particle, rng)
     return state
 
-
-class ClassicalLog:
-    """Append-only authenticated broadcast record.
-
-    Messages can be read by every party (eavesdropping is free); ``broadcast``
-    appends them, and nothing removes or reorders one.
-    """
-
-    def __init__(self) -> None:
-        self._entries: list[tuple[str, Any]] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassicalLog):
-            return NotImplemented
-        return self._entries == other._entries
-
-    @property
-    def entries(self) -> tuple[tuple[str, Any], ...]:
-        return tuple(self._entries)
-
-
-def broadcast(log: ClassicalLog, sender: str, message: Any) -> ClassicalLog:
-    """Append a message visible to all parties; returns the same log."""
-    log._entries.append((sender, message))
-    return log

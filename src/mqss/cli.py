@@ -437,15 +437,13 @@ def _run_sessions(config: ExperimentConfig, session: SessionConfig) -> dict:
     """The ``RunReport`` fields of ``config.trials`` seeded sessions, read from their columns."""
     seeds = child_seeds(config.session.seed, config.trials)
     sessions = run_sessions(session, seeds, collect_records=config.transcript is not None)
-    if config.transcript is not None:
-        rounds = [RoundBatch.join(pieces) for pieces in sessions.rounds]  # built without outcomes
-        write_transcript(config.transcript, list(enumerate(rounds)))  # a list the bench can recount
+    if config.transcript is not None:  # each session's rows, built without outcomes
+        write_transcript(config.transcript, list(enumerate(sessions.rounds)))  # a list to recount
     verdicts = {v.value: int(np.count_nonzero(sessions.ended(v))) for v in Verdict}
     completed = sessions.ended(Verdict.COMPLETED)
     matches = np.count_nonzero((sessions.reconstructed == sessions.secret).all(axis=1) & completed)
-    # SessionStats' fields 1 to 4 are the rounds per case, in RoundCase order
-    tally = sessions.stats[:, 1:5].sum(axis=0).astype(np.int64).tolist()
-    counts = {case.value: rounds for case, rounds in zip(RoundCase, tally)}
+    names = ("case1_rounds", "case2_rounds", "case3_rounds", "discarded_rounds")
+    counts = {case.value: int(sessions.stat(name).sum()) for case, name in zip(RoundCase, names)}
     rounds_total = sum(counts.values())
     return dict(
         trials=config.trials,

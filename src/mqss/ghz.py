@@ -8,11 +8,10 @@ dense engine prepares its honest states with ``prepare``; only the test
 suite uses the closed-form predictors, checking them against the
 gate-by-gate engine as an independent oracle.
 
-The server's draws come from ``sample_patterns`` as arrays, the bits of raw
-generator words by ``streams.pattern_blocks``' rule; arrays are the form
-the batch engine and the session checks read. A ``GhzSpec`` is built
-only where one state is described on its own (records, transcripts, the
-dense oracle).
+The server's draws are arrays, the bits of raw generator words by
+``streams.pattern_blocks``' rule; arrays are the form the batch engine and
+the session checks read. A ``GhzSpec`` is built only where one state is
+described on its own (records, transcripts, the dense oracle).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from math import sqrt
 import numpy as np
 
 from .statevec import MAX_QUBITS, PureState
-from .streams import pattern_blocks, refuse_32_bit_words
 
 
 @dataclass(frozen=True)
@@ -99,23 +97,6 @@ class PartialTerm:
 
 def _int_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def sample_patterns(rng, count: int, qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniformly random patterns and phase bits of the states the server prepares.
-
-    Returns a count x q boolean array of pattern bits and a uint8 array of
-    phase bits, drawn by ``pattern_blocks``' rule: per block of rows, the
-    pattern bits are the bits of whole ``random_raw`` words, 64 to a word,
-    low bit first, and the phase bits follow on fresh words.
-    """
-    if qubit_count < 2:
-        raise ValueError("a GHZ spec needs at least 2 particles")
-    if qubit_count > MAX_QUBITS:
-        raise ValueError(f"at most {MAX_QUBITS} particles supported")
-    refuse_32_bit_words(rng)
-    bits, phases = zip(*pattern_blocks([rng], count, qubit_count))
-    return np.concatenate(bits), np.concatenate(phases)
 
 
 def prepare(spec: GhzSpec) -> PureState:

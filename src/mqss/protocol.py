@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 import numpy as np
 
 from . import branch, streams
-from .channel import ClassicalLog, Interceptor, broadcast
+from .channel import Interceptor
 from .ghz import GhzSpec, prepare
 from .statevec import MAX_QUBITS, PAULI_X, apply_gate, measure_after_hadamard, measure_z
 from .streams import BLOCK_ROWS, check_draws, derived_rng, derived_rngs, pattern_blocks
@@ -353,8 +353,8 @@ def run_round(
     batch = play_rounds(config, [spec], rng, forced_modes)
     modes = tuple(Mode.SHARE if share else Mode.CHECK for share in batch.share[0].tolist())
     probe = None if batch.probe is None else int(batch.probe[0])
-    results = tuple(batch.results[0].tolist())
-    return RoundRecord(0, spec, modes, results, classify_round(modes), probe)
+    case = case_table(len(modes))[modes.count(Mode.CHECK)]
+    return RoundRecord(0, spec, modes, tuple(batch.results[0].tolist()), case, probe)
 
 
 def run_rounds(
@@ -564,11 +564,6 @@ def _play_dense(config: SessionConfig, bits, phases, draws, share, plan: _Plan):
     return results, probe
 
 
-def classify_round(modes: Sequence[Mode]) -> RoundCase:
-    """Table the round by how many participants checked: ``case_table``."""
-    return case_table(len(modes))[modes.count(Mode.CHECK)]
-
-
 @lru_cache(maxsize=None)
 def case_table(q: int) -> tuple[RoundCase, ...]:
     """The case of a round with 0 to q checkers among q participants, by count.
@@ -719,7 +714,7 @@ def verify_step6(
     if secret_bits < 1:
         raise ValueError("secret must have at least 1 bit")
     _check_parties(raw_keys)
-    keys = _bits(raw_keys, "raw key")  # ragged keys raise ValueError here
+    keys = _bits(raw_keys)  # ragged keys raise ValueError here
     if keys.ndim != 2:
         raise ValueError("raw keys must all have the same length")
     available = keys.shape[1]
@@ -781,7 +776,7 @@ def finalize_and_share(
             raise InsufficientRawKeyError(
                 f"need {secret_bits} shadow bits, have {len(key)}"
             )
-    keys = _bits([key[:secret_bits] for key in raw_keys_after_check], "raw key")
+    keys = _bits([key[:secret_bits] for key in raw_keys_after_check])
     sharing = _share(keys.T, np.zeros(1, dtype=np.int64), np.array([secret], dtype=np.uint8))
     shadows, *texts = (field[0].tolist() for field in sharing)
     return SharingResult(tuple(map(tuple, shadows)), *map(tuple, texts))
@@ -797,23 +792,12 @@ def _share(keys: np.ndarray, starts, secrets: np.ndarray):
     return shadows, ciphertext, ciphertext ^ np.bitwise_xor.reduce(shadows[:, 1:], axis=1)
 
 
-def combine_shadows(
-    ciphertext: Sequence[int], shadows: Sequence[Sequence[int]]
-) -> tuple[int, ...]:
-    """XOR a set of agent shadows into the ciphertext (a recovery attempt)."""
-    for shadow in shadows:
-        if len(shadow) != len(ciphertext):
-            raise ValueError(f"shadow has {len(shadow)} bits, ciphertext has {len(ciphertext)}")
-    bits = _bits([ciphertext, *shadows], "ciphertext and shadow")
-    return tuple(np.bitwise_xor.reduce(bits, axis=0).tolist())
-
-
-def _bits(rows, what: str) -> np.ndarray:
-    """``rows`` as a uint8 array, refusing any value but 0 and 1."""
+def _bits(rows) -> np.ndarray:
+    """Raw key ``rows`` as a uint8 array, refusing any value but 0 and 1."""
     array = np.asarray(rows)
     bad = array[(array != 0) & (array != 1)]
     if bad.size:
-        raise ValueError(f"{what} bits must be 0 or 1, got {bad[0].item()}")
+        raise ValueError(f"raw key bits must be 0 or 1, got {bad[0].item()}")
     return array.astype(np.uint8)
 
 
@@ -860,17 +844,21 @@ class SessionOutcome:
     check_positions: Optional[tuple[int, ...]] = None  # sorted; None when step 6 did not run
 
     @property
-    def log(self) -> ClassicalLog:
-        """What the attempt broadcast, rebuilt from the outcome on each read."""
-        log, rounds = ClassicalLog(), self.stats.rounds_used
-        for index in range(rounds):
-            broadcast(log, "dealer", {"round": index, "ack": True})
-        broadcast(log, "tp", {"announced_specs": rounds})
+    def log(self) -> tuple[tuple[str, dict], ...]:
+        """The attempt's public discussion: (sender, message) pairs in the order sent.
+
+        Classical traffic goes over an authenticated public channel that
+        every party, the adversary too, reads in full. The log is rebuilt
+        from the outcome on each read, so no reader can rewrite it.
+        """
+        rounds = self.stats.rounds_used
+        log = [("dealer", {"round": index, "ack": True}) for index in range(rounds)]
+        log.append(("tp", {"announced_specs": rounds}))
         if self.check_positions is not None:
-            broadcast(log, "dealer", {"check_positions": self.check_positions})
+            log.append(("dealer", {"check_positions": self.check_positions}))
         if self.ciphertext is not None:
-            broadcast(log, "dealer", {"ciphertext": self.ciphertext})
-        return log
+            log.append(("dealer", {"ciphertext": self.ciphertext}))
+        return tuple(log)
 
 
 _VERDICTS = tuple(Verdict)  # a verdict code indexes this
@@ -898,7 +886,7 @@ class Sessions(Sequence):
     secret: np.ndarray  # A x m, as are the next two
     ciphertext: np.ndarray
     reconstructed: np.ndarray
-    rounds: Optional[list] = None  # per session its played RoundBatch pieces, with records
+    rounds: Optional[list] = None  # per session its played rows as one RoundBatch, with records
 
     def __len__(self) -> int:
         return len(self.verdicts)
@@ -917,7 +905,7 @@ class Sessions(Sequence):
             steps["shadow_keys"] = tuple(map(tuple, self.shadow_keys[trial].tolist()))
             for name in _SHARING:
                 steps[name] = tuple(getattr(self, name)[trial].tolist())
-        rounds = None if self.rounds is None else RoundBatch.join(self.rounds[trial])
+        rounds = None if self.rounds is None else self.rounds[trial]
         return SessionOutcome(verdict, stats, rounds=rounds, **steps)
 
     def __eq__(self, other) -> bool:
@@ -1098,6 +1086,7 @@ def _finish_pass(
     Tallies and step-5 verdicts come from ``played.sums`` by the plan's tally
     matrix; the attempts that pass go on to one ``_step6_verdicts``, each
     drawing on its own generator, and those that clear it to one ``_share``.
+    With records, each attempt's played pieces are joined here, once, into its one batch.
     """
     q, m = config.particle_count, config.secret_bits
     tally = played.sums @ plan.tally
@@ -1125,6 +1114,5 @@ def _finish_pass(
     shadow_keys[done] = shadows
     sharing = np.zeros((len(_SHARING), len(rngs), m), dtype=np.uint8)
     sharing[:, done] = secrets, *texts
-    return Sessions(
-        verdicts, stats, keys, starts, check_positions, shadow_keys, *sharing, played.rows
-    )
+    rounds = None if played.rows is None else [RoundBatch.join(pieces) for pieces in played.rows]
+    return Sessions(verdicts, stats, keys, starts, check_positions, shadow_keys, *sharing, rounds)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mqss import protocol
+from mqss import protocol, streams
 
 from mqss.statevec import PureState
 
@@ -35,6 +35,12 @@ def integers_draw_bits(rng, rows: int, q: int) -> tuple[list[int], list[int]]:
     pattern_words, phase_words = -(-rows * q // 64), -(-rows // 64)
     words = rng.integers(0, 2**64, size=pattern_words + phase_words, dtype=np.uint64).tolist()
     return raw_word_bits(words, 0, rows * q), raw_word_bits(words, 64 * pattern_words, rows)
+
+
+def drawn_patterns(rng, rows: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` x ``q`` pattern bits and ``rows`` phases of ``rng``, its blocks joined."""
+    bits, phases = zip(*streams.pattern_blocks([rng], rows, q))
+    return np.concatenate(bits), np.concatenate(phases)
 
 
 def state_from_terms(qubit_count, terms, scale=1.0):

@@ -1,10 +1,10 @@
-"""Channel noise, interception hooks, and the broadcast log."""
+"""Channel noise and interception hooks."""
 
 from math import sqrt
 
 import pytest
 
-from mqss.channel import ClassicalLog, QubitChannel, broadcast, transmit
+from mqss.channel import QubitChannel, transmit
 from mqss.statevec import basis_state, fidelity
 
 from conftest import FixedRng
@@ -63,29 +63,3 @@ def test_transmit_validates_particle_index(rng):
     with pytest.raises(ValueError):
         transmit(QubitChannel(), basis_state(2, [0, 0]), 3, rng)
 
-
-def test_broadcast_round_trip_and_order():
-    log = ClassicalLog()
-    broadcast(log, "dealer", {"round": 0, "ack": True})
-    broadcast(log, "tp", {"specs": 3})
-    assert log.entries == (
-        ("dealer", {"round": 0, "ack": True}),
-        ("tp", {"specs": 3}),
-    )
-
-
-def test_adversary_reads_full_log():
-    log = ClassicalLog()
-    for i in range(5):
-        broadcast(log, "agent1", i)
-    # no access control: any party sees everything, in order
-    assert [m for _, m in log.entries] == list(range(5))
-    assert len(log) == 5
-
-
-def test_log_entries_snapshot_is_immutable():
-    log = ClassicalLog()
-    broadcast(log, "dealer", "msg")
-    snapshot = log.entries
-    with pytest.raises((TypeError, AttributeError)):
-        snapshot[0] = ("evil", "rewrite")

@@ -32,7 +32,7 @@ from mqss.protocol import (
     RoundCase,
     RoundRecord,
     SessionConfig,
-    classify_round,
+    case_table,
     run_rounds,
     run_sessions,
 )
@@ -261,7 +261,7 @@ def test_record_json_matches_a_sorted_key_dump(tmp_path):
                 "spec": {"x": "".join(str(int(b)) for b in bits), "b": phase},
                 "modes": [m.value for m in modes],
                 "results": results,
-                "classification": classify_round(modes).value,
+                "classification": case_table(len(modes))[modes.count(Mode.CHECK)].value,
                 "probe": probe,
             }
             lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
@@ -278,7 +278,7 @@ def test_a_recorded_run_writes_each_sessions_rounds_as_its_outcome_holds_them(tm
             "--seed", "6"]
     assert main(argv + ["--transcript", str(tmp_path / "run.jsonl")]) == EXIT_OK
     sessions = run_sessions(parse_config(argv).session, child_seeds(6, 12), collect_records=True)
-    assert max(len(pieces) for pieces in sessions.rounds) > 1  # some sessions topped up
+    assert (sessions.stat("rounds_used") > parse_config(argv).session.batch_size).any()  # topped up
     write_transcript(tmp_path / "outcomes.jsonl", enumerate(outcome.rounds for outcome in sessions))
     assert (tmp_path / "run.jsonl").read_bytes() == (tmp_path / "outcomes.jsonl").read_bytes()
 

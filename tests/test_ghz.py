@@ -18,7 +18,6 @@ from mqss.ghz import (
     predict_partial_hadamard,
     prepare,
     residual_phase,
-    sample_patterns,
 )
 from mqss.statevec import (
     ATOL,
@@ -30,9 +29,9 @@ from mqss.statevec import (
     measure_z,
 )
 from mqss import streams
-from mqss.streams import pattern_blocks
+from mqss.streams import pattern_blocks, refuse_32_bit_words
 
-from conftest import FixedRng, integers_draw_bits, raw_word_bits, state_from_terms
+from conftest import FixedRng, drawn_patterns, integers_draw_bits, raw_word_bits, state_from_terms
 
 S2 = 1.0 / sqrt(2.0)
 QUARTER = 1.0 / (2.0 * sqrt(2.0))
@@ -137,16 +136,12 @@ def test_spec_validation():
 
 def test_sample_patterns_draws_all_patterns_then_all_phases():
     rng, oracle = np.random.default_rng(3), np.random.PCG64(3)
-    bits, phases = sample_patterns(rng, 40, 5)
+    bits, phases = drawn_patterns(rng, 40, 5)
     assert bits.dtype == bool and phases.dtype == np.uint8
     # 200 pattern bits fill 4 words, and the 40 phases start on a fifth
     words = oracle.random_raw(5).tolist()
     assert bits.reshape(-1).tolist() == raw_word_bits(words, 0, 200)
     assert phases.tolist() == raw_word_bits(words, 256, 40)
-    with pytest.raises(ValueError):
-        sample_patterns(rng, 3, 1)
-    with pytest.raises(ValueError):
-        sample_patterns(rng, 1, 25)
 
 
 @pytest.mark.parametrize(
@@ -157,7 +152,7 @@ def test_sample_patterns_one_draw_matches_bits_then_phases(count, q):
     pattern_words, phase_words = -(-count * q // 64), -(-count // 64)
     for seed in range(100):
         rng, oracle = np.random.default_rng(seed), np.random.PCG64(seed)
-        bits, phases = sample_patterns(rng, count, q)
+        bits, phases = drawn_patterns(rng, count, q)
         words = oracle.random_raw(pattern_words + phase_words).tolist()
         assert bits.shape == (count, q)
         assert bits.reshape(-1).tolist() == raw_word_bits(words, 0, count * q)
@@ -179,7 +174,7 @@ def test_sample_patterns_reads_raw_words_as_the_integers_draws(q, held):
         rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         if held:
             hold_a_half(rng, oracle)
-        bits, phases = sample_patterns(rng, count, q)
+        bits, phases = drawn_patterns(rng, count, q)
         expected_bits, expected_phases = integers_draw_bits(oracle, count, q)
         assert bits.dtype == bool and phases.dtype == np.uint8
         assert bits.shape == (count, q)
@@ -187,8 +182,6 @@ def test_sample_patterns_reads_raw_words_as_the_integers_draws(q, held):
         assert rng.bit_generator.state == oracle.bit_generator.state  # a held half is kept
         assert rng.integers(0, 2, size=3).tolist() == oracle.integers(0, 2, size=3).tolist()
         assert rng.random() == oracle.random()
-    with pytest.raises(ValueError):
-        sample_patterns(rng, 1, 25)
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
@@ -208,7 +201,7 @@ def test_skipping_bits_leaves_the_generator_where_drawing_them_would(monkeypatch
             assert block_phases.tolist() == expected_phases
             blocks.append((block_bits, block_phases))
         assert len(blocks) == max(count, 1)
-        bits, phases = sample_patterns(whole, count, 3)  # the same blocks, one after another
+        bits, phases = drawn_patterns(whole, count, 3)  # the same blocks, one after another
         assert np.array_equal(np.concatenate([block_bits for block_bits, _ in blocks]), bits)
         assert np.array_equal(np.concatenate([block_phases for _, block_phases in blocks]), phases)
         assert whole.bit_generator.state == rng.bit_generator.state
@@ -218,8 +211,10 @@ def test_skipping_bits_leaves_the_generator_where_drawing_them_would(monkeypatch
 def test_sample_patterns_refuses_32_bit_raw_words():
     # MT19937's raw words are 32-bit: half of every word's 64 bits would read 0
     with pytest.raises(ValueError, match="MT19937"):
-        sample_patterns(np.random.Generator(np.random.MT19937(5)), 3, 3)
-    assert sample_patterns(np.random.Generator(np.random.Philox(5)), 3, 3)[0].shape == (3, 3)
+        refuse_32_bit_words(np.random.Generator(np.random.MT19937(5)))
+    rng = np.random.Generator(np.random.Philox(5))
+    refuse_32_bit_words(rng)
+    assert drawn_patterns(rng, 3, 3)[0].shape == (3, 3)
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1001])
